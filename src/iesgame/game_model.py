@@ -206,20 +206,20 @@ def build_leader(cfg: ScenarioConfig,
                  ir: ModelIR | None = None,
                  follower: FollowerFragment | None = None,
                  fixed_prices: tuple[np.ndarray, np.ndarray] | None = None,
-                 fixed_response: tuple[np.ndarray, np.ndarray] | None = None,
-                 confidence: float | None = None) -> ModelBundle:
+                 fixed_response: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> ModelBundle:
     """Emit the operator's dispatch-and-pricing program.
 
     With `follower` given (full game) the balances reference the
     follower variables and the price*quantity revenue terms are recorded
     for later elimination. With `fixed_response` the same quantities
-    enter as constants; without either, demand response is off.
+    enter as constants; without either, demand response is off. The
+    reserve confidence level is the one `reserve_reqs` were built with.
     """
     t_count = cfg.horizon
     dt = cfg.dt_hours
     if ir is None:
         ir = ModelIR(name=f"{cfg.name}_mode{mode.number}")
-    confidence = cfg.confidence if confidence is None else confidence
 
     heat_base = cfg.heat_base_load()
     heat_min = cfg.heat_min_load()
@@ -421,30 +421,13 @@ def build_leader(cfg: ScenarioConfig,
             _add_row_or_check(ir, f"bal_h_{t}", coeffs, "==", rhs)
     names.update(pipe_names)
 
-    # reserve: level indicators with big-M coupling plus coverage row
-    w_names: list[list[str]] = []
+    # reserve: the chance constraint's exact deterministic equivalent
     for t in range(t_count):
-        req = reserve_reqs[t]
-        r_coeffs: dict[str, float] = {}
-        for rrow in tp_r:
-            r_coeffs[rrow[t]] = 1.0
-        for rrow in chp_r:
-            r_coeffs[rrow[t]] = 1.0
+        r_coeffs = {rrow[t]: 1.0 for rrow in tp_r + chp_r}
         if bess_r is not None:
             r_coeffs[bess_r[t]] = 1.0
-        w_t = [ir.add_variable(f"w_res_{t}_{m}", 0.0, 1.0, binary=True)
-               for m in range(len(req.thresholds))]
-        w_names.append(w_t)
-        big_m = req.big_m
-        for m, thr in enumerate(req.thresholds):
-            if not r_coeffs:
-                continue
-            ir.add_row(f"res_lvl_{t}_{m}", {**r_coeffs, w_t[m]: -big_m},
-                       ">=", float(thr) - big_m)
-        ir.add_row(f"res_cov_{t}",
-                   {w: float(d) for w, d in zip(w_t, req.level_probs)},
-                   ">=", confidence)
-    names["w_res"] = w_names
+        _add_row_or_check(ir, f"res_min_{t}", r_coeffs, ">=",
+                          reserve_reqs[t].min_reserve())
 
     # objective: revenue minus generation, storage and reserve costs
     if mode.optimize_prices:
@@ -479,7 +462,7 @@ def build_leader(cfg: ScenarioConfig,
             ir.add_obj_linear(bess_r[t], -b.reserve_cost * dt)
 
     return ModelBundle(
-        ir=ir, cfg=cfg, mode=mode, confidence=confidence,
+        ir=ir, cfg=cfg, mode=mode, confidence=reserve_reqs[0].confidence,
         expected=np.asarray(expected, dtype=float), reserve_reqs=reserve_reqs,
         heat_base=heat_base, heat_min=heat_min, delays=delays, names=names,
         bilinear=bilinear, follower=follower,

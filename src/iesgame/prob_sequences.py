@@ -2,9 +2,17 @@
 
 A renewable output distribution is discretized onto a uniform power grid
 with step q; independent units combine by addition-type convolution.
-The per-period spinning-reserve chance constraint then reduces to level
-indicators w_m with big-M coupling plus one probability-coverage row,
-which is its exact deterministic equivalent.
+
+The per-period spinning-reserve chance constraint
+    Pr[r >= E - joint output] >= confidence
+then has an exact deterministic equivalent. Sequence operation theory
+writes it as one binary w_m per output level m, a big-M row
+r >= (E - m*q) - M*(1 - w_m) and a coverage row
+sum_m Pr[level m] * w_m >= confidence. Because the thresholds E - m*q
+strictly decrease in m, the levels a reserve r covers always form a
+tail {m >= m0}, so that block admits exactly the reserves
+r >= ReserveRequirementRows.min_reserve(): one linear row per period,
+with no binaries.
 """
 from __future__ import annotations
 
@@ -87,12 +95,17 @@ def expectation(s: ProbSequence) -> float:
 
 @dataclass(frozen=True)
 class ReserveRequirementRows:
-    """Data for the deterministic-equivalent reserve rows of one period.
+    """Data for the deterministic-equivalent reserve row of one period.
 
-    For each level m the MILP gets a binary w_m with
-        total_reserve >= thresholds[m] - big_m * (1 - w_m)
-    plus the coverage row  sum_m level_probs[m] * w_m >= confidence.
-    thresholds[m] = expected_output - m*q, strictly decreasing in m.
+    thresholds[m] = expected_output - m*q is the reserve that covers a
+    shortfall at output level m. The paper's sequence-operation form
+    gives each level a binary w_m with
+        total_reserve >= thresholds[m] - M * (1 - w_m)
+    and adds the coverage row  sum_m level_probs[m] * w_m >= confidence.
+    The thresholds strictly decrease, so a reserve covers a level only
+    if it covers every higher one: the covered levels form a tail, and
+    the block holds exactly when  total_reserve >= min_reserve(). The
+    MILP emits only that row.
     """
 
     expected_output: float
@@ -109,11 +122,6 @@ class ReserveRequirementRows:
         total = float(np.asarray(self.level_probs).sum())
         if abs(total - 1.0) > 1e-6:
             raise ValueError("level probabilities must sum to 1")
-
-    @property
-    def big_m(self) -> float:
-        # thresholds never exceed expected_output, so this M is valid and tight
-        return max(self.expected_output, 1e-9)
 
     def min_reserve(self) -> float:
         """Smallest feasible total reserve: the largest m whose upper tail

@@ -85,15 +85,15 @@ def build_bundle(cfg: ScenarioConfig, mode_number: int,
         ir = ModelIR(f"{cfg.name}_mode{mode_number}")
         follower = gm.build_follower(cfg, ir)
         bundle = gm.build_leader(cfg, expected, reqs, mode, ir=ir,
-                                 follower=follower, confidence=confidence)
+                                 follower=follower)
     elif mode.idr_enabled:
         mu, gamma = cfg.proportional_prices()
         response = gm.follower_best_response(mu, gamma, cfg)
         bundle = gm.build_leader(cfg, expected, reqs, mode,
                                  fixed_prices=(mu, gamma),
-                                 fixed_response=response, confidence=confidence)
+                                 fixed_response=response)
     else:
-        bundle = gm.build_leader(cfg, expected, reqs, mode, confidence=confidence)
+        bundle = gm.build_leader(cfg, expected, reqs, mode)
     return assemble_single_level(bundle, n_segments=n_segments)
 
 
@@ -125,8 +125,7 @@ def run_pipeline(manifest: RunManifest) -> RunOutput:
         return fail(EXIT_SCHEMA, "SCHEMA_ERROR", str(exc))
 
     opts = se.SolveOptions(time_limit=manifest.time_limit,
-                           gap_tolerance=manifest.gap,
-                           n_segments=manifest.n_segments)
+                           gap_tolerance=manifest.gap)
     try:
         backend = se.get_backend(manifest.backend)
     except ValueError as exc:
@@ -156,6 +155,8 @@ def run_pipeline(manifest: RunManifest) -> RunOutput:
         "seed": manifest.seed,
         "backend": backend.name,
         "confidence": bundle.confidence,
+        "theta": cfg.idr.theta,
+        "n_segments": manifest.n_segments,
         "status": result.status,
         "objective": result.objective,
         "gap": result.gap,
@@ -334,12 +335,20 @@ def sweep(manifest: RunManifest, param: str, values: list[float],
 
 def revalidate(scenario: str, run_dir: str, mc_samples: int,
                seed: int) -> tuple[gm.ValidationReport, dict]:
-    """Reload a finished run from its output files and re-verify it."""
+    """Reload a finished run from its output files and re-verify it.
+
+    The program is rebuilt with the run's effective theta, confidence and
+    segment count from `summary.json`; run directories written before
+    those fields existed fall back to the scenario file and the default
+    segment count.
+    """
     run_path = Path(run_dir)
     summary = json.loads((run_path / "summary.json").read_text())
     cfg = load_scenario(scenario)
-    bundle = build_bundle(cfg, int(summary["mode"]),
-                          summary.get("confidence"))
+    if "theta" in summary:
+        cfg = cfg.with_overrides(theta=float(summary["theta"]))
+    bundle = build_bundle(cfg, int(summary["mode"]), summary.get("confidence"),
+                          int(summary.get("n_segments", 8)))
     rows = list(csv.DictReader((run_path / "periods.csv").open()))
     sol = _solution_from_rows(cfg, bundle, rows, summary)
     report = gm.verify_solution(sol, bundle)

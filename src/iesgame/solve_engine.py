@@ -41,7 +41,6 @@ TRIAGE_STAGES = ("static_bounds", "balance_with_relaxed_reserves", "full_model")
 class SolveOptions:
     time_limit: float = 300.0
     gap_tolerance: float = 1e-4
-    n_segments: int = 8
 
 
 @dataclass
@@ -228,7 +227,7 @@ def _without_reserve_rows(ir: ModelIR) -> ModelIR:
     out.obj_pwl = list(ir.obj_pwl)
     out.obj_const = ir.obj_const
     for row in ir.rows:
-        if row.name.startswith(("res_lvl_", "res_cov_")):
+        if row.name.startswith("res_min_"):
             continue
         out.add_row(row.name, dict(row.coeffs), row.sense, row.rhs)
     return out
@@ -324,8 +323,7 @@ def enumerate_oracle(cfg: ScenarioConfig, price_grid_step: float,
         zero = np.zeros(cfg.horizon)
         bundle = gm.build_leader(cfg, expected, reserve_reqs, mode,
                                  fixed_prices=(zero, zero),
-                                 fixed_response=(p_sl, h_cl),
-                                 confidence=confidence)
+                                 fixed_response=(p_sl, h_cl))
         assemble_single_level(bundle, n_segments=n_segments)
         res = backend.solve(bundle.ir, 60.0, 1e-6)
         n_solves += 1
@@ -431,10 +429,9 @@ def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
 
     p = cfg.prices
     mode = gm.ModeSettings(4, bundle.mode.dhn_enabled, True, False)
-    # reserve rows collapse to their per-period minimum here, which is
-    # equivalent and keeps the re-dispatch cheap
+    # deviations re-dispatch under the equilibrium's reserve requirements,
+    # so their profits compare like for like with sol.f1
     reqs = bundle.reserve_reqs
-    min_reserve = np.array([r.min_reserve() for r in reqs])
     fixed_load = np.asarray(cfg.fixed_load)
     heat_base = bundle.heat_base
     cost_cache: dict[bytes, float] = {}
@@ -446,16 +443,13 @@ def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
         if key not in cost_cache:
             dev_bundle = gm.build_leader(cfg, bundle.expected, reqs, mode,
                                          fixed_prices=(zero, zero),
-                                         fixed_response=response,
-                                         confidence=bundle.confidence)
-            ir = _with_min_reserve_rows(dev_bundle.ir, dev_bundle.names,
-                                        min_reserve)
-            # relaxing the remaining binaries can only lower the dispatch
-            # cost, so the deviation profit is overstated: a conservative
-            # direction for a no-improvement test, and it keeps this an LP
+                                         fixed_response=response)
+            # relaxing the binaries can only lower the dispatch cost, so
+            # the deviation profit is overstated: a conservative direction
+            # for a no-improvement test, and it keeps this an LP
+            ir = dev_bundle.ir
             ir.variables = {n: (replace(v, binary=False) if v.binary else v)
                             for n, v in ir.variables.items()}
-            dev_bundle.ir = ir
             assemble_single_level(dev_bundle, n_segments=n_segments)
             res = backend.solve(dev_bundle.ir, 60.0, 1e-6)
             cost_cache[key] = math.inf if res.status != OPTIMAL else -res.objective
@@ -480,33 +474,6 @@ def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
         max_leader_improvement=worst_leader,
         follower_ok=worst_follower <= tolerance_follower,
         leader_ok=worst_leader <= leader_margin)
-
-
-def _with_min_reserve_rows(ir: ModelIR, names: dict,
-                           min_reserve: np.ndarray) -> ModelIR:
-    """Equivalent reformulation: level indicators replaced by the
-    precomputed per-period minimum reserve (same feasible reserves)."""
-    out = ModelIR(ir.name + "_minres", ir.sense)
-    skip = {w for row in names.get("w_res", []) for w in row}
-    out.variables = {n: v for n, v in ir.variables.items() if n not in skip}
-    out.obj_linear = dict(ir.obj_linear)
-    out.obj_quad = list(ir.obj_quad)
-    out.obj_pwl = list(ir.obj_pwl)
-    out.obj_const = ir.obj_const
-    for row in ir.rows:
-        if row.name.startswith(("res_lvl_", "res_cov_")):
-            continue
-        out.add_row(row.name, dict(row.coeffs), row.sense, row.rhs)
-    for t, req in enumerate(min_reserve):
-        coeffs = {}
-        for fam in ("r_tp", "r_chp"):
-            for unit_row in names.get(fam, []):
-                coeffs[unit_row[t]] = 1.0
-        if "r_bess" in names:
-            coeffs[names["r_bess"][t]] = 1.0
-        if coeffs and req > 0:
-            out.add_row(f"res_min_{t}", coeffs, ">=", float(req))
-    return out
 
 
 # ----------------------------------------------------------------------

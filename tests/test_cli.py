@@ -168,6 +168,34 @@ class TestValidateVerb:
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
 
+    def test_sweep_output_round_trip(self, toy_path, tmp_path, capsys):
+        # theta 100 differs from the scenario file's 150, so the rebuild
+        # must take theta from summary.json
+        out_dir = tmp_path / "sw"
+        code = run_cli(["sweep", "--scenario", str(toy_path),
+                        "--param", "theta", "--values", "100",
+                        "--out", str(out_dir), "--mc-samples", "20000"])
+        assert code == cli.EXIT_OK
+        summary = json.loads((out_dir / "theta_100.0" / "summary.json")
+                             .read_text())
+        assert summary["theta"] == 100.0
+        assert summary["n_segments"] == 8
+        capsys.readouterr()
+        code = run_cli(["validate", "--scenario", str(toy_path),
+                        "--run-dir", str(out_dir / "theta_100.0"),
+                        "--mc-samples", "20000"])
+        assert code == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    def test_segment_count_round_trip(self, toy_path, tmp_path, capsys):
+        out_dir = tmp_path / "seg"
+        run_cli(["run", "--scenario", str(toy_path), "--mode", "3",
+                 "--segments", "2", "--out", str(out_dir), "--no-validate"])
+        capsys.readouterr()
+        code = run_cli(["validate", "--scenario", str(toy_path),
+                        "--run-dir", str(out_dir), "--mc-samples", "20000"])
+        assert code == cli.EXIT_OK
+
     def test_missing_run_dir(self, toy_path, tmp_path):
         code = run_cli(["validate", "--scenario", str(toy_path),
                         "--run-dir", str(tmp_path / "nowhere")])

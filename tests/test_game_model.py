@@ -183,6 +183,61 @@ class TestBuildLeader:
                             fixed_prices=(np.full(3, 68.5), np.full(3, 29.5)))
 
 
+def with_indicator_reserve(bundle: gm.ModelBundle) -> ModelIR:
+    """The bundle's program with each `res_min_t` row replaced by the
+    paper's sequence-operation form, rebuilt from `bundle.reserve_reqs`:
+    a binary w_m per output level, r >= thr_m - M (1 - w_m), and the
+    coverage row sum_m p_m w_m >= confidence."""
+    ir = bundle.ir
+    out = ModelIR(ir.name + "_indicators", ir.sense)
+    out.variables = dict(ir.variables)
+    out.obj_linear = dict(ir.obj_linear)
+    out.obj_quad = list(ir.obj_quad)
+    out.obj_pwl = list(ir.obj_pwl)
+    out.obj_const = ir.obj_const
+    reserve = {}
+    for row in ir.rows:
+        if row.name.startswith("res_min_"):
+            reserve[row.name] = row.coeffs
+        else:
+            out.add_row(row.name, dict(row.coeffs), row.sense, row.rhs)
+    for t, req in enumerate(bundle.reserve_reqs):
+        r_coeffs = reserve[f"res_min_{t}"]
+        big_m = max(req.expected_output, 1e-9)  # no threshold exceeds E
+        w = [out.add_variable(f"w_res_{t}_{m}", 0.0, 1.0, binary=True)
+             for m in range(len(req.thresholds))]
+        for m, thr in enumerate(req.thresholds):
+            out.add_row(f"res_lvl_{t}_{m}", {**r_coeffs, w[m]: -big_m},
+                        ">=", float(thr) - big_m)
+        out.add_row(f"res_cov_{t}",
+                    {w_m: float(d) for w_m, d in zip(w, req.level_probs)},
+                    ">=", req.confidence)
+    return out
+
+
+class TestReserveRow:
+    def test_one_row_per_period(self, toy_cfg):
+        bundle = build_bundle(toy_cfg, 2, confidence=0.8)
+        rows = {r.name: r for r in bundle.ir.rows if r.name.startswith("res_")}
+        assert sorted(rows) == [f"res_min_{t}" for t in range(toy_cfg.horizon)]
+        for t, req in enumerate(bundle.reserve_reqs):
+            assert rows[f"res_min_{t}"].rhs == req.min_reserve()
+        # the confidence level has one source: the reserve requirements
+        assert bundle.confidence == 0.8
+        assert all(req.confidence == 0.8 for req in bundle.reserve_reqs)
+
+    @pytest.mark.parametrize("mode", [1, 2, 3, 4])
+    def test_matches_indicator_form(self, toy_cfg, mode):
+        bundle = build_bundle(toy_cfg, mode)
+        assert max(r.min_reserve() for r in bundle.reserve_reqs) > 0
+        backend = se.ScipyMilpBackend()
+        row = backend.solve(bundle.ir, 60.0, 1e-4)
+        reference = backend.solve(with_indicator_reserve(bundle), 60.0, 1e-4)
+        assert row.status == reference.status == se.OPTIMAL
+        assert row.objective == pytest.approx(
+            reference.objective, rel=1e-4, abs=1e-6)
+
+
 class TestPriceMonotonicity:
     def test_revenue_argmax_hits_band_structure(self):
         # with quantities fixed the profit rises in every price, so the

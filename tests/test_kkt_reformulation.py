@@ -172,9 +172,7 @@ class TestEliminateBilinear:
 class TestAssemble:
     def test_binary_census_on_toy(self, solved_toy):
         cfg, bundle, _ = solved_toy
-        reserve_levels = sum(len(r.thresholds) for r in bundle.reserve_reqs)
-        expected = 4 * cfg.horizon + reserve_levels  # pairs + indicators
-        assert len(bundle.ir.binary_names) == expected
+        assert len(bundle.ir.binary_names) == 4 * cfg.horizon  # pairs
 
     def test_mode_without_response_emits_no_kkt(self, solved_toy):
         cfg, _, _ = solved_toy

@@ -147,10 +147,6 @@ class TestReserveRows:
         assert np.all(np.diff(req.thresholds) < 0)
         assert req.level_probs.sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_big_m_tight(self):
-        req = ps.reserve_rows(self.JOINT, 0.9)
-        assert req.big_m == pytest.approx(req.expected_output)
-
     @settings(max_examples=60, deadline=None)
     @given(sequences(8), st.floats(0.05, 0.999))
     def test_matches_brute_force(self, joint, conf):
