@@ -5,8 +5,11 @@ units, storage and renewables to serve electricity and heat, subject to
 balances, ramps, pipeline temperature windows, price-band and
 average-price rows, and the deterministic-equivalent reserve rows. The
 users (follower) shift electric load and curtail heat load against the
-posted prices. `build_leader`/`build_follower` emit one solver-agnostic
-program; the KKT machinery collapses the two levels afterwards.
+posted prices. `build_leader` is the one entry that emits the program and
+decides the users' side: with optimized prices it adds the users' own
+variables (`build_follower`), whose optimality conditions the KKT pass
+then folds into the operator's problem; with posted prices the users'
+quantities enter as constants.
 """
 from __future__ import annotations
 
@@ -71,15 +74,6 @@ class FollowerFragment:
     h_cl: list[str]
 
 
-@dataclass(frozen=True)
-class BilinearRevenue:
-    """Objective term sign * price_var * qty_var awaiting elimination."""
-
-    price_var: str
-    qty_var: str
-    sign: float
-
-
 @dataclass
 class ModelBundle:
     """A built program plus everything needed to extract and verify it."""
@@ -94,7 +88,6 @@ class ModelBundle:
     heat_min: np.ndarray
     delays: list[int]
     names: dict[str, object]
-    bilinear: list[BilinearRevenue]
     follower: FollowerFragment | None
     fixed_mu: np.ndarray | None
     fixed_gamma: np.ndarray | None
@@ -203,37 +196,36 @@ def build_leader(cfg: ScenarioConfig,
                  reserve_reqs: list[ReserveRequirementRows],
                  mode: ModeSettings,
                  *,
-                 ir: ModelIR | None = None,
-                 follower: FollowerFragment | None = None,
                  fixed_prices: tuple[np.ndarray, np.ndarray] | None = None,
                  fixed_response: tuple[np.ndarray, np.ndarray] | None = None
                  ) -> ModelBundle:
     """Emit the operator's dispatch-and-pricing program.
 
-    With `follower` given (full game) the balances reference the
-    follower variables and the price*quantity revenue terms are recorded
-    for later elimination. With `fixed_response` the same quantities
-    enter as constants; without either, demand response is off. The
+    The users' side follows one rule, first match wins:
+    1. optimized prices (mode 3): the users' variables are added here
+       (`build_follower`) and the balances reference them; the revenue
+       they pay is substituted by `assemble_single_level`;
+    2. `fixed_response` given: those quantities enter as constants;
+    3. users respond (mode 4): their best response to the posted prices;
+    4. otherwise the baseline shift and no heat cut.
+    Posted prices are `fixed_prices`, else the proportional tariff. The
     reserve confidence level is the one `reserve_reqs` were built with.
     """
     t_count = cfg.horizon
     dt = cfg.dt_hours
-    if ir is None:
-        ir = ModelIR(name=f"{cfg.name}_mode{mode.number}")
+    if mode.optimize_prices and (fixed_prices is not None
+                                 or fixed_response is not None):
+        raise BuildError("fixed prices or response conflict with price optimization")
+    ir = ModelIR(name=f"{cfg.name}_mode{mode.number}")
+    follower = build_follower(cfg, ir) if mode.optimize_prices else None
 
     heat_base = cfg.heat_base_load()
     heat_min = cfg.heat_min_load()
     fixed_load = np.asarray(cfg.fixed_load)
 
-    if mode.optimize_prices and fixed_prices is not None:
-        raise BuildError("fixed prices conflict with price optimization")
-    if follower is not None and fixed_response is not None:
-        raise BuildError("follower variables conflict with a fixed response")
-
     _static_checks(cfg, mode, heat_base, heat_min, fixed_load)
 
     names: dict[str, object] = {}
-    bilinear: list[BilinearRevenue] = []
     fixed_mu = fixed_gamma = None
 
     # prices
@@ -256,7 +248,9 @@ def build_leader(cfg: ScenarioConfig,
     # block still exists, timed along the fixed-load shape
     if follower is not None:
         p_sl_const = h_cl_const = None
-    elif fixed_response is not None:
+    elif fixed_response is not None or mode.idr_enabled:
+        if fixed_response is None:
+            fixed_response = follower_best_response(fixed_mu, fixed_gamma, cfg)
         p_sl_const = np.asarray(fixed_response[0], dtype=float)
         h_cl_const = np.asarray(fixed_response[1], dtype=float)
     else:
@@ -429,14 +423,12 @@ def build_leader(cfg: ScenarioConfig,
         _add_row_or_check(ir, f"res_min_{t}", r_coeffs, ">=",
                           reserve_reqs[t].min_reserve())
 
-    # objective: revenue minus generation, storage and reserve costs
+    # objective: revenue minus generation, storage and reserve costs; the
+    # users' price*quantity payments are added by `eliminate_bilinear`
     if mode.optimize_prices:
         for t in range(t_count):
             ir.add_obj_linear(names["mu"][t], float(fixed_load[t]) * dt)
             ir.add_obj_linear(names["gamma"][t], float(heat_base[t]) * dt)
-            if follower is not None:
-                bilinear.append(BilinearRevenue(names["mu"][t], follower.p_sl[t], dt))
-                bilinear.append(BilinearRevenue(names["gamma"][t], follower.h_cl[t], -dt))
     else:
         load_e = fixed_load + p_sl_const
         load_h = heat_base - h_cl_const
@@ -465,7 +457,7 @@ def build_leader(cfg: ScenarioConfig,
         ir=ir, cfg=cfg, mode=mode, confidence=reserve_reqs[0].confidence,
         expected=np.asarray(expected, dtype=float), reserve_reqs=reserve_reqs,
         heat_base=heat_base, heat_min=heat_min, delays=delays, names=names,
-        bilinear=bilinear, follower=follower,
+        follower=follower,
         fixed_mu=fixed_mu, fixed_gamma=fixed_gamma,
         fixed_p_sl=p_sl_const, fixed_h_cl=h_cl_const)
 

@@ -160,64 +160,45 @@ def big_m_linearize(ir: ModelIR, pair: ComplementarityPair) -> str:
 
 
 def eliminate_bilinear(ir: ModelIR, bundle: ModelBundle, block: KktBlock) -> None:
-    """Rewrite price*quantity revenue using the complementarity identities.
+    """Add the users' payments to the objective, substituted through the
+    complementarity identities of their optimality conditions.
 
+    The operator collects dt * (mu_t * psl_t - gamma_t * hcl_t) from the
+    response on top of the fixed loads, with
     mu_t * psl_t   = d1_t*lb_t - d2_t*ub_t - xi*psl_t   (sums to -xi*S)
     gamma_t * hcl_t = 2*theta*hcl_t^2 + d4_t*cut_ub_t
-    leaving the objective linear in multipliers plus a concave quadratic
-    in the heat cut, which a maximization handles without binaries.
+    which leaves the objective linear in the multipliers plus a concave
+    quadratic in the heat cut, which a maximization handles without
+    binaries. The electric pieces aggregate to -xi*S because every period
+    carries the same weight dt and the shift-total row fixes sum psl_t = S.
     """
     follower = bundle.follower
-    if follower is None:
-        if bundle.bilinear:
-            raise BuildError("bilinear revenue terms without a follower block")
-        return
-    sl_index = {v: t for t, v in enumerate(follower.p_sl)}
-    cl_index = {v: t for t, v in enumerate(follower.h_cl)}
-    elec_signs: set[float] = set()
-    for term in bundle.bilinear:
-        if term.qty_var in sl_index:
-            t = sl_index[term.qty_var]
-            ir.add_obj_linear(block.deltas["delta1"][t],
-                              term.sign * float(follower.sl_lb[t]))
-            ir.add_obj_linear(block.deltas["delta2"][t],
-                              -term.sign * float(follower.sl_ub[t]))
-            elec_signs.add(term.sign)
-        elif term.qty_var in cl_index:
-            t = cl_index[term.qty_var]
-            ir.add_obj_quad(term.qty_var, term.sign * 2.0 * follower.theta)
-            ir.add_obj_linear(block.deltas["delta4"][t],
-                              term.sign * float(follower.cut_ub[t]))
-        else:
-            raise BuildError(f"bilinear term on unknown follower variable "
-                             f"{term.qty_var}")
-    if elec_signs:
-        # the per-period -xi*psl_t pieces only aggregate to -xi*S when all
-        # electric terms carry one weight, which the shift-total row fixes
-        if len(elec_signs) > 1:
-            raise BuildError("electric revenue terms must share one weight")
-        ir.add_obj_linear(block.xi, -elec_signs.pop() * follower.shift_total)
+    dt = bundle.cfg.dt_hours
+    for t in range(follower.horizon):
+        ir.add_obj_linear(block.deltas["delta1"][t], dt * float(follower.sl_lb[t]))
+        ir.add_obj_linear(block.deltas["delta2"][t], -dt * float(follower.sl_ub[t]))
+        ir.add_obj_quad(follower.h_cl[t], -dt * 2.0 * follower.theta)
+        ir.add_obj_linear(block.deltas["delta4"][t], -dt * float(follower.cut_ub[t]))
+    ir.add_obj_linear(block.xi, -dt * follower.shift_total)
 
 
 def bilinear_identity_residuals(bundle: ModelBundle, block: KktBlock,
                                 values: dict[str, float]) -> list[tuple[str, float]]:
-    """Per-term gap between price*quantity and its substituted expression."""
+    """Per-period gap between price*quantity and its substituted expression."""
     follower = bundle.follower
     out = []
-    for term in bundle.bilinear:
-        if follower and term.qty_var in set(follower.p_sl):
-            t = follower.p_sl.index(term.qty_var)
-            lhs = values[term.price_var] * values[term.qty_var]
-            rhs = (values[block.deltas["delta1"][t]] * float(follower.sl_lb[t])
-                   - values[block.deltas["delta2"][t]] * float(follower.sl_ub[t])
-                   - values[block.xi] * values[term.qty_var])
-            out.append((f"elec_{t}", lhs - rhs))
-        elif follower and term.qty_var in set(follower.h_cl):
-            t = follower.h_cl.index(term.qty_var)
-            lhs = values[term.price_var] * values[term.qty_var]
-            rhs = (2.0 * follower.theta * values[term.qty_var] ** 2
-                   + values[block.deltas["delta4"][t]] * float(follower.cut_ub[t]))
-            out.append((f"heat_{t}", lhs - rhs))
+    for t in range(follower.horizon):
+        psl = values[follower.p_sl[t]]
+        lhs = values[bundle.names["mu"][t]] * psl
+        rhs = (values[block.deltas["delta1"][t]] * float(follower.sl_lb[t])
+               - values[block.deltas["delta2"][t]] * float(follower.sl_ub[t])
+               - values[block.xi] * psl)
+        out.append((f"elec_{t}", lhs - rhs))
+        hcl = values[follower.h_cl[t]]
+        lhs = values[bundle.names["gamma"][t]] * hcl
+        rhs = (2.0 * follower.theta * hcl ** 2
+               + values[block.deltas["delta4"][t]] * float(follower.cut_ub[t]))
+        out.append((f"heat_{t}", lhs - rhs))
     return out
 
 
@@ -243,16 +224,15 @@ def apply_pwl(ir: ModelIR, n_segments: int) -> tuple[float, list[PwlApprox]]:
     return total_bound, approxes
 
 
-def assemble_single_level(bundle: ModelBundle, n_segments: int = 8,
-                          use_pwl: bool = True) -> ModelBundle:
+def assemble_single_level(bundle: ModelBundle, n_segments: int = 8) -> ModelBundle:
     """Finish the program: optimality conditions, big-M rows, bilinear
-    elimination, and (by default) the PWL pass that makes it a pure MILP.
+    elimination, and the PWL pass that makes it a pure MILP.
 
-    Without demand response the follower block is absent and no KKT rows
-    are emitted; the same entry point then just linearizes the costs.
+    Without the users' variables (posted prices) no KKT rows are emitted;
+    the same entry point then just linearizes the costs.
     """
     ir = bundle.ir
-    if bundle.follower is not None and bundle.mode.optimize_prices:
+    if bundle.follower is not None:
         p = bundle.cfg.prices
         block = emit_kkt(ir, bundle.follower, bundle.names["mu"],
                          bundle.names["gamma"], p.mu_max, p.gamma_max)
@@ -260,11 +240,8 @@ def assemble_single_level(bundle: ModelBundle, n_segments: int = 8,
             big_m_linearize(ir, pair)
         eliminate_bilinear(ir, bundle, block)
         bundle.kkt_names = {"block": block}
-    elif bundle.bilinear:
-        raise BuildError("bilinear revenue requires the KKT path")
-    if use_pwl:
-        bound, approxes = apply_pwl(ir, n_segments)
-        bundle.pwl_error_bound = bound
-        bundle.names["pwl"] = approxes
+    bound, approxes = apply_pwl(ir, n_segments)
+    bundle.pwl_error_bound = bound
+    bundle.names["pwl"] = approxes
     ir.validate()
     return bundle

@@ -27,7 +27,6 @@ from . import game_model as gm
 from . import solve_engine as se
 from .config import ConfigError, ScenarioConfig, load_scenario
 from .kkt_reformulation import assemble_single_level
-from .model_ir import ModelIR
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -78,22 +77,9 @@ def build_bundle(cfg: ScenarioConfig, mode_number: int,
                  confidence: float | None = None,
                  n_segments: int = 8) -> gm.ModelBundle:
     """Construct the single-level program for one mode."""
-    mode = gm.ModeSettings.for_mode(mode_number)
-    expected = cfg.expected_renewables()
-    reqs = cfg.reserve_requirements(confidence)
-    if mode.idr_enabled and mode.optimize_prices:
-        ir = ModelIR(f"{cfg.name}_mode{mode_number}")
-        follower = gm.build_follower(cfg, ir)
-        bundle = gm.build_leader(cfg, expected, reqs, mode, ir=ir,
-                                 follower=follower)
-    elif mode.idr_enabled:
-        mu, gamma = cfg.proportional_prices()
-        response = gm.follower_best_response(mu, gamma, cfg)
-        bundle = gm.build_leader(cfg, expected, reqs, mode,
-                                 fixed_prices=(mu, gamma),
-                                 fixed_response=response)
-    else:
-        bundle = gm.build_leader(cfg, expected, reqs, mode)
+    bundle = gm.build_leader(cfg, cfg.expected_renewables(),
+                             cfg.reserve_requirements(confidence),
+                             gm.ModeSettings.for_mode(mode_number))
     return assemble_single_level(bundle, n_segments=n_segments)
 
 

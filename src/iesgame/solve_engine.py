@@ -34,6 +34,10 @@ TIME_LIMIT = "TIME_LIMIT"
 UNBOUNDED = "UNBOUNDED"
 ERROR = "ERROR"
 
+# status banner keyword -> status for file-based solvers, checked in order
+_BANNER_STATUS = (("infeasible", INFEASIBLE), ("unbounded", UNBOUNDED),
+                  ("time limit", TIME_LIMIT), ("error", ERROR))
+
 TRIAGE_STAGES = ("static_bounds", "balance_with_relaxed_reserves", "full_model")
 
 
@@ -58,8 +62,6 @@ class ScipyMilpBackend:
     """In-process HiGHS backend via scipy.optimize.milp."""
 
     name = "scipy"
-    supports_binary = True
-    supports_quadratic = False
 
     def solve(self, ir: ModelIR, time_limit: float, gap_tolerance: float
               ) -> SolveResult:
@@ -124,12 +126,13 @@ class ExternalLpBackend:
     """File-boundary backend: write LP, run a command, read the solution.
 
     The command template must contain "{lp}" and "{sol}" placeholders;
-    default comes from the IES_SOLVER_CMD environment variable.
+    default comes from the IES_SOLVER_CMD environment variable. A status
+    banner on the solution file's first line naming infeasibility,
+    unboundedness, a time limit or an error is reported as that status;
+    otherwise the values are taken as optimal.
     """
 
     name = "external"
-    supports_binary = True
-    supports_quadratic = False
 
     def __init__(self, command_template: str | None = None):
         self.command_template = command_template or os.environ.get("IES_SOLVER_CMD")
@@ -156,11 +159,18 @@ class ExternalLpBackend:
                 return SolveResult(status, {}, math.nan, math.nan, math.inf, runtime)
             text = sol_path.read_text()
         first_line = text.splitlines()[0].lower() if text else ""
-        if "infeasible" in first_line:
-            return SolveResult(INFEASIBLE, {}, math.nan, math.nan, math.inf, runtime)
+        banner = first_line.replace("_", " ")
+        for keyword, status in _BANNER_STATUS:
+            if keyword in banner:
+                return SolveResult(status, {}, math.nan, math.nan, math.inf, runtime)
         values = parse_solution(text, known=set(ir.variables))
-        missing = [v for v in ir.variables if v not in values]
-        for name in missing:  # solvers commonly omit variables at zero
+        for name, var in ir.variables.items():
+            if name in values:
+                continue
+            # solvers commonly omit variables at zero; a variable whose
+            # bounds exclude zero cannot have been omitted for that reason
+            if not var.lb <= 0.0 <= var.ub:
+                return SolveResult(ERROR, {}, math.nan, math.nan, math.inf, runtime)
             values[name] = 0.0
         objective = ir.evaluate_objective(values)
         return SolveResult(OPTIMAL, values, objective, objective, 0.0, runtime)

@@ -181,6 +181,25 @@ class TestBuildLeader:
             gm.build_leader(toy_cfg, toy_cfg.expected_renewables(),
                             toy_cfg.reserve_requirements(), mode,
                             fixed_prices=(np.full(3, 68.5), np.full(3, 29.5)))
+        with pytest.raises(gm.BuildError):
+            gm.build_leader(toy_cfg, toy_cfg.expected_renewables(),
+                            toy_cfg.reserve_requirements(), mode,
+                            fixed_response=(toy_cfg.baseline_shift(), np.zeros(3)))
+
+    def test_game_built_from_public_entry(self, toy_cfg):
+        # optimized prices make build_leader add the users' block itself
+        bundle = gm.build_leader(toy_cfg, toy_cfg.expected_renewables(),
+                                 toy_cfg.reserve_requirements(),
+                                 gm.ModeSettings.for_mode(3))
+        names = bundle.ir.variables
+        for t in range(toy_cfg.horizon):
+            assert f"p_sl_{t}" in names and f"h_cl_{t}" in names
+        assemble_single_level(bundle)
+        assert len(bundle.ir.binary_names) == 4 * toy_cfg.horizon
+        out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
+        assert out.result.status == se.OPTIMAL
+        assert out.result.objective == pytest.approx(166.92037, rel=1e-4)
+        assert out.report.passed, out.report.violations[:3]
 
 
 def with_indicator_reserve(bundle: gm.ModelBundle) -> ModelIR:

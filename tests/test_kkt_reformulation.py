@@ -187,19 +187,16 @@ class TestAssemble:
         gap = abs(out.solution.f1 - out.result.objective)
         assert gap <= bundle.pwl_error_bound + 1e-6
 
-    def test_quadratic_path_behind_flag(self, solved_toy):
-        cfg, _, _ = solved_toy
-        from iesgame.model_ir import ModelIR
-        ir = ModelIR("quadpath")
-        follower = gm.build_follower(cfg, ir)
-        bundle = gm.build_leader(cfg, cfg.expected_renewables(),
-                                 cfg.reserve_requirements(),
-                                 gm.ModeSettings.for_mode(3), ir=ir,
-                                 follower=follower)
-        kkt.assemble_single_level(bundle, use_pwl=False)
-        assert bundle.ir.has_quadratic()
+    def test_backend_rejects_quadratic_objective(self):
+        # the PWL pass always runs, so a quadratic term reaching the
+        # backend is a caller error, never a convex-MIQP request
+        ir = ModelIR("quad", "max")
+        ir.add_variable("x", 0.0, 2.0)
+        ir.add_obj_linear("x", 3.0)
+        ir.add_obj_quad("x", -1.0)
+        ir.add_row("cap", {"x": 1.0}, "<=", 2.0)
         with pytest.raises(ValueError, match="PWL"):
-            se.ScipyMilpBackend().solve(bundle.ir, 10.0, 1e-4)
+            se.ScipyMilpBackend().solve(ir, 10.0, 1e-4)
 
     def test_bilevel_consistency_at_optimum(self, solved_toy):
         cfg, _, out = solved_toy

@@ -92,6 +92,37 @@ class TestExternalBackend:
         assert res.values["x"] == 4.0
         assert res.objective == pytest.approx(4.0 - 2.5 * 0.5)
 
+    @pytest.mark.parametrize("banner, status", [
+        ("Status: TIME LIMIT reached", "TIME_LIMIT"),
+        ("Status: UNBOUNDED", "UNBOUNDED"),
+        ("Status: solver ERROR", "ERROR"),
+        ("Status: INFEASIBLE", "INFEASIBLE"),
+    ])
+    def test_status_banner_reported(self, tmp_path, banner, status):
+        from iesgame.solve_engine import ExternalLpBackend
+        stub = tmp_path / "stub.py"
+        stub.write_text(
+            "import sys\n"
+            f"open(sys.argv[2], 'w').write({banner!r} + '\\nx 4\\ny 0.5\\nb 1\\n')\n")
+        backend = ExternalLpBackend(f"python3 {stub} {{lp}} {{sol}}")
+        res = backend.solve(sample_ir(), 30.0, 1e-4)
+        assert res.status == status
+        assert not res.values
+
+    def test_missing_variable_outside_zero_is_error(self, tmp_path):
+        from iesgame.solve_engine import ExternalLpBackend
+        ir = sample_ir()
+        ir.add_variable("t_sw", 90.0, 100.0)
+        ir.add_row("t_cap", {"t_sw": 1.0}, "<=", 95.0)
+        stub = tmp_path / "stub.py"
+        stub.write_text(
+            "import sys\n"
+            "open(sys.argv[2], 'w').write('x 4\\ny 0.5\\nb 1\\n')\n")
+        backend = ExternalLpBackend(f"python3 {stub} {{lp}} {{sol}}")
+        res = backend.solve(ir, 30.0, 1e-4)
+        assert res.status == "ERROR"
+        assert not res.values
+
     def test_missing_command_rejected(self, monkeypatch):
         from iesgame.solve_engine import ExternalLpBackend
         monkeypatch.delenv("IES_SOLVER_CMD", raising=False)
