@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from . import thermal_side as th
 from .config import ScenarioConfig
 from .model_ir import ModelIR
 from .prob_sequences import ReserveRequirementRows
+
+if TYPE_CHECKING:  # kkt_reformulation imports this module
+    from .kkt_reformulation import KktBlock
 
 BALANCE_TOL = 1e-6
 RESPONSE_TOL = 1e-5
@@ -93,8 +97,10 @@ class ModelBundle:
     fixed_gamma: np.ndarray | None
     fixed_p_sl: np.ndarray | None
     fixed_h_cl: np.ndarray | None
+    # set by `assemble_single_level`
     pwl_error_bound: float = 0.0
-    kkt_names: dict[str, object] | None = None
+    n_segments: int = 0
+    kkt: KktBlock | None = None
 
 
 @dataclass
@@ -791,7 +797,7 @@ def verify_solution(sol: EquilibriumSolution, bundle: ModelBundle,
                 bundle.pwl_error_bound + 1e-4 * scale1 + 1e-6)
 
     # complementarity (single-level solutions only)
-    if milp_values is not None and bundle.kkt_names:
+    if milp_values is not None and bundle.kkt is not None:
         _check_complementarity(rep, bundle, milp_values)
 
     return rep
@@ -838,9 +844,7 @@ def _check_comfort_window(rep: ValidationReport, sol: EquilibriumSolution,
 
 def _check_complementarity(rep: ValidationReport, bundle: ModelBundle,
                            values: dict[str, float]) -> None:
-    block = bundle.kkt_names.get("block")
-    if block is None:
-        return
+    block = bundle.kkt
     for pair in block.pairs:
         g_val = pair.primal_value(values)
         d_val = values[pair.dual_var]

@@ -202,15 +202,13 @@ def bilinear_identity_residuals(bundle: ModelBundle, block: KktBlock,
     return out
 
 
-def apply_pwl(ir: ModelIR, n_segments: int) -> tuple[float, list[PwlApprox]]:
+def apply_pwl(ir: ModelIR, n_segments: int) -> float:
     """Replace every diagonal quadratic objective term by its chord PWL.
 
-    Returns the summed worst-case objective error and the per-term
-    approximations. Terms on effectively fixed variables fold into the
-    objective constant exactly.
+    Returns the summed worst-case objective error. Terms on effectively
+    fixed variables fold into the objective constant exactly.
     """
     total_bound = 0.0
-    approxes: list[PwlApprox] = []
     for term in ir.obj_quad:
         var = ir.variables[term.var]
         if var.ub - var.lb < 1e-12:
@@ -219,9 +217,8 @@ def apply_pwl(ir: ModelIR, n_segments: int) -> tuple[float, list[PwlApprox]]:
         approx = pwl_quadratic(term.coef, var.lb, var.ub, n_segments)
         ir.add_obj_pwl(PwlObjTerm(term.var, approx.breakpoints, approx.values))
         total_bound += approx.max_error
-        approxes.append(approx)
     ir.obj_quad = []
-    return total_bound, approxes
+    return total_bound
 
 
 def assemble_single_level(bundle: ModelBundle, n_segments: int = 8) -> ModelBundle:
@@ -239,9 +236,8 @@ def assemble_single_level(bundle: ModelBundle, n_segments: int = 8) -> ModelBund
         for pair in block.pairs:
             big_m_linearize(ir, pair)
         eliminate_bilinear(ir, bundle, block)
-        bundle.kkt_names = {"block": block}
-    bound, approxes = apply_pwl(ir, n_segments)
-    bundle.pwl_error_bound = bound
-    bundle.names["pwl"] = approxes
+        bundle.kkt = block
+    bundle.pwl_error_bound = apply_pwl(ir, n_segments)
+    bundle.n_segments = n_segments
     ir.validate()
     return bundle

@@ -26,7 +26,7 @@ from .config import ScenarioConfig
 from .kkt_reformulation import assemble_single_level
 from .lp_io import parse_solution, write_lp
 from .model_ir import ModelIR
-from .prob_sequences import chance_satisfaction_mc
+from .prob_sequences import ReserveRequirementRows, chance_satisfaction_mc
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
@@ -38,7 +38,7 @@ ERROR = "ERROR"
 _BANNER_STATUS = (("infeasible", INFEASIBLE), ("unbounded", UNBOUNDED),
                   ("time limit", TIME_LIMIT), ("error", ERROR))
 
-TRIAGE_STAGES = ("static_bounds", "balance_with_relaxed_reserves", "full_model")
+TRIAGE_STAGES = ("balance_with_relaxed_reserves", "full_model")
 
 
 @dataclass(frozen=True)
@@ -199,8 +199,10 @@ def solve(bundle: gm.ModelBundle, opts: SolveOptions | None = None,
           backend=None) -> SolveOutcome:
     """Solve a finished bundle and verify the extracted solution.
 
-    Infeasible outcomes are triaged: static checks first, then a re-solve
-    with the reserve rows relaxed, and only then is the full model blamed.
+    Infeasible outcomes are triaged by a re-solve with the reserve rows
+    relaxed: if that is still infeasible the balances are to blame, else
+    the full model. Statically infeasible scenarios never get here;
+    `build_leader` rejects them with a `BuildError`.
     """
     opts = opts or SolveOptions()
     backend = backend or get_backend()
@@ -217,16 +219,11 @@ def solve(bundle: gm.ModelBundle, opts: SolveOptions | None = None,
 
 def _triage_infeasibility(bundle: gm.ModelBundle, opts: SolveOptions,
                           backend) -> str:
-    try:
-        gm._static_checks(bundle.cfg, bundle.mode, bundle.heat_base,
-                          bundle.heat_min, np.asarray(bundle.cfg.fixed_load))
-    except gm.BuildError:
-        return TRIAGE_STAGES[0]
     relaxed = _without_reserve_rows(bundle.ir)
     res = backend.solve(relaxed, opts.time_limit, opts.gap_tolerance)
     if res.status == INFEASIBLE:
-        return TRIAGE_STAGES[1]
-    return TRIAGE_STAGES[2]
+        return TRIAGE_STAGES[0]
+    return TRIAGE_STAGES[1]
 
 
 def _without_reserve_rows(ir: ModelIR) -> ModelIR:
@@ -241,6 +238,52 @@ def _without_reserve_rows(ir: ModelIR) -> ModelIR:
             continue
         out.add_row(row.name, dict(row.coeffs), row.sense, row.rhs)
     return out
+
+
+# ----------------------------------------------------------------------
+# the operator's profit at posted prices
+
+
+def _posted_price_profit(cfg: ScenarioConfig, expected: np.ndarray,
+                         reserve_reqs: list[ReserveRequirementRows],
+                         heat_base: np.ndarray, dhn_enabled: bool,
+                         n_segments: int, backend, relax_binaries: bool):
+    """What the operator earns by posting (mu, gamma) to responding users.
+
+    Returns `profit(mu, gamma) -> (profit, response)` and its dispatch-cost
+    cache. The users' closed-form best response fixes the quantities; the
+    operator's dispatch for them is solved at zero prices (leaving minus
+    its cost), once per distinct response, and the users' bill at the
+    posted prices is added back. Every solve adds exactly one cache entry.
+    `relax_binaries` makes the unit binaries continuous, which can only
+    lower the dispatch cost.
+    """
+    mode = gm.ModeSettings(4, dhn_enabled, True, False)
+    fixed_load = np.asarray(cfg.fixed_load)
+    zero = np.zeros(cfg.horizon)
+    cost_cache: dict[bytes, float] = {}
+
+    def profit(mu: np.ndarray, gamma: np.ndarray
+               ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+        response = gm.follower_best_response(mu, gamma, cfg)
+        p_sl, h_cl = response
+        key = np.round(np.concatenate(response), 9).tobytes()
+        if key not in cost_cache:
+            bundle = gm.build_leader(cfg, expected, reserve_reqs, mode,
+                                     fixed_prices=(zero, zero),
+                                     fixed_response=response)
+            if relax_binaries:
+                ir = bundle.ir
+                ir.variables = {n: (replace(v, binary=False) if v.binary else v)
+                                for n, v in ir.variables.items()}
+            assemble_single_level(bundle, n_segments=n_segments)
+            res = backend.solve(bundle.ir, 60.0, 1e-6)
+            cost_cache[key] = -res.objective if res.status == OPTIMAL else math.inf
+        bill = float(np.dot(mu, fixed_load + p_sl)
+                     + np.dot(gamma, heat_base - h_cl)) * cfg.dt_hours
+        return bill - cost_cache[key], response
+
+    return profit, cost_cache
 
 
 # ----------------------------------------------------------------------
@@ -284,17 +327,16 @@ def _admissible_grids(lo: float, hi: float, target_sum: float, periods: int,
 
 def enumerate_oracle(cfg: ScenarioConfig, price_grid_step: float,
                      gamma_grid_step: float | None = None,
-                     confidence: float | None = None,
                      n_segments: int = 8, backend=None,
                      max_points: int = 10_000_000) -> OracleResult:
     """Exhaustive check of the equilibrium on a price grid.
 
-    For every admissible price vector (grid points satisfying both the
-    band and the average-price rows) the users' closed-form response is
-    computed, the operator's remaining dispatch is solved as a
-    PWL-linearized program with quantities fixed, and the best profit
-    wins. Only meant for horizons up to 4. The thermal grid may use its
-    own step since its band rarely shares divisors with the electric one.
+    Every admissible price vector (grid points satisfying both the band
+    and the average-price rows) is priced by the shared posted-price
+    evaluator, `_posted_price_profit`, with the unit binaries kept, so
+    each dispatch is solved exactly; the best profit wins. Only meant for
+    horizons up to 4. The thermal grid may use its own step since its
+    band rarely shares divisors with the electric one.
     """
     if cfg.horizon > 4:
         raise OracleSizeError("enumeration oracle is limited to horizons <= 4")
@@ -315,51 +357,21 @@ def enumerate_oracle(cfg: ScenarioConfig, price_grid_step: float,
         raise OracleSizeError("no admissible grid points; the step does not "
                               "reach the average-price plane")
 
-    expected = cfg.expected_renewables()
-    reserve_reqs = cfg.reserve_requirements(confidence)
-    heat_base = cfg.heat_base_load()
-    fixed_load = np.asarray(cfg.fixed_load)
-    mode = gm.ModeSettings(4, True, True, False) if cfg.pipelines else \
-        gm.ModeSettings(1, False, True, False)
-
-    cost_cache: dict[bytes, float] = {}
-    n_solves = 0
-
-    def dispatch_cost(p_sl: np.ndarray, h_cl: np.ndarray) -> float:
-        nonlocal n_solves
-        key = np.round(np.concatenate([p_sl, h_cl]), 9).tobytes()
-        if key in cost_cache:
-            return cost_cache[key]
-        zero = np.zeros(cfg.horizon)
-        bundle = gm.build_leader(cfg, expected, reserve_reqs, mode,
-                                 fixed_prices=(zero, zero),
-                                 fixed_response=(p_sl, h_cl))
-        assemble_single_level(bundle, n_segments=n_segments)
-        res = backend.solve(bundle.ir, 60.0, 1e-6)
-        n_solves += 1
-        if res.status != OPTIMAL:
-            cost_cache[key] = math.inf
-        else:
-            cost_cache[key] = -res.objective  # zero-price revenue leaves -cost
-        return cost_cache[key]
-
+    profit_at, cost_cache = _posted_price_profit(
+        cfg, cfg.expected_renewables(), cfg.reserve_requirements(),
+        cfg.heat_base_load(), bool(cfg.pipelines), n_segments, backend,
+        relax_binaries=False)
     best = None
-    n_evals = 0
     for mu in mu_grid:
         mu_arr = np.asarray(mu)
         for gamma in gamma_grid:
             gamma_arr = np.asarray(gamma)
-            p_sl, h_cl = gm.follower_best_response(mu_arr, gamma_arr, cfg)
-            cost = dispatch_cost(p_sl, h_cl)
-            revenue = float(np.dot(mu_arr, fixed_load + p_sl)
-                            + np.dot(gamma_arr, heat_base - h_cl)) * cfg.dt_hours
-            profit = revenue - cost
-            n_evals += 1
+            profit, response = profit_at(mu_arr, gamma_arr)
             if best is None or profit > best[0]:
-                best = (profit, mu_arr, gamma_arr, (p_sl, h_cl))
+                best = (profit, mu_arr, gamma_arr, response)
     profit, mu_arr, gamma_arr, response = best
-    return OracleResult(mu_arr, gamma_arr, response, profit,
-                        price_grid_step, n_evals, n_solves)
+    return OracleResult(mu_arr, gamma_arr, response, profit, price_grid_step,
+                        total, len(cost_cache))
 
 
 # ----------------------------------------------------------------------
@@ -415,16 +427,19 @@ def _random_admissible_prices(lo: float, hi: float, avg: float, t_count: int,
 
 def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
                        n_deviations: int = 1000, seed: int = 0,
-                       backend=None, n_segments: int = 8,
-                       tolerance_follower: float = 1e-5,
-                       leader_margin: float | None = None) -> DeviationCheck:
+                       backend=None) -> DeviationCheck:
     """Equilibrium stress test by random unilateral deviations.
 
     Follower side: random feasible responses at the posted prices must
-    not undercut the solution's user cost by more than the tolerance.
-    Leader side: random admissible price vectors, re-solving the users'
-    response and the dispatch, must not beat the solution's profit by
-    more than the PWL error allowance.
+    not undercut the solution's user cost by more than
+    `gm.RESPONSE_TOL`. Leader side: random admissible price vectors,
+    priced by the shared posted-price evaluator `_posted_price_profit`
+    under the bundle's own expected output, reserve requirements, heat
+    load, transport switch and segment count, must not beat the
+    solution's profit by more than the PWL error allowance. The
+    evaluator relaxes the unit binaries here: that can only overstate a
+    deviation's profit, a conservative direction for a no-improvement
+    test, and it keeps every re-dispatch an LP.
     """
     cfg = bundle.cfg
     rng = np.random.default_rng(seed)
@@ -438,51 +453,25 @@ def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
         worst_follower = max(worst_follower, f2_star - f2)
 
     p = cfg.prices
-    mode = gm.ModeSettings(4, bundle.mode.dhn_enabled, True, False)
-    # deviations re-dispatch under the equilibrium's reserve requirements,
-    # so their profits compare like for like with sol.f1
-    reqs = bundle.reserve_reqs
-    fixed_load = np.asarray(cfg.fixed_load)
-    heat_base = bundle.heat_base
-    cost_cache: dict[bytes, float] = {}
+    profit_at, _ = _posted_price_profit(
+        cfg, bundle.expected, bundle.reserve_reqs, bundle.heat_base,
+        bundle.mode.dhn_enabled, bundle.n_segments, backend,
+        relax_binaries=True)
     worst_leader = -math.inf
-    zero = np.zeros(cfg.horizon)
-
-    def dispatch_cost(response) -> float:
-        key = np.round(np.concatenate(response), 7).tobytes()
-        if key not in cost_cache:
-            dev_bundle = gm.build_leader(cfg, bundle.expected, reqs, mode,
-                                         fixed_prices=(zero, zero),
-                                         fixed_response=response)
-            # relaxing the binaries can only lower the dispatch cost, so
-            # the deviation profit is overstated: a conservative direction
-            # for a no-improvement test, and it keeps this an LP
-            ir = dev_bundle.ir
-            ir.variables = {n: (replace(v, binary=False) if v.binary else v)
-                            for n, v in ir.variables.items()}
-            assemble_single_level(dev_bundle, n_segments=n_segments)
-            res = backend.solve(dev_bundle.ir, 60.0, 1e-6)
-            cost_cache[key] = math.inf if res.status != OPTIMAL else -res.objective
-        return cost_cache[key]
-
     for _ in range(n_deviations):
         mu = _random_admissible_prices(p.mu_min, p.mu_max, p.mu_av,
                                        cfg.horizon, rng)
         gamma = _random_admissible_prices(p.gamma_min, p.gamma_max, p.gamma_av,
                                           cfg.horizon, rng)
-        response = gm.follower_best_response(mu, gamma, cfg)
-        cost = dispatch_cost(response)
-        revenue = float(np.dot(mu, fixed_load + response[0])
-                        + np.dot(gamma, heat_base - response[1])) * cfg.dt_hours
-        worst_leader = max(worst_leader, (revenue - cost) - sol.f1)
+        profit, _ = profit_at(mu, gamma)
+        worst_leader = max(worst_leader, profit - sol.f1)
 
-    if leader_margin is None:
-        leader_margin = bundle.pwl_error_bound + 1e-4 * max(abs(sol.f1), 1.0)
+    leader_margin = bundle.pwl_error_bound + 1e-4 * max(abs(sol.f1), 1.0)
     return DeviationCheck(
         n_follower=n_deviations, n_leader=n_deviations,
         max_follower_improvement=worst_follower,
         max_leader_improvement=worst_leader,
-        follower_ok=worst_follower <= tolerance_follower,
+        follower_ok=worst_follower <= gm.RESPONSE_TOL,
         leader_ok=worst_leader <= leader_margin)
 
 

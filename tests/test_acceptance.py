@@ -160,7 +160,7 @@ def test_criterion_5_equilibrium_properties(which, toy_mode3, case2_mode3):
     gamma_gap = abs(float(sol.gamma.sum()) - cfg.horizon * p.gamma_av)
     assert mu_gap <= 1e-6 and gamma_gap <= 1e-6
 
-    block = bundle.kkt_names["block"]
+    block = bundle.kkt
     comp_worst = 0.0
     for pair in block.pairs:
         g = pair.primal_value(out.result.values)

@@ -66,6 +66,18 @@ class TestRunVerb:
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert "balance_with_relaxed_reserves" in summary["reason"]
 
+    def test_static_infeasibility_is_schema_error(self, tmp_path):
+        # capacity 2.5 MW against a 3.0 MW peak: refused while building
+        data = toy_dict()
+        data["fixed_load_mw"] = [1.4, 3.0, 1.6]
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(data))
+        code = run_cli(["run", "--scenario", str(path), "--mode", "2",
+                        "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_SCHEMA
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert "capacity" in summary["reason"]
+
     def test_rerun_same_seed_byte_identical(self, toy_path, tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]
         for d in dirs:

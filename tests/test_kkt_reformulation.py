@@ -48,7 +48,7 @@ class TestPwlQuadratic:
         ir.add_variable("x", 2.0, 2.0)
         ir.add_variable("pad", 0.0, 1.0)
         ir.add_obj_quad("x", -3.0)
-        bound, _ = kkt.apply_pwl(ir, 4)
+        bound = kkt.apply_pwl(ir, 4)
         assert bound == 0.0
         assert ir.obj_const == pytest.approx(-12.0)
         assert not ir.obj_quad
@@ -108,7 +108,7 @@ def greedy_multipliers(cfg, mu, gamma):
 class TestEmitKkt:
     def test_greedy_response_satisfies_emitted_system(self, solved_toy):
         cfg, bundle, _ = solved_toy
-        block = bundle.kkt_names["block"]
+        block = bundle.kkt
         rng = np.random.default_rng(9)
         for _ in range(20):
             mu = se._random_admissible_prices(50.0, 87.0, 68.5, 3, rng)
@@ -144,7 +144,7 @@ class TestEmitKkt:
 
     def test_dual_bounds_finite(self, solved_toy):
         _, bundle, _ = solved_toy
-        block = bundle.kkt_names["block"]
+        block = bundle.kkt
         for var in [block.xi] + [v for vs in block.deltas.values() for v in vs]:
             spec = bundle.ir.variables[var]
             assert np.isfinite(spec.lb) and np.isfinite(spec.ub)
@@ -153,7 +153,7 @@ class TestEmitKkt:
 class TestEliminateBilinear:
     def test_identity_at_optimum(self, solved_toy):
         _, bundle, out = solved_toy
-        block = bundle.kkt_names["block"]
+        block = bundle.kkt
         residuals = kkt.bilinear_identity_residuals(bundle, block,
                                                     out.result.values)
         assert residuals, "expected substituted revenue terms"
@@ -162,7 +162,7 @@ class TestEliminateBilinear:
 
     def test_complementarity_products_at_optimum(self, solved_toy):
         _, bundle, out = solved_toy
-        block = bundle.kkt_names["block"]
+        block = bundle.kkt
         for pair in block.pairs:
             g = pair.primal_value(out.result.values)
             d = out.result.values[pair.dual_var]
@@ -177,7 +177,7 @@ class TestAssemble:
     def test_mode_without_response_emits_no_kkt(self, solved_toy):
         cfg, _, _ = solved_toy
         bundle = build_bundle(cfg, 1)
-        assert bundle.kkt_names is None
+        assert bundle.kkt is None
         assert not any(r.name.startswith("kkt_") for r in bundle.ir.rows)
         assert not any(n.startswith("pi_") for n in bundle.ir.variables)
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import toy_dict
 from iesgame import game_model as gm
+from iesgame import kkt_reformulation as kkt
 from iesgame import solve_engine as se
 from iesgame.config import scenario_from_dict
 from iesgame.model_ir import ModelIR
@@ -153,6 +156,25 @@ class TestEnumerationOracle:
         # enumerated grid profit can never beat the optimum's upper side
         assert out.solution.f1 >= oracle.profit - bundle.pwl_error_bound - 1e-6
 
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(horizon=st.integers(1, 3),
+           loads=st.lists(st.floats(1.2, 1.9), min_size=3, max_size=3),
+           temps=st.lists(st.floats(-11.0, -5.0), min_size=3, max_size=3))
+    def test_milp_never_below_oracle(self, horizon, loads, temps):
+        # the big-M MILP optimizes over every admissible price vector, the
+        # oracle only over the grid: an undersized big-M that cut off the
+        # optimum would show as the oracle beating the MILP
+        data = toy_dict()
+        data["horizon"] = horizon
+        data["fixed_load_mw"] = loads[:horizon]
+        data["outdoor_temp_c"] = temps[:horizon]
+        cfg = scenario_from_dict(data)
+        bundle = build_bundle(cfg, 3)
+        out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
+        assert out.result.status == se.OPTIMAL
+        oracle = se.enumerate_oracle(cfg, 9.25, gamma_grid_step=4.75)
+        assert out.solution.f1 >= oracle.profit - bundle.pwl_error_bound - 1e-6
+
     def test_size_refusal(self):
         cfg = self.two_period_cfg()
         with pytest.raises(se.OracleSizeError, match="cap"):
@@ -210,7 +232,58 @@ class TestReserveValidation:
         assert totals[0] <= totals[1] + 1e-9
 
 
+class TestPostedPriceProfit:
+    @pytest.mark.parametrize("relax_binaries", [False, True])
+    def test_matches_mode4_objective(self, toy_cfg, relax_binaries):
+        # mode 4 posts the proportional tariff to responding users, so its
+        # optimum is the evaluator's profit at that tariff
+        bundle = build_bundle(toy_cfg, 4)
+        out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
+        profit_at, _ = se._posted_price_profit(
+            toy_cfg, toy_cfg.expected_renewables(),
+            toy_cfg.reserve_requirements(), toy_cfg.heat_base_load(), True, 8,
+            se.get_backend(), relax_binaries)
+        profit, response = profit_at(*toy_cfg.proportional_prices())
+        assert profit == pytest.approx(out.result.objective, rel=1e-6)
+        assert response[0] == pytest.approx(bundle.fixed_p_sl)
+        assert response[1] == pytest.approx(bundle.fixed_h_cl)
+
+    def test_cache_counts_solves(self, toy_cfg, monkeypatch):
+        calls = []
+        backend = se.get_backend()
+        solve = backend.solve
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(backend, "solve", counted)
+        profit_at, cache = se._posted_price_profit(
+            toy_cfg, toy_cfg.expected_renewables(),
+            toy_cfg.reserve_requirements(), toy_cfg.heat_base_load(), True, 8,
+            backend, False)
+        mu, gamma = toy_cfg.proportional_prices()
+        first = profit_at(mu, gamma)[0]
+        assert profit_at(mu, gamma)[0] == first
+        profit_at(mu[::-1].copy(), gamma)
+        assert len(calls) == len(cache) == 2
+
+
 class TestDeviationCheck:
+    def test_redispatch_uses_bundle_segments(self, toy_cfg, monkeypatch):
+        bundle = build_bundle(toy_cfg, 3, n_segments=2)
+        out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
+        seen = []
+        apply_pwl = kkt.apply_pwl
+
+        def spy(ir, n_segments):
+            seen.append(n_segments)
+            return apply_pwl(ir, n_segments)
+
+        monkeypatch.setattr(kkt, "apply_pwl", spy)
+        se.no_deviation_check(bundle, out.solution, n_deviations=5, seed=3)
+        assert seen and set(seen) == {2}
+
     def test_toy_equilibrium_stable(self):
         cfg = scenario_from_dict(toy_dict())
         bundle = build_bundle(cfg, 3)
