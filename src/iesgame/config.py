@@ -129,9 +129,23 @@ class ScenarioConfig:
     pv: PvConfig | None = None
     wt: WtConfig | None = None
     notes: tuple[str, ...] = ()
+    # derived profiles, computed once per config; left out of ==, hash and
+    # repr, and not carried over by `with_overrides`
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         self._validate()
+
+    def _memo(self, key, compute):
+        """The derived value `key`, computed on first use; arrays are
+        returned read-only because every caller shares them."""
+        if key not in self._derived:
+            value = compute()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            self._derived[key] = value
+        return self._derived[key]
 
     # -- validation ---------------------------------------------------
 
@@ -197,6 +211,9 @@ class ScenarioConfig:
 
     def heat_base_load(self) -> np.ndarray:
         """Comfort-optimal heating demand per period, MW (floored at 0)."""
+        return self._memo("heat_base", self._heat_base_load)
+
+    def _heat_base_load(self) -> np.ndarray:
         out = np.zeros(self.horizon)
         for t in range(self.horizon):
             demand = sum(th.comfort_optimal_load(b, self.pmv, self.outdoor_temp[t],
@@ -207,6 +224,9 @@ class ScenarioConfig:
 
     def heat_min_load(self) -> np.ndarray:
         """Comfort-floor heating demand per period, MW (clamped to [0, base])."""
+        return self._memo("heat_min", self._heat_min_load)
+
+    def _heat_min_load(self) -> np.ndarray:
         base = self.heat_base_load()
         out = np.zeros(self.horizon)
         for t in range(self.horizon):
@@ -280,6 +300,9 @@ class ScenarioConfig:
 
     def joint_sequence(self, t: int) -> ps.ProbSequence:
         """Discretized joint renewable output for period t."""
+        return self._memo(("joint", t), lambda: self._joint_sequence(t))
+
+    def _joint_sequence(self, t: int) -> ps.ProbSequence:
         q = self.seq_step_mw
         seqs = []
         pv_model = self.pv_model_for(t)
@@ -289,21 +312,24 @@ class ScenarioConfig:
         if wt_model is not None:
             seqs.append(ps.discretize(wt_output_distribution(wt_model), q))
         if not seqs:
-            return ps.discretize(point_mass_distribution(0.0), q)
+            seqs.append(ps.discretize(point_mass_distribution(0.0), q))
         joint = seqs[0]
         for s in seqs[1:]:
             joint = ps.convolve(joint, s)
+        joint.probs.flags.writeable = False  # shared by every caller
         return joint
 
     def reserve_requirements(self, confidence: float | None = None
                              ) -> list[ps.ReserveRequirementRows]:
         conf = self.confidence if confidence is None else confidence
-        return [ps.reserve_rows(self.joint_sequence(t), conf)
-                for t in range(self.horizon)]
+        return list(self._memo(("reserve", conf), lambda: tuple(
+            ps.reserve_rows(self.joint_sequence(t), conf)
+            for t in range(self.horizon))))
 
     def expected_renewables(self) -> np.ndarray:
-        return np.array([ps.expectation(self.joint_sequence(t))
-                         for t in range(self.horizon)])
+        return self._memo("expected", lambda: np.array(
+            [ps.expectation(self.joint_sequence(t))
+             for t in range(self.horizon)]))
 
     def with_overrides(self, **kwargs) -> "ScenarioConfig":
         """Copy with top-level fields replaced (used by sweeps)."""

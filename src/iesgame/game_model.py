@@ -483,7 +483,13 @@ def _add_row_or_check(ir: ModelIR, name: str, coeffs: dict[str, float],
     coeffs = {v: c for v, c in coeffs.items() if c != 0.0}
     if coeffs:
         ir.add_row(name, coeffs, sense, rhs)
-    elif abs(rhs) > BALANCE_TOL:
+    else:
+        check_empty_row(name, rhs)
+
+
+def check_empty_row(name: str, rhs: float) -> None:
+    """A row left with no contributing variables holds only at rhs 0."""
+    if abs(rhs) > BALANCE_TOL:
         raise BuildError(f"row {name} demands {rhs} with no contributing variables")
 
 

@@ -8,7 +8,10 @@ different solvers put at the top of their solution files.
 """
 from __future__ import annotations
 
-from .model_ir import ModelIR
+import math
+from collections.abc import Iterable
+
+from .model_ir import CompiledModel, ModelIR, as_compiled
 
 
 def _fmt(x: float) -> str:
@@ -17,9 +20,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _expr(coeffs: dict[str, float]) -> str:
+def _expr(terms: Iterable[tuple[str, float]]) -> str:
     parts = []
-    for var, coef in coeffs.items():
+    for var, coef in terms:
         sign = "-" if coef < 0 else "+"
         if not parts and sign == "+":
             parts.append(f"{_fmt(coef)} {var}")
@@ -28,30 +31,36 @@ def _expr(coeffs: dict[str, float]) -> str:
     return " ".join(parts)
 
 
-def write_lp(ir: ModelIR) -> str:
-    """Serialize a (PWL-lowered) model to CPLEX LP text format."""
-    if ir.obj_pwl:
-        ir = ir.lower_pwl()
-    if ir.has_quadratic():
-        raise ValueError("LP writer handles linear objectives only; "
-                         "apply the PWL approximation first")
-    ir.validate()
-    lines = [f"\\ {ir.name}"]
-    lines.append("Maximize" if ir.sense == "max" else "Minimize")
-    obj = {v: c for v, c in ir.obj_linear.items() if c != 0.0}
-    lines.append(" obj: " + (_expr(obj) if obj else "0 " + next(iter(ir.variables))))
-    if ir.obj_const:
-        lines[0] += f"  (objective constant {_fmt(ir.obj_const)} applied on read-back)"
+def write_lp(model: ModelIR | CompiledModel) -> str:
+    """Serialize a model, compiled first if needed, to CPLEX LP text."""
+    m = as_compiled(model)
+    names = m.var_names
+    lines = [f"\\ {m.name}"]
+    lines.append("Maximize" if m.sense == "max" else "Minimize")
+    obj = [(names[j], c) for j, c in zip(m.obj_cols, m.obj_coefs) if c != 0.0]
+    lines.append(" obj: " + (_expr(obj) if obj else "0 " + names[0]))
+    if m.obj_const:
+        lines[0] += f"  (objective constant {_fmt(m.obj_const)} applied on read-back)"
     lines.append("Subject To")
-    for row in ir.rows:
-        op = {"<=": "<=", ">=": ">=", "==": "="}[row.sense]
-        lines.append(f" {row.name}: {_expr(row.coeffs)} {op} {_fmt(row.rhs)}")
+    indptr, indices, data = m.a.indptr, m.a.indices, m.a.data
+    for r, row_name in enumerate(m.row_index):
+        lo, up = m.row_lower[r], m.row_upper[r]
+        if lo == up:
+            op, rhs = "=", lo
+        elif lo == -math.inf:
+            op, rhs = "<=", up
+        else:
+            op, rhs = ">=", lo
+        terms = ((names[j], coef) for j, coef
+                 in zip(indices[indptr[r]:indptr[r + 1]],
+                        data[indptr[r]:indptr[r + 1]]))
+        lines.append(f" {row_name}: {_expr(terms)} {op} {_fmt(rhs)}")
     lines.append("Bounds")
-    for var in ir.variables.values():
-        if var.binary:
+    for j, name in enumerate(names):
+        if m.integrality[j]:
             continue
-        lines.append(f" {_fmt(var.lb)} <= {var.name} <= {_fmt(var.ub)}")
-    binaries = ir.binary_names
+        lines.append(f" {_fmt(m.col_lower[j])} <= {name} <= {_fmt(m.col_upper[j])}")
+    binaries = [name for j, name in enumerate(names) if m.integrality[j]]
     if binaries:
         lines.append("Binaries")
         for name in binaries:

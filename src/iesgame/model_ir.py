@@ -5,13 +5,19 @@ models byte-stable across runs. The objective is linear plus diagonal
 quadratic plus piecewise-linear terms; `lower_pwl` rewrites the PWL
 terms into a convex-combination (lambda) form that needs no extra
 binaries because every term's curvature matches the optimization sense.
+
+`ModelIR.compile` is the one lowering from a model to arrays: every
+backend and the LP writer read the `CompiledModel` it returns. A
+compiled model can be re-solved with other right-hand sides
+(`CompiledModel.with_rhs`) without building the model again.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 
 SENSES = ("<=", ">=", "==")
 
@@ -69,6 +75,67 @@ class PwlObjTerm:
             raise ValueError("breakpoints must be strictly increasing")
 
 
+@dataclass(frozen=True)
+class CompiledModel:
+    """A PWL-lowered, linear-objective model as solver arrays.
+
+    Columns follow the variables' and rows the rows' insertion order; the
+    coefficients of each row of `a` keep the order they were given in, so
+    the LP writer renders the same text as from the model. `c` is the
+    objective in the model's own sense. The dense arrays are read-only:
+    copies made by `with_rhs` and `relaxed` share every array they do not
+    change.
+    """
+
+    name: str
+    sense: str
+    var_names: list[str]
+    c: np.ndarray
+    a: sparse.csr_matrix
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    col_lower: np.ndarray
+    col_upper: np.ndarray
+    integrality: np.ndarray
+    row_index: dict[str, int]
+    obj_const: float
+    # the objective's columns and coefficients in insertion order, so
+    # that `objective` sums its terms in the same order as the model
+    obj_cols: tuple[int, ...]
+    obj_coefs: tuple[float, ...]
+
+    def objective(self, x: list[float]) -> float:
+        """Objective at a point given as one float per column."""
+        total = self.obj_const
+        total += sum(c * x[j] for j, c in zip(self.obj_cols, self.obj_coefs))
+        return total
+
+    def with_rhs(self, rows: np.ndarray, rhs: np.ndarray) -> "CompiledModel":
+        """Copy whose equality rows `rows` (indices) have right-hand
+        sides `rhs`."""
+        if np.any(self.row_lower[rows] != self.row_upper[rows]):
+            raise ValueError("only equality rows can take a new right-hand side")
+        lower, upper = self.row_lower.copy(), self.row_upper.copy()
+        lower[rows] = rhs
+        upper[rows] = rhs
+        return replace(self, row_lower=_read_only(lower),
+                       row_upper=_read_only(upper))
+
+    def relaxed(self) -> "CompiledModel":
+        """Copy with every integrality requirement dropped."""
+        return replace(self, integrality=_read_only(
+            np.zeros_like(self.integrality)))
+
+
+def as_compiled(model: "ModelIR | CompiledModel") -> CompiledModel:
+    return model if isinstance(model, CompiledModel) else model.compile()
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 class ModelIR:
     """A named-variable LP/MILP with optional quadratic and PWL objective terms."""
 
@@ -120,9 +187,6 @@ class ModelIR:
     def binary_names(self) -> list[str]:
         return [v.name for v in self.variables.values() if v.binary]
 
-    def has_quadratic(self) -> bool:
-        return bool(self.obj_quad)
-
     def validate(self) -> None:
         """Reject dangling references; bounds are checked at declaration."""
         for row in self.rows:
@@ -138,15 +202,6 @@ class ModelIR:
         for term in self.obj_pwl:
             if term.var not in self.variables:
                 raise ValueError(f"PWL term on unknown variable {term.var}")
-
-    def evaluate_objective(self, values: dict[str, float]) -> float:
-        """Objective at a point, PWL terms evaluated by interpolation."""
-        total = self.obj_const
-        total += sum(c * values[v] for v, c in self.obj_linear.items())
-        total += sum(t.coef * values[t.var] ** 2 for t in self.obj_quad)
-        for t in self.obj_pwl:
-            total += float(np.interp(values[t.var], t.breakpoints, t.values))
-        return total
 
     # -- lowering -----------------------------------------------------
 
@@ -180,6 +235,46 @@ class ModelIR:
             out.add_row(f"pwl_link_{idx}_{term.var}", link, "==", 0.0)
         out.validate()
         return out
+
+    def compile(self) -> CompiledModel:
+        """Lower to solver arrays, expanding the PWL terms first.
+
+        Quadratic objective terms are rejected: no backend takes them.
+        """
+        ir = self.lower_pwl()
+        if ir.obj_quad:
+            raise ValueError("compiled models take linear objectives only; "
+                             "apply the PWL approximation first")
+        ir.validate()
+        names = list(ir.variables)
+        index = {n: i for i, n in enumerate(names)}
+        obj_cols = tuple(index[v] for v in ir.obj_linear)
+        obj_coefs = tuple(ir.obj_linear.values())
+        c = np.zeros(len(names))
+        c[list(obj_cols)] = obj_coefs
+
+        indptr, indices, data = [0], [], []
+        lower, upper = [], []
+        for row in ir.rows:
+            indices.extend(index[v] for v in row.coeffs)
+            data.extend(row.coeffs.values())
+            indptr.append(len(indices))
+            lower.append(-math.inf if row.sense == "<=" else row.rhs)
+            upper.append(math.inf if row.sense == ">=" else row.rhs)
+        a = sparse.csr_matrix((data, indices, indptr),
+                              shape=(len(ir.rows), len(names)))
+        variables = ir.variables.values()
+        return CompiledModel(
+            name=ir.name, sense=ir.sense, var_names=names,
+            c=_read_only(c), a=a,
+            row_lower=_read_only(np.array(lower, dtype=float)),
+            row_upper=_read_only(np.array(upper, dtype=float)),
+            col_lower=_read_only(np.array([v.lb for v in variables])),
+            col_upper=_read_only(np.array([v.ub for v in variables])),
+            integrality=_read_only(np.array([1 if v.binary else 0
+                                             for v in variables])),
+            row_index={row.name: r for r, row in enumerate(ir.rows)},
+            obj_const=ir.obj_const, obj_cols=obj_cols, obj_coefs=obj_coefs)
 
 
 def _check_curvature(term: PwlObjTerm, sense: str) -> None:

@@ -146,6 +146,8 @@ def run_pipeline(manifest: RunManifest) -> RunOutput:
         "status": result.status,
         "objective": result.objective,
         "gap": result.gap,
+        "mip_dual_bound": result.bound,
+        "mip_node_count": result.node_count,
         "pwl_error_bound": bundle.pwl_error_bound,
         "f1": sol.f1,
         "f2": sol.f2,

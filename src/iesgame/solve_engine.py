@@ -2,10 +2,12 @@
 oracles: exhaustive price-grid enumeration for tiny instances and the
 Monte Carlo reserve-adequacy validator.
 
-The default backend drives HiGHS in-process through scipy. A file-based
-backend writes the LP text format and shells out to any command that
-reads an LP file and writes "name value" solution lines, so the core
-stays testable against arbitrary solvers.
+Both backends take a `ModelIR` or the `CompiledModel` it lowers to; a
+`ModelIR` is compiled on entry. The default backend drives HiGHS
+in-process through scipy from the compiled arrays. A file-based backend
+writes the LP text format and shells out to any command that reads an
+LP file and writes "name value" solution lines, so the core stays
+testable against arbitrary solvers.
 """
 from __future__ import annotations
 
@@ -14,18 +16,17 @@ import os
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from . import game_model as gm
 from .config import ScenarioConfig
 from .kkt_reformulation import assemble_single_level
 from .lp_io import parse_solution, write_lp
-from .model_ir import ModelIR
+from .model_ir import CompiledModel, ModelIR, as_compiled
 from .prob_sequences import ReserveRequirementRows, chance_satisfaction_mc
 
 OPTIMAL = "OPTIMAL"
@@ -52,55 +53,27 @@ class SolveResult:
     status: str
     values: dict[str, float]
     objective: float
-    bound: float
+    bound: float | None  # None: the backend reports no dual bound
     gap: float
     runtime_s: float = 0.0
     infeasible_stage: str | None = None
+    node_count: int | None = None  # branch-and-bound nodes, when reported
 
 
 class ScipyMilpBackend:
-    """In-process HiGHS backend via scipy.optimize.milp."""
+    """In-process HiGHS backend via scipy.optimize.milp, solving from the
+    compiled model's arrays."""
 
     name = "scipy"
 
-    def solve(self, ir: ModelIR, time_limit: float, gap_tolerance: float
-              ) -> SolveResult:
+    def solve(self, model: ModelIR | CompiledModel, time_limit: float,
+              gap_tolerance: float) -> SolveResult:
         started = time.perf_counter()
-        ir = ir.lower_pwl()
-        if ir.has_quadratic():
-            raise ValueError("backend accepts linear objectives only; "
-                             "run the PWL pass first")
-        ir.validate()
-        names = list(ir.variables)
-        index = {n: i for i, n in enumerate(names)}
-        n = len(names)
-        c = np.zeros(n)
-        for var, coef in ir.obj_linear.items():
-            c[index[var]] = -coef if ir.sense == "max" else coef
-
-        rows_i, cols_j, vals = [], [], []
-        bl, bu = [], []
-        for r, row in enumerate(ir.rows):
-            for var, coef in row.coeffs.items():
-                rows_i.append(r)
-                cols_j.append(index[var])
-                vals.append(coef)
-            if row.sense == "<=":
-                bl.append(-np.inf)
-                bu.append(row.rhs)
-            elif row.sense == ">=":
-                bl.append(row.rhs)
-                bu.append(np.inf)
-            else:
-                bl.append(row.rhs)
-                bu.append(row.rhs)
-        a = sparse.csr_matrix((vals, (rows_i, cols_j)), shape=(len(ir.rows), n))
-        lb = np.array([v.lb for v in ir.variables.values()])
-        ub = np.array([v.ub for v in ir.variables.values()])
-        integrality = np.array([1 if v.binary else 0 for v in ir.variables.values()])
-
-        res = milp(c, constraints=[LinearConstraint(a, np.array(bl), np.array(bu))],
-                   bounds=Bounds(lb, ub), integrality=integrality,
+        m = as_compiled(model)
+        res = milp(-m.c if m.sense == "max" else m.c,
+                   constraints=[LinearConstraint(m.a, m.row_lower, m.row_upper)],
+                   bounds=Bounds(m.col_lower, m.col_upper),
+                   integrality=m.integrality,
                    options={"time_limit": time_limit,
                             "mip_rel_gap": gap_tolerance,
                             "presolve": True})
@@ -110,16 +83,19 @@ class ScipyMilpBackend:
             res.status, ERROR)
         if res.x is None:
             return SolveResult(status, {}, math.nan, math.nan, math.inf, runtime)
-        values = {name: float(x) for name, x in zip(names, res.x)}
-        objective = ir.evaluate_objective(values)
+        x = res.x.tolist()
+        values = dict(zip(m.var_names, x))
+        objective = m.objective(x)
         bound_raw = getattr(res, "mip_dual_bound", None)
         if bound_raw is None:
             bound = objective
         else:
-            bound = -float(bound_raw) + ir.obj_const if ir.sense == "max" \
-                else float(bound_raw) + ir.obj_const
+            bound = -float(bound_raw) + m.obj_const if m.sense == "max" \
+                else float(bound_raw) + m.obj_const
         gap = float(getattr(res, "mip_gap", 0.0) or 0.0)
-        return SolveResult(status, values, objective, bound, gap, runtime)
+        nodes = getattr(res, "mip_node_count", None)
+        return SolveResult(status, values, objective, bound, gap, runtime,
+                           node_count=None if nodes is None else int(nodes))
 
 
 class ExternalLpBackend:
@@ -129,7 +105,8 @@ class ExternalLpBackend:
     default comes from the IES_SOLVER_CMD environment variable. A status
     banner on the solution file's first line naming infeasibility,
     unboundedness, a time limit or an error is reported as that status;
-    otherwise the values are taken as optimal.
+    otherwise the values are taken as optimal. Such files carry no dual
+    bound or node count, so neither is reported.
     """
 
     name = "external"
@@ -140,15 +117,14 @@ class ExternalLpBackend:
             raise ValueError("external backend needs IES_SOLVER_CMD with "
                              "{lp} and {sol} placeholders")
 
-    def solve(self, ir: ModelIR, time_limit: float, gap_tolerance: float
-              ) -> SolveResult:
+    def solve(self, model: ModelIR | CompiledModel, time_limit: float,
+              gap_tolerance: float) -> SolveResult:
         started = time.perf_counter()
-        ir = ir.lower_pwl()
-        ir.validate()
+        m = as_compiled(model)
         with tempfile.TemporaryDirectory(prefix="iesgame_") as tmp:
             lp_path = Path(tmp) / "model.lp"
             sol_path = Path(tmp) / "model.sol"
-            lp_path.write_text(write_lp(ir))
+            lp_path.write_text(write_lp(m))
             cmd = self.command_template.format(lp=lp_path, sol=sol_path)
             proc = subprocess.run(cmd, shell=True, capture_output=True,
                                   timeout=time_limit + 60, text=True)
@@ -163,17 +139,17 @@ class ExternalLpBackend:
         for keyword, status in _BANNER_STATUS:
             if keyword in banner:
                 return SolveResult(status, {}, math.nan, math.nan, math.inf, runtime)
-        values = parse_solution(text, known=set(ir.variables))
-        for name, var in ir.variables.items():
+        values = parse_solution(text, known=set(m.var_names))
+        for j, name in enumerate(m.var_names):
             if name in values:
                 continue
             # solvers commonly omit variables at zero; a variable whose
             # bounds exclude zero cannot have been omitted for that reason
-            if not var.lb <= 0.0 <= var.ub:
+            if not m.col_lower[j] <= 0.0 <= m.col_upper[j]:
                 return SolveResult(ERROR, {}, math.nan, math.nan, math.inf, runtime)
             values[name] = 0.0
-        objective = ir.evaluate_objective(values)
-        return SolveResult(OPTIMAL, values, objective, objective, 0.0, runtime)
+        objective = m.objective([values[name] for name in m.var_names])
+        return SolveResult(OPTIMAL, values, objective, None, 0.0, runtime)
 
 
 _BACKENDS = {"scipy": ScipyMilpBackend, "external": ExternalLpBackend}
@@ -255,35 +231,74 @@ def _posted_price_profit(cfg: ScenarioConfig, expected: np.ndarray,
     operator's dispatch for them is solved at zero prices (leaving minus
     its cost), once per distinct response, and the users' bill at the
     posted prices is added back. Every solve adds exactly one cache entry.
-    `relax_binaries` makes the unit binaries continuous, which can only
-    lower the dispatch cost.
+    The dispatch program is built, assembled and compiled once, at the
+    first response (so the build's own checks see only responses asked
+    about); every other response only moves the right-hand sides of the
+    balance rows (`_with_response`), so each re-solve starts from the
+    same `CompiledModel`. `relax_binaries` zeroes its integrality, which
+    can only lower the dispatch cost.
     """
-    mode = gm.ModeSettings(4, dhn_enabled, True, False)
     fixed_load = np.asarray(cfg.fixed_load)
-    zero = np.zeros(cfg.horizon)
     cost_cache: dict[bytes, float] = {}
+    dispatch: CompiledModel | None = None
 
     def profit(mu: np.ndarray, gamma: np.ndarray
                ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+        nonlocal dispatch
         response = gm.follower_best_response(mu, gamma, cfg)
         p_sl, h_cl = response
         key = np.round(np.concatenate(response), 9).tobytes()
         if key not in cost_cache:
-            bundle = gm.build_leader(cfg, expected, reserve_reqs, mode,
-                                     fixed_prices=(zero, zero),
-                                     fixed_response=response)
-            if relax_binaries:
-                ir = bundle.ir
-                ir.variables = {n: (replace(v, binary=False) if v.binary else v)
-                                for n, v in ir.variables.items()}
-            assemble_single_level(bundle, n_segments=n_segments)
-            res = backend.solve(bundle.ir, 60.0, 1e-6)
+            if dispatch is None:
+                dispatch = _dispatch_program(cfg, expected, reserve_reqs,
+                                             dhn_enabled, n_segments,
+                                             relax_binaries, response)
+            res = backend.solve(_with_response(dispatch, cfg, response),
+                                60.0, 1e-6)
             cost_cache[key] = -res.objective if res.status == OPTIMAL else math.inf
         bill = float(np.dot(mu, fixed_load + p_sl)
                      + np.dot(gamma, heat_base - h_cl)) * cfg.dt_hours
         return bill - cost_cache[key], response
 
     return profit, cost_cache
+
+
+def _dispatch_program(cfg: ScenarioConfig, expected: np.ndarray,
+                      reserve_reqs: list[ReserveRequirementRows],
+                      dhn_enabled: bool, n_segments: int, relax_binaries: bool,
+                      response: tuple[np.ndarray, np.ndarray]) -> CompiledModel:
+    """The operator's zero-price dispatch for a fixed users' response,
+    compiled; its optimum is minus the dispatch cost."""
+    zero = np.zeros(cfg.horizon)
+    bundle = gm.build_leader(cfg, expected, reserve_reqs,
+                             gm.ModeSettings(4, dhn_enabled, True, False),
+                             fixed_prices=(zero, zero), fixed_response=response)
+    assemble_single_level(bundle, n_segments=n_segments)
+    model = bundle.ir.compile()
+    return model.relaxed() if relax_binaries else model
+
+
+def _with_response(model: CompiledModel, cfg: ScenarioConfig,
+                   response: tuple[np.ndarray, np.ndarray]) -> CompiledModel:
+    """A compiled dispatch program moved to another users' response.
+
+    The response enters the program only as the right-hand sides
+    `bal_e_t = fixed_load_t + p_sl_t` and `bal_h_t = heat_base_t - h_cl_t`
+    (at zero prices the users' bill is zero). A heat balance the build
+    dropped for want of contributing variables gets the build's check.
+    """
+    p_sl, h_cl = response
+    rows = [model.row_index[f"bal_e_{t}"] for t in range(cfg.horizon)]
+    rhs = list(np.asarray(cfg.fixed_load) + p_sl)
+    heat = cfg.heat_base_load() - h_cl
+    for t in range(cfg.horizon):
+        row = model.row_index.get(f"bal_h_{t}")
+        if row is None:
+            gm.check_empty_row(f"bal_h_{t}", float(heat[t]))
+        else:
+            rows.append(row)
+            rhs.append(heat[t])
+    return model.with_rhs(np.array(rows), np.array(rhs))
 
 
 # ----------------------------------------------------------------------

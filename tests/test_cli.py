@@ -101,6 +101,20 @@ class TestRunVerb:
         assert summary["status"] == "TIME_LIMIT"
 
 
+    def test_summary_reports_dual_bound_and_nodes(self, case1_path, tmp_path):
+        out_dir = tmp_path / "o"
+        code = run_cli(["run", "--scenario", str(case1_path), "--mode", "3",
+                        "--out", str(out_dir), "--no-validate"])
+        assert code == cli.EXIT_OK
+        summary = json.loads((out_dir / "summary.json").read_text())
+        nodes = summary["mip_node_count"]
+        assert isinstance(nodes, int) and nodes >= 0
+        # a maximization's dual bound sits at or above its objective
+        objective, bound = summary["objective"], summary["mip_dual_bound"]
+        assert bound >= objective - 1e-9 * abs(objective)
+        assert bound - objective <= 1e-4 * abs(bound) + 1e-6
+
+
 class TestCompareVerb:
     def test_two_modes_table(self, toy_path, tmp_path, capsys):
         out_dir = tmp_path / "cmp"

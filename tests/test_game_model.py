@@ -71,6 +71,41 @@ class TestConfigValidation:
             scenario_from_dict(data).proportional_prices()
 
 
+class TestDerivedProfileCache:
+    def test_returned_arrays_are_read_only(self, toy_cfg):
+        for arr in (toy_cfg.heat_base_load(), toy_cfg.heat_min_load(),
+                    toy_cfg.expected_renewables(),
+                    toy_cfg.joint_sequence(0).probs):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    def test_each_joint_sequence_derived_once(self, toy_cfg, monkeypatch):
+        from iesgame import prob_sequences as ps
+        calls = []
+        discretize = ps.discretize
+
+        def counted(dist, q):
+            calls.append(q)
+            return discretize(dist, q)
+
+        monkeypatch.setattr(ps, "discretize", counted)
+        for _ in range(2):
+            toy_cfg.expected_renewables()
+            toy_cfg.reserve_requirements()
+        assert len(calls) == toy_cfg.horizon  # toy3 has wind only
+        assert toy_cfg.heat_base_load() is toy_cfg.heat_base_load()
+
+    def test_overrides_copy_does_not_share_cache(self, toy_cfg):
+        base = toy_cfg.heat_base_load()
+        copy = toy_cfg.with_overrides(theta=200.0)
+        assert copy.heat_base_load() is not base
+        assert copy.heat_base_load() == pytest.approx(base)
+        assert copy.expected_renewables() is not toy_cfg.expected_renewables()
+        # the cache takes no part in equality or hashing
+        fresh = scenario_from_dict(toy_dict())
+        assert fresh == toy_cfg and hash(fresh) == hash(toy_cfg)
+
+
 class TestFollowerBestResponse:
     def test_interior_closed_form(self, toy_cfg):
         # gamma/(2 theta) with theta=150

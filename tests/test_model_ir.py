@@ -47,10 +47,8 @@ class TestConstruction:
 
     def test_objective_evaluation(self):
         ir = tiny_model()
-        ir.add_obj_quad("x", -2.0)
         ir.obj_const = 3.0
-        assert ir.evaluate_objective({"x": 2.0, "b": 1.0}) == pytest.approx(
-            3.0 + 2.0 - 8.0)
+        assert ir.compile().objective([2.0, 1.0]) == pytest.approx(3.0 + 2.0)
 
 
 class TestPwlLowering:
@@ -86,8 +84,11 @@ class TestPwlLowering:
         ir.add_variable("x", 0.0, 4.0)
         bps = (0.0, 2.0, 4.0)
         ir.add_obj_pwl(PwlObjTerm("x", bps, (0.0, -4.0, -16.0)))
-        # chord interpolation at x=1 gives -2 (not the exact -1)
-        assert ir.evaluate_objective({"x": 1.0}) == pytest.approx(-2.0)
+        # x = 1 is halfway between the first two breakpoints; the chord
+        # there gives -2 (not the exact -1)
+        compiled = ir.compile()
+        assert compiled.var_names == ["x", "lam_0_x_0", "lam_0_x_1", "lam_0_x_2"]
+        assert compiled.objective([1.0, 0.5, 0.5, 0.0]) == pytest.approx(-2.0)
 
     def test_breakpoints_must_increase(self):
         with pytest.raises(ValueError):
