@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from . import game_model as gm
 from .config import ScenarioConfig
@@ -54,7 +55,7 @@ class SolveResult:
     values: dict[str, float]
     objective: float
     bound: float | None  # None: the backend reports no dual bound
-    gap: float
+    gap: float | None  # None: the backend reports no gap
     runtime_s: float = 0.0
     infeasible_stage: str | None = None
     node_count: int | None = None  # branch-and-bound nodes, when reported
@@ -105,8 +106,8 @@ class ExternalLpBackend:
     default comes from the IES_SOLVER_CMD environment variable. A status
     banner on the solution file's first line naming infeasibility,
     unboundedness, a time limit or an error is reported as that status;
-    otherwise the values are taken as optimal. Such files carry no dual
-    bound or node count, so neither is reported.
+    otherwise the values are taken as optimal. Such files carry no gap,
+    dual bound or node count, so none is reported.
     """
 
     name = "external"
@@ -149,7 +150,7 @@ class ExternalLpBackend:
                 return SolveResult(ERROR, {}, math.nan, math.nan, math.inf, runtime)
             values[name] = 0.0
         objective = m.objective([values[name] for name in m.var_names])
-        return SolveResult(OPTIMAL, values, objective, None, 0.0, runtime)
+        return SolveResult(OPTIMAL, values, objective, None, None, runtime)
 
 
 _BACKENDS = {"scipy": ScipyMilpBackend, "external": ExternalLpBackend}
@@ -220,47 +221,135 @@ def _without_reserve_rows(ir: ModelIR) -> ModelIR:
 # the operator's profit at posted prices
 
 
-def _posted_price_profit(cfg: ScenarioConfig, expected: np.ndarray,
-                         reserve_reqs: list[ReserveRequirementRows],
-                         heat_base: np.ndarray, dhn_enabled: bool,
-                         n_segments: int, backend, relax_binaries: bool):
+# HiGHS solves to primal and dual feasibility tolerances of 1e-7 (its
+# defaults) and the exact MILP re-dispatches to a 1e-6 feasibility
+# tolerance; the pruning margin is this times the scale of the compared
+# quantities (see `_PostedPriceEvaluator.best`)
+CUT_TOL = 1e-6
+
+
+class _PostedPriceEvaluator:
     """What the operator earns by posting (mu, gamma) to responding users.
 
-    Returns `profit(mu, gamma) -> (profit, response)` and its dispatch-cost
-    cache. The users' closed-form best response fixes the quantities; the
+    The users' closed-form best response fixes the quantities; the
     operator's dispatch for them is solved at zero prices (leaving minus
     its cost), once per distinct response, and the users' bill at the
-    posted prices is added back. Every solve adds exactly one cache entry.
-    The dispatch program is built, assembled and compiled once, at the
-    first response (so the build's own checks see only responses asked
-    about); every other response only moves the right-hand sides of the
-    balance rows (`_with_response`), so each re-solve starts from the
-    same `CompiledModel`. `relax_binaries` zeroes its integrality, which
-    can only lower the dispatch cost.
+    posted prices is added back. `profit` prices one point; `best` finds
+    the exact best of many, solving only the points it cannot rule out.
+    Every exact solve adds exactly one `cost_cache` entry and goes through
+    `backend`. The dispatch program is built, assembled and compiled
+    once, at the first response (so the build's own checks see only
+    responses asked about); every other response only moves the
+    right-hand sides of the balance rows (`_balance_rhs`), so each
+    re-solve starts from the same `CompiledModel`. `relax_binaries`
+    zeroes its integrality, which can only lower the dispatch cost.
     """
-    fixed_load = np.asarray(cfg.fixed_load)
-    cost_cache: dict[bytes, float] = {}
-    dispatch: CompiledModel | None = None
 
-    def profit(mu: np.ndarray, gamma: np.ndarray
+    def __init__(self, cfg: ScenarioConfig, expected: np.ndarray,
+                 reserve_reqs: list[ReserveRequirementRows],
+                 heat_base: np.ndarray, dhn_enabled: bool, n_segments: int,
+                 backend, relax_binaries: bool):
+        self.cfg = cfg
+        self.heat_base = heat_base
+        self.backend = backend
+        self.cost_cache: dict[bytes, float] = {}
+        self._fixed_load = np.asarray(cfg.fixed_load)
+        self._build_args = (cfg, expected, reserve_reqs, dhn_enabled,
+                            n_segments, relax_binaries)
+        self._dispatch: CompiledModel | None = None
+
+    def profit(self, mu: np.ndarray, gamma: np.ndarray
                ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-        nonlocal dispatch
-        response = gm.follower_best_response(mu, gamma, cfg)
-        p_sl, h_cl = response
-        key = np.round(np.concatenate(response), 9).tobytes()
-        if key not in cost_cache:
-            if dispatch is None:
-                dispatch = _dispatch_program(cfg, expected, reserve_reqs,
-                                             dhn_enabled, n_segments,
-                                             relax_binaries, response)
-            res = backend.solve(_with_response(dispatch, cfg, response),
-                                60.0, 1e-6)
-            cost_cache[key] = -res.objective if res.status == OPTIMAL else math.inf
-        bill = float(np.dot(mu, fixed_load + p_sl)
-                     + np.dot(gamma, heat_base - h_cl)) * cfg.dt_hours
-        return bill - cost_cache[key], response
+        """The operator's exact profit at one posted price pair, and the
+        users' response to it."""
+        response = gm.follower_best_response(mu, gamma, self.cfg)
+        return self._bill(mu, gamma, response) - self._cost(response), response
 
-    return profit, cost_cache
+    def best(self, mu: np.ndarray, gamma: np.ndarray
+             ) -> tuple[int, float, tuple[np.ndarray, np.ndarray]]:
+        """Exact max of `profit` over the price pairs (mu[i], gamma[i]).
+
+        Returns the index, profit and response of the best of at least
+        one pair; on equal profits the earliest index wins, as in a loop
+        over every pair.
+
+        With b the balance right-hand sides a response sets, the dispatch
+        cost C(b) is at least the cost of the program's LP relaxation,
+        the optimal value of an LP in which b enters only the right-hand
+        sides. That value is convex in b, so the relaxation's duals at a
+        solved point b_k give the cut C(b) >= C_k + lam_k . (b - b_k)
+        (`_dispatch_cost_cut`), with or without the unit binaries. Each
+        pair's profit is then at most its bill minus its largest cut, +inf
+        before the first cut. The pair with the highest such bound is
+        solved exactly through the backend and adds its cut, until every
+        unsolved bound is below the best exact profit minus a margin.
+
+        The margin covers the solvers' tolerances. The cut's duals are
+        feasible to within HiGHS's dual-feasibility tolerance, so moved
+        by db a cut may overstate the cost by that tolerance per unit of
+        |db|: at most `CUT_TOL` times the largest move, the summed spread
+        of b over the pairs. Its intercept and the exact solve's value
+        carry the same tolerance relative to their size. The margin is
+        therefore `CUT_TOL * (1 + max |bill| + max |C_k| + move)`; a pair
+        is skipped only when even its bound plus that margin stays below
+        the best exact profit, so an equal profit is never skipped and
+        the earliest index still wins ties.
+        """
+        responses = [gm.follower_best_response(m, g, self.cfg)
+                     for m, g in zip(mu, gamma)]
+        bills = np.array([self._bill(m, g, r)
+                          for m, g, r in zip(mu, gamma, responses)])
+        program = self._program(responses[0])
+        rows = _balance_rhs(program, self.cfg, responses[0])[0]
+        rhs = np.array([_balance_rhs(program, self.cfg, r)[1]
+                        for r in responses])
+        move = float(np.sum(rhs.max(axis=0) - rhs.min(axis=0)))
+        scale = 1.0 + float(np.max(np.abs(bills))) + move
+        largest_cost = 0.0
+        floor = np.full(len(bills), -np.inf)  # largest cut at each pair
+        unsolved = np.ones(len(bills), dtype=bool)
+        best_i, best_profit = -1, -math.inf
+        while unsolved.any():
+            bound = np.where(unsolved, bills - floor, -np.inf)
+            i = int(np.argmax(bound))
+            if bound[i] < best_profit - CUT_TOL * (scale + largest_cost):
+                break
+            unsolved[i] = False
+            n_solved = len(self.cost_cache)
+            profit = float(bills[i]) - self._cost(responses[i])
+            if best_i < 0 or profit > best_profit or (
+                    profit == best_profit and i < best_i):
+                best_i, best_profit = i, profit
+            if len(self.cost_cache) == n_solved:
+                continue  # response seen before: no new solve, no new cut
+            cut = _dispatch_cost_cut(program.with_rhs(rows, rhs[i]), rows)
+            if cut is not None:
+                cost, lam = cut
+                floor = np.maximum(floor, cost + (rhs - rhs[i]) @ lam)
+                largest_cost = max(largest_cost, abs(cost))
+        return best_i, best_profit, responses[best_i]
+
+    def _bill(self, mu: np.ndarray, gamma: np.ndarray,
+              response: tuple[np.ndarray, np.ndarray]) -> float:
+        p_sl, h_cl = response
+        return float(np.dot(mu, self._fixed_load + p_sl)
+                     + np.dot(gamma, self.heat_base - h_cl)) * self.cfg.dt_hours
+
+    def _program(self, response: tuple[np.ndarray, np.ndarray]
+                 ) -> CompiledModel:
+        if self._dispatch is None:
+            self._dispatch = _dispatch_program(*self._build_args, response)
+        return self._dispatch
+
+    def _cost(self, response: tuple[np.ndarray, np.ndarray]) -> float:
+        key = np.round(np.concatenate(response), 9).tobytes()
+        if key not in self.cost_cache:
+            res = self.backend.solve(
+                _with_response(self._program(response), self.cfg, response),
+                60.0, 1e-6)
+            self.cost_cache[key] = (-res.objective if res.status == OPTIMAL
+                                    else math.inf)
+        return self.cost_cache[key]
 
 
 def _dispatch_program(cfg: ScenarioConfig, expected: np.ndarray,
@@ -278,9 +367,11 @@ def _dispatch_program(cfg: ScenarioConfig, expected: np.ndarray,
     return model.relaxed() if relax_binaries else model
 
 
-def _with_response(model: CompiledModel, cfg: ScenarioConfig,
-                   response: tuple[np.ndarray, np.ndarray]) -> CompiledModel:
-    """A compiled dispatch program moved to another users' response.
+def _balance_rhs(model: CompiledModel, cfg: ScenarioConfig,
+                 response: tuple[np.ndarray, np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The balance rows of a compiled dispatch program that a users'
+    response moves, and their right-hand sides for that response.
 
     The response enters the program only as the right-hand sides
     `bal_e_t = fixed_load_t + p_sl_t` and `bal_h_t = heat_base_t - h_cl_t`
@@ -298,7 +389,39 @@ def _with_response(model: CompiledModel, cfg: ScenarioConfig,
         else:
             rows.append(row)
             rhs.append(heat[t])
-    return model.with_rhs(np.array(rows), np.array(rhs))
+    return np.array(rows), np.array(rhs)
+
+
+def _with_response(model: CompiledModel, cfg: ScenarioConfig,
+                   response: tuple[np.ndarray, np.ndarray]) -> CompiledModel:
+    """A compiled dispatch program moved to another users' response."""
+    return model.with_rhs(*_balance_rhs(model, cfg, response))
+
+
+def _dispatch_cost_cut(model: CompiledModel, rows: np.ndarray
+                       ) -> tuple[float, np.ndarray] | None:
+    """A cut `C(b) >= cost + lam . (b - b0)` on the dispatch cost at the
+    right-hand sides b0 that `model` gives the balance rows `rows`.
+
+    `model` is a (maximizing) dispatch program; its cost is minus its
+    objective. One solve of its LP relaxation gives the relaxed cost and,
+    as `eqlin.marginals`, the cost's slopes in the equality rows'
+    right-hand sides. None when the relaxation has no optimum.
+    """
+    eq = model.row_lower == model.row_upper
+    upper = ~eq & np.isfinite(model.row_upper)
+    lower = ~eq & np.isfinite(model.row_lower)
+    res = linprog(-model.c,
+                  A_ub=sparse.vstack([model.a[upper], -model.a[lower]]),
+                  b_ub=np.concatenate([model.row_upper[upper],
+                                       -model.row_lower[lower]]),
+                  A_eq=model.a[eq], b_eq=model.row_lower[eq],
+                  bounds=np.column_stack([model.col_lower, model.col_upper]),
+                  method="highs")
+    if res.status != 0:
+        return None
+    slopes = res.eqlin.marginals[np.cumsum(eq)[rows] - 1]
+    return res.fun - model.obj_const, slopes
 
 
 # ----------------------------------------------------------------------
@@ -347,11 +470,16 @@ def enumerate_oracle(cfg: ScenarioConfig, price_grid_step: float,
     """Exhaustive check of the equilibrium on a price grid.
 
     Every admissible price vector (grid points satisfying both the band
-    and the average-price rows) is priced by the shared posted-price
-    evaluator, `_posted_price_profit`, with the unit binaries kept, so
-    each dispatch is solved exactly; the best profit wins. Only meant for
-    horizons up to 4. The thermal grid may use its own step since its
-    band rarely shares divisors with the electric one.
+    and the average-price rows) is a candidate, and the shared posted-
+    price evaluator's pruned search (`_PostedPriceEvaluator.best`) returns
+    the best profit over all of them, with the unit binaries kept, so
+    each dispatch it solves is exact; on equal profits the earliest grid
+    point wins. Its LP-relaxation cuts under-estimate the MILP dispatch
+    cost, so the grid points it does not solve provably cannot win.
+    `n_dispatch_solves` counts the exact dispatch solves, at most one per
+    distinct users' response. Only meant for horizons up to 4. The
+    thermal grid may use its own step since its band rarely shares
+    divisors with the electric one.
     """
     if cfg.horizon > 4:
         raise OracleSizeError("enumeration oracle is limited to horizons <= 4")
@@ -372,21 +500,15 @@ def enumerate_oracle(cfg: ScenarioConfig, price_grid_step: float,
         raise OracleSizeError("no admissible grid points; the step does not "
                               "reach the average-price plane")
 
-    profit_at, cost_cache = _posted_price_profit(
+    evaluator = _PostedPriceEvaluator(
         cfg, cfg.expected_renewables(), cfg.reserve_requirements(),
         cfg.heat_base_load(), bool(cfg.pipelines), n_segments, backend,
         relax_binaries=False)
-    best = None
-    for mu in mu_grid:
-        mu_arr = np.asarray(mu)
-        for gamma in gamma_grid:
-            gamma_arr = np.asarray(gamma)
-            profit, response = profit_at(mu_arr, gamma_arr)
-            if best is None or profit > best[0]:
-                best = (profit, mu_arr, gamma_arr, response)
-    profit, mu_arr, gamma_arr, response = best
-    return OracleResult(mu_arr, gamma_arr, response, profit, price_grid_step,
-                        total, len(cost_cache))
+    mu_all = np.array([mu for mu in mu_grid for _ in gamma_grid])
+    gamma_all = np.array([gamma for _ in mu_grid for gamma in gamma_grid])
+    i, profit, response = evaluator.best(mu_all, gamma_all)
+    return OracleResult(mu_all[i], gamma_all[i], response, profit,
+                        price_grid_step, total, len(evaluator.cost_cache))
 
 
 # ----------------------------------------------------------------------
@@ -401,6 +523,7 @@ class DeviationCheck:
     max_leader_improvement: float    # max over deviations - F1*
     follower_ok: bool
     leader_ok: bool
+    n_dispatch_solves: int  # exact leader re-dispatches the search ran
 
 
 def _random_follower_point(cfg: ScenarioConfig, rng: np.random.Generator
@@ -447,14 +570,17 @@ def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
 
     Follower side: random feasible responses at the posted prices must
     not undercut the solution's user cost by more than
-    `gm.RESPONSE_TOL`. Leader side: random admissible price vectors,
-    priced by the shared posted-price evaluator `_posted_price_profit`
-    under the bundle's own expected output, reserve requirements, heat
-    load, transport switch and segment count, must not beat the
-    solution's profit by more than the PWL error allowance. The
-    evaluator relaxes the unit binaries here: that can only overstate a
-    deviation's profit, a conservative direction for a no-improvement
-    test, and it keeps every re-dispatch an LP.
+    `gm.RESPONSE_TOL`. Leader side: the best of random admissible price
+    vectors, found by the shared posted-price evaluator's pruned search
+    (`_PostedPriceEvaluator.best`) under the bundle's own expected
+    output, reserve requirements, heat load, transport switch and
+    segment count, must not beat the solution's profit by more than the
+    PWL error allowance. The evaluator relaxes the unit binaries here:
+    that can only overstate a deviation's profit, a conservative
+    direction for a no-improvement test, and it keeps every re-dispatch
+    an LP. The search solves exactly only the deviations whose cut bound
+    could still be the best, so `max_leader_improvement` is the exact
+    maximum over all of them and `n_dispatch_solves` counts the solves.
     """
     cfg = bundle.cfg
     rng = np.random.default_rng(seed)
@@ -468,26 +594,28 @@ def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
         worst_follower = max(worst_follower, f2_star - f2)
 
     p = cfg.prices
-    profit_at, _ = _posted_price_profit(
+    evaluator = _PostedPriceEvaluator(
         cfg, bundle.expected, bundle.reserve_reqs, bundle.heat_base,
         bundle.mode.dhn_enabled, bundle.n_segments, backend,
         relax_binaries=True)
+    deviations = [(_random_admissible_prices(p.mu_min, p.mu_max, p.mu_av,
+                                             cfg.horizon, rng),
+                   _random_admissible_prices(p.gamma_min, p.gamma_max,
+                                             p.gamma_av, cfg.horizon, rng))
+                  for _ in range(n_deviations)]
     worst_leader = -math.inf
-    for _ in range(n_deviations):
-        mu = _random_admissible_prices(p.mu_min, p.mu_max, p.mu_av,
-                                       cfg.horizon, rng)
-        gamma = _random_admissible_prices(p.gamma_min, p.gamma_max, p.gamma_av,
-                                          cfg.horizon, rng)
-        profit, _ = profit_at(mu, gamma)
-        worst_leader = max(worst_leader, profit - sol.f1)
+    if deviations:
+        mu, gamma = (np.array(prices) for prices in zip(*deviations))
+        worst_leader = evaluator.best(mu, gamma)[1] - sol.f1
 
     leader_margin = bundle.pwl_error_bound + 1e-4 * max(abs(sol.f1), 1.0)
     return DeviationCheck(
         n_follower=n_deviations, n_leader=n_deviations,
-        max_follower_improvement=worst_follower,
-        max_leader_improvement=worst_leader,
-        follower_ok=worst_follower <= gm.RESPONSE_TOL,
-        leader_ok=worst_leader <= leader_margin)
+        max_follower_improvement=float(worst_follower),
+        max_leader_improvement=float(worst_leader),
+        follower_ok=bool(worst_follower <= gm.RESPONSE_TOL),
+        leader_ok=bool(worst_leader <= leader_margin),
+        n_dispatch_solves=len(evaluator.cost_cache))
 
 
 # ----------------------------------------------------------------------

@@ -91,7 +91,8 @@ class TestExternalBackend:
         assert res.status == "OPTIMAL"
         assert res.values["x"] == 4.0
         assert res.objective == pytest.approx(4.0 - 2.5 * 0.5)
-        # a solution file carries no dual bound or node count
+        # a solution file carries no gap, dual bound or node count
+        assert res.gap is None
         assert res.bound is None and res.node_count is None
 
     @pytest.mark.parametrize("banner, status", [

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,6 +178,11 @@ class TestEnumerationOracle:
         oracle = se.enumerate_oracle(cfg, 9.25, gamma_grid_step=4.75)
         assert out.solution.f1 >= oracle.profit - bundle.pwl_error_bound - 1e-6
 
+    def test_pruned_to_few_solves(self, toy_cfg):
+        result = se.enumerate_oracle(toy_cfg, 9.25, gamma_grid_step=4.75)
+        assert result.n_evaluations == 361
+        assert result.n_dispatch_solves <= 10  # 95 distinct responses
+
     def test_size_refusal(self):
         cfg = self.two_period_cfg()
         with pytest.raises(se.OracleSizeError, match="cap"):
@@ -233,6 +240,22 @@ class TestReserveValidation:
         assert totals[0] <= totals[1] + 1e-9
 
 
+def evaluator_for(cfg, backend, relax_binaries):
+    return se._PostedPriceEvaluator(
+        cfg, cfg.expected_renewables(), cfg.reserve_requirements(),
+        cfg.heat_base_load(), bool(cfg.pipelines), 8, backend, relax_binaries)
+
+
+def random_prices(cfg, n, rng):
+    p = cfg.prices
+    pairs = [(se._random_admissible_prices(p.mu_min, p.mu_max, p.mu_av,
+                                           cfg.horizon, rng),
+              se._random_admissible_prices(p.gamma_min, p.gamma_max,
+                                           p.gamma_av, cfg.horizon, rng))
+             for _ in range(n)]
+    return tuple(np.array(prices) for prices in zip(*pairs))
+
+
 class TestPostedPriceProfit:
     @pytest.mark.parametrize("relax_binaries", [False, True])
     def test_matches_mode4_objective(self, toy_cfg, relax_binaries):
@@ -240,11 +263,8 @@ class TestPostedPriceProfit:
         # optimum is the evaluator's profit at that tariff
         bundle = build_bundle(toy_cfg, 4)
         out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
-        profit_at, _ = se._posted_price_profit(
-            toy_cfg, toy_cfg.expected_renewables(),
-            toy_cfg.reserve_requirements(), toy_cfg.heat_base_load(), True, 8,
-            se.get_backend(), relax_binaries)
-        profit, response = profit_at(*toy_cfg.proportional_prices())
+        evaluator = evaluator_for(toy_cfg, se.get_backend(), relax_binaries)
+        profit, response = evaluator.profit(*toy_cfg.proportional_prices())
         assert profit == pytest.approx(out.result.objective, rel=1e-6)
         assert response[0] == pytest.approx(bundle.fixed_p_sl)
         assert response[1] == pytest.approx(bundle.fixed_h_cl)
@@ -259,15 +279,101 @@ class TestPostedPriceProfit:
             return solve(*args)
 
         monkeypatch.setattr(backend, "solve", counted)
-        profit_at, cache = se._posted_price_profit(
-            toy_cfg, toy_cfg.expected_renewables(),
-            toy_cfg.reserve_requirements(), toy_cfg.heat_base_load(), True, 8,
-            backend, False)
+        evaluator = evaluator_for(toy_cfg, backend, False)
         mu, gamma = toy_cfg.proportional_prices()
-        first = profit_at(mu, gamma)[0]
-        assert profit_at(mu, gamma)[0] == first
-        profit_at(mu[::-1].copy(), gamma)
-        assert len(calls) == len(cache) == 2
+        first = evaluator.profit(mu, gamma)[0]
+        assert evaluator.profit(mu, gamma)[0] == first
+        evaluator.profit(mu[::-1].copy(), gamma)
+        assert len(calls) == len(evaluator.cost_cache) == 2
+
+
+def exhaustive_best(evaluator, mu, gamma):
+    """Index and profit of the best pair by pricing every one, earliest
+    index on ties."""
+    profits = [evaluator.profit(m, g)[0] for m, g in zip(mu, gamma)]
+    best = int(np.argmax(profits))
+    return best, profits[best]
+
+
+class Undercut(se.ScipyMilpBackend):
+    """HiGHS with every dispatch cost 1e-9 relative below its optimum, as
+    a backend solving to a looser feasibility tolerance may return."""
+
+    def solve(self, *args):
+        res = super().solve(*args)
+        res.objective += 1e-9 * abs(res.objective)
+        return res
+
+
+class TestPrunedSearch:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("case, relax_binaries, n", [
+        ("toy", False, 60), ("toy", True, 60), ("case2", True, 25)])
+    def test_equals_exhaustive(self, toy_cfg, case2_path, case,
+                               relax_binaries, n, seed):
+        # the pruned search must return exactly what pricing every pair
+        # returns, also with the best pair repeated before or after itself
+        # (earliest index wins)
+        cfg = toy_cfg if case == "toy" else load_scenario(case2_path)
+        mu, gamma = random_prices(cfg, n, np.random.default_rng(seed))
+        exhaustive = evaluator_for(cfg, se.get_backend(), relax_binaries)
+        top = exhaustive_best(exhaustive, mu, gamma)[0]
+        lists = [(mu, gamma),
+                 (np.vstack([mu[top], mu]), np.vstack([gamma[top], gamma])),
+                 (np.vstack([mu, mu[top]]), np.vstack([gamma, gamma[top]]))]
+        for mu_list, gamma_list in lists:
+            want = exhaustive_best(exhaustive, mu_list, gamma_list)
+            pruned = evaluator_for(cfg, se.get_backend(), relax_binaries)
+            index, profit, response = pruned.best(mu_list, gamma_list)
+            assert (index, profit) == want
+            expect = exhaustive.profit(mu_list[index], gamma_list[index])[1]
+            for got, exp in zip(response, expect):
+                np.testing.assert_array_equal(got, exp)
+        assert exhaustive_best(exhaustive, *lists[1])[0] == 0
+        assert exhaustive_best(exhaustive, *lists[2])[0] == top
+
+        # a near-tie the margin must keep: first a twin of the best pair
+        # with the same response and a bill lower in its last bits, solved
+        # first, then the best pair, judged only by the cut at its own
+        # response; with costs just below the LP optimum that cut alone
+        # would rule it out
+        twin = mu[top] * (1.0 - 1e-15)
+        mu_list = np.vstack([twin, mu])
+        gamma_list = np.vstack([gamma[top], gamma])
+        want = exhaustive_best(evaluator_for(cfg, Undercut(), relax_binaries),
+                               mu_list, gamma_list)
+        assert want[0] == top + 1
+        pruned = evaluator_for(cfg, Undercut(), relax_binaries)
+        assert pruned.best(mu_list, gamma_list)[:2] == want
+
+    def test_one_cut_per_exact_solve(self, toy_cfg, monkeypatch):
+        cuts = []
+        cut = se._dispatch_cost_cut
+
+        def spy(*args):
+            cuts.append(args)
+            return cut(*args)
+
+        monkeypatch.setattr(se, "_dispatch_cost_cut", spy)
+        evaluator = evaluator_for(toy_cfg, se.get_backend(), True)
+        mu, gamma = random_prices(toy_cfg, 50, np.random.default_rng(4))
+        evaluator.best(mu, gamma)
+        assert 1 <= len(cuts) == len(evaluator.cost_cache) < 50
+
+    @pytest.mark.parametrize("relax_binaries", [False, True])
+    def test_cut_under_estimates_cost(self, toy_cfg, relax_binaries):
+        # every cut lies below the exact dispatch cost at other responses
+        cfg = toy_cfg
+        evaluator = evaluator_for(cfg, se.get_backend(), relax_binaries)
+        rng = np.random.default_rng(8)
+        responses = [se._random_follower_point(cfg, rng) for _ in range(6)]
+        program = evaluator._program(responses[0])
+        rhs = [se._balance_rhs(program, cfg, r) for r in responses]
+        costs = [evaluator._cost(r) for r in responses]
+        for rows, b0 in rhs:
+            c0, lam = se._dispatch_cost_cut(program.with_rhs(rows, b0), rows)
+            for (_, b), cost in zip(rhs, costs):
+                assert c0 + lam @ (b - b0) <= cost + 1e-6 * abs(cost)
 
 
 COMPILED_ARRAYS = ("c", "row_lower", "row_upper", "col_lower", "col_upper",
@@ -343,6 +449,40 @@ class TestDeviationCheck:
                               backend=backend)
         assert len(builds) == 1
         assert len(solves) > 1  # several responses, one build
+
+    def test_pruned_solves_come_from_backend(self, case2_path):
+        cfg = load_scenario(case2_path)
+        bundle = build_bundle(cfg, 3)
+        out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
+        plain = se.no_deviation_check(bundle, out.solution, n_deviations=40,
+                                      seed=21)
+        calls = []
+
+        class Costlier(se.ScipyMilpBackend):
+            # every exact dispatch costs one more: the reported best must
+            # move by exactly that, so it comes from the backend alone
+            def solve(self, *args):
+                calls.append(args)
+                res = super().solve(*args)
+                res.objective -= 1.0
+                return res
+
+        check = se.no_deviation_check(bundle, out.solution, n_deviations=40,
+                                      seed=21, backend=Costlier())
+        assert check.n_dispatch_solves == len(calls) <= 10
+        assert check.max_leader_improvement == pytest.approx(
+            plain.max_leader_improvement - 1.0, abs=1e-9)
+
+    def test_fields_are_plain_python(self, toy_cfg):
+        bundle = build_bundle(toy_cfg, 3)
+        out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
+        check = se.no_deviation_check(bundle, out.solution, n_deviations=20,
+                                      seed=2)
+        fields = vars(check)
+        assert json.loads(json.dumps(fields)) == fields
+        assert type(check.max_leader_improvement) is float
+        assert type(check.leader_ok) is bool
+        assert type(check.n_dispatch_solves) is int
 
     def test_redispatch_uses_bundle_segments(self, toy_cfg, monkeypatch):
         bundle = build_bundle(toy_cfg, 3, n_segments=2)
