@@ -24,6 +24,7 @@ import numpy as np
 from .stochastic_renewables import OutputDistribution
 
 SUM_TOL = 1e-9
+MIN_MC_SAMPLES = 10_000  # floor on chance_satisfaction_mc's n_samples
 
 
 @dataclass(frozen=True)
@@ -154,16 +155,37 @@ def chance_satisfaction_mc(pv_model, wt_model, expected_output: float,
 
     Either model may be None (unit absent that period). Returns the
     estimate and its 95% binomial half-width. Requires n_samples >= 1e4.
+
+    A sample hits exactly when its joint output reaches
+    need = expected_output - reserve - 1e-12, and only the draws that can
+    decide that are made:
+    - If need <= 0, every sample hits, because neither sampler returns a
+      negative output. The estimate is exactly 1.0 and nothing is drawn.
+    - Otherwise wind is drawn for every sample, and PV only for the
+      samples with wind < need <= wind + p_max: elsewhere the wind draw
+      alone already hits, or no PV output in [0, p_max] can make it hit.
+      Each PV draw is iid and independent of its sample's wind draw, so
+      drawing it only where it can flip the indicator leaves the law of
+      every indicator, and so of the estimate, as it was with a PV draw
+      for every sample.
     """
     from .stochastic_renewables import sample_pv, sample_wt
 
-    if n_samples < 10_000:
-        raise ValueError("n_samples must be at least 10^4")
-    joint = np.zeros(n_samples)
-    if pv_model is not None:
-        joint += sample_pv(pv_model, rng, size=n_samples)
-    if wt_model is not None:
-        joint += sample_wt(wt_model, rng, size=n_samples)
-    hits = float(np.mean(reserve >= expected_output - joint - 1e-12))
+    if n_samples < MIN_MC_SAMPLES:
+        raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
+    need = expected_output - reserve - 1e-12
+    if need <= 0:
+        hits = 1.0
+    else:
+        if wt_model is None:
+            wind = np.zeros(n_samples)
+        else:
+            wind = sample_wt(wt_model, rng, size=n_samples)
+        hit = wind >= need
+        if pv_model is not None:
+            pv_decides = ~hit & (wind + pv_model.p_max >= need)
+            pv = sample_pv(pv_model, rng, size=int(np.count_nonzero(pv_decides)))
+            hit[pv_decides] = wind[pv_decides] + pv >= need
+        hits = float(np.mean(hit))
     half_width = 1.96 * math.sqrt(max(hits * (1 - hits), 1e-12) / n_samples)
     return hits, half_width

@@ -27,6 +27,7 @@ from . import game_model as gm
 from . import solve_engine as se
 from .config import ConfigError, ScenarioConfig, load_scenario
 from .kkt_reformulation import assemble_single_level
+from .prob_sequences import MIN_MC_SAMPLES
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -101,6 +102,9 @@ def run_pipeline(manifest: RunManifest) -> RunOutput:
         _write_json(out_dir / "summary.json", summary)
         return RunOutput(code, status, reason, summary)
 
+    if manifest.run_validation and manifest.mc_samples < MIN_MC_SAMPLES:
+        return fail(EXIT_SCHEMA, "SCHEMA_ERROR",
+                    _too_few_samples(manifest.mc_samples))
     try:
         cfg = load_scenario(manifest.scenario)
         if manifest.theta is not None:
@@ -328,8 +332,11 @@ def revalidate(scenario: str, run_dir: str, mc_samples: int,
     The program is rebuilt with the run's effective theta, confidence and
     segment count from `summary.json`; run directories written before
     those fields existed fall back to the scenario file and the default
-    segment count.
+    segment count. A sample count below the Monte Carlo floor is refused
+    with ValueError before anything is read.
     """
+    if mc_samples < MIN_MC_SAMPLES:
+        raise ValueError(_too_few_samples(mc_samples))
     run_path = Path(run_dir)
     summary = json.loads((run_path / "summary.json").read_text())
     cfg = load_scenario(scenario)
@@ -337,12 +344,18 @@ def revalidate(scenario: str, run_dir: str, mc_samples: int,
         cfg = cfg.with_overrides(theta=float(summary["theta"]))
     bundle = build_bundle(cfg, int(summary["mode"]), summary.get("confidence"),
                           int(summary.get("n_segments", 8)))
-    rows = list(csv.DictReader((run_path / "periods.csv").open()))
+    with (run_path / "periods.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
     sol = _solution_from_rows(cfg, bundle, rows, summary)
     report = gm.verify_solution(sol, bundle)
     mc = se.validate_reserve(sol, bundle, mc_samples, seed)
     report.reserve_mc = mc.reserve_mc
     return report, summary
+
+
+def _too_few_samples(n: int) -> str:
+    return (f"mc_samples={n} is below the Monte Carlo floor of "
+            f"{MIN_MC_SAMPLES} samples per period")
 
 
 def _solution_from_rows(cfg: ScenarioConfig, bundle: gm.ModelBundle,
@@ -490,7 +503,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             report, summary = revalidate(args.scenario, args.run_dir,
                                          args.mc_samples, args.seed)
-        except (OSError, KeyError, ConfigError) as exc:
+        except (OSError, KeyError, ValueError) as exc:
             print(f"cannot revalidate: {exc}", file=sys.stderr)
             return EXIT_SCHEMA
         payload = {"passed": report.passed,

@@ -155,15 +155,19 @@ def point_mass_distribution(level: float = 0.0) -> OutputDistribution:
 
 
 def pv_output_distribution(model: BetaPvModel) -> OutputDistribution:
-    """PV output law as a (purely continuous) OutputDistribution."""
-    from scipy import stats
+    """PV output law as a (purely continuous) OutputDistribution.
 
-    dist = stats.beta(model.lambda1, model.lambda2)
-    p_max = model.p_max
+    The CDF is the regularized incomplete beta function, which is what a
+    frozen scipy.stats.beta evaluates inside [0, 1], without its
+    per-call argument handling.
+    """
+    from scipy.special import betainc
+
+    l1, l2, p_max = model.lambda1, model.lambda2, model.p_max
     return OutputDistribution(
         support_max=p_max,
         point_masses=(),
-        cont_cdf=lambda x: float(dist.cdf(x / p_max)),
+        cont_cdf=lambda x: float(betainc(l1, l2, x / p_max)),
     )
 
 
@@ -203,9 +207,6 @@ def sample_wt(model: WeibullWtModel, rng: np.random.Generator, size=None):
     v = rng.weibull(model.u, size=size) * model.z
     if size is None:
         return wt_power_curve(model, float(v))
-    v = np.asarray(v)
-    out = np.zeros_like(v)
-    on_ramp = (v >= model.v_in) & (v < model.v_e)
-    out[on_ramp] = (v[on_ramp] - model.v_in) / (model.v_e - model.v_in) * model.p_e
-    out[(v >= model.v_e) & (v < model.v_out)] = model.p_e
+    out = np.clip((v - model.v_in) / (model.v_e - model.v_in), 0.0, 1.0) * model.p_e
+    out[v >= model.v_out] = 0.0
     return out

@@ -30,7 +30,8 @@ class TestRunVerb:
         out_dir = tmp_path / "out"
         run_cli(["run", "--scenario", str(toy_path), "--mode", "3",
                  "--out", str(out_dir), "--no-validate"])
-        rows = list(csv.DictReader((out_dir / "periods.csv").open()))
+        with (out_dir / "periods.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         summary = json.loads((out_dir / "summary.json").read_text())
         absorbed = sum(float(r["p_res"]) for r in rows)
         assert absorbed == pytest.approx(summary["absorbed_renewables"],
@@ -85,6 +86,19 @@ class TestRunVerb:
                      "--out", str(d), "--seed", "9", "--mc-samples", "20000"])
         assert (dirs[0] / "periods.csv").read_bytes() == \
             (dirs[1] / "periods.csv").read_bytes()
+
+    def test_too_few_mc_samples_refused_before_solving(self, toy_path,
+                                                       tmp_path, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a model for a refused run")
+        monkeypatch.setattr(cli, "build_bundle", no_build)
+        out_dir = tmp_path / "o"
+        code = run_cli(["run", "--scenario", str(toy_path), "--mode", "3",
+                        "--out", str(out_dir), "--mc-samples", "100"])
+        assert code == cli.EXIT_SCHEMA
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["status"] == "SCHEMA_ERROR"
+        assert "mc_samples=100" in summary["reason"]
 
     def test_unknown_backend(self, toy_path, tmp_path):
         code = run_cli(["run", "--scenario", str(toy_path),
@@ -160,8 +174,8 @@ class TestSweepVerb:
                         "--param", "theta", "--values", "100,200",
                         "--out", str(out_dir), "--mc-samples", "20000"])
         assert code == cli.EXIT_OK
-        rows = list(csv.DictReader(
-            (out_dir / "sweep_theta.csv").open()))
+        with (out_dir / "sweep_theta.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert float(rows[0]["total_heat_cut"]) >= float(
             rows[1]["total_heat_cut"]) - 1e-9
@@ -221,6 +235,16 @@ class TestValidateVerb:
         code = run_cli(["validate", "--scenario", str(toy_path),
                         "--run-dir", str(out_dir), "--mc-samples", "20000"])
         assert code == cli.EXIT_OK
+
+    def test_too_few_mc_samples_refused(self, toy_path, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        run_cli(["run", "--scenario", str(toy_path), "--mode", "3",
+                 "--out", str(out_dir), "--no-validate"])
+        capsys.readouterr()
+        code = run_cli(["validate", "--scenario", str(toy_path),
+                        "--run-dir", str(out_dir), "--mc-samples", "100"])
+        assert code == cli.EXIT_SCHEMA
+        assert "mc_samples=100" in capsys.readouterr().err
 
     def test_missing_run_dir(self, toy_path, tmp_path):
         code = run_cli(["validate", "--scenario", str(toy_path),

@@ -1,14 +1,22 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iesgame import prob_sequences as ps
+from iesgame import stochastic_renewables as sr
+from iesgame.config import load_scenario
 from iesgame.stochastic_renewables import (BetaPvModel, OutputDistribution,
                                            WeibullWtModel,
                                            point_mass_distribution,
                                            pv_output_distribution,
                                            wt_output_distribution)
+
+
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
 
 def uniform_dist(hi: float) -> OutputDistribution:
@@ -200,3 +208,93 @@ class TestChanceSatisfactionMc:
             self.PV.scaled(0.3), self.WT, req.expected_output,
             req.min_reserve(), 100_000, np.random.default_rng(4))
         assert est >= conf - 0.02
+
+    @pytest.mark.parametrize("reserve", [0.6, 0.6 + 1e-13, 3.0])
+    def test_covered_period_draws_nothing(self, reserve):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        n = 20_000
+        est, hw = ps.chance_satisfaction_mc(self.PV, self.WT, 0.6, reserve, n,
+                                            rng)
+        assert (est, hw) == (1.0, 1.96 * math.sqrt(1e-12 / n))
+        assert rng.bit_generator.state == before
+
+    def test_barely_short_reserve_is_sampled(self):
+        # a reserve 1e-9 short of the expectation fails exactly the samples
+        # at the zero-output atom: wind below cut-in or above cut-out
+        est, _ = ps.chance_satisfaction_mc(None, self.WT, 0.6, 0.6 - 1e-9,
+                                           100_000, np.random.default_rng(6))
+        zero_mass = wt_output_distribution(self.WT).point_masses[0][1]
+        assert est == pytest.approx(1 - zero_mass, abs=0.005)
+
+    @pytest.fixture
+    def sampled(self, monkeypatch):
+        """Record the size and output of every sampler call made through
+        the module."""
+        calls = {"pv": [], "wt": []}
+        for key, name in (("pv", "sample_pv"), ("wt", "sample_wt")):
+            real = getattr(sr, name)
+
+            def spy(model, rng, size=None, real=real, key=key):
+                out = real(model, rng, size=size)
+                calls[key].append((size, out))
+                return out
+            monkeypatch.setattr(sr, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("case", ["case1_like", "case2_real", None])
+    def test_pv_drawn_only_where_it_decides(self, case, sampled):
+        if case is None:
+            # a shortfall of 0.2 MW is out of a 0.1 MW PV unit's reach
+            # wherever wind gives less than 0.1 MW
+            pv, wt, e, r = self.PV.scaled(0.1), self.WT, 0.3, 0.1
+        else:
+            cfg = load_scenario(BENCH_INPUTS / f"{case}.json")
+            t = 12
+            pv, wt = cfg.pv_model_for(t), cfg.wt_model_for(t)
+            req = cfg.reserve_requirements()[t]
+            e, r = req.expected_output, req.min_reserve()
+        n = 50_000
+        ps.chance_satisfaction_mc(pv, wt, e, r, n, np.random.default_rng(1))
+        [(wt_size, wind)] = sampled["wt"]
+        [(pv_size, _)] = sampled["pv"]
+        need = e - r - 1e-12
+        decided_by_pv = (wind < need) & (need <= wind + pv.p_max)
+        assert wt_size == n
+        assert 0 < pv_size == np.count_nonzero(decided_by_pv) < n
+
+    @pytest.mark.parametrize("case", ["case1_like", "case2_real", "toy3"])
+    def test_night_period_draws_nothing(self, case, sampled):
+        cfg = load_scenario(BENCH_INPUTS / f"{case}.json")
+        t = 0
+        assert cfg.pv_model_for(t) is None
+        req = cfg.reserve_requirements()[t]
+        est, _ = ps.chance_satisfaction_mc(
+            None, cfg.wt_model_for(t), req.expected_output, req.min_reserve(),
+            50_000, np.random.default_rng(1))
+        assert est == 1.0
+        assert sampled == {"pv": [], "wt": []}
+
+    @pytest.mark.parametrize("case", ["case1_like", "case2_real"])
+    def test_same_law_as_full_draws(self, case):
+        # period 12 leaves PV the widest band in which it decides a sample;
+        # the reference draws PV for every sample, on independent seeds
+        cfg = load_scenario(BENCH_INPUTS / f"{case}.json")
+        t, n, seeds = 12, 100_000, 20
+        pv, wt = cfg.pv_model_for(t), cfg.wt_model_for(t)
+        req = cfg.reserve_requirements()[t]
+        e, r = req.expected_output, req.min_reserve()
+
+        def full_draw(rng):
+            joint = sr.sample_pv(pv, rng, size=n) + sr.sample_wt(wt, rng, size=n)
+            return float(np.mean(r >= e - joint - 1e-12))
+
+        lazy = np.mean([ps.chance_satisfaction_mc(
+            pv, wt, e, r, n, np.random.default_rng(s))[0]
+            for s in range(seeds)])
+        full = np.mean([full_draw(np.random.default_rng(1000 + s))
+                        for s in range(seeds)])
+        p = (lazy + full) / 2
+        std_err = math.sqrt(2 * p * (1 - p) / (n * seeds))
+        assert 0.5 < p < 1
+        assert abs(lazy - full) <= 4 * std_err

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,13 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from iesgame.stochastic_renewables import (BetaPvModel, WeibullWtModel,
+from iesgame import prob_sequences as ps
+from iesgame.config import load_scenario
+from iesgame.stochastic_renewables import (BetaPvModel, OutputDistribution,
+                                           WeibullWtModel,
                                            point_mass_distribution, pv_density,
                                            pv_output_distribution, sample_pv,
                                            sample_wt, wt_output_distribution,
                                            wt_power_curve)
 
 WT = WeibullWtModel(z=8.0, u=2.0, v_in=3.0, v_e=12.0, v_out=25.0, p_e=2.0)
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
 
 class TestPvDensity:
@@ -162,9 +167,51 @@ class TestSampling:
                  float(np.max(np.abs(emp_lo - ana_left))))
         assert ks < 0.01
 
+    def test_wt_matches_power_curve(self):
+        draws = sample_wt(WT, np.random.default_rng(23), size=100_000)
+        speeds = np.random.default_rng(23).weibull(WT.u, size=100_000) * WT.z
+        curve = np.array([wt_power_curve(WT, float(v)) for v in speeds])
+        assert np.array_equal(draws, curve)
+
+    def test_wt_at_curve_corners(self):
+        # v_in, v_e and v_out over z = 8 are exact, so the sampler sees
+        # exactly these speeds
+        speeds = np.array([0.0, WT.v_in, 7.5, WT.v_e, WT.v_out, 30.0])
+
+        class FixedSpeeds:
+            def weibull(self, u, size=None):
+                return speeds / WT.z
+
+        draws = sample_wt(WT, FixedSpeeds(), size=speeds.size)
+        assert draws.tolist() == [0.0, 0.0, 1.0, WT.p_e, 0.0, 0.0]
+        assert draws.tolist() == [wt_power_curve(WT, v) for v in speeds]
+
     def test_scaled_models(self):
         assert BetaPvModel(2.0, 2.0, 1.0).scaled(0.0) is None
         scaled = WT.scaled(1.2)
         assert scaled.z == pytest.approx(9.6)
         with pytest.raises(ValueError):
             WT.scaled(0.0)
+
+
+@pytest.mark.parametrize("case", ["case1_like", "case2_real", "toy3"])
+def test_pv_cdf_equals_frozen_beta_on_discretize_edges(case):
+    cfg = load_scenario(BENCH_INPUTS / f"{case}.json")
+    checked = 0
+    for t in range(cfg.horizon):
+        model = cfg.pv_model_for(t)
+        if model is None:
+            continue
+        dist = pv_output_distribution(model)
+        edges = []
+
+        def recording_cdf(x, cdf=dist.cont_cdf):
+            edges.append(x)
+            return cdf(x)
+        ps.discretize(OutputDistribution(dist.support_max, (), recording_cdf),
+                      cfg.seq_step_mw)
+        frozen = stats.beta(model.lambda1, model.lambda2)
+        for x in edges:
+            assert dist.cont_cdf(x) == float(frozen.cdf(x / model.p_max))
+        checked += len(edges)
+    assert (checked > 0) == (case != "toy3")  # toy3 has no PV unit
