@@ -178,18 +178,22 @@ def build_follower(cfg: ScenarioConfig, ir: ModelIR) -> FollowerFragment:
 
     The shiftable-total row uses the constant S = alpha/(1-alpha) * sum
     of fixed load, which removes the self-reference of defining the
-    ratio against a total that includes the shifted part itself.
+    ratio against a total that includes the shifted part itself. A heat
+    cut whose cap is at most gamma_min/(2 theta) sits at its cap at every
+    admissible price, so it is fixed there (see `emit_kkt`).
     """
     t_count = cfg.horizon
     sl_lb = cfg.shift_lower()
     sl_ub = cfg.shift_upper()
     cut_ub = cfg.cut_upper()
+    capped = cut_ub <= cfg.prices.gamma_min / (2.0 * cfg.idr.theta)
     s_total = cfg.shift_total()
     if s_total > float(sl_ub.sum()) + 1e-9:
         raise BuildError("shiftable total exceeds the per-period caps")
     p_sl = [ir.add_variable(f"p_sl_{t}", float(sl_lb[t]), float(sl_ub[t]))
             for t in range(t_count)]
-    h_cl = [ir.add_variable(f"h_cl_{t}", 0.0, float(cut_ub[t]))
+    h_cl = [ir.add_variable(f"h_cl_{t}", float(cut_ub[t]) if capped[t] else 0.0,
+                            float(cut_ub[t]))
             for t in range(t_count)]
     ir.add_row("shift_total", {v: 1.0 for v in p_sl}, "==", s_total)
     return FollowerFragment(

@@ -2,13 +2,15 @@
 
 The follower's convex program is replaced by its optimality conditions:
 per-period stationarity, primal feasibility, and complementarity pairs
-linearized with per-pair big-M constants derived from the variable and
-price ranges (never a blanket constant). The price*quantity revenue
-terms, bilinear across the two levels, are rewritten through the
-complementarity identities into expressions linear in the multipliers
-plus a quadratic-in-follower term whose curvature matches maximization.
-Quadratic cost terms are finally replaced by secant piecewise-linear
-approximations with an analytic error bound.
+linearized with per-pair big-M constants read off the variable bounds,
+which the price band sets for the multipliers (never a blanket
+constant); a pair those bounds already decide gets no binary. The
+price*quantity revenue terms, bilinear across the two levels, are
+rewritten through the complementarity identities into expressions
+linear in the multipliers plus a quadratic-in-follower term whose
+curvature matches maximization. Quadratic cost terms are finally
+replaced by secant piecewise-linear approximations with an analytic
+error bound.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game_model import BuildError, FollowerFragment, ModelBundle
+from .config import PriceBounds
+from .game_model import FollowerFragment, ModelBundle
 from .model_ir import ModelIR, PwlObjTerm
 
 
@@ -52,15 +55,17 @@ def pwl_quadratic(coef: float, lo: float, hi: float, n_segments: int) -> PwlAppr
 
 @dataclass
 class ComplementarityPair:
-    """0 <= g(x) perp dual >= 0 with g given as an affine expression."""
+    """0 <= g(x) perp dual >= 0 with g given as an affine expression.
+
+    `big_m_linearize` sets the big-M constants.
+    """
 
     name: str
     primal_coeffs: dict[str, float]
     primal_const: float
     dual_var: str
-    big_m_primal: float
-    big_m_dual: float
-    binary: str | None = None
+    big_m_primal: float = field(default=0.0, init=False)
+    big_m_dual: float = field(default=0.0, init=False)
 
     def primal_value(self, values: dict[str, float]) -> float:
         return self.primal_const + sum(c * values[v]
@@ -86,30 +91,46 @@ class KktBlock:
 
 def emit_kkt(ir: ModelIR, follower: FollowerFragment,
              mu_names: list[str], gamma_names: list[str],
-             mu_max: float, gamma_max: float) -> KktBlock:
+             prices: PriceBounds) -> KktBlock:
     """Optimality conditions of the users' problem, one block per period.
 
     Electric stationarity:  mu_t - d1_t + d2_t + xi = 0
-    Heat stationarity:      -gamma_t + 2*theta*hcl_t - d3_t + d4_t = 0
-    plus the four complementarity families over the response bounds.
+    Heat stationarity:      -gamma_t + 2*theta*hcl_t + d4_t = 0
+    plus complementarity pairs for the shiftable load's two bounds
+    (d1_t, d2_t) and the heat cut's cap (d4_t).
+
+    Every multiplier is bounded by what the price band implies. The
+    bounds cut off no optimal response, because at every admissible
+    price vector the users' response has multipliers inside them:
+    - Electric. The users fill the cheapest periods first; let m be the
+      marginal period (partly filled, else the dearest filled one, else
+      the cheapest). Then xi = -mu_m lies in [-mu_max, -mu_min], and
+      d1_t = max(mu_t - mu_m, 0), d2_t = max(mu_m - mu_t, 0) are at most
+      mu_max - mu_min. The problem is an LP, so these multipliers
+      certify every optimal split, ties included.
+    - Heat. The response is clip(gamma_t/(2 theta), 0, cut_ub_t). Prices
+      are nonnegative, so the floor's multiplier is always zero: the
+      floor stays a plain variable bound with no pair. The cap's is
+      d4_t = max(0, gamma_t - 2 theta cut_ub_t), at most
+      max(0, gamma_max - 2 theta cut_ub_t). Where cut_ub_t <=
+      gamma_min/(2 theta) the cap binds at every admissible price, and
+      `build_follower` fixes hcl_t there.
+    Conversely, any point of these rows and pairs is a best response,
+    since the KKT conditions of a convex program are sufficient. A pair
+    whose primal range or multiplier cap is zero (a fixed cut, a cap that
+    never binds) therefore holds by its bounds; `big_m_linearize` gives
+    it no binary.
     """
     t_count = follower.horizon
     theta = follower.theta
-    cut_cap = float(np.max(follower.cut_ub, initial=0.0))
-    dual_cap_e = 2.0 * mu_max
-    dual_cap_h = gamma_max + 2.0 * theta * cut_cap
+    cap_e = np.full(t_count, prices.mu_max - prices.mu_min)
+    caps = {"delta1": cap_e, "delta2": cap_e,
+            "delta4": np.maximum(0.0, prices.gamma_max - 2.0 * theta * follower.cut_ub)}
 
-    xi = ir.add_variable("xi", -mu_max, mu_max)
-    deltas: dict[str, list[str]] = {
-        "delta1": [ir.add_variable(f"delta1_{t}", 0.0, dual_cap_e)
-                   for t in range(t_count)],
-        "delta2": [ir.add_variable(f"delta2_{t}", 0.0, dual_cap_e)
-                   for t in range(t_count)],
-        "delta3": [ir.add_variable(f"delta3_{t}", 0.0, dual_cap_h)
-                   for t in range(t_count)],
-        "delta4": [ir.add_variable(f"delta4_{t}", 0.0, dual_cap_h)
-                   for t in range(t_count)],
-    }
+    xi = ir.add_variable("xi", -prices.mu_max, -prices.mu_min)
+    deltas = {family: [ir.add_variable(f"{family}_{t}", 0.0, float(cap[t]))
+                       for t in range(t_count)]
+              for family, cap in caps.items()}
 
     block = KktBlock(xi=xi, deltas=deltas, pairs=[])
     for t in range(t_count):
@@ -118,41 +139,41 @@ def emit_kkt(ir: ModelIR, follower: FollowerFragment,
         ir.add_row(f"kkt_stat_e_{t}", stat_e, "==", 0.0)
         block.stationarity.append((f"kkt_stat_e_{t}", stat_e, 0.0))
         stat_h = {gamma_names[t]: -1.0, follower.h_cl[t]: 2.0 * theta,
-                  deltas["delta3"][t]: -1.0, deltas["delta4"][t]: 1.0}
+                  deltas["delta4"][t]: 1.0}
         ir.add_row(f"kkt_stat_h_{t}", stat_h, "==", 0.0)
         block.stationarity.append((f"kkt_stat_h_{t}", stat_h, 0.0))
 
-        sl_range = float(follower.sl_ub[t] - follower.sl_lb[t])
-        cut_range = float(follower.cut_ub[t])
         block.pairs.append(ComplementarityPair(
             f"shift_lb_{t}", {follower.p_sl[t]: 1.0}, -float(follower.sl_lb[t]),
-            deltas["delta1"][t], sl_range, dual_cap_e))
+            deltas["delta1"][t]))
         block.pairs.append(ComplementarityPair(
             f"shift_ub_{t}", {follower.p_sl[t]: -1.0}, float(follower.sl_ub[t]),
-            deltas["delta2"][t], sl_range, dual_cap_e))
+            deltas["delta2"][t]))
         block.pairs.append(ComplementarityPair(
-            f"cut_lb_{t}", {follower.h_cl[t]: 1.0}, 0.0,
-            deltas["delta3"][t], cut_range, dual_cap_h))
-        block.pairs.append(ComplementarityPair(
-            f"cut_ub_{t}", {follower.h_cl[t]: -1.0}, cut_range,
-            deltas["delta4"][t], cut_range, dual_cap_h))
+            f"cut_ub_{t}", {follower.h_cl[t]: -1.0}, float(follower.cut_ub[t]),
+            deltas["delta4"][t]))
     return block
 
 
-def big_m_linearize(ir: ModelIR, pair: ComplementarityPair) -> str:
+def big_m_linearize(ir: ModelIR, pair: ComplementarityPair) -> str | None:
     """Replace one complementarity pair by two big-M rows and a binary.
 
-    With indicator 1 the dual is forced to zero; with indicator 0 the
-    primal expression is. Nonnegativity of both sides is carried by the
-    variable bounds from which the expressions are built.
+    Both constants come from the variable bounds: the primal one is the
+    expression's largest value over them, the dual one the multiplier's
+    upper bound. With indicator 1 the dual is forced to zero; with
+    indicator 0 the primal expression is. Nonnegativity of both sides is
+    carried by the bounds, so a pair with a zero constant already holds
+    and gets no binary and no rows (returns None).
     """
-    if pair.big_m_primal < 0 or not np.isfinite(pair.big_m_primal):
-        raise BuildError(f"pair {pair.name}: primal expression lacks a finite range")
+    var = ir.variables
+    pair.big_m_primal = pair.primal_const + sum(
+        c * (var[v].ub if c > 0 else var[v].lb) for v, c in pair.primal_coeffs.items())
+    pair.big_m_dual = var[pair.dual_var].ub
+    if pair.big_m_primal == 0.0 or pair.big_m_dual == 0.0:
+        return None
     binary = ir.add_variable(f"pi_{pair.name}", 0.0, 1.0, binary=True)
-    pair.binary = binary
-    m_g = max(pair.big_m_primal, 1e-9)
     coeffs = dict(pair.primal_coeffs)
-    coeffs[binary] = -m_g
+    coeffs[binary] = -pair.big_m_primal
     ir.add_row(f"bigm_g_{pair.name}", coeffs, "<=", -pair.primal_const)
     ir.add_row(f"bigm_d_{pair.name}",
                {pair.dual_var: 1.0, binary: pair.big_m_dual}, "<=", pair.big_m_dual)
@@ -230,9 +251,8 @@ def assemble_single_level(bundle: ModelBundle, n_segments: int = 8) -> ModelBund
     """
     ir = bundle.ir
     if bundle.follower is not None:
-        p = bundle.cfg.prices
         block = emit_kkt(ir, bundle.follower, bundle.names["mu"],
-                         bundle.names["gamma"], p.mu_max, p.gamma_max)
+                         bundle.names["gamma"], bundle.cfg.prices)
         for pair in block.pairs:
             big_m_linearize(ir, pair)
         eliminate_bilinear(ir, bundle, block)

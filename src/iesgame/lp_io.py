@@ -45,6 +45,8 @@ def write_lp(model: ModelIR | CompiledModel) -> str:
     indptr, indices, data = m.a.indptr, m.a.indices, m.a.data
     for r, row_name in enumerate(m.row_index):
         lo, up = m.row_lower[r], m.row_upper[r]
+        if lo == -math.inf and up == math.inf:
+            continue  # a row with no bound constrains nothing
         if lo == up:
             op, rhs = "=", lo
         elif lo == -math.inf:

@@ -83,8 +83,8 @@ class CompiledModel:
     coefficients of each row of `a` keep the order they were given in, so
     the LP writer renders the same text as from the model. `c` is the
     objective in the model's own sense. The dense arrays are read-only:
-    copies made by `with_rhs` and `relaxed` share every array they do not
-    change.
+    copies made by `with_rhs`, `without_lower` and `relaxed` share every
+    array they do not change.
     """
 
     name: str
@@ -120,6 +120,12 @@ class CompiledModel:
         upper[rows] = rhs
         return replace(self, row_lower=_read_only(lower),
                        row_upper=_read_only(upper))
+
+    def without_lower(self, rows: list[int]) -> "CompiledModel":
+        """Copy whose rows `rows` (indices) have no lower bound."""
+        lower = self.row_lower.copy()
+        lower[rows] = -math.inf
+        return replace(self, row_lower=_read_only(lower))
 
     def relaxed(self) -> "CompiledModel":
         """Copy with every integrality requirement dropped."""

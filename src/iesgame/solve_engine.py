@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 import subprocess
 import tempfile
 import time
@@ -41,6 +42,8 @@ _BANNER_STATUS = (("infeasible", INFEASIBLE), ("unbounded", UNBOUNDED),
                   ("time limit", TIME_LIMIT), ("error", ERROR))
 
 TRIAGE_STAGES = ("balance_with_relaxed_reserves", "full_model")
+
+EXTERNAL_GRACE_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,10 @@ class ExternalLpBackend:
     banner on the solution file's first line naming infeasibility,
     unboundedness, a time limit or an error is reported as that status;
     otherwise the values are taken as optimal. Such files carry no gap,
-    dual bound or node count, so none is reported.
+    dual bound or node count, so none is reported. A command still
+    running `EXTERNAL_GRACE_S` seconds past the time limit is reported as
+    TIME_LIMIT and killed with its whole process group, so that no
+    solver the shell started outlives it.
     """
 
     name = "external"
@@ -127,12 +133,21 @@ class ExternalLpBackend:
             sol_path = Path(tmp) / "model.sol"
             lp_path.write_text(write_lp(m))
             cmd = self.command_template.format(lp=lp_path, sol=sol_path)
-            proc = subprocess.run(cmd, shell=True, capture_output=True,
-                                  timeout=time_limit + 60, text=True)
+            with subprocess.Popen(cmd, shell=True, stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, text=True,
+                                  start_new_session=True) as proc:
+                try:
+                    stdout, stderr = proc.communicate(
+                        timeout=time_limit + EXTERNAL_GRACE_S)
+                except subprocess.TimeoutExpired:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    proc.communicate()
+                    return SolveResult(TIME_LIMIT, {}, math.nan, math.nan,
+                                       math.inf, time.perf_counter() - started)
             runtime = time.perf_counter() - started
             if not sol_path.exists():
                 status = INFEASIBLE if "infeasible" in (
-                    proc.stdout + proc.stderr).lower() else ERROR
+                    stdout + stderr).lower() else ERROR
                 return SolveResult(status, {}, math.nan, math.nan, math.inf, runtime)
             text = sol_path.read_text()
         first_line = text.splitlines()[0].lower() if text else ""
@@ -196,25 +211,13 @@ def solve(bundle: gm.ModelBundle, opts: SolveOptions | None = None,
 
 def _triage_infeasibility(bundle: gm.ModelBundle, opts: SolveOptions,
                           backend) -> str:
-    relaxed = _without_reserve_rows(bundle.ir)
+    model = bundle.ir.compile()
+    relaxed = model.without_lower([r for name, r in model.row_index.items()
+                                   if name.startswith("res_min_")])
     res = backend.solve(relaxed, opts.time_limit, opts.gap_tolerance)
     if res.status == INFEASIBLE:
         return TRIAGE_STAGES[0]
     return TRIAGE_STAGES[1]
-
-
-def _without_reserve_rows(ir: ModelIR) -> ModelIR:
-    out = ModelIR(ir.name + "_relaxed_reserve", ir.sense)
-    out.variables = dict(ir.variables)
-    out.obj_linear = dict(ir.obj_linear)
-    out.obj_quad = list(ir.obj_quad)
-    out.obj_pwl = list(ir.obj_pwl)
-    out.obj_const = ir.obj_const
-    for row in ir.rows:
-        if row.name.startswith("res_min_"):
-            continue
-        out.add_row(row.name, dict(row.coeffs), row.sense, row.rhs)
-    return out
 
 
 # ----------------------------------------------------------------------

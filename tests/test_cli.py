@@ -67,6 +67,20 @@ class TestRunVerb:
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert "balance_with_relaxed_reserves" in summary["reason"]
 
+    def test_hung_external_solver_exit_code(self, toy_path, tmp_path,
+                                            monkeypatch):
+        from iesgame import solve_engine as se
+        stub = tmp_path / "hang.py"
+        stub.write_text("import time\ntime.sleep(60)\n")
+        monkeypatch.setenv("IES_SOLVER_CMD", f"python3 {stub} {{lp}} {{sol}}")
+        monkeypatch.setattr(se, "EXTERNAL_GRACE_S", 0.0)
+        code = run_cli(["run", "--scenario", str(toy_path), "--mode", "1",
+                        "--backend", "external", "--time-limit", "0.5",
+                        "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_TIME_LIMIT
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["status"] == "TIME_LIMIT"
+
     def test_static_infeasibility_is_schema_error(self, tmp_path):
         # capacity 2.5 MW against a 3.0 MW peak: refused while building
         data = toy_dict()

@@ -230,7 +230,7 @@ class TestBuildLeader:
         for t in range(toy_cfg.horizon):
             assert f"p_sl_{t}" in names and f"h_cl_{t}" in names
         assemble_single_level(bundle)
-        assert len(bundle.ir.binary_names) == 4 * toy_cfg.horizon
+        assert len(bundle.ir.binary_names) == 2 * toy_cfg.horizon
         out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
         assert out.result.status == se.OPTIMAL
         assert out.result.objective == pytest.approx(166.92037, rel=1e-4)

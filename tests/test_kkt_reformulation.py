@@ -5,7 +5,7 @@ from conftest import toy_dict
 from iesgame import game_model as gm
 from iesgame import kkt_reformulation as kkt
 from iesgame import solve_engine as se
-from iesgame.config import scenario_from_dict
+from iesgame.config import load_scenario, scenario_from_dict
 from iesgame.model_ir import ModelIR
 from iesgame.scenario_cli import build_bundle
 
@@ -63,8 +63,9 @@ class TestBigM:
             ir = ModelIR("pair", "max")
             ir.add_variable("x", 0.0, 10.0)
             ir.add_variable("d", 0.0, 5.0)
-            pair = kkt.ComplementarityPair("p0", {"x": 1.0}, 0.0, "d", 10.0, 5.0)
+            pair = kkt.ComplementarityPair("p0", {"x": 1.0}, 0.0, "d")
             binary = kkt.big_m_linearize(ir, pair)
+            assert (pair.big_m_primal, pair.big_m_dual) == (10.0, 5.0)
             ir.add_row("fix_pi", {binary: 1.0}, "==", fixed_pi)
             ir.add_obj_linear(free_var, 1.0)
             ir.add_obj_linear(forced_var, 1.0)
@@ -74,14 +75,16 @@ class TestBigM:
             cap = 10.0 if free_var == "x" else 5.0
             assert res.values[free_var] == pytest.approx(cap, abs=1e-9)
 
-    def test_unbounded_primal_rejected(self):
+    @pytest.mark.parametrize("x_bounds, d_cap", [((10.0, 10.0), 5.0),
+                                                 ((0.0, 10.0), 0.0)])
+    def test_pair_decided_by_bounds_gets_no_binary(self, x_bounds, d_cap):
+        # a fixed primal slack or a dual capped at zero already holds
         ir = ModelIR("pair", "max")
-        ir.add_variable("x", 0.0, 10.0)
-        ir.add_variable("d", 0.0, 5.0)
-        pair = kkt.ComplementarityPair("p0", {"x": 1.0}, 0.0, "d",
-                                       float("inf"), 5.0)
-        with pytest.raises(gm.BuildError):
-            kkt.big_m_linearize(ir, pair)
+        ir.add_variable("x", *x_bounds)
+        ir.add_variable("d", 0.0, d_cap)
+        pair = kkt.ComplementarityPair("p0", {"x": -1.0}, 10.0, "d")
+        assert kkt.big_m_linearize(ir, pair) is None
+        assert not ir.rows and not ir.binary_names
 
 
 def greedy_multipliers(cfg, mu, gamma):
@@ -99,38 +102,48 @@ def greedy_multipliers(cfg, mu, gamma):
         xi = -float(max(mu[t] for t in filled))
     d1 = np.maximum(mu + xi, 0.0)
     d2 = np.maximum(-(mu + xi), 0.0)
-    d3 = np.zeros(cfg.horizon)
     d4 = np.maximum(gamma - 2 * theta * h_cl, 0.0)
     d4[h_cl < cut_ub - 1e-9] = 0.0
-    return p_sl, h_cl, xi, d1, d2, d3, d4
+    return p_sl, h_cl, xi, d1, d2, d4
 
 
 class TestEmitKkt:
-    def test_greedy_response_satisfies_emitted_system(self, solved_toy):
-        cfg, bundle, _ = solved_toy
-        block = bundle.kkt
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            mu = se._random_admissible_prices(50.0, 87.0, 68.5, 3, rng)
-            gamma = se._random_admissible_prices(20.0, 39.0, 29.5, 3, rng)
-            p_sl, h_cl, xi, d1, d2, d3, d4 = greedy_multipliers(cfg, mu, gamma)
-            values = {"xi": xi}
-            for t in range(3):
-                values[f"mu_{t}"] = mu[t]
-                values[f"gamma_{t}"] = gamma[t]
-                values[f"p_sl_{t}"] = p_sl[t]
-                values[f"h_cl_{t}"] = h_cl[t]
-                values[f"delta1_{t}"] = d1[t]
-                values[f"delta2_{t}"] = d2[t]
-                values[f"delta3_{t}"] = d3[t]
-                values[f"delta4_{t}"] = d4[t]
-            for name, residual in block.stationarity_residuals(values):
-                assert abs(residual) < 1e-9, name
-            for pair in block.pairs:
-                g = pair.primal_value(values)
-                d = values[pair.dual_var]
-                assert g >= -1e-9 and d >= -1e-9
-                assert g * d == pytest.approx(0.0, abs=1e-9)
+    def test_greedy_response_satisfies_emitted_system(self, case1_path,
+                                                      case2_path):
+        # the multiplier bounds come from the price band: every admissible
+        # price must leave the best response certified inside them. case1's
+        # cuts are always interior, case2's always at their caps
+        for cfg in (scenario_from_dict(toy_dict()), load_scenario(case1_path),
+                    load_scenario(case2_path)):
+            bundle = build_bundle(cfg, 3)
+            variables = bundle.ir.variables
+            p = cfg.prices
+            rng = np.random.default_rng(9)
+            for _ in range(20):
+                mu = se._random_admissible_prices(p.mu_min, p.mu_max, p.mu_av,
+                                                  cfg.horizon, rng)
+                gamma = se._random_admissible_prices(
+                    p.gamma_min, p.gamma_max, p.gamma_av, cfg.horizon, rng)
+                p_sl, h_cl, xi, d1, d2, d4 = greedy_multipliers(cfg, mu, gamma)
+                values = {"xi": xi}
+                for t in range(cfg.horizon):
+                    values[f"mu_{t}"] = mu[t]
+                    values[f"gamma_{t}"] = gamma[t]
+                    values[f"p_sl_{t}"] = p_sl[t]
+                    values[f"h_cl_{t}"] = h_cl[t]
+                    values[f"delta1_{t}"] = d1[t]
+                    values[f"delta2_{t}"] = d2[t]
+                    values[f"delta4_{t}"] = d4[t]
+                for name, value in values.items():
+                    spec = variables[name]
+                    assert spec.lb - 1e-9 <= value <= spec.ub + 1e-9, (cfg.name, name)
+                for name, residual in bundle.kkt.stationarity_residuals(values):
+                    assert abs(residual) < 1e-9, (cfg.name, name)
+                for pair in bundle.kkt.pairs:
+                    g = pair.primal_value(values)
+                    d = values[pair.dual_var]
+                    assert g >= -1e-9 and d >= -1e-9
+                    assert g * d == pytest.approx(0.0, abs=1e-9)
 
     def test_interior_stationarity_at_optimum(self, solved_toy):
         cfg, bundle, out = solved_toy
@@ -172,7 +185,11 @@ class TestEliminateBilinear:
 class TestAssemble:
     def test_binary_census_on_toy(self, solved_toy):
         cfg, bundle, _ = solved_toy
-        assert len(bundle.ir.binary_names) == 4 * cfg.horizon  # pairs
+        # toy3's cuts are interior at every admissible price, so the band
+        # decides their cap pairs; only the two shift pairs keep binaries
+        assert len(bundle.ir.binary_names) == 2 * cfg.horizon
+        assert not any(n.startswith(("delta3_", "pi_cut_"))
+                       for n in bundle.ir.variables)
 
     def test_mode_without_response_emits_no_kkt(self, solved_toy):
         cfg, _, _ = solved_toy

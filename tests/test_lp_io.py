@@ -28,6 +28,12 @@ class TestWriter:
         assert " -1.5 <= y <= 3" in text
         assert "Binaries\n b\nEnd" in text
 
+    def test_row_without_bounds_omitted(self):
+        # the infeasibility triage frees the reserve rows this way
+        m = sample_ir().compile()
+        text = write_lp(m.without_lower([m.row_index["link"]]))
+        assert "link" not in text and " cap: 1 x + 1 y <= 5" in text
+
     def test_byte_identical_across_builds(self):
         assert write_lp(sample_ir()) == write_lp(sample_ir())
 

@@ -148,16 +148,23 @@ class TestEnumerationOracle:
         assert result.best_response[1] == pytest.approx(expect_cut)
 
     def test_profit_bracket_against_milp(self):
-        cfg = self.two_period_cfg()
-        bundle = build_bundle(cfg, 3)
-        out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
-        oracle = se.enumerate_oracle(cfg, 9.25, gamma_grid_step=4.75)
-        max_pl = float(np.max(np.asarray(cfg.fixed_load) + cfg.shift_upper()))
-        max_hl = float(np.max(cfg.heat_base_load()))
-        tol = bundle.pwl_error_bound + 9.25 * max_pl + 4.75 * max_hl
-        assert abs(out.solution.f1 - oracle.profit) <= tol
-        # enumerated grid profit can never beat the optimum's upper side
-        assert out.solution.f1 >= oracle.profit - bundle.pwl_error_bound - 1e-6
+        # at theta = 60 toy3's cut caps lie strictly inside
+        # (gamma_min, gamma_max) / (2 theta), so its heat pairs stay open
+        # and keep their binaries; at the default theta the band decides them
+        open_band = toy_dict()
+        open_band["idr"]["theta"] = 60.0
+        for cfg in (self.two_period_cfg(), scenario_from_dict(open_band)):
+            bundle = build_bundle(cfg, 3)
+            out = se.solve(bundle, se.SolveOptions(time_limit=60),
+                           se.get_backend())
+            oracle = se.enumerate_oracle(cfg, 9.25, gamma_grid_step=4.75)
+            max_pl = float(np.max(np.asarray(cfg.fixed_load) + cfg.shift_upper()))
+            max_hl = float(np.max(cfg.heat_base_load()))
+            tol = bundle.pwl_error_bound + 9.25 * max_pl + 4.75 * max_hl
+            assert abs(out.solution.f1 - oracle.profit) <= tol
+            # enumerated grid profit can never beat the optimum's upper side
+            assert out.solution.f1 >= oracle.profit - bundle.pwl_error_bound - 1e-6
+        assert sum(n.startswith("pi_cut_ub_") for n in bundle.ir.binary_names) == 3
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(horizon=st.integers(1, 3),
