@@ -157,19 +157,33 @@ def chance_satisfaction_mc(pv_model, wt_model, expected_output: float,
     estimate and its 95% binomial half-width. Requires n_samples >= 1e4.
 
     A sample hits exactly when its joint output reaches
-    need = expected_output - reserve - 1e-12, and only the draws that can
-    decide that are made:
-    - If need <= 0, every sample hits, because neither sampler returns a
-      negative output. The estimate is exactly 1.0 and nothing is drawn.
-    - Otherwise wind is drawn for every sample, and PV only for the
-      samples with wind < need <= wind + p_max: elsewhere the wind draw
-      alone already hits, or no PV output in [0, p_max] can make it hit.
-      Each PV draw is iid and independent of its sample's wind draw, so
-      drawing it only where it can flip the indicator leaves the law of
-      every indicator, and so of the estimate, as it was with a PV draw
-      for every sample.
+    need = expected_output - reserve - 1e-12, and only what can decide
+    that is computed:
+    - If need <= 0, every sample hits, because no unit has a negative
+      output. The estimate is exactly 1.0 and nothing is drawn.
+    - Otherwise each sample's wind speed is z * E**(1/u) with E standard
+      exponential (inverse transform), and it is increasing in E, so
+      speed >= v exactly when E >= hazard(v) = (v/z)**u. The turbine
+      output reaches a level p in (0, p_e] exactly on the speeds
+      [v_p, v_out), v_p the ramp speed of p; it reaches every p <= 0 and
+      no p > p_e. So E alone, against two constants, tells whether wind
+      hits by itself (p = need), and whether PV can still decide the
+      sample (wind < need <= wind + p_max, i.e. p = need - p_max is
+      reached but need is not). Turbine power is computed, and PV drawn,
+      only for the samples in that band.
+    Each PV draw is iid and independent of its sample's wind, so drawing it
+    only where it can flip the indicator leaves the law of every
+    indicator, and so of the estimate, as with full draws.
+
+    Generator.weibull(u) draws the same E from the same stream as
+    standard_exponential and returns E**(1/u). The n exponentials, then
+    the band's PV draws, are therefore the draws a route that samples
+    every wind output with `sample_wt` makes, in the same order, and each
+    indicator is the same function of them. At an equal seed the estimate
+    equals that route's, unless a speed lies within rounding of a
+    threshold, where a comparison of E and one of the output can differ.
     """
-    from .stochastic_renewables import sample_pv, sample_wt
+    from .stochastic_renewables import sample_pv
 
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
@@ -177,15 +191,36 @@ def chance_satisfaction_mc(pv_model, wt_model, expected_output: float,
     if need <= 0:
         hits = 1.0
     else:
+        p_max = 0.0 if pv_model is None else pv_model.p_max
         if wt_model is None:
-            wind = np.zeros(n_samples)
+            n_hit = 0
+            wind = np.zeros(n_samples if need <= p_max else 0)
         else:
-            wind = sample_wt(wt_model, rng, size=n_samples)
-        hit = wind >= need
-        if pv_model is not None:
-            pv_decides = ~hit & (wind + pv_model.p_max >= need)
-            pv = sample_pv(pv_model, rng, size=int(np.count_nonzero(pv_decides)))
-            hit[pv_decides] = wind[pv_decides] + pv >= need
-        hits = float(np.mean(hit))
+            e = rng.standard_exponential(n_samples)
+            hit = _wind_reaches(wt_model, e, need)
+            n_hit = int(np.count_nonzero(hit))
+            pv_decides = _wind_reaches(wt_model, e, need - p_max) & ~hit
+            wind = _wind_output(wt_model, e[pv_decides])
+        if wind.size:
+            pv = sample_pv(pv_model, rng, size=wind.size)
+            n_hit += int(np.count_nonzero(wind + pv >= need))
+        hits = n_hit / n_samples
     half_width = 1.96 * math.sqrt(max(hits * (1 - hits), 1e-12) / n_samples)
     return hits, half_width
+
+
+def _wind_reaches(wt, e: np.ndarray, p: float) -> np.ndarray:
+    """Mask of the exponential draws e whose turbine output reaches p MW."""
+    if p <= 0:
+        return np.ones(e.shape, dtype=bool)
+    if p > wt.p_e:
+        return np.zeros(e.shape, dtype=bool)
+    v_p = wt.v_in + p / wt.p_e * (wt.v_e - wt.v_in)
+    return (e >= wt.hazard(v_p)) & (e < wt.hazard(wt.v_out))
+
+
+def _wind_output(wt, e: np.ndarray) -> np.ndarray:
+    """Turbine output (MW) at the wind speeds z * e**(1/u)."""
+    v = e ** (1.0 / wt.u) * wt.z
+    ramp = np.clip((v - wt.v_in) / (wt.v_e - wt.v_in), 0.0, 1.0)
+    return np.where(v < wt.v_out, ramp * wt.p_e, 0.0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
@@ -22,7 +23,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__
 from . import game_model as gm
 from . import solve_engine as se
 from .config import ConfigError, ScenarioConfig, load_scenario
@@ -44,7 +47,11 @@ def _env(name: str, cast, default):
     raw = os.environ.get(f"IES_{name}")
     if raw is None:
         return default
-    return cast(raw)
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ValueError(f"IES_{name}={raw!r} is not a valid "
+                       f"{cast.__name__}") from None
 
 
 @dataclass(frozen=True)
@@ -147,6 +154,11 @@ def run_pipeline(manifest: RunManifest) -> RunOutput:
         "confidence": bundle.confidence,
         "theta": cfg.idr.theta,
         "n_segments": manifest.n_segments,
+        "mc_samples": manifest.mc_samples if manifest.run_validation else None,
+        "scenario_sha256": _sha256(manifest.scenario),
+        "versions": {"iesgame": __version__,
+                     "python": sys.version.split()[0],
+                     "numpy": np.__version__, "scipy": scipy.__version__},
         "status": result.status,
         "objective": result.objective,
         "gap": result.gap,
@@ -333,12 +345,18 @@ def revalidate(scenario: str, run_dir: str, mc_samples: int,
     segment count from `summary.json`; run directories written before
     those fields existed fall back to the scenario file and the default
     segment count. A sample count below the Monte Carlo floor is refused
-    with ValueError before anything is read.
+    with ValueError before anything is read, and so is a scenario file
+    whose SHA-256 differs from the one the run recorded (run directories
+    without `scenario_sha256` are not checked).
     """
     if mc_samples < MIN_MC_SAMPLES:
         raise ValueError(_too_few_samples(mc_samples))
     run_path = Path(run_dir)
     summary = json.loads((run_path / "summary.json").read_text())
+    recorded = summary.get("scenario_sha256")
+    if recorded is not None and recorded != _sha256(scenario):
+        raise ValueError(f"{scenario} is not the scenario file the run was "
+                         f"made from (sha256 {recorded})")
     cfg = load_scenario(scenario)
     if "theta" in summary:
         cfg = cfg.with_overrides(theta=float(summary["theta"]))
@@ -351,6 +369,10 @@ def revalidate(scenario: str, run_dir: str, mc_samples: int,
     mc = se.validate_reserve(sol, bundle, mc_samples, seed)
     report.reserve_mc = mc.reserve_mc
     return report, summary
+
+
+def _sha256(path: str) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _too_few_samples(n: int) -> str:
@@ -428,7 +450,7 @@ def _print_table(rows: list[dict]) -> None:
         print("\t".join(_fmt_cell(row.get(k, "")) for k in keys))
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="iesgame",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -467,7 +489,15 @@ def main(argv: list[str] | None = None) -> int:
     p_orc.add_argument("--segments", type=int, default=_env("SEGMENTS", int, 8))
     p_orc.add_argument("--backend", default=_env("BACKEND", str, None))
     p_orc.add_argument("--out", default=None)
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        parser = _parser()  # reads the IES_* defaults
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_SCHEMA
     args = parser.parse_args(argv)
 
     if args.verb == "run":
@@ -522,7 +552,7 @@ def main(argv: list[str] | None = None) -> int:
         except se.OracleSizeError as exc:
             print(str(exc), file=sys.stderr)
             return EXIT_ORACLE_SIZE
-        except ConfigError as exc:
+        except ValueError as exc:  # scenario errors and unknown backends
             print(str(exc), file=sys.stderr)
             return EXIT_SCHEMA
         payload = {

@@ -59,11 +59,15 @@ class WeibullWtModel:
         if not (0 < self.v_in < self.v_e < self.v_out):
             raise ValueError("speeds must satisfy 0 < v_in < v_e < v_out")
 
+    def hazard(self, v: float) -> float:
+        """Cumulative hazard (v/z)^u: Pr[speed >= v] = exp(-hazard(v))."""
+        return (v / self.z) ** self.u
+
     def speed_cdf(self, v: float) -> float:
         """Weibull CDF of wind speed, 1 - exp(-(v/z)^u)."""
         if v <= 0:
             return 0.0
-        return -math.expm1(-((v / self.z) ** self.u))
+        return -math.expm1(-self.hazard(v))
 
     def scaled(self, z_factor: float) -> "WeibullWtModel":
         if z_factor <= 0:
@@ -203,7 +207,12 @@ def sample_pv(model: BetaPvModel, rng: np.random.Generator, size=None):
 
 
 def sample_wt(model: WeibullWtModel, rng: np.random.Generator, size=None):
-    """Draw turbine output(s) in MW by sampling wind speed and applying the curve."""
+    """Draw turbine output(s) in MW by sampling wind speed and applying the curve.
+
+    Every sample gets a wind speed. The Monte Carlo reserve check decides
+    most samples without one (see `prob_sequences.chance_satisfaction_mc`);
+    this full draw is the independent reference the tests hold it to.
+    """
     v = rng.weibull(model.u, size=size) * model.z
     if size is None:
         return wt_power_curve(model, float(v))

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -265,6 +269,49 @@ class TestValidateVerb:
                         "--run-dir", str(tmp_path / "nowhere")])
         assert code == cli.EXIT_SCHEMA
 
+    @pytest.fixture
+    def toy_run(self, toy_path, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        code = run_cli(["run", "--scenario", str(toy_path), "--mode", "1",
+                        "--out", str(out_dir), "--mc-samples", "20000"])
+        assert code == cli.EXIT_OK
+        capsys.readouterr()
+        return out_dir
+
+    def test_summary_describes_run(self, toy_path, toy_run):
+        summary = json.loads((toy_run / "summary.json").read_text())
+        assert summary["mc_samples"] == 20000
+        assert summary["scenario_sha256"] == \
+            hashlib.sha256(toy_path.read_bytes()).hexdigest()
+        assert set(summary["versions"]) == {"iesgame", "python", "numpy",
+                                            "scipy"}
+        assert summary["versions"]["python"] == sys.version.split()[0]
+
+    def test_matching_scenario_hash_validates(self, toy_path, toy_run):
+        code = run_cli(["validate", "--scenario", str(toy_path),
+                        "--run-dir", str(toy_run), "--mc-samples", "20000"])
+        assert code == cli.EXIT_OK
+
+    def test_changed_scenario_refused(self, toy_path, toy_run, capsys):
+        # the same scenario, reformatted: equal content, other bytes
+        toy_path.write_text(json.dumps(json.loads(toy_path.read_text()),
+                                       indent=1))
+        code = run_cli(["validate", "--scenario", str(toy_path),
+                        "--run-dir", str(toy_run), "--mc-samples", "20000"])
+        assert code == cli.EXIT_SCHEMA
+        assert "sha256" in capsys.readouterr().err
+
+    def test_run_dir_without_hash_validates(self, toy_path, toy_run):
+        summary_path = toy_run / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        for key in ("scenario_sha256", "mc_samples", "versions"):
+            del summary[key]
+        summary_path.write_text(json.dumps(summary))
+        toy_path.write_text(toy_path.read_text() + "\n")
+        code = run_cli(["validate", "--scenario", str(toy_path),
+                        "--run-dir", str(toy_run), "--mc-samples", "20000"])
+        assert code == cli.EXIT_OK
+
 
 class TestOracleVerb:
     def test_oracle_run(self, toy_path, tmp_path, capsys):
@@ -281,6 +328,12 @@ class TestOracleVerb:
                         "--step", "7.0"])
         assert code == cli.EXIT_ORACLE_SIZE
 
+    def test_unknown_backend(self, toy_path, capsys):
+        code = run_cli(["oracle", "--scenario", str(toy_path),
+                        "--step", "18.5", "--backend", "nope"])
+        assert code == cli.EXIT_SCHEMA
+        assert "unknown backend 'nope'" in capsys.readouterr().err
+
 
 class TestEnvOverrides:
     def test_env_seed_used(self, toy_path, tmp_path, monkeypatch):
@@ -290,3 +343,47 @@ class TestEnvOverrides:
                  "--out", str(out_dir), "--mc-samples", "20000"])
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["seed"] == 33
+
+    @pytest.mark.parametrize("var, value", [("MC_SAMPLES", "abc"),
+                                            ("SEED", "1.5")])
+    def test_malformed_value_run(self, var, value, toy_path, tmp_path,
+                                 monkeypatch, capsys):
+        monkeypatch.setenv(f"IES_{var}", value)
+        code = run_cli(["run", "--scenario", str(toy_path),
+                        "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert f"IES_{var}" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_malformed_value_validate(self, toy_path, tmp_path, monkeypatch,
+                                      capsys):
+        monkeypatch.setenv("IES_SEED", "1.5")
+        code = run_cli(["validate", "--scenario", str(toy_path),
+                        "--run-dir", str(tmp_path)])
+        assert code == cli.EXIT_SCHEMA
+        assert "IES_SEED" in capsys.readouterr().err
+
+
+def test_run_and_validate_leave_scipy_stats_unimported(toy_path, tmp_path):
+    # scipy.stats costs about half a second to import, and neither the
+    # solve nor the Monte Carlo check needs it; case2 mode 1 covers the
+    # PV laws, which toy3 lacks
+    case2 = Path(cli.__file__).parent / "scenarios" / "case2_real.json"
+    script = f"""
+import sys
+from iesgame import scenario_cli as cli
+for scenario, mode in (({str(toy_path)!r}, "3"), ({str(case2)!r}, "1")):
+    out = {str(tmp_path)!r} + "/m" + mode
+    assert cli.main(["run", "--scenario", scenario, "--mode", mode,
+                     "--out", out, "--mc-samples", "20000"]) == 0
+    assert cli.main(["validate", "--scenario", scenario, "--run-dir", out,
+                     "--mc-samples", "20000"]) == 0
+print("scipy.stats" in sys.modules)
+"""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "False"

@@ -19,6 +19,23 @@ from iesgame.stochastic_renewables import (BetaPvModel, OutputDistribution,
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
 
+def full_wind_reference(pv, wt, expected_output, reserve, n, rng):
+    """chance_satisfaction_mc from full wind draws: every sample's wind
+    output from sample_wt, then PV drawn only where it decides."""
+    need = expected_output - reserve - 1e-12
+    if need <= 0:
+        hits = 1.0
+    else:
+        wind = np.zeros(n) if wt is None else sr.sample_wt(wt, rng, size=n)
+        hit = wind >= need
+        if pv is not None:
+            decides = ~hit & (wind + pv.p_max >= need)
+            pv_out = sr.sample_pv(pv, rng, size=int(np.count_nonzero(decides)))
+            hit[decides] = wind[decides] + pv_out >= need
+        hits = float(np.mean(hit))
+    return hits, 1.96 * math.sqrt(max(hits * (1 - hits), 1e-12) / n)
+
+
 def uniform_dist(hi: float) -> OutputDistribution:
     return OutputDistribution(support_max=hi, point_masses=(),
                               cont_cdf=lambda x: min(max(x, 0.0), hi) / hi)
@@ -173,6 +190,7 @@ class TestReserveRows:
 class TestChanceSatisfactionMc:
     PV = BetaPvModel(2.0, 2.0, 1.0)
     WT = WeibullWtModel(8.0, 2.2, 3.0, 12.0, 25.0, 0.3)
+    GUSTY = WeibullWtModel(20.0, 2.0, 3.0, 12.0, 25.0, 0.3)  # 21% cut-out
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
@@ -228,22 +246,19 @@ class TestChanceSatisfactionMc:
         assert est == pytest.approx(1 - zero_mass, abs=0.005)
 
     @pytest.fixture
-    def sampled(self, monkeypatch):
-        """Record the size and output of every sampler call made through
-        the module."""
-        calls = {"pv": [], "wt": []}
-        for key, name in (("pv", "sample_pv"), ("wt", "sample_wt")):
-            real = getattr(sr, name)
+    def pv_draws(self, monkeypatch):
+        """Record the size of every PV draw made through the module."""
+        sizes = []
+        real = sr.sample_pv
 
-            def spy(model, rng, size=None, real=real, key=key):
-                out = real(model, rng, size=size)
-                calls[key].append((size, out))
-                return out
-            monkeypatch.setattr(sr, name, spy)
-        return calls
+        def spy(model, rng, size=None):
+            sizes.append(size)
+            return real(model, rng, size=size)
+        monkeypatch.setattr(sr, "sample_pv", spy)
+        return sizes
 
     @pytest.mark.parametrize("case", ["case1_like", "case2_real", None])
-    def test_pv_drawn_only_where_it_decides(self, case, sampled):
+    def test_pv_drawn_only_where_it_decides(self, case, pv_draws):
         if case is None:
             # a shortfall of 0.2 MW is out of a 0.1 MW PV unit's reach
             # wherever wind gives less than 0.1 MW
@@ -256,24 +271,64 @@ class TestChanceSatisfactionMc:
             e, r = req.expected_output, req.min_reserve()
         n = 50_000
         ps.chance_satisfaction_mc(pv, wt, e, r, n, np.random.default_rng(1))
-        [(wt_size, wind)] = sampled["wt"]
-        [(pv_size, _)] = sampled["pv"]
+        # the wind draws come first on the stream, so the full-draw
+        # sampler recovers every sample's wind output
+        wind = sr.sample_wt(wt, np.random.default_rng(1), size=n)
         need = e - r - 1e-12
         decided_by_pv = (wind < need) & (need <= wind + pv.p_max)
-        assert wt_size == n
+        [pv_size] = pv_draws
         assert 0 < pv_size == np.count_nonzero(decided_by_pv) < n
 
     @pytest.mark.parametrize("case", ["case1_like", "case2_real", "toy3"])
-    def test_night_period_draws_nothing(self, case, sampled):
+    def test_night_period_draws_nothing(self, case, pv_draws):
         cfg = load_scenario(BENCH_INPUTS / f"{case}.json")
         t = 0
         assert cfg.pv_model_for(t) is None
         req = cfg.reserve_requirements()[t]
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
         est, _ = ps.chance_satisfaction_mc(
             None, cfg.wt_model_for(t), req.expected_output, req.min_reserve(),
-            50_000, np.random.default_rng(1))
+            50_000, rng)
         assert est == 1.0
-        assert sampled == {"pv": [], "wt": []}
+        assert pv_draws == []
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("case", ["case1_like", "case2_real"])
+    @pytest.mark.parametrize("seed", [3, 17, 2024])
+    def test_day_periods_equal_full_wind_draws(self, case, seed):
+        # one generator across the day periods, as validate_reserve uses
+        # it, so both routes must also leave it in the same state
+        cfg = load_scenario(BENCH_INPUTS / f"{case}.json")
+        reqs = cfg.reserve_requirements()
+        fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for t in range(7, 18):
+            args = (cfg.pv_model_for(t), cfg.wt_model_for(t),
+                    reqs[t].expected_output, reqs[t].min_reserve(), 100_000)
+            got = ps.chance_satisfaction_mc(*args, fast)
+            assert got == full_wind_reference(*args, ref)
+            assert 0 < got[0] < 1
+        assert fast.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("pv, wt, e, r, out_of_reach", [
+        (PV, WT, 1.0, 0.5, False),            # need > p_e
+        (PV.scaled(0.1), WT, 1.0, 0.5, True),  # need - p_max > p_e
+        (PV, None, 0.5, 0.1, False),
+        (None, WT, 0.2, 0.05, False),
+        (PV, GUSTY, 0.5, 0.1, False),  # PV decides above cut-out too
+    ], ids=["need_above_rated", "out_of_reach", "no_wind", "no_pv", "gusty"])
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_edge_cases_equal_full_wind_draws(self, pv, wt, e, r,
+                                              out_of_reach, seed, pv_draws):
+        n = 20_000
+        got = ps.chance_satisfaction_mc(pv, wt, e, r, n,
+                                        np.random.default_rng(seed))
+        if out_of_reach:
+            assert got[0] == 0.0 and pv_draws == []
+        else:
+            assert 0 < got[0] < 1 and len(pv_draws) == (pv is not None)
+        assert got == full_wind_reference(pv, wt, e, r, n,
+                                          np.random.default_rng(seed))
 
     @pytest.mark.parametrize("case", ["case1_like", "case2_real"])
     def test_same_law_as_full_draws(self, case):
