@@ -6,7 +6,7 @@ Exit codes: 0 success, 2 scenario/schema error, 3 infeasible,
 4 time limit, 5 validation failure, 6 oracle sizing refusal,
 1 other failures. Flags can also be set through environment variables
 with the IES_ prefix (IES_BACKEND, IES_OUT, IES_SEED, IES_GAP,
-IES_TIME_LIMIT, IES_SEGMENTS, IES_JOBS, IES_MC_SAMPLES).
+IES_TIME_LIMIT, IES_SEGMENTS, IES_MC_SAMPLES).
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -52,6 +51,14 @@ def _env(name: str, cast, default):
     except ValueError:
         raise ValueError(f"IES_{name}={raw!r} is not a valid "
                        f"{cast.__name__}") from None
+
+
+def _parse_list(flag: str, text: str, cast) -> list:
+    try:
+        return [cast(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} {text!r} is not a comma-separated list of "
+                         f"{cast.__name__} values") from None
 
 
 @dataclass(frozen=True)
@@ -260,27 +267,16 @@ def _atomic_write(path: Path, text: str) -> None:
 # compare / sweep
 
 
-def _run_for_pool(manifest: RunManifest) -> dict:
-    out = run_pipeline(manifest)
-    return {"exit_code": out.exit_code, "status": out.status,
-            "reason": out.reason, **out.summary}
-
-
-def compare_modes(manifest: RunManifest, modes: list[int],
-                  jobs: int = 1) -> list[dict]:
+def compare_modes(manifest: RunManifest, modes: list[int]) -> list[dict]:
     """Aligned profit/cost/absorption table across modes; failures keep
     their row with a marker instead of aborting the table."""
-    manifests = [replace(manifest, mode=m,
-                         out_dir=str(Path(manifest.out_dir) / f"mode{m}"))
-                 for m in modes]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_for_pool, manifests))
-    else:
-        results = [_run_for_pool(m) for m in manifests]
     table = []
-    for mode, res in zip(modes, results):
-        if res["exit_code"] in (EXIT_OK, EXIT_VALIDATION):
+    for mode in modes:
+        out = run_pipeline(replace(
+            manifest, mode=mode,
+            out_dir=str(Path(manifest.out_dir) / f"mode{mode}")))
+        res = out.summary
+        if out.exit_code in (EXIT_OK, EXIT_VALIDATION):
             table.append({
                 "mode": mode, "status": res["status"],
                 "f1": res["f1"], "f2": res["f2"],
@@ -300,24 +296,17 @@ def compare_modes(manifest: RunManifest, modes: list[int],
 SWEEP_PARAMS = ("theta", "confidence")
 
 
-def sweep(manifest: RunManifest, param: str, values: list[float],
-          jobs: int = 1) -> list[dict]:
+def sweep(manifest: RunManifest, param: str,
+          values: list[float]) -> list[dict]:
     """One mode-3 style run per parameter value; rows carry per-period
     heat cuts (for the penalty sweep) and total reserve (for confidence)."""
     if param not in SWEEP_PARAMS:
         raise ValueError(f"sweep parameter must be one of {SWEEP_PARAMS}")
-    manifests = []
+    table = []
     for v in values:
         override = {"theta": v} if param == "theta" else {"confidence": v}
-        manifests.append(replace(manifest, out_dir=str(
+        out = run_pipeline(replace(manifest, out_dir=str(
             Path(manifest.out_dir) / f"{param}_{v}"), **override))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(run_pipeline, manifests))
-    else:
-        outputs = [run_pipeline(m) for m in manifests]
-    table = []
-    for v, out in zip(values, outputs):
         row = {"value": v, "status": out.status, "exit_code": out.exit_code}
         if out.solution is not None:
             sol = out.solution
@@ -429,7 +418,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="PWL segments per quadratic cost term")
     p.add_argument("--mc-samples", type=int,
                    default=_env("MC_SAMPLES", int, 100_000))
-    p.add_argument("--jobs", type=int, default=_env("JOBS", int, 1))
 
 
 def _manifest_from_args(args, mode: int | None = None) -> RunManifest:
@@ -508,19 +496,21 @@ def main(argv: list[str] | None = None) -> int:
         return out.exit_code
 
     if args.verb == "compare":
-        modes = [int(m) for m in args.modes.split(",")]
-        table = compare_modes(_manifest_from_args(args, mode=modes[0]), modes,
-                              jobs=args.jobs)
+        try:
+            modes = _parse_list("--modes", args.modes, int)
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return EXIT_SCHEMA
+        table = compare_modes(_manifest_from_args(args, mode=modes[0]), modes)
         _write_csv(Path(args.out) / "comparison.csv", table)
         _print_table(table)
         failed = any(r["f1"] == "FAILED" for r in table)
         return EXIT_ERROR if failed else EXIT_OK
 
     if args.verb == "sweep":
-        values = [float(v) for v in args.values.split(",")]
         try:
-            table = sweep(_manifest_from_args(args), args.param, values,
-                          jobs=args.jobs)
+            values = _parse_list("--values", args.values, float)
+            table = sweep(_manifest_from_args(args), args.param, values)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return EXIT_SCHEMA

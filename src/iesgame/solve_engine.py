@@ -520,34 +520,16 @@ def enumerate_oracle(cfg: ScenarioConfig, price_grid_step: float,
 
 @dataclass
 class DeviationCheck:
-    n_follower: int
+    """Outcome of `no_deviation_check`. `max_follower_improvement` is the
+    exact F2* - min F2 at the posted prices (>0 = the users can improve);
+    `max_leader_improvement` is the best of `n_leader` random price
+    vectors' profit minus F1*."""
     n_leader: int
-    max_follower_improvement: float  # F2* - min over deviations (>0 = improving)
-    max_leader_improvement: float    # max over deviations - F1*
+    max_follower_improvement: float
+    max_leader_improvement: float
     follower_ok: bool
     leader_ok: bool
     n_dispatch_solves: int  # exact leader re-dispatches the search ran
-
-
-def _random_follower_point(cfg: ScenarioConfig, rng: np.random.Generator
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    lb, ub = cfg.shift_lower(), cfg.shift_upper()
-    total = cfg.shift_total()
-    # random feasible allocation of the shift total: start from a scaled
-    # profile, then randomize by bounded pairwise transfers
-    p_sl = lb + (ub - lb) * (total - lb.sum()) / max(float((ub - lb).sum()), 1e-12)
-    for _ in range(4 * cfg.horizon):
-        i, j = rng.integers(0, cfg.horizon, size=2)
-        if i == j:
-            continue
-        room = min(float(p_sl[i] - lb[i]), float(ub[j] - p_sl[j]))
-        if room <= 0:
-            continue
-        step = rng.uniform(0.0, room)
-        p_sl[i] -= step
-        p_sl[j] += step
-    h_cl = rng.uniform(0.0, cfg.cut_upper())
-    return p_sl, h_cl
 
 
 def _random_admissible_prices(lo: float, hi: float, avg: float, t_count: int,
@@ -569,11 +551,13 @@ def _random_admissible_prices(lo: float, hi: float, avg: float, t_count: int,
 def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
                        n_deviations: int = 1000, seed: int = 0,
                        backend=None) -> DeviationCheck:
-    """Equilibrium stress test by random unilateral deviations.
+    """Equilibrium test against unilateral deviations.
 
-    Follower side: random feasible responses at the posted prices must
-    not undercut the solution's user cost by more than
-    `gm.RESPONSE_TOL`. Leader side: the best of random admissible price
+    Follower side, exact: the users' problem is convex at posted prices
+    and `gm.follower_best_response` solves it in closed form, so
+    `max_follower_improvement` is the solution's user cost minus the
+    best response's, which must not exceed `gm.RESPONSE_TOL`. Leader
+    side, sampled: the best of `n_deviations` random admissible price
     vectors, found by the shared posted-price evaluator's pruned search
     (`_PostedPriceEvaluator.best`) under the bundle's own expected
     output, reserve requirements, heat load, transport switch and
@@ -590,11 +574,8 @@ def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
     backend = backend or get_backend()
 
     f2_star = gm.follower_cost(cfg, sol.mu, sol.gamma, sol.p_sl, sol.h_cl)
-    worst_follower = -math.inf
-    for _ in range(n_deviations):
-        p_sl, h_cl = _random_follower_point(cfg, rng)
-        f2 = gm.follower_cost(cfg, sol.mu, sol.gamma, p_sl, h_cl)
-        worst_follower = max(worst_follower, f2_star - f2)
+    best = gm.follower_best_response(sol.mu, sol.gamma, cfg)
+    worst_follower = f2_star - gm.follower_cost(cfg, sol.mu, sol.gamma, *best)
 
     p = cfg.prices
     evaluator = _PostedPriceEvaluator(
@@ -613,7 +594,7 @@ def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
 
     leader_margin = bundle.pwl_error_bound + 1e-4 * max(abs(sol.f1), 1.0)
     return DeviationCheck(
-        n_follower=n_deviations, n_leader=n_deviations,
+        n_leader=n_deviations,
         max_follower_improvement=float(worst_follower),
         max_leader_improvement=float(worst_leader),
         follower_ok=bool(worst_follower <= gm.RESPONSE_TOL),

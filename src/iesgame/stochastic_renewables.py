@@ -76,33 +76,6 @@ class WeibullWtModel:
                               self.v_e, self.v_out, self.p_e)
 
 
-def pv_density(model: BetaPvModel, p: float) -> float:
-    """Beta density of PV output at p MW (units 1/MW).
-
-    Uses the proper Beta normalization Gamma(l1+l2)/(Gamma(l1)Gamma(l2));
-    raises on p outside [0, p_max].
-    """
-    if p < 0 or p > model.p_max:
-        raise ValueError(f"p={p} outside support [0, {model.p_max}]")
-    x = p / model.p_max
-    l1, l2 = model.lambda1, model.lambda2
-    log_norm = math.lgamma(l1 + l2) - math.lgamma(l1) - math.lgamma(l2)
-    if x == 0.0:
-        if l1 > 1.0:
-            return 0.0
-        if l1 == 1.0:
-            return math.exp(log_norm) * (1.0 - x) ** (l2 - 1.0) / model.p_max
-        return math.inf
-    if x == 1.0:
-        if l2 > 1.0:
-            return 0.0
-        if l2 == 1.0:
-            return math.exp(log_norm) * x ** (l1 - 1.0) / model.p_max
-        return math.inf
-    log_pdf = log_norm + (l1 - 1.0) * math.log(x) + (l2 - 1.0) * math.log1p(-x)
-    return math.exp(log_pdf) / model.p_max
-
-
 def wt_power_curve(model: WeibullWtModel, v: float) -> float:
     """Turbine output (MW) at wind speed v (m/s): zero / linear ramp / rated."""
     if v < 0:

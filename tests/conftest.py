@@ -46,6 +46,27 @@ def toy_dict():
     return copy.deepcopy(TOY3)
 
 
+def random_follower_point(cfg, rng):
+    """A random feasible users' response: the shift total spread over the
+    periods by bounded pairwise transfers, and a heat cut inside its
+    bounds."""
+    lb, ub = cfg.shift_lower(), cfg.shift_upper()
+    total = cfg.shift_total()
+    p_sl = lb + (ub - lb) * (total - lb.sum()) / max(float((ub - lb).sum()), 1e-12)
+    for _ in range(4 * cfg.horizon):
+        i, j = rng.integers(0, cfg.horizon, size=2)
+        if i == j:
+            continue
+        room = min(float(p_sl[i] - lb[i]), float(ub[j] - p_sl[j]))
+        if room <= 0:
+            continue
+        step = rng.uniform(0.0, room)
+        p_sl[i] -= step
+        p_sl[j] += step
+    h_cl = rng.uniform(0.0, cfg.cut_upper())
+    return p_sl, h_cl
+
+
 @pytest.fixture
 def toy_cfg():
     return scenario_from_dict(toy_dict())

@@ -183,6 +183,15 @@ class TestCompareVerb:
         assert code == cli.EXIT_OK
         assert len((out_dir / "comparison.csv").read_text().splitlines()) == 2
 
+    def test_malformed_modes_exit_code(self, toy_path, tmp_path, capsys):
+        out_dir = tmp_path / "cmp"
+        code = run_cli(["compare", "--scenario", str(toy_path),
+                        "--modes", "1,x", "--out", str(out_dir)])
+        assert code == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "--modes" in err and len(err.strip().splitlines()) == 1
+        assert not out_dir.exists()
+
 
 class TestSweepVerb:
     def test_theta_sweep_monotone(self, toy_path, tmp_path):
@@ -206,6 +215,16 @@ class TestSweepVerb:
         assert code == cli.EXIT_OK
         lines = (out_dir / "sweep_confidence.csv").read_text().splitlines()
         assert len(lines) == 2
+
+    def test_malformed_values_exit_code(self, toy_path, tmp_path, capsys):
+        out_dir = tmp_path / "sw"
+        code = run_cli(["sweep", "--scenario", str(toy_path),
+                        "--param", "theta", "--values", "abc",
+                        "--out", str(out_dir)])
+        assert code == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "--values" in err and len(err.strip().splitlines()) == 1
+        assert not out_dir.exists()
 
     def test_bad_param_rejected(self, toy_path, tmp_path):
         with pytest.raises(SystemExit):

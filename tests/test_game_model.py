@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import toy_dict
+from conftest import random_follower_point, toy_dict
 from iesgame import game_model as gm
 from iesgame import solve_engine as se
 from iesgame import thermal_side as th
@@ -152,7 +152,7 @@ class TestFollowerBestResponse:
             p_sl, h_cl = gm.follower_best_response(mu, gamma, toy_cfg)
             best = gm.follower_cost(toy_cfg, mu, gamma, p_sl, h_cl)
             for _ in range(1000):
-                q_sl, q_cl = se._random_follower_point(toy_cfg, rng)
+                q_sl, q_cl = random_follower_point(toy_cfg, rng)
                 assert gm.follower_cost(toy_cfg, mu, gamma, q_sl, q_cl) >= \
                     best - 1e-9
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import toy_dict
+from conftest import random_follower_point, toy_dict
 from iesgame import game_model as gm
 from iesgame import kkt_reformulation as kkt
 from iesgame import solve_engine as se
@@ -373,7 +374,7 @@ class TestPrunedSearch:
         cfg = toy_cfg
         evaluator = evaluator_for(cfg, se.get_backend(), relax_binaries)
         rng = np.random.default_rng(8)
-        responses = [se._random_follower_point(cfg, rng) for _ in range(6)]
+        responses = [random_follower_point(cfg, rng) for _ in range(6)]
         program = evaluator._program(responses[0])
         rhs = [se._balance_rhs(program, cfg, r) for r in responses]
         costs = [evaluator._cost(r) for r in responses]
@@ -401,9 +402,9 @@ class TestCompiledDispatch:
         args = (cfg, cfg.expected_renewables(), cfg.reserve_requirements(),
                 dhn_enabled, 8, relax_binaries)
         template = se._dispatch_program(
-            *args, se._random_follower_point(cfg, rng))
+            *args, random_follower_point(cfg, rng))
         for _ in range(3):
-            response = se._random_follower_point(cfg, rng)
+            response = random_follower_point(cfg, rng)
             patched = se._with_response(template, cfg, response)
             fresh = se._dispatch_program(*args, response)
             for name in COMPILED_ARRAYS:
@@ -509,7 +510,33 @@ class TestDeviationCheck:
         cfg = scenario_from_dict(toy_dict())
         bundle = build_bundle(cfg, 3)
         out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
-        check = se.no_deviation_check(bundle, out.solution, n_deviations=300,
-                                      seed=5)
+        sol = out.solution
+        check = se.no_deviation_check(bundle, sol, n_deviations=300, seed=5)
+        best = gm.follower_best_response(sol.mu, sol.gamma, cfg)
+        assert check.max_follower_improvement == (
+            gm.follower_cost(cfg, sol.mu, sol.gamma, sol.p_sl, sol.h_cl)
+            - gm.follower_cost(cfg, sol.mu, sol.gamma, *best))
         assert check.follower_ok
         assert check.leader_ok
+
+    def test_perturbed_response_caught_exactly(self, toy_cfg):
+        # 0.01 MW of shift moved from the cheapest to the dearest period
+        # raises the users' bill by exactly the price spread; the check
+        # must report that difference, not a sampled lower estimate
+        bundle = build_bundle(toy_cfg, 3)
+        sol = se.solve(bundle, se.SolveOptions(time_limit=60),
+                       se.get_backend()).solution
+        cheap, dear = int(np.argmin(sol.mu)), int(np.argmax(sol.mu))
+        p_sl = sol.p_sl.copy()
+        p_sl[cheap] -= 0.01
+        p_sl[dear] += 0.01
+        moved = dataclasses.replace(sol, p_sl=p_sl)
+        check = se.no_deviation_check(bundle, moved, n_deviations=300,
+                                      seed=11)
+        best = gm.follower_best_response(sol.mu, sol.gamma, toy_cfg)
+        exact = (gm.follower_cost(toy_cfg, sol.mu, sol.gamma, p_sl, sol.h_cl)
+                 - gm.follower_cost(toy_cfg, sol.mu, sol.gamma, *best))
+        assert exact == pytest.approx(
+            0.01 * (sol.mu[dear] - sol.mu[cheap]) * toy_cfg.dt_hours)
+        assert not check.follower_ok
+        assert check.max_follower_improvement == pytest.approx(exact, abs=1e-9)

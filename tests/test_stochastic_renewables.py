@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special, stats
+from scipy import stats
 
 from iesgame import prob_sequences as ps
 from iesgame.config import load_scenario
 from iesgame.stochastic_renewables import (BetaPvModel, OutputDistribution,
                                            WeibullWtModel,
-                                           point_mass_distribution, pv_density,
+                                           point_mass_distribution,
                                            pv_output_distribution, sample_pv,
                                            sample_wt, wt_output_distribution,
                                            wt_power_curve)
@@ -21,52 +21,11 @@ BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
 
 class TestPvDensity:
-    def test_uniform_case(self):
-        model = BetaPvModel(1.0, 1.0, 4.0)
-        assert pv_density(model, 1.0) == pytest.approx(0.25)
-
-    def test_symmetric_midpoint(self):
-        # 6 x (1-x) at x = 0.5
-        model = BetaPvModel(2.0, 2.0, 1.0)
-        assert pv_density(model, 0.5) == pytest.approx(1.5)
-
-    def test_zero_at_edge_for_shape_above_one(self):
-        model = BetaPvModel(2.0, 2.0, 1.0)
-        assert pv_density(model, 0.0) == 0.0
-        assert pv_density(model, 1.0) == 0.0
-
-    def test_out_of_support_rejected(self):
-        model = BetaPvModel(2.0, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            pv_density(model, -0.1)
-        with pytest.raises(ValueError):
-            pv_density(model, 1.1)
-
-    @pytest.mark.parametrize("l1,l2,pmax", [(1.0, 1.0, 4.0), (2.0, 2.0, 1.0),
-                                            (2.06, 2.5, 0.3), (5.0, 1.5, 10.0)])
-    def test_integrates_to_one(self, l1, l2, pmax):
-        model = BetaPvModel(l1, l2, pmax)
-        total, _ = integrate.quad(lambda p: pv_density(model, p), 0.0, pmax,
-                                  limit=200)
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_nonnegative_everywhere(self):
-        model = BetaPvModel(2.06, 2.5, 0.3)
-        for p in np.linspace(0.0, 0.3, 101):
-            assert pv_density(model, p) >= 0.0
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             BetaPvModel(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             BetaPvModel(1.0, 1.0, 0.0)
-
-
-def test_gamma_function_accuracy():
-    # the density normalization leans on the platform gamma function
-    for lam in np.linspace(0.5, 20.0, 79):
-        assert abs(math.gamma(lam) - float(special.gamma(lam))) <= (
-            1e-10 * float(special.gamma(lam)))
 
 
 class TestPowerCurve:
