@@ -2,9 +2,11 @@
 
 Variables and rows are kept in insertion order, which makes serialized
 models byte-stable across runs. The objective is linear plus diagonal
-quadratic plus piecewise-linear terms; `lower_pwl` rewrites the PWL
-terms into a convex-combination (lambda) form that needs no extra
-binaries because every term's curvature matches the optimization sense.
+quadratic plus piecewise-linear terms; `lower_pwl` rewrites each PWL
+term into the incremental (delta) form: one bounded column per segment,
+priced at the segment's slope, and one row tying their sum to the
+variable. It needs no binaries because every term's curvature matches
+the optimization sense, so the optimum fills the segments in order.
 
 `ModelIR.compile` is the one lowering from a model to arrays: every
 backend and the LP writer read the `CompiledModel` it returns. A
@@ -212,11 +214,18 @@ class ModelIR:
     # -- lowering -----------------------------------------------------
 
     def lower_pwl(self) -> "ModelIR":
-        """Expand PWL objective terms into lambda variables and rows.
+        """Expand PWL objective terms into incremental (delta) columns.
 
-        Valid without adjacency binaries only when each term's value
-        sequence is concave for a max sense (convex for min); violating
-        terms raise, since silently lowering them would change the model.
+        A term with breakpoints b_0 < ... < b_K and values f_k becomes K
+        columns `pwl_d_{idx}_{var}_{k}` in [0, b_{k+1} - b_k], each with
+        the segment's slope as objective coefficient, one row
+        `pwl_link_{idx}_{var}: sum_k d_k - var == -b_0`, and f_0 added to
+        `obj_const`. No binaries are needed to fill the segments in order
+        when each term's value sequence is concave for a max sense
+        (convex for min): the slopes then fall (rise) with k, so an
+        optimum never takes a later segment before an earlier one is
+        full. Violating terms raise, since silently lowering them would
+        change the model.
         """
         if not self.obj_pwl:
             return self
@@ -229,16 +238,16 @@ class ModelIR:
         out.obj_const = self.obj_const
         for idx, term in enumerate(self.obj_pwl):
             _check_curvature(term, self.sense)
-            lam_names = []
-            for k in range(len(term.breakpoints)):
-                lam = out.add_variable(f"lam_{idx}_{term.var}_{k}", 0.0, 1.0)
-                lam_names.append(lam)
-                out.add_obj_linear(lam, term.values[k])
-            out.add_row(f"pwl_sum_{idx}_{term.var}",
-                        {lam: 1.0 for lam in lam_names}, "==", 1.0)
-            link = {lam: bp for lam, bp in zip(lam_names, term.breakpoints)}
+            bps, vals = term.breakpoints, term.values
+            link = {}
+            for k in range(len(bps) - 1):
+                width = bps[k + 1] - bps[k]
+                d = out.add_variable(f"pwl_d_{idx}_{term.var}_{k}", 0.0, width)
+                out.add_obj_linear(d, (vals[k + 1] - vals[k]) / width)
+                link[d] = 1.0
             link[term.var] = -1.0
-            out.add_row(f"pwl_link_{idx}_{term.var}", link, "==", 0.0)
+            out.add_row(f"pwl_link_{idx}_{term.var}", link, "==", -bps[0])
+            out.obj_const += vals[0]
         out.validate()
         return out
 

@@ -39,6 +39,8 @@ EXIT_TIME_LIMIT = 4
 EXIT_VALIDATION = 5
 EXIT_ORACLE_SIZE = 6
 
+MODES = (1, 2, 3, 4)
+
 CSV_SCHEMA_VERSION = 1
 
 
@@ -53,12 +55,20 @@ def _env(name: str, cast, default):
                        f"{cast.__name__}") from None
 
 
-def _parse_list(flag: str, text: str, cast) -> list:
+def _parse_list(flag: str, text: str, cast, choices=None) -> list:
+    """Parse a comma-separated flag value; every value must be new (each
+    gets its own run directory) and, given `choices`, one of them."""
     try:
-        return [cast(v) for v in text.split(",")]
+        values = [cast(v) for v in text.split(",")]
     except ValueError:
         raise ValueError(f"{flag} {text!r} is not a comma-separated list of "
                          f"{cast.__name__} values") from None
+    if choices is not None and any(v not in choices for v in values):
+        raise ValueError(f"{flag} {text!r}: each value must be one of "
+                         f"{', '.join(map(str, choices))}")
+    if len(set(values)) < len(values):
+        raise ValueError(f"{flag} {text!r} repeats a value")
+    return values
 
 
 @dataclass(frozen=True)
@@ -445,7 +455,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="solve one scenario in one mode")
     _add_common(p_run)
-    p_run.add_argument("--mode", type=int, default=3, choices=(1, 2, 3, 4))
+    p_run.add_argument("--mode", type=int, default=3, choices=MODES)
     p_run.add_argument("--no-validate", action="store_true",
                        help="skip the Monte Carlo reserve validation")
 
@@ -459,7 +469,7 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values")
-    p_sweep.add_argument("--mode", type=int, default=3, choices=(1, 2, 3, 4))
+    p_sweep.add_argument("--mode", type=int, default=3, choices=MODES)
 
     p_val = sub.add_parser("validate", help="re-verify a finished run")
     p_val.add_argument("--scenario", required=True)
@@ -497,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.verb == "compare":
         try:
-            modes = _parse_list("--modes", args.modes, int)
+            modes = _parse_list("--modes", args.modes, int, MODES)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return EXIT_SCHEMA

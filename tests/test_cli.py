@@ -192,6 +192,19 @@ class TestCompareVerb:
         assert "--modes" in err and len(err.strip().splitlines()) == 1
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("modes", ["9", "0,3", "1,1"])
+    def test_bad_mode_refused_at_parse(self, modes, toy_path, tmp_path,
+                                       capsys):
+        # a mode outside 1-4 would fail at build and a repeated one would
+        # overwrite its run directory; both are refused before any run
+        out_dir = tmp_path / "cmp"
+        code = run_cli(["compare", "--scenario", str(toy_path),
+                        "--modes", modes, "--out", str(out_dir)])
+        assert code == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "--modes" in err and len(err.strip().splitlines()) == 1
+        assert not out_dir.exists()
+
 
 class TestSweepVerb:
     def test_theta_sweep_monotone(self, toy_path, tmp_path):
@@ -220,6 +233,17 @@ class TestSweepVerb:
         out_dir = tmp_path / "sw"
         code = run_cli(["sweep", "--scenario", str(toy_path),
                         "--param", "theta", "--values", "abc",
+                        "--out", str(out_dir)])
+        assert code == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "--values" in err and len(err.strip().splitlines()) == 1
+        assert not out_dir.exists()
+
+    def test_duplicate_values_refused(self, toy_path, tmp_path, capsys):
+        # 150 and 150.0 would both run into theta_150.0
+        out_dir = tmp_path / "sw"
+        code = run_cli(["sweep", "--scenario", str(toy_path),
+                        "--param", "theta", "--values", "150,200,150.0",
                         "--out", str(out_dir)])
         assert code == cli.EXIT_SCHEMA
         err = capsys.readouterr().err

@@ -47,7 +47,8 @@ class TestWriter:
         ir = sample_ir()
         ir.add_obj_pwl(PwlObjTerm("x", (0.0, 2.0, 4.0), (0.0, -4.0, -16.0)))
         text = write_lp(ir)
-        assert "lam_0_x_0" in text
+        assert " obj: 1 x - 2.5 y - 2 pwl_d_0_x_0 - 6 pwl_d_0_x_1\n" in text
+        assert " pwl_link_0_x: 1 pwl_d_0_x_0 + 1 pwl_d_0_x_1 - 1 x = 0" in text
 
     def test_min_sense(self):
         ir = ModelIR("m", "min")

@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from iesgame.model_ir import ModelIR, PwlObjTerm
+
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
 
 def tiny_model():
@@ -59,10 +63,14 @@ class TestPwlLowering:
         ir.add_obj_pwl(PwlObjTerm("x", bps, tuple(-v * v for v in bps)))
         low = ir.lower_pwl()
         assert not low.obj_pwl
-        lam = [n for n in low.variables if n.startswith("lam_")]
-        assert len(lam) == 3
-        names = {r.name for r in low.rows}
-        assert "pwl_sum_0_x" in names and "pwl_link_0_x" in names
+        assert [n for n in low.variables if n != "x"] == ["pwl_d_0_x_0",
+                                                          "pwl_d_0_x_1"]
+        assert low.variables["pwl_d_0_x_1"].ub == 2.0
+        assert low.obj_linear == {"pwl_d_0_x_0": -2.0, "pwl_d_0_x_1": -6.0}
+        (link,) = low.rows
+        assert link.name == "pwl_link_0_x" and link.rhs == 0.0
+        assert link.coeffs == {"pwl_d_0_x_0": 1.0, "pwl_d_0_x_1": 1.0,
+                               "x": -1.0}
 
     def test_convex_term_rejected_for_max(self):
         ir = ModelIR("pwl", "max")
@@ -87,8 +95,31 @@ class TestPwlLowering:
         # x = 1 is halfway between the first two breakpoints; the chord
         # there gives -2 (not the exact -1)
         compiled = ir.compile()
-        assert compiled.var_names == ["x", "lam_0_x_0", "lam_0_x_1", "lam_0_x_2"]
-        assert compiled.objective([1.0, 0.5, 0.5, 0.0]) == pytest.approx(-2.0)
+        assert compiled.var_names == ["x", "pwl_d_0_x_0", "pwl_d_0_x_1"]
+        assert compiled.objective([1.0, 1.0, 0.0]) == pytest.approx(-2.0)
+        # a full first segment plus half the second: chord value -10
+        assert compiled.objective([3.0, 2.0, 1.0]) == pytest.approx(-10.0)
+
+    @pytest.mark.parametrize("sense, sign, x_bounds", [
+        ("max", -1.0, (-1.0, 6.0)),  # concave term under max
+        ("min", 1.0, (-1.0, 6.0)),   # convex term under min
+        ("max", -1.0, (1.3, 4.2)),   # bounds inside the breakpoint range
+    ])
+    def test_lowering_is_exact_at_fixed_points(self, sense, sign, x_bounds):
+        """With x fixed, the lowered model's optimum is the chord value."""
+        from iesgame.solve_engine import ScipyMilpBackend
+        bps = np.array([-1.0, 0.5, 1.0, 2.5, 4.0, 6.0])
+        vals = sign * (bps ** 2 - 3.0 * bps + 1.0)
+        rng = np.random.default_rng(7)
+        for x in rng.uniform(*x_bounds, size=6):
+            ir = ModelIR("exact", sense)
+            ir.add_variable("x", *x_bounds)
+            ir.add_row("fix", {"x": 1.0}, "==", float(x))
+            ir.add_obj_pwl(PwlObjTerm("x", tuple(bps), tuple(vals)))
+            res = ScipyMilpBackend().solve(ir, 10.0, 1e-9)
+            assert res.values["x"] == pytest.approx(x, abs=1e-12)
+            assert res.objective == pytest.approx(np.interp(x, bps, vals),
+                                                  abs=1e-9)
 
     def test_breakpoints_must_increase(self):
         with pytest.raises(ValueError):
@@ -109,3 +140,17 @@ class TestLpRoundTrip:
         res = ScipyMilpBackend().solve(ir, 10.0, 1e-9)
         # chord error bound: w^2/4 with w = 0.5
         assert res.objective == pytest.approx(2.25, abs=0.5 ** 2 / 4 + 1e-9)
+
+
+@pytest.mark.parametrize("case, sizes", [
+    ("case1_like", (2521, 1204, 4704, 72)),
+    ("case2_real", (2113, 1108, 4056, 72)),
+])
+def test_mode3_compiled_size(case, sizes):
+    """Columns, rows, nonzeros and binaries of the mode-3 program: a
+    change to any formulation or to the PWL lowering shows here."""
+    from iesgame.config import load_scenario
+    from iesgame.scenario_cli import build_bundle
+    m = build_bundle(load_scenario(BENCH_INPUTS / f"{case}.json"), 3).ir.compile()
+    assert (len(m.var_names), m.a.shape[0], m.a.nnz,
+            int(m.integrality.sum())) == sizes
