@@ -21,10 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stochastic_renewables import OutputDistribution
+from .stochastic_renewables import OutputDistribution, wt_power_curve
 
 SUM_TOL = 1e-9
 MIN_MC_SAMPLES = 10_000  # floor on chance_satisfaction_mc's n_samples
+# A period passes the Monte Carlo check at confidence - MC_ALLOWANCE: the
+# allowance covers the q-grid discretization and the sampling error.
+MC_ALLOWANCE = 0.02
 
 
 @dataclass(frozen=True)
@@ -148,79 +151,53 @@ def reserve_rows(joint: ProbSequence, confidence: float) -> ReserveRequirementRo
     )
 
 
-def chance_satisfaction_mc(pv_model, wt_model, expected_output: float,
-                           reserve: float, n_samples: int,
-                           rng: np.random.Generator) -> tuple[float, float]:
-    """Monte Carlo estimate of Pr[reserve >= expected_output - joint output].
+def chance_satisfaction_mc(pv_models, wt_models, expected_outputs,
+                           reserves, n_samples: int,
+                           rng: np.random.Generator) -> list[tuple[float, float]]:
+    """Monte Carlo estimates of Pr[reserve >= expected_output - joint output].
 
-    Either model may be None (unit absent that period). Returns the
-    estimate and its 95% binomial half-width. Requires n_samples >= 1e4.
+    The four sequences hold one entry per period; either model may be None
+    (unit absent that period). Returns one (estimate, 95% binomial
+    half-width) per period. Requires n_samples >= 1e4.
 
-    A sample hits exactly when its joint output reaches
-    need = expected_output - reserve - 1e-12, and only what can decide
-    that is computed:
-    - If need <= 0, every sample hits, because no unit has a negative
-      output. The estimate is exactly 1.0 and nothing is drawn.
-    - Otherwise each sample's wind speed is z * E**(1/u) with E standard
-      exponential (inverse transform), and it is increasing in E, so
-      speed >= v exactly when E >= hazard(v) = (v/z)**u. The turbine
-      output reaches a level p in (0, p_e] exactly on the speeds
-      [v_p, v_out), v_p the ramp speed of p; it reaches every p <= 0 and
-      no p > p_e. So E alone, against two constants, tells whether wind
-      hits by itself (p = need), and whether PV can still decide the
-      sample (wind < need <= wind + p_max, i.e. p = need - p_max is
-      reached but need is not). Turbine power is computed, and PV drawn,
-      only for the samples in that band.
-    Each PV draw is iid and independent of its sample's wind, so drawing it
-    only where it can flip the indicator leaves the law of every
-    indicator, and so of the estimate, as with full draws.
+    The periods share one set of draws (common random numbers). A period's
+    models differ from the others' only in the wind scale z and the PV
+    capacity p_max, so n unit-scale wind speeds per Weibull shape and n
+    Beta fractions per PV shape serve every period, as z * speed and
+    p_max * fraction. Each estimate keeps the law and the half-width of n
+    draws of its own; only the estimates of different periods correlate.
 
-    Generator.weibull(u) draws the same E from the same stream as
-    standard_exponential and returns E**(1/u). The n exponentials, then
-    the band's PV draws, are therefore the draws a route that samples
-    every wind output with `sample_wt` makes, in the same order, and each
-    indicator is the same function of them. At an equal seed the estimate
-    equals that route's, unless a speed lies within rounding of a
-    threshold, where a comparison of E and one of the output can differ.
+    A sample hits when its joint output reaches
+    need = expected_output - reserve - 1e-12. A period with need <= 0 is
+    hit by every sample, because no unit has a negative output: its
+    estimate is exactly 1.0, and only periods with need > 0 ask for draws.
+    All speeds are drawn before any fraction, so with one shape of each a
+    period's estimate equals, at an equal seed, the one from `sample_wt(n)`
+    then `sample_pv(n)` on a fresh generator.
     """
-    from .stochastic_renewables import sample_pv
-
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
-    need = expected_output - reserve - 1e-12
-    if need <= 0:
-        hits = 1.0
-    else:
-        p_max = 0.0 if pv_model is None else pv_model.p_max
-        if wt_model is None:
-            n_hit = 0
-            wind = np.zeros(n_samples if need <= p_max else 0)
+    periods = [(pv, wt, e - r - 1e-12) for pv, wt, e, r
+               in zip(pv_models, wt_models, expected_outputs, reserves)]
+    sampled = [(pv, wt) for pv, wt, need in periods if need > 0]
+    speeds = {wt.u: None for _, wt in sampled if wt is not None}
+    fractions = {(pv.lambda1, pv.lambda2): None
+                 for pv, _ in sampled if pv is not None}
+    for u in speeds:
+        speeds[u] = rng.weibull(u, n_samples)
+    for l1, l2 in fractions:
+        fractions[l1, l2] = rng.beta(l1, l2, n_samples)
+
+    out = []
+    for pv, wt, need in periods:
+        if need <= 0:
+            hits = 1.0
         else:
-            e = rng.standard_exponential(n_samples)
-            hit = _wind_reaches(wt_model, e, need)
-            n_hit = int(np.count_nonzero(hit))
-            pv_decides = _wind_reaches(wt_model, e, need - p_max) & ~hit
-            wind = _wind_output(wt_model, e[pv_decides])
-        if wind.size:
-            pv = sample_pv(pv_model, rng, size=wind.size)
-            n_hit += int(np.count_nonzero(wind + pv >= need))
-        hits = n_hit / n_samples
-    half_width = 1.96 * math.sqrt(max(hits * (1 - hits), 1e-12) / n_samples)
-    return hits, half_width
-
-
-def _wind_reaches(wt, e: np.ndarray, p: float) -> np.ndarray:
-    """Mask of the exponential draws e whose turbine output reaches p MW."""
-    if p <= 0:
-        return np.ones(e.shape, dtype=bool)
-    if p > wt.p_e:
-        return np.zeros(e.shape, dtype=bool)
-    v_p = wt.v_in + p / wt.p_e * (wt.v_e - wt.v_in)
-    return (e >= wt.hazard(v_p)) & (e < wt.hazard(wt.v_out))
-
-
-def _wind_output(wt, e: np.ndarray) -> np.ndarray:
-    """Turbine output (MW) at the wind speeds z * e**(1/u)."""
-    v = e ** (1.0 / wt.u) * wt.z
-    ramp = np.clip((v - wt.v_in) / (wt.v_e - wt.v_in), 0.0, 1.0)
-    return np.where(v < wt.v_out, ramp * wt.p_e, 0.0)
+            joint = np.zeros(n_samples) if wt is None else wt_power_curve(
+                wt, speeds[wt.u] * wt.z)
+            if pv is not None:
+                joint += fractions[pv.lambda1, pv.lambda2] * pv.p_max
+            hits = int(np.count_nonzero(joint >= need)) / n_samples
+        half_width = 1.96 * math.sqrt(max(hits * (1 - hits), 1e-12) / n_samples)
+        out.append((hits, half_width))
+    return out

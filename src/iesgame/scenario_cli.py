@@ -171,6 +171,8 @@ def run_pipeline(manifest: RunManifest) -> RunOutput:
         "confidence": bundle.confidence,
         "theta": cfg.idr.theta,
         "n_segments": manifest.n_segments,
+        "gap_tolerance": manifest.gap,
+        "time_limit": manifest.time_limit,
         "mc_samples": manifest.mc_samples if manifest.run_validation else None,
         "scenario_sha256": _sha256(manifest.scenario),
         "versions": {"iesgame": __version__,

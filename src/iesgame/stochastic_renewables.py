@@ -59,15 +59,11 @@ class WeibullWtModel:
         if not (0 < self.v_in < self.v_e < self.v_out):
             raise ValueError("speeds must satisfy 0 < v_in < v_e < v_out")
 
-    def hazard(self, v: float) -> float:
-        """Cumulative hazard (v/z)^u: Pr[speed >= v] = exp(-hazard(v))."""
-        return (v / self.z) ** self.u
-
     def speed_cdf(self, v: float) -> float:
         """Weibull CDF of wind speed, 1 - exp(-(v/z)^u)."""
         if v <= 0:
             return 0.0
-        return -math.expm1(-self.hazard(v))
+        return -math.expm1(-((v / self.z) ** self.u))
 
     def scaled(self, z_factor: float) -> "WeibullWtModel":
         if z_factor <= 0:
@@ -76,15 +72,24 @@ class WeibullWtModel:
                               self.v_e, self.v_out, self.p_e)
 
 
-def wt_power_curve(model: WeibullWtModel, v: float) -> float:
-    """Turbine output (MW) at wind speed v (m/s): zero / linear ramp / rated."""
-    if v < 0:
+def wt_power_curve(model: WeibullWtModel, v):
+    """Turbine output (MW) at wind speed(s) v (m/s): zero below cut-in and
+    from cut-out on, the linear ramp up to rated speed, rated power above.
+
+    Takes a scalar (returns a float) or an array (returns an array). The
+    ramp is computed in place: the Monte Carlo check applies the curve to
+    every period's 1e5 samples.
+    """
+    scalar = np.ndim(v) == 0
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if np.any(v < 0):
         raise ValueError("wind speed must be nonnegative")
-    if v < model.v_in or v >= model.v_out:
-        return 0.0
-    if v < model.v_e:
-        return (v - model.v_in) / (model.v_e - model.v_in) * model.p_e
-    return model.p_e
+    out = v - model.v_in
+    out /= model.v_e - model.v_in
+    np.clip(out, 0.0, 1.0, out=out)
+    out *= model.p_e
+    out[v >= model.v_out] = 0.0
+    return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)
@@ -182,13 +187,10 @@ def sample_pv(model: BetaPvModel, rng: np.random.Generator, size=None):
 def sample_wt(model: WeibullWtModel, rng: np.random.Generator, size=None):
     """Draw turbine output(s) in MW by sampling wind speed and applying the curve.
 
-    Every sample gets a wind speed. The Monte Carlo reserve check decides
-    most samples without one (see `prob_sequences.chance_satisfaction_mc`);
-    this full draw is the independent reference the tests hold it to.
+    The speeds are `rng.weibull(u) * z`: unit-scale Weibull draws scaled
+    by z. `prob_sequences.chance_satisfaction_mc` scales one set of
+    unit-scale draws the same way for every period; at an equal seed this
+    full draw is the reference the tests hold each period's estimate to.
     """
     v = rng.weibull(model.u, size=size) * model.z
-    if size is None:
-        return wt_power_curve(model, float(v))
-    out = np.clip((v - model.v_in) / (model.v_e - model.v_in), 0.0, 1.0) * model.p_e
-    out[v >= model.v_out] = 0.0
-    return out
+    return wt_power_curve(model, v)

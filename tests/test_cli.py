@@ -330,6 +330,15 @@ class TestValidateVerb:
                                             "scipy"}
         assert summary["versions"]["python"] == sys.version.split()[0]
 
+    def test_summary_records_solve_overrides(self, toy_path, tmp_path):
+        out_dir = tmp_path / "run"
+        code = run_cli(["run", "--scenario", str(toy_path), "--mode", "1",
+                        "--out", str(out_dir), "--no-validate",
+                        "--gap", "1e-3", "--time-limit", "60"])
+        assert code == cli.EXIT_OK
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert (summary["gap_tolerance"], summary["time_limit"]) == (1e-3, 60.0)
+
     def test_matching_scenario_hash_validates(self, toy_path, toy_run):
         code = run_cli(["validate", "--scenario", str(toy_path),
                         "--run-dir", str(toy_run), "--mc-samples", "20000"])

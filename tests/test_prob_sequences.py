@@ -19,21 +19,34 @@ from iesgame.stochastic_renewables import (BetaPvModel, OutputDistribution,
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
 
-def full_wind_reference(pv, wt, expected_output, reserve, n, rng):
-    """chance_satisfaction_mc from full wind draws: every sample's wind
-    output from sample_wt, then PV drawn only where it decides."""
+def full_draw_reference(pv, wt, expected_output, reserve, n, rng):
+    """One period's chance_satisfaction_mc from draws of its own: every
+    sample's wind output from sample_wt, then its PV output from sample_pv."""
     need = expected_output - reserve - 1e-12
     if need <= 0:
         hits = 1.0
     else:
-        wind = np.zeros(n) if wt is None else sr.sample_wt(wt, rng, size=n)
-        hit = wind >= need
-        if pv is not None:
-            decides = ~hit & (wind + pv.p_max >= need)
-            pv_out = sr.sample_pv(pv, rng, size=int(np.count_nonzero(decides)))
-            hit[decides] = wind[decides] + pv_out >= need
-        hits = float(np.mean(hit))
+        wind = 0.0 if wt is None else sr.sample_wt(wt, rng, size=n)
+        pv_out = 0.0 if pv is None else sr.sample_pv(pv, rng, size=n)
+        hits = float(np.mean(wind + pv_out >= need))
     return hits, 1.96 * math.sqrt(max(hits * (1 - hits), 1e-12) / n)
+
+
+def one_period_mc(pv, wt, expected_output, reserve, n, rng):
+    """chance_satisfaction_mc on a day of one period."""
+    [got] = ps.chance_satisfaction_mc([pv], [wt], [expected_output],
+                                      [reserve], n, rng)
+    return got
+
+
+def day_args(cfg):
+    """Per-period models, expectations and minimum reserves of a scenario."""
+    periods = range(cfg.horizon)
+    reqs = cfg.reserve_requirements()
+    return ([cfg.pv_model_for(t) for t in periods],
+            [cfg.wt_model_for(t) for t in periods],
+            [reqs[t].expected_output for t in periods],
+            [reqs[t].min_reserve() for t in periods])
 
 
 def uniform_dist(hi: float) -> OutputDistribution:
@@ -194,24 +207,24 @@ class TestChanceSatisfactionMc:
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
-            ps.chance_satisfaction_mc(self.PV, None, 0.5, 0.5, 100,
-                                      np.random.default_rng(0))
+            one_period_mc(self.PV, None, 0.5, 0.5, 100,
+                          np.random.default_rng(0))
 
     def test_reserve_at_expectation_symmetric(self):
-        est, _ = ps.chance_satisfaction_mc(self.PV, None, 0.5, 0.5, 50_000,
-                                           np.random.default_rng(1))
+        est, _ = one_period_mc(self.PV, None, 0.5, 0.5, 50_000,
+                               np.random.default_rng(1))
         assert est >= 0.5
 
     def test_huge_reserve(self):
-        est, _ = ps.chance_satisfaction_mc(self.PV, self.WT, 0.6, 10.0, 10_000,
-                                           np.random.default_rng(2))
+        est, _ = one_period_mc(self.PV, self.WT, 0.6, 10.0, 10_000,
+                               np.random.default_rng(2))
         assert est == 1.0
 
     def test_uniform_tail(self):
         # joint uniform on [0,5]: with E=2.5 and R=1.5, Pr[X >= 1] = 0.8
         uniform = BetaPvModel(1.0, 1.0, 5.0)
-        est, hw = ps.chance_satisfaction_mc(uniform, None, 2.5, 1.5, 100_000,
-                                            np.random.default_rng(3))
+        est, hw = one_period_mc(uniform, None, 2.5, 1.5, 100_000,
+                                np.random.default_rng(3))
         assert est == pytest.approx(0.8, abs=0.01)
         assert 0 < hw < 0.005
 
@@ -222,93 +235,100 @@ class TestChanceSatisfactionMc:
             ps.discretize(pv_output_distribution(self.PV.scaled(0.3)), q),
             ps.discretize(wt_output_distribution(self.WT), q))
         req = ps.reserve_rows(joint, conf)
-        est, _ = ps.chance_satisfaction_mc(
+        est, _ = one_period_mc(
             self.PV.scaled(0.3), self.WT, req.expected_output,
             req.min_reserve(), 100_000, np.random.default_rng(4))
-        assert est >= conf - 0.02
+        assert est >= conf - ps.MC_ALLOWANCE
 
     @pytest.mark.parametrize("reserve", [0.6, 0.6 + 1e-13, 3.0])
     def test_covered_period_draws_nothing(self, reserve):
         rng = np.random.default_rng(5)
         before = rng.bit_generator.state
         n = 20_000
-        est, hw = ps.chance_satisfaction_mc(self.PV, self.WT, 0.6, reserve, n,
-                                            rng)
+        est, hw = one_period_mc(self.PV, self.WT, 0.6, reserve, n, rng)
         assert (est, hw) == (1.0, 1.96 * math.sqrt(1e-12 / n))
         assert rng.bit_generator.state == before
 
     def test_barely_short_reserve_is_sampled(self):
         # a reserve 1e-9 short of the expectation fails exactly the samples
         # at the zero-output atom: wind below cut-in or above cut-out
-        est, _ = ps.chance_satisfaction_mc(None, self.WT, 0.6, 0.6 - 1e-9,
-                                           100_000, np.random.default_rng(6))
+        est, _ = one_period_mc(None, self.WT, 0.6, 0.6 - 1e-9, 100_000,
+                               np.random.default_rng(6))
         zero_mass = wt_output_distribution(self.WT).point_masses[0][1]
         assert est == pytest.approx(1 - zero_mass, abs=0.005)
 
-    @pytest.fixture
-    def pv_draws(self, monkeypatch):
-        """Record the size of every PV draw made through the module."""
-        sizes = []
-        real = sr.sample_pv
-
-        def spy(model, rng, size=None):
-            sizes.append(size)
-            return real(model, rng, size=size)
-        monkeypatch.setattr(sr, "sample_pv", spy)
-        return sizes
-
-    @pytest.mark.parametrize("case", ["case1_like", "case2_real", None])
-    def test_pv_drawn_only_where_it_decides(self, case, pv_draws):
-        if case is None:
-            # a shortfall of 0.2 MW is out of a 0.1 MW PV unit's reach
-            # wherever wind gives less than 0.1 MW
-            pv, wt, e, r = self.PV.scaled(0.1), self.WT, 0.3, 0.1
-        else:
-            cfg = load_scenario(BENCH_INPUTS / f"{case}.json")
-            t = 12
-            pv, wt = cfg.pv_model_for(t), cfg.wt_model_for(t)
-            req = cfg.reserve_requirements()[t]
-            e, r = req.expected_output, req.min_reserve()
-        n = 50_000
-        ps.chance_satisfaction_mc(pv, wt, e, r, n, np.random.default_rng(1))
-        # the wind draws come first on the stream, so the full-draw
-        # sampler recovers every sample's wind output
-        wind = sr.sample_wt(wt, np.random.default_rng(1), size=n)
-        need = e - r - 1e-12
-        decided_by_pv = (wind < need) & (need <= wind + pv.p_max)
-        [pv_size] = pv_draws
-        assert 0 < pv_size == np.count_nonzero(decided_by_pv) < n
-
     @pytest.mark.parametrize("case", ["case1_like", "case2_real", "toy3"])
-    def test_night_period_draws_nothing(self, case, pv_draws):
+    def test_night_period_draws_nothing(self, case):
+        # the night periods' minimum reserves cover their whole expected
+        # output, so a day of night periods is decided without a draw
         cfg = load_scenario(BENCH_INPUTS / f"{case}.json")
-        t = 0
-        assert cfg.pv_model_for(t) is None
-        req = cfg.reserve_requirements()[t]
+        pvs, wts, es, rs = day_args(cfg)
+        night = [t for t in range(cfg.horizon) if pvs[t] is None]
+        assert 0 in night
         rng = np.random.default_rng(1)
         before = rng.bit_generator.state
-        est, _ = ps.chance_satisfaction_mc(
-            None, cfg.wt_model_for(t), req.expected_output, req.min_reserve(),
-            50_000, rng)
-        assert est == 1.0
-        assert pv_draws == []
+        got = ps.chance_satisfaction_mc(
+            [None] * len(night), [wts[t] for t in night],
+            [es[t] for t in night], [rs[t] for t in night], 50_000, rng)
+        assert [est for est, _ in got] == [1.0] * len(night)
+        assert rng.bit_generator.state == before
+
+    def test_covered_day_draws_nothing(self):
+        cfg = load_scenario(BENCH_INPUTS / "case2_real.json")
+        pvs, wts, es, _ = day_args(cfg)
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        got = ps.chance_satisfaction_mc(pvs, wts, es, [10.0 * e for e in es],
+                                        50_000, rng)
+        assert [est for est, _ in got] == [1.0] * cfg.horizon
         assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("case", ["case1_like", "case2_real"])
     @pytest.mark.parametrize("seed", [3, 17, 2024])
     def test_day_periods_equal_full_wind_draws(self, case, seed):
-        # one generator across the day periods, as validate_reserve uses
-        # it, so both routes must also leave it in the same state
+        # one call for the whole day, as validate_reserve makes it: each
+        # sampled period equals its own full-draw route at the same seed
         cfg = load_scenario(BENCH_INPUTS / f"{case}.json")
-        reqs = cfg.reserve_requirements()
-        fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        pvs, wts, es, rs = day_args(cfg)
+        n = 100_000
+        got = ps.chance_satisfaction_mc(pvs, wts, es, rs, n,
+                                        np.random.default_rng(seed))
+        assert len(got) == cfg.horizon
         for t in range(7, 18):
-            args = (cfg.pv_model_for(t), cfg.wt_model_for(t),
-                    reqs[t].expected_output, reqs[t].min_reserve(), 100_000)
-            got = ps.chance_satisfaction_mc(*args, fast)
-            assert got == full_wind_reference(*args, ref)
-            assert 0 < got[0] < 1
-        assert fast.bit_generator.state == ref.bit_generator.state
+            ref = full_draw_reference(pvs[t], wts[t], es[t], rs[t], n,
+                                      np.random.default_rng(seed))
+            assert got[t] == ref
+            assert 0 < got[t][0] < 1
+
+    @pytest.mark.parametrize("case", ["case1_like", "case2_real"])
+    def test_day_draws_one_set_of_samples(self, case):
+        # a day with sampled periods costs one wind and one PV draw of n
+        cfg = load_scenario(BENCH_INPUTS / f"{case}.json")
+        n = 20_000
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        ps.chance_satisfaction_mc(*day_args(cfg), n, rng)
+        pv = cfg.pv.model
+        ref.weibull(cfg.wt.model.u, n)
+        ref.beta(pv.lambda1, pv.lambda2, n)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_one_draw_per_distinct_shape(self):
+        # speeds per Weibull shape in order of first use, then fractions
+        calm = WeibullWtModel(8.0, 3.0, 3.0, 12.0, 25.0, 0.3)
+        wts = [self.WT, calm, self.WT.scaled(1.5), None]
+        pvs = [self.PV, self.PV.scaled(0.5), None, self.PV]
+        n = 20_000
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        got = ps.chance_satisfaction_mc(pvs, wts, [0.6] * 4, [0.2] * 4, n,
+                                        rng)
+        speeds = {u: ref.weibull(u, n) for u in (self.WT.u, calm.u)}
+        fractions = ref.beta(self.PV.lambda1, self.PV.lambda2, n)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        for (est, _), pv, wt in zip(got, pvs, wts):
+            wind = 0.0 if wt is None else sr.wt_power_curve(
+                wt, speeds[wt.u] * wt.z)
+            pv_out = 0.0 if pv is None else fractions * pv.p_max
+            assert est == float(np.mean(wind + pv_out >= 0.4 - 1e-12))
 
     @pytest.mark.parametrize("pv, wt, e, r, out_of_reach", [
         (PV, WT, 1.0, 0.5, False),            # need > p_e
@@ -319,21 +339,21 @@ class TestChanceSatisfactionMc:
     ], ids=["need_above_rated", "out_of_reach", "no_wind", "no_pv", "gusty"])
     @pytest.mark.parametrize("seed", [5, 6])
     def test_edge_cases_equal_full_wind_draws(self, pv, wt, e, r,
-                                              out_of_reach, seed, pv_draws):
+                                              out_of_reach, seed):
         n = 20_000
-        got = ps.chance_satisfaction_mc(pv, wt, e, r, n,
-                                        np.random.default_rng(seed))
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = one_period_mc(pv, wt, e, r, n, rng)
         if out_of_reach:
-            assert got[0] == 0.0 and pv_draws == []
+            assert got[0] == 0.0
         else:
-            assert 0 < got[0] < 1 and len(pv_draws) == (pv is not None)
-        assert got == full_wind_reference(pv, wt, e, r, n,
-                                          np.random.default_rng(seed))
+            assert 0 < got[0] < 1
+        assert got == full_draw_reference(pv, wt, e, r, n, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("case", ["case1_like", "case2_real"])
     def test_same_law_as_full_draws(self, case):
-        # period 12 leaves PV the widest band in which it decides a sample;
-        # the reference draws PV for every sample, on independent seeds
+        # period 12 leaves PV the widest range in which it decides a
+        # sample; the reference draws PV first, on independent seeds
         cfg = load_scenario(BENCH_INPUTS / f"{case}.json")
         t, n, seeds = 12, 100_000, 20
         pv, wt = cfg.pv_model_for(t), cfg.wt_model_for(t)
@@ -344,12 +364,12 @@ class TestChanceSatisfactionMc:
             joint = sr.sample_pv(pv, rng, size=n) + sr.sample_wt(wt, rng, size=n)
             return float(np.mean(r >= e - joint - 1e-12))
 
-        lazy = np.mean([ps.chance_satisfaction_mc(
+        shared = np.mean([one_period_mc(
             pv, wt, e, r, n, np.random.default_rng(s))[0]
             for s in range(seeds)])
         full = np.mean([full_draw(np.random.default_rng(1000 + s))
                         for s in range(seeds)])
-        p = (lazy + full) / 2
+        p = (shared + full) / 2
         std_err = math.sqrt(2 * p * (1 - p) / (n * seeds))
         assert 0.5 < p < 1
-        assert abs(lazy - full) <= 4 * std_err
+        assert abs(shared - full) <= 4 * std_err
