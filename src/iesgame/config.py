@@ -319,11 +319,10 @@ class ScenarioConfig:
         joint.probs.flags.writeable = False  # shared by every caller
         return joint
 
-    def reserve_requirements(self, confidence: float | None = None
-                             ) -> list[ps.ReserveRequirementRows]:
-        conf = self.confidence if confidence is None else confidence
-        return list(self._memo(("reserve", conf), lambda: tuple(
-            ps.reserve_rows(self.joint_sequence(t), conf)
+    def reserve_requirements(self) -> list[ps.ReserveRequirementRows]:
+        """Deterministic-equivalent reserve data per period, at `confidence`."""
+        return list(self._memo("reserve", lambda: tuple(
+            ps.reserve_rows(self.joint_sequence(t), self.confidence)
             for t in range(self.horizon))))
 
     def expected_renewables(self) -> np.ndarray:
@@ -332,7 +331,9 @@ class ScenarioConfig:
              for t in range(self.horizon)]))
 
     def with_overrides(self, **kwargs) -> "ScenarioConfig":
-        """Copy with top-level fields replaced (used by sweeps)."""
+        """Validated copy with top-level fields, or `theta`, replaced; it
+        derives its own profiles. Runs apply `--confidence` and sweep
+        values this way."""
         if "theta" in kwargs:
             kwargs["idr"] = replace(self.idr, theta=kwargs.pop("theta"))
         return replace(self, **kwargs)

@@ -22,7 +22,6 @@ import numpy as np
 from . import thermal_side as th
 from .config import ScenarioConfig
 from .model_ir import ModelIR
-from .prob_sequences import ReserveRequirementRows
 
 if TYPE_CHECKING:  # kkt_reformulation imports this module
     from .kkt_reformulation import KktBlock
@@ -66,31 +65,24 @@ class ModeSettings:
 
 @dataclass
 class FollowerFragment:
-    """Follower decision block: variable names, bounds and objective data."""
+    """Names of the users' variables, shiftable load and heat cut, per
+    period. Their bounds, the shift total and theta are the scenario's
+    (`ScenarioConfig.shift_*`, `cut_upper`, `idr.theta`)."""
 
-    horizon: int
-    theta: float
-    shift_total: float
-    sl_lb: np.ndarray
-    sl_ub: np.ndarray
-    cut_ub: np.ndarray
     p_sl: list[str]
     h_cl: list[str]
 
 
 @dataclass
 class ModelBundle:
-    """A built program plus everything needed to extract and verify it."""
+    """A built program plus what extraction and verification need beyond
+    its scenario. Every scenario-derived value (expected renewables,
+    reserve requirements and confidence, heat loads, pipe delays) is read
+    from `cfg`, which memoizes them."""
 
     ir: ModelIR
     cfg: ScenarioConfig
     mode: ModeSettings
-    confidence: float
-    expected: np.ndarray
-    reserve_reqs: list[ReserveRequirementRows]
-    heat_base: np.ndarray
-    heat_min: np.ndarray
-    delays: list[int]
     names: dict[str, object]
     follower: FollowerFragment | None
     fixed_mu: np.ndarray | None
@@ -187,23 +179,16 @@ def build_follower(cfg: ScenarioConfig, ir: ModelIR) -> FollowerFragment:
     sl_ub = cfg.shift_upper()
     cut_ub = cfg.cut_upper()
     capped = cut_ub <= cfg.prices.gamma_min / (2.0 * cfg.idr.theta)
-    s_total = cfg.shift_total()
-    if s_total > float(sl_ub.sum()) + 1e-9:
-        raise BuildError("shiftable total exceeds the per-period caps")
     p_sl = [ir.add_variable(f"p_sl_{t}", float(sl_lb[t]), float(sl_ub[t]))
             for t in range(t_count)]
     h_cl = [ir.add_variable(f"h_cl_{t}", float(cut_ub[t]) if capped[t] else 0.0,
                             float(cut_ub[t]))
             for t in range(t_count)]
-    ir.add_row("shift_total", {v: 1.0 for v in p_sl}, "==", s_total)
-    return FollowerFragment(
-        horizon=t_count, theta=cfg.idr.theta, shift_total=s_total,
-        sl_lb=sl_lb, sl_ub=sl_ub, cut_ub=cut_ub, p_sl=p_sl, h_cl=h_cl)
+    ir.add_row("shift_total", {v: 1.0 for v in p_sl}, "==", cfg.shift_total())
+    return FollowerFragment(p_sl=p_sl, h_cl=h_cl)
 
 
 def build_leader(cfg: ScenarioConfig,
-                 expected: np.ndarray,
-                 reserve_reqs: list[ReserveRequirementRows],
                  mode: ModeSettings,
                  *,
                  fixed_prices: tuple[np.ndarray, np.ndarray] | None = None,
@@ -219,7 +204,8 @@ def build_leader(cfg: ScenarioConfig,
     3. users respond (mode 4): their best response to the posted prices;
     4. otherwise the baseline shift and no heat cut.
     Posted prices are `fixed_prices`, else the proportional tariff. The
-    reserve confidence level is the one `reserve_reqs` were built with.
+    expected renewable output, the reserve rows (at `cfg.confidence`) and
+    the heat loads are the scenario's memoized values.
     """
     t_count = cfg.horizon
     dt = cfg.dt_hours
@@ -230,10 +216,8 @@ def build_leader(cfg: ScenarioConfig,
     follower = build_follower(cfg, ir) if mode.optimize_prices else None
 
     heat_base = cfg.heat_base_load()
-    heat_min = cfg.heat_min_load()
     fixed_load = np.asarray(cfg.fixed_load)
-
-    _static_checks(cfg, mode, heat_base, heat_min, fixed_load)
+    _static_checks(cfg, mode)
 
     names: dict[str, object] = {}
     fixed_mu = fixed_gamma = None
@@ -340,6 +324,7 @@ def build_leader(cfg: ScenarioConfig,
         names["soc"], names["u_dh"], names["r_bess"] = bess_soc, bess_u, bess_r
 
     # renewables consumed
+    expected = cfg.expected_renewables()
     p_res = [ir.add_variable(f"p_res_{t}", 0.0, max(float(expected[t]), 0.0))
              for t in range(t_count)]
     names["p_res"] = p_res
@@ -362,7 +347,6 @@ def build_leader(cfg: ScenarioConfig,
         ir.add_row(f"bal_e_{t}", coeffs, "==", rhs)
 
     # heat side
-    delays: list[int] = []
     pipe_names: dict[str, list[list[str]]] = {"t_sw": [], "t_rw": [], "h_src": []}
     if mode.dhn_enabled:
         if not cfg.pipelines:
@@ -372,7 +356,6 @@ def build_leader(cfg: ScenarioConfig,
         loss_coeff = []
         for p_idx, pipe in enumerate(cfg.pipelines):
             _, steps = th.pipe_delay(pipe, dt)
-            delays.append(steps)
             hco = th.WATER_HEAT_CAPACITY_KJ * pipe.mass_flow_kg_s / 1000.0
             lco = 2.0 * math.pi * pipe.length_km / (
                 pipe.thermal_resistance_km_c_per_kw * 1000.0)
@@ -426,6 +409,7 @@ def build_leader(cfg: ScenarioConfig,
     names.update(pipe_names)
 
     # reserve: the chance constraint's exact deterministic equivalent
+    reserve_reqs = cfg.reserve_requirements()
     for t in range(t_count):
         r_coeffs = {rrow[t]: 1.0 for rrow in tp_r + chp_r}
         if bess_r is not None:
@@ -464,10 +448,7 @@ def build_leader(cfg: ScenarioConfig,
             ir.add_obj_linear(bess_r[t], -b.reserve_cost * dt)
 
     return ModelBundle(
-        ir=ir, cfg=cfg, mode=mode, confidence=reserve_reqs[0].confidence,
-        expected=np.asarray(expected, dtype=float), reserve_reqs=reserve_reqs,
-        heat_base=heat_base, heat_min=heat_min, delays=delays, names=names,
-        follower=follower,
+        ir=ir, cfg=cfg, mode=mode, names=names, follower=follower,
         fixed_mu=fixed_mu, fixed_gamma=fixed_gamma,
         fixed_p_sl=p_sl_const, fixed_h_cl=h_cl_const)
 
@@ -497,12 +478,12 @@ def check_empty_row(name: str, rhs: float) -> None:
         raise BuildError(f"row {name} demands {rhs} with no contributing variables")
 
 
-def _static_checks(cfg: ScenarioConfig, mode: ModeSettings, heat_base: np.ndarray,
-                   heat_min: np.ndarray, fixed_load: np.ndarray) -> None:
+def _static_checks(cfg: ScenarioConfig, mode: ModeSettings) -> None:
+    heat_min = cfg.heat_min_load()
     cap_e = (sum(u.p_max for u in cfg.tp_units)
              + sum(u.p_max for u in cfg.chp_units)
              + (cfg.bess.discharge_max if cfg.bess else 0.0))
-    peak = float(fixed_load.max())
+    peak = float(max(cfg.fixed_load))
     if cap_e < peak:
         raise BuildError(f"generation capacity {cap_e} below peak fixed load {peak}")
     cap_h = sum(u.h_max for u in cfg.chp_units)
@@ -517,7 +498,7 @@ def _static_checks(cfg: ScenarioConfig, mode: ModeSettings, heat_base: np.ndarra
                           * (tb.supply_max - tb.return_min) for p in cfg.pipelines)
         if deliver_max < float(heat_min.max()):
             raise BuildError("pipelines cannot deliver the comfort-floor heat load")
-        if deliver_min > float(heat_base.min()):
+        if deliver_min > float(cfg.heat_base_load().min()):
             raise BuildError("minimum pipeline delivery exceeds the lightest heat load")
 
 
@@ -544,11 +525,8 @@ def follower_best_response(mu: np.ndarray, gamma: np.ndarray,
     h_cl = np.clip(gamma / (2.0 * cfg.idr.theta), 0.0, cut_ub)
 
     lb, ub = cfg.shift_lower(), cfg.shift_upper()
-    total = cfg.shift_total()
-    if total > float(ub.sum()) + 1e-9:
-        raise ValueError("shiftable total exceeds the per-period caps")
     p_sl = lb.copy()
-    remaining = total - float(lb.sum())
+    remaining = cfg.shift_total() - float(lb.sum())
     order = np.lexsort((np.arange(cfg.horizon), mu))  # price, then period index
     for t in order:
         if remaining <= 1e-15:
@@ -643,7 +621,7 @@ def extract_solution(bundle: ModelBundle, values: dict[str, float],
         r_bess=series("r_bess") if "r_bess" in bundle.names else np.zeros(t_count),
         p_res=series("p_res"),
         t_sw=t_sw, t_rw=t_rw, h_src=h_src,
-        expected=bundle.expected.copy(),
+        expected=cfg.expected_renewables().copy(),
         f1=0.0, f2=0.0, objective_milp=objective)
     sol.f1 = leader_profit(cfg, sol)
     sol.f2 = follower_cost(cfg, mu, gamma, p_sl, h_cl)
@@ -721,11 +699,11 @@ def verify_solution(sol: EquilibriumSolution, bundle: ModelBundle,
         rep.add("soc_cyclic", "end", abs(sol.soc[-1] - b.soc_start_mwh), BALANCE_TOL)
 
     # heat side
-    heat_load = bundle.heat_base - sol.h_cl
+    heat_load = cfg.heat_base_load() - sol.h_cl
     if mode.dhn_enabled and cfg.pipelines:
         delivered = np.zeros(t_count)
         for p_idx, pipe in enumerate(cfg.pipelines):
-            steps = bundle.delays[p_idx]
+            _, steps = th.pipe_delay(pipe, dt)
             for t in range(t_count):
                 sw, rw = sol.t_sw[p_idx, t], sol.t_rw[p_idx, t]
                 tb = cfg.temperature_bounds
@@ -764,21 +742,21 @@ def verify_solution(sol: EquilibriumSolution, bundle: ModelBundle,
             abs(float(sol.gamma.sum()) - t_count * p.gamma_av), BALANCE_TOL)
 
     # renewables
+    expected = cfg.expected_renewables()
     for t in range(t_count):
         rep.add("renewable_cap", f"t={t}",
-                max(-sol.p_res[t], sol.p_res[t] - bundle.expected[t]), BALANCE_TOL)
+                max(-sol.p_res[t], sol.p_res[t] - expected[t]), BALANCE_TOL)
 
     # reserve coverage: exact deterministic-equivalent satisfaction
     r_tot = sol.reserve_total
-    for t in range(t_count):
-        req = bundle.reserve_reqs[t]
+    for t, req in enumerate(cfg.reserve_requirements()):
         covered = float(np.sum(req.level_probs[req.thresholds <= r_tot[t] + 1e-9]))
-        rep.add("reserve_coverage", f"t={t}", bundle.confidence - covered, 1e-9)
+        rep.add("reserve_coverage", f"t={t}", cfg.confidence - covered, 1e-9)
 
     # follower block
     if mode.idr_enabled:
         sl_lb, sl_ub = cfg.shift_lower(), cfg.shift_upper()
-        cut_ub = bundle.heat_base - bundle.heat_min
+        cut_ub = cfg.cut_upper()
         for t in range(t_count):
             rep.add("shift_bounds", f"t={t}",
                     max(sl_lb[t] - sol.p_sl[t], sol.p_sl[t] - sl_ub[t]), BALANCE_TOL)
@@ -841,7 +819,7 @@ def _check_comfort_window(rep: ValidationReport, sol: EquilibriumSolution,
     kf = cfg.kf_total()
     if kf <= 0:
         return
-    heat_load = bundle.heat_base - sol.h_cl
+    heat_load = cfg.heat_base_load() - sol.h_cl
     for t in range(cfg.horizon):
         t_in = cfg.outdoor_temp[t] + heat_load[t] * 1000.0 / kf
         if t_in >= cfg.pmv.skin_temp_c:

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import PriceBounds
-from .game_model import FollowerFragment, ModelBundle
+from .game_model import ModelBundle
 from .model_ir import ModelIR, PwlObjTerm
 
 
@@ -89,10 +88,10 @@ class KktBlock:
         return out
 
 
-def emit_kkt(ir: ModelIR, follower: FollowerFragment,
-             mu_names: list[str], gamma_names: list[str],
-             prices: PriceBounds) -> KktBlock:
-    """Optimality conditions of the users' problem, one block per period.
+def emit_kkt(ir: ModelIR, bundle: ModelBundle) -> KktBlock:
+    """Optimality conditions of the users' problem, one block per period,
+    over the bundle's price and users' variables; the price band, theta
+    and the users' bounds are the scenario's (`bundle.cfg`).
 
     Electric stationarity:  mu_t - d1_t + d2_t + xi = 0
     Heat stationarity:      -gamma_t + 2*theta*hcl_t + d4_t = 0
@@ -121,11 +120,14 @@ def emit_kkt(ir: ModelIR, follower: FollowerFragment,
     never binds) therefore holds by its bounds; `big_m_linearize` gives
     it no binary.
     """
-    t_count = follower.horizon
-    theta = follower.theta
+    cfg, follower = bundle.cfg, bundle.follower
+    mu_names, gamma_names = bundle.names["mu"], bundle.names["gamma"]
+    prices, theta = cfg.prices, cfg.idr.theta
+    t_count = cfg.horizon
+    sl_lb, sl_ub, cut_ub = cfg.shift_lower(), cfg.shift_upper(), cfg.cut_upper()
     cap_e = np.full(t_count, prices.mu_max - prices.mu_min)
     caps = {"delta1": cap_e, "delta2": cap_e,
-            "delta4": np.maximum(0.0, prices.gamma_max - 2.0 * theta * follower.cut_ub)}
+            "delta4": np.maximum(0.0, prices.gamma_max - 2.0 * theta * cut_ub)}
 
     xi = ir.add_variable("xi", -prices.mu_max, -prices.mu_min)
     deltas = {family: [ir.add_variable(f"{family}_{t}", 0.0, float(cap[t]))
@@ -144,13 +146,13 @@ def emit_kkt(ir: ModelIR, follower: FollowerFragment,
         block.stationarity.append((f"kkt_stat_h_{t}", stat_h, 0.0))
 
         block.pairs.append(ComplementarityPair(
-            f"shift_lb_{t}", {follower.p_sl[t]: 1.0}, -float(follower.sl_lb[t]),
+            f"shift_lb_{t}", {follower.p_sl[t]: 1.0}, -float(sl_lb[t]),
             deltas["delta1"][t]))
         block.pairs.append(ComplementarityPair(
-            f"shift_ub_{t}", {follower.p_sl[t]: -1.0}, float(follower.sl_ub[t]),
+            f"shift_ub_{t}", {follower.p_sl[t]: -1.0}, float(sl_ub[t]),
             deltas["delta2"][t]))
         block.pairs.append(ComplementarityPair(
-            f"cut_ub_{t}", {follower.h_cl[t]: -1.0}, float(follower.cut_ub[t]),
+            f"cut_ub_{t}", {follower.h_cl[t]: -1.0}, float(cut_ub[t]),
             deltas["delta4"][t]))
     return block
 
@@ -193,32 +195,34 @@ def eliminate_bilinear(ir: ModelIR, bundle: ModelBundle, block: KktBlock) -> Non
     binaries. The electric pieces aggregate to -xi*S because every period
     carries the same weight dt and the shift-total row fixes sum psl_t = S.
     """
-    follower = bundle.follower
-    dt = bundle.cfg.dt_hours
-    for t in range(follower.horizon):
-        ir.add_obj_linear(block.deltas["delta1"][t], dt * float(follower.sl_lb[t]))
-        ir.add_obj_linear(block.deltas["delta2"][t], -dt * float(follower.sl_ub[t]))
-        ir.add_obj_quad(follower.h_cl[t], -dt * 2.0 * follower.theta)
-        ir.add_obj_linear(block.deltas["delta4"][t], -dt * float(follower.cut_ub[t]))
-    ir.add_obj_linear(block.xi, -dt * follower.shift_total)
+    cfg, follower = bundle.cfg, bundle.follower
+    dt = cfg.dt_hours
+    sl_lb, sl_ub, cut_ub = cfg.shift_lower(), cfg.shift_upper(), cfg.cut_upper()
+    for t in range(cfg.horizon):
+        ir.add_obj_linear(block.deltas["delta1"][t], dt * float(sl_lb[t]))
+        ir.add_obj_linear(block.deltas["delta2"][t], -dt * float(sl_ub[t]))
+        ir.add_obj_quad(follower.h_cl[t], -dt * 2.0 * cfg.idr.theta)
+        ir.add_obj_linear(block.deltas["delta4"][t], -dt * float(cut_ub[t]))
+    ir.add_obj_linear(block.xi, -dt * cfg.shift_total())
 
 
 def bilinear_identity_residuals(bundle: ModelBundle, block: KktBlock,
                                 values: dict[str, float]) -> list[tuple[str, float]]:
     """Per-period gap between price*quantity and its substituted expression."""
-    follower = bundle.follower
+    cfg, follower = bundle.cfg, bundle.follower
+    sl_lb, sl_ub, cut_ub = cfg.shift_lower(), cfg.shift_upper(), cfg.cut_upper()
     out = []
-    for t in range(follower.horizon):
+    for t in range(cfg.horizon):
         psl = values[follower.p_sl[t]]
         lhs = values[bundle.names["mu"][t]] * psl
-        rhs = (values[block.deltas["delta1"][t]] * float(follower.sl_lb[t])
-               - values[block.deltas["delta2"][t]] * float(follower.sl_ub[t])
+        rhs = (values[block.deltas["delta1"][t]] * float(sl_lb[t])
+               - values[block.deltas["delta2"][t]] * float(sl_ub[t])
                - values[block.xi] * psl)
         out.append((f"elec_{t}", lhs - rhs))
         hcl = values[follower.h_cl[t]]
         lhs = values[bundle.names["gamma"][t]] * hcl
-        rhs = (2.0 * follower.theta * hcl ** 2
-               + values[block.deltas["delta4"][t]] * float(follower.cut_ub[t]))
+        rhs = (2.0 * cfg.idr.theta * hcl ** 2
+               + values[block.deltas["delta4"][t]] * float(cut_ub[t]))
         out.append((f"heat_{t}", lhs - rhs))
     return out
 
@@ -251,8 +255,7 @@ def assemble_single_level(bundle: ModelBundle, n_segments: int = 8) -> ModelBund
     """
     ir = bundle.ir
     if bundle.follower is not None:
-        block = emit_kkt(ir, bundle.follower, bundle.names["mu"],
-                         bundle.names["gamma"], bundle.cfg.prices)
+        block = emit_kkt(ir, bundle)
         for pair in block.pairs:
             big_m_linearize(ir, pair)
         eliminate_bilinear(ir, bundle, block)

@@ -99,13 +99,18 @@ class RunOutput:
 
 
 def build_bundle(cfg: ScenarioConfig, mode_number: int,
-                 confidence: float | None = None,
                  n_segments: int = 8) -> gm.ModelBundle:
     """Construct the single-level program for one mode."""
-    bundle = gm.build_leader(cfg, cfg.expected_renewables(),
-                             cfg.reserve_requirements(confidence),
-                             gm.ModeSettings.for_mode(mode_number))
+    bundle = gm.build_leader(cfg, gm.ModeSettings.for_mode(mode_number))
     return assemble_single_level(bundle, n_segments=n_segments)
+
+
+def _overridden(cfg: ScenarioConfig, theta, confidence) -> ScenarioConfig:
+    """`cfg` with a run's theta and confidence overrides, where given."""
+    overrides = {k: float(v) for k, v in (("theta", theta),
+                                          ("confidence", confidence))
+                 if v is not None}
+    return cfg.with_overrides(**overrides) if overrides else cfg
 
 
 def run_pipeline(manifest: RunManifest) -> RunOutput:
@@ -115,6 +120,9 @@ def run_pipeline(manifest: RunManifest) -> RunOutput:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def fail(code: int, status: str, reason: str) -> RunOutput:
+        # a failed run leaves no solution behind, not even an older run's
+        for stale in ("periods.csv", "validation.json"):
+            (out_dir / stale).unlink(missing_ok=True)
         summary = {
             "schema_version": CSV_SCHEMA_VERSION,
             "scenario": manifest.scenario,
@@ -130,11 +138,9 @@ def run_pipeline(manifest: RunManifest) -> RunOutput:
         return fail(EXIT_SCHEMA, "SCHEMA_ERROR",
                     _too_few_samples(manifest.mc_samples))
     try:
-        cfg = load_scenario(manifest.scenario)
-        if manifest.theta is not None:
-            cfg = cfg.with_overrides(theta=manifest.theta)
-        bundle = build_bundle(cfg, manifest.mode, manifest.confidence,
-                              manifest.n_segments)
+        cfg = _overridden(load_scenario(manifest.scenario),
+                          manifest.theta, manifest.confidence)
+        bundle = build_bundle(cfg, manifest.mode, manifest.n_segments)
     except (ConfigError, gm.BuildError, ValueError) as exc:
         return fail(EXIT_SCHEMA, "SCHEMA_ERROR", str(exc))
 
@@ -168,7 +174,7 @@ def run_pipeline(manifest: RunManifest) -> RunOutput:
         "mode": manifest.mode,
         "seed": manifest.seed,
         "backend": backend.name,
-        "confidence": bundle.confidence,
+        "confidence": cfg.confidence,
         "theta": cfg.idr.theta,
         "n_segments": manifest.n_segments,
         "gap_tolerance": manifest.gap,
@@ -192,7 +198,7 @@ def run_pipeline(manifest: RunManifest) -> RunOutput:
         "runtime_s": time.perf_counter() - started,
         "validation_passed": report.passed,
     }
-    _write_csv(out_dir / "periods.csv", _period_table(cfg, bundle, sol))
+    _write_csv(out_dir / "periods.csv", _period_table(cfg, sol))
     _write_json(out_dir / "summary.json", summary)
     _write_json(out_dir / "validation.json", {
         "violations": [vars(v) for v in report.violations],
@@ -205,10 +211,10 @@ def run_pipeline(manifest: RunManifest) -> RunOutput:
     return RunOutput(EXIT_OK, "OPTIMAL", "", summary, sol)
 
 
-def _period_table(cfg: ScenarioConfig, bundle: gm.ModelBundle,
+def _period_table(cfg: ScenarioConfig,
                   sol: gm.EquilibriumSolution) -> list[dict]:
-    heat_base = bundle.heat_base
-    r_req = np.array([req.min_reserve() for req in bundle.reserve_reqs])
+    heat_base = cfg.heat_base_load()
+    r_req = [req.min_reserve() for req in cfg.reserve_requirements()]
     rows = []
     for t in range(cfg.horizon):
         row = {
@@ -342,30 +348,35 @@ def revalidate(scenario: str, run_dir: str, mc_samples: int,
                seed: int) -> tuple[gm.ValidationReport, dict]:
     """Reload a finished run from its output files and re-verify it.
 
-    The program is rebuilt with the run's effective theta, confidence and
-    segment count from `summary.json`; run directories written before
-    those fields existed fall back to the scenario file and the default
-    segment count. A sample count below the Monte Carlo floor is refused
-    with ValueError before anything is read, and so is a scenario file
-    whose SHA-256 differs from the one the run recorded (run directories
-    without `scenario_sha256` are not checked).
+    The scenario is overridden with the run's effective theta and
+    confidence from `summary.json` (`ScenarioConfig.with_overrides`, as
+    `run_pipeline` applies them), and the program is rebuilt with the
+    recorded segment count; run directories written before those fields
+    existed fall back to the scenario file and the default segment count.
+    A sample count below the Monte Carlo floor is refused with ValueError
+    before anything is read, and so are a summary whose run found no
+    solution and a scenario file whose SHA-256 differs from the one the
+    run recorded (run directories without `scenario_sha256` are not
+    checked).
     """
     if mc_samples < MIN_MC_SAMPLES:
         raise ValueError(_too_few_samples(mc_samples))
     run_path = Path(run_dir)
     summary = json.loads((run_path / "summary.json").read_text())
+    if summary.get("status") != se.OPTIMAL:
+        raise ValueError(f"{run_dir} records no solution to revalidate "
+                         f"(status {summary.get('status')})")
     recorded = summary.get("scenario_sha256")
     if recorded is not None and recorded != _sha256(scenario):
         raise ValueError(f"{scenario} is not the scenario file the run was "
                          f"made from (sha256 {recorded})")
-    cfg = load_scenario(scenario)
-    if "theta" in summary:
-        cfg = cfg.with_overrides(theta=float(summary["theta"]))
-    bundle = build_bundle(cfg, int(summary["mode"]), summary.get("confidence"),
+    cfg = _overridden(load_scenario(scenario), summary.get("theta"),
+                      summary.get("confidence"))
+    bundle = build_bundle(cfg, int(summary["mode"]),
                           int(summary.get("n_segments", 8)))
     with (run_path / "periods.csv").open(newline="") as fh:
         rows = list(csv.DictReader(fh))
-    sol = _solution_from_rows(cfg, bundle, rows, summary)
+    sol = _solution_from_rows(cfg, rows, summary)
     report = gm.verify_solution(sol, bundle)
     mc = se.validate_reserve(sol, bundle, mc_samples, seed)
     report.reserve_mc = mc.reserve_mc
@@ -381,8 +392,8 @@ def _too_few_samples(n: int) -> str:
             f"{MIN_MC_SAMPLES} samples per period")
 
 
-def _solution_from_rows(cfg: ScenarioConfig, bundle: gm.ModelBundle,
-                        rows: list[dict], summary: dict) -> gm.EquilibriumSolution:
+def _solution_from_rows(cfg: ScenarioConfig, rows: list[dict],
+                        summary: dict) -> gm.EquilibriumSolution:
     t_count = cfg.horizon
 
     def col(name: str) -> np.ndarray:

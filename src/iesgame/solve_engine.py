@@ -29,8 +29,7 @@ from .config import ScenarioConfig
 from .kkt_reformulation import assemble_single_level
 from .lp_io import parse_solution, write_lp
 from .model_ir import CompiledModel, ModelIR, as_compiled
-from .prob_sequences import (MC_ALLOWANCE, ReserveRequirementRows,
-                             chance_satisfaction_mc)
+from .prob_sequences import MC_ALLOWANCE, chance_satisfaction_mc
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
@@ -233,12 +232,14 @@ CUT_TOL = 1e-6
 
 
 class _PostedPriceEvaluator:
-    """What the operator earns by posting (mu, gamma) to responding users.
+    """What the operator earns by posting (mu, gamma) to responding users
+    of scenario `cfg`.
 
     The users' closed-form best response fixes the quantities; the
-    operator's dispatch for them is solved at zero prices (leaving minus
-    its cost), once per distinct response, and the users' bill at the
-    posted prices is added back. `profit` prices one point; `best` finds
+    operator's dispatch for them (under the scenario's expected output,
+    reserve requirements and heat load) is solved at zero prices (leaving
+    minus its cost), once per distinct response, and the users' bill at
+    the posted prices is added back. `profit` prices one point; `best` finds
     the exact best of many, solving only the points it cannot rule out.
     Every exact solve adds exactly one `cost_cache` entry and goes through
     `backend`. The dispatch program is built, assembled and compiled
@@ -249,17 +250,13 @@ class _PostedPriceEvaluator:
     zeroes its integrality, which can only lower the dispatch cost.
     """
 
-    def __init__(self, cfg: ScenarioConfig, expected: np.ndarray,
-                 reserve_reqs: list[ReserveRequirementRows],
-                 heat_base: np.ndarray, dhn_enabled: bool, n_segments: int,
+    def __init__(self, cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
                  backend, relax_binaries: bool):
         self.cfg = cfg
-        self.heat_base = heat_base
         self.backend = backend
         self.cost_cache: dict[bytes, float] = {}
         self._fixed_load = np.asarray(cfg.fixed_load)
-        self._build_args = (cfg, expected, reserve_reqs, dhn_enabled,
-                            n_segments, relax_binaries)
+        self._build_args = (cfg, dhn_enabled, n_segments, relax_binaries)
         self._dispatch: CompiledModel | None = None
 
     def profit(self, mu: np.ndarray, gamma: np.ndarray
@@ -336,8 +333,9 @@ class _PostedPriceEvaluator:
     def _bill(self, mu: np.ndarray, gamma: np.ndarray,
               response: tuple[np.ndarray, np.ndarray]) -> float:
         p_sl, h_cl = response
+        cfg = self.cfg
         return float(np.dot(mu, self._fixed_load + p_sl)
-                     + np.dot(gamma, self.heat_base - h_cl)) * self.cfg.dt_hours
+                     + np.dot(gamma, cfg.heat_base_load() - h_cl)) * cfg.dt_hours
 
     def _program(self, response: tuple[np.ndarray, np.ndarray]
                  ) -> CompiledModel:
@@ -356,15 +354,13 @@ class _PostedPriceEvaluator:
         return self.cost_cache[key]
 
 
-def _dispatch_program(cfg: ScenarioConfig, expected: np.ndarray,
-                      reserve_reqs: list[ReserveRequirementRows],
-                      dhn_enabled: bool, n_segments: int, relax_binaries: bool,
+def _dispatch_program(cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
+                      relax_binaries: bool,
                       response: tuple[np.ndarray, np.ndarray]) -> CompiledModel:
     """The operator's zero-price dispatch for a fixed users' response,
     compiled; its optimum is minus the dispatch cost."""
     zero = np.zeros(cfg.horizon)
-    bundle = gm.build_leader(cfg, expected, reserve_reqs,
-                             gm.ModeSettings(4, dhn_enabled, True, False),
+    bundle = gm.build_leader(cfg, gm.ModeSettings(4, dhn_enabled, True, False),
                              fixed_prices=(zero, zero), fixed_response=response)
     assemble_single_level(bundle, n_segments=n_segments)
     model = bundle.ir.compile()
@@ -504,10 +500,8 @@ def enumerate_oracle(cfg: ScenarioConfig, price_grid_step: float,
         raise OracleSizeError("no admissible grid points; the step does not "
                               "reach the average-price plane")
 
-    evaluator = _PostedPriceEvaluator(
-        cfg, cfg.expected_renewables(), cfg.reserve_requirements(),
-        cfg.heat_base_load(), bool(cfg.pipelines), n_segments, backend,
-        relax_binaries=False)
+    evaluator = _PostedPriceEvaluator(cfg, bool(cfg.pipelines), n_segments,
+                                      backend, relax_binaries=False)
     mu_all = np.array([mu for mu in mu_grid for _ in gamma_grid])
     gamma_all = np.array([gamma for _ in mu_grid for gamma in gamma_grid])
     i, profit, response = evaluator.best(mu_all, gamma_all)
@@ -560,10 +554,9 @@ def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
     best response's, which must not exceed `gm.RESPONSE_TOL`. Leader
     side, sampled: the best of `n_deviations` random admissible price
     vectors, found by the shared posted-price evaluator's pruned search
-    (`_PostedPriceEvaluator.best`) under the bundle's own expected
-    output, reserve requirements, heat load, transport switch and
-    segment count, must not beat the solution's profit by more than the
-    PWL error allowance. The evaluator relaxes the unit binaries here:
+    (`_PostedPriceEvaluator.best`) under the bundle's own scenario,
+    transport switch and segment count, must not beat the solution's
+    profit by more than the PWL error allowance. The evaluator relaxes the unit binaries here:
     that can only overstate a deviation's profit, a conservative
     direction for a no-improvement test, and it keeps every re-dispatch
     an LP. The search solves exactly only the deviations whose cut bound
@@ -579,10 +572,9 @@ def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
     worst_follower = f2_star - gm.follower_cost(cfg, sol.mu, sol.gamma, *best)
 
     p = cfg.prices
-    evaluator = _PostedPriceEvaluator(
-        cfg, bundle.expected, bundle.reserve_reqs, bundle.heat_base,
-        bundle.mode.dhn_enabled, bundle.n_segments, backend,
-        relax_binaries=True)
+    evaluator = _PostedPriceEvaluator(cfg, bundle.mode.dhn_enabled,
+                                      bundle.n_segments, backend,
+                                      relax_binaries=True)
     deviations = [(_random_admissible_prices(p.mu_min, p.mu_max, p.mu_av,
                                              cfg.horizon, rng),
                    _random_admissible_prices(p.gamma_min, p.gamma_max,
@@ -622,10 +614,10 @@ def validate_reserve(sol: gm.EquilibriumSolution, bundle: gm.ModelBundle,
     estimates = chance_satisfaction_mc(
         [cfg.pv_model_for(t) for t in periods],
         [cfg.wt_model_for(t) for t in periods],
-        [float(bundle.expected[t]) for t in periods],
-        [float(sol.reserve_total[t]) for t in periods],
+        cfg.expected_renewables().tolist(),
+        sol.reserve_total.tolist(),
         n_samples, np.random.default_rng(seed))
-    required = bundle.confidence - MC_ALLOWANCE
+    required = cfg.confidence - MC_ALLOWANCE
     report = gm.ValidationReport()
     for t, (estimate, half_width) in enumerate(estimates):
         report.reserve_mc.append({

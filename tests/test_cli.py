@@ -307,6 +307,57 @@ class TestValidateVerb:
         assert code == cli.EXIT_SCHEMA
         assert "mc_samples=100" in capsys.readouterr().err
 
+    def test_confidence_override_round_trip(self, toy_path, tmp_path,
+                                            capsys):
+        # the run's 0.8 differs from the scenario file's 0.9, so the
+        # rebuild must take the confidence from summary.json
+        out_dir = tmp_path / "run"
+        code = run_cli(["run", "--scenario", str(toy_path), "--mode", "3",
+                        "--confidence", "0.8", "--out", str(out_dir),
+                        "--mc-samples", "20000"])
+        assert code == cli.EXIT_OK
+        summary_path = out_dir / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        assert summary["confidence"] == 0.8
+        validate = ["validate", "--scenario", str(toy_path),
+                    "--run-dir", str(out_dir), "--mc-samples", "20000"]
+        assert run_cli(validate) == cli.EXIT_OK
+        # reserves sized for 0.8 do not cover 0.95
+        summary["confidence"] = 0.95
+        summary_path.write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert run_cli(validate) == cli.EXIT_VALIDATION
+        payload = json.loads(capsys.readouterr().out)
+        assert any(v["check"] == "reserve_coverage"
+                   for v in payload["violations"])
+
+    def test_failed_rerun_leaves_no_stale_solution(self, toy_path, tmp_path,
+                                                   capsys):
+        # a refused run into the directory of a finished one must not
+        # leave the older run's solution beside its own failed summary
+        out_dir = tmp_path / "run"
+        argv = ["run", "--scenario", str(toy_path), "--mode", "3",
+                "--out", str(out_dir)]
+        assert run_cli(argv + ["--mc-samples", "20000"]) == cli.EXIT_OK
+        assert run_cli(argv + ["--mc-samples", "5"]) == cli.EXIT_SCHEMA
+        assert sorted(p.name for p in out_dir.iterdir()) == ["summary.json"]
+        capsys.readouterr()
+        code = run_cli(["validate", "--scenario", str(toy_path),
+                        "--run-dir", str(out_dir), "--mc-samples", "20000"])
+        assert code == cli.EXIT_SCHEMA
+        assert "records no solution to revalidate (status SCHEMA_ERROR)" \
+            in capsys.readouterr().err
+
+    def test_failed_summary_refused(self, toy_path, toy_run):
+        # a failure summary beside a solution left by an older run
+        summary_path = toy_run / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        summary_path.write_text(json.dumps(
+            {"status": "INFEASIBLE", "mode": summary["mode"],
+             "reason": "infeasible at stage full_model"}))
+        with pytest.raises(ValueError, match=r"status INFEASIBLE"):
+            cli.revalidate(str(toy_path), str(toy_run), 20000, 0)
+
     def test_missing_run_dir(self, toy_path, tmp_path):
         code = run_cli(["validate", "--scenario", str(toy_path),
                         "--run-dir", str(tmp_path / "nowhere")])

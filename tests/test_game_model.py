@@ -213,19 +213,15 @@ class TestBuildLeader:
     def test_fixed_prices_conflict(self, toy_cfg):
         mode = gm.ModeSettings.for_mode(3)
         with pytest.raises(gm.BuildError):
-            gm.build_leader(toy_cfg, toy_cfg.expected_renewables(),
-                            toy_cfg.reserve_requirements(), mode,
+            gm.build_leader(toy_cfg, mode,
                             fixed_prices=(np.full(3, 68.5), np.full(3, 29.5)))
         with pytest.raises(gm.BuildError):
-            gm.build_leader(toy_cfg, toy_cfg.expected_renewables(),
-                            toy_cfg.reserve_requirements(), mode,
+            gm.build_leader(toy_cfg, mode,
                             fixed_response=(toy_cfg.baseline_shift(), np.zeros(3)))
 
     def test_game_built_from_public_entry(self, toy_cfg):
         # optimized prices make build_leader add the users' block itself
-        bundle = gm.build_leader(toy_cfg, toy_cfg.expected_renewables(),
-                                 toy_cfg.reserve_requirements(),
-                                 gm.ModeSettings.for_mode(3))
+        bundle = gm.build_leader(toy_cfg, gm.ModeSettings.for_mode(3))
         names = bundle.ir.variables
         for t in range(toy_cfg.horizon):
             assert f"p_sl_{t}" in names and f"h_cl_{t}" in names
@@ -239,7 +235,8 @@ class TestBuildLeader:
 
 def with_indicator_reserve(bundle: gm.ModelBundle) -> ModelIR:
     """The bundle's program with each `res_min_t` row replaced by the
-    paper's sequence-operation form, rebuilt from `bundle.reserve_reqs`:
+    paper's sequence-operation form, rebuilt from the scenario's reserve
+    requirements:
     a binary w_m per output level, r >= thr_m - M (1 - w_m), and the
     coverage row sum_m p_m w_m >= confidence."""
     ir = bundle.ir
@@ -255,7 +252,7 @@ def with_indicator_reserve(bundle: gm.ModelBundle) -> ModelIR:
             reserve[row.name] = row.coeffs
         else:
             out.add_row(row.name, dict(row.coeffs), row.sense, row.rhs)
-    for t, req in enumerate(bundle.reserve_reqs):
+    for t, req in enumerate(bundle.cfg.reserve_requirements()):
         r_coeffs = reserve[f"res_min_{t}"]
         big_m = max(req.expected_output, 1e-9)  # no threshold exceeds E
         w = [out.add_variable(f"w_res_{t}_{m}", 0.0, 1.0, binary=True)
@@ -271,19 +268,21 @@ def with_indicator_reserve(bundle: gm.ModelBundle) -> ModelIR:
 
 class TestReserveRow:
     def test_one_row_per_period(self, toy_cfg):
-        bundle = build_bundle(toy_cfg, 2, confidence=0.8)
+        cfg = toy_cfg.with_overrides(confidence=0.8)
+        bundle = build_bundle(cfg, 2)
         rows = {r.name: r for r in bundle.ir.rows if r.name.startswith("res_")}
         assert sorted(rows) == [f"res_min_{t}" for t in range(toy_cfg.horizon)]
-        for t, req in enumerate(bundle.reserve_reqs):
+        reqs = cfg.reserve_requirements()
+        for t, req in enumerate(reqs):
             assert rows[f"res_min_{t}"].rhs == req.min_reserve()
-        # the confidence level has one source: the reserve requirements
-        assert bundle.confidence == 0.8
-        assert all(req.confidence == 0.8 for req in bundle.reserve_reqs)
+        # the confidence level has one source: the scenario
+        assert bundle.cfg.confidence == 0.8
+        assert all(req.confidence == 0.8 for req in reqs)
 
     @pytest.mark.parametrize("mode", [1, 2, 3, 4])
     def test_matches_indicator_form(self, toy_cfg, mode):
         bundle = build_bundle(toy_cfg, mode)
-        assert max(r.min_reserve() for r in bundle.reserve_reqs) > 0
+        assert max(r.min_reserve() for r in toy_cfg.reserve_requirements()) > 0
         backend = se.ScipyMilpBackend()
         row = backend.solve(bundle.ir, 60.0, 1e-4)
         reference = backend.solve(with_indicator_reserve(bundle), 60.0, 1e-4)
@@ -321,14 +320,11 @@ def hand_built_mode2(cfg):
     """Feasible point for the three-period toy, mode 2, built from the
     physical formulas (delay on the single pipeline is 6 periods, which
     wraps to the identity on a 3-period cycle)."""
-    mode = gm.ModeSettings.for_mode(2)
-    expected = cfg.expected_renewables()
-    reqs = cfg.reserve_requirements()
-    bundle = gm.build_leader(cfg, expected, reqs, mode)
+    bundle = gm.build_leader(cfg, gm.ModeSettings.for_mode(2))
 
     t_count = cfg.horizon
     pipe = cfg.pipelines[0]
-    heat_base = bundle.heat_base
+    heat_base = cfg.heat_base_load()
     t_rw = np.full(t_count, 50.0)
     hco = th.WATER_HEAT_CAPACITY_KJ * pipe.mass_flow_kg_s / 1000.0
     t_sw = t_rw + heat_base / hco
@@ -340,7 +336,7 @@ def hand_built_mode2(cfg):
     load_eff = np.asarray(cfg.fixed_load) + p_sl
     p_tp = np.full(t_count, 0.3)
     p_chp = load_eff - p_tp
-    r_req = np.array([r.min_reserve() for r in reqs])
+    r_req = np.array([r.min_reserve() for r in cfg.reserve_requirements()])
 
     mu, gamma = cfg.proportional_prices()
     sol = gm.EquilibriumSolution(
@@ -352,7 +348,7 @@ def hand_built_mode2(cfg):
         soc=np.zeros(t_count), r_bess=np.zeros(t_count),
         p_res=np.zeros(t_count),
         t_sw=t_sw[None, :], t_rw=t_rw[None, :], h_src=h_src[None, :],
-        expected=expected, f1=0.0, f2=0.0, objective_milp=0.0)
+        expected=cfg.expected_renewables(), f1=0.0, f2=0.0, objective_milp=0.0)
     sol.f1 = gm.leader_profit(cfg, sol)
     sol.f2 = gm.follower_cost(cfg, mu, gamma, sol.p_sl, sol.h_cl)
     sol.objective_milp = sol.f1

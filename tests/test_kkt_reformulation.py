@@ -149,7 +149,7 @@ class TestEmitKkt:
         cfg, bundle, out = solved_toy
         values = out.result.values
         sol = out.solution
-        cut_ub = bundle.heat_base - bundle.heat_min
+        cut_ub = cfg.cut_upper()
         for t in range(cfg.horizon):
             if 1e-6 < sol.h_cl[t] < cut_ub[t] - 1e-6:
                 assert sol.gamma[t] == pytest.approx(

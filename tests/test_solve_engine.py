@@ -241,7 +241,7 @@ class TestReserveValidation:
         cfg = scenario_from_dict(toy_dict())
         totals = []
         for conf in (0.85, 0.95):
-            bundle = build_bundle(cfg, 2, confidence=conf)
+            bundle = build_bundle(cfg.with_overrides(confidence=conf), 2)
             out = se.solve(bundle, se.SolveOptions(time_limit=60),
                            se.get_backend())
             totals.append(float(np.sum(out.solution.reserve_total)))
@@ -249,9 +249,8 @@ class TestReserveValidation:
 
 
 def evaluator_for(cfg, backend, relax_binaries):
-    return se._PostedPriceEvaluator(
-        cfg, cfg.expected_renewables(), cfg.reserve_requirements(),
-        cfg.heat_base_load(), bool(cfg.pipelines), 8, backend, relax_binaries)
+    return se._PostedPriceEvaluator(cfg, bool(cfg.pipelines), 8, backend,
+                                    relax_binaries)
 
 
 def random_prices(cfg, n, rng):
@@ -399,8 +398,7 @@ class TestCompiledDispatch:
         # patch misses shows up here
         cfg = toy_cfg if case == "toy" else load_scenario(case2_path)
         rng = np.random.default_rng(17)
-        args = (cfg, cfg.expected_renewables(), cfg.reserve_requirements(),
-                dhn_enabled, 8, relax_binaries)
+        args = (cfg, dhn_enabled, 8, relax_binaries)
         template = se._dispatch_program(
             *args, random_follower_point(cfg, rng))
         for _ in range(3):
@@ -422,8 +420,7 @@ class TestCompiledDispatch:
         # variables, so a response that leaves heat unserved is refused
         # by the patch exactly as by the build
         cfg = scenario_from_dict(flat_single_unit_dict())
-        args = (cfg, cfg.expected_renewables(), cfg.reserve_requirements(),
-                False, 8, True)
+        args = (cfg, False, 8, True)
         zero = np.zeros(cfg.horizon)
         template = se._dispatch_program(*args, (zero, zero))
         assert not any(n.startswith("bal_h_") for n in template.row_index)

@@ -20,6 +20,14 @@ WT = WeibullWtModel(z=8.0, u=2.0, v_in=3.0, v_e=12.0, v_out=25.0, p_e=2.0)
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
 
+def reference_wt_power(m, v):
+    """The turbine curve for one speed in plain Python, in the program's
+    order of operations: (v - v_in) / (v_e - v_in), clipped, times p_e."""
+    if v >= m.v_out:
+        return 0.0
+    return min(max((v - m.v_in) / (m.v_e - m.v_in), 0.0), 1.0) * m.p_e
+
+
 class TestPvDensity:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -129,8 +137,11 @@ class TestSampling:
     def test_wt_matches_power_curve(self):
         draws = sample_wt(WT, np.random.default_rng(23), size=100_000)
         speeds = np.random.default_rng(23).weibull(WT.u, size=100_000) * WT.z
-        curve = np.array([wt_power_curve(WT, float(v)) for v in speeds])
+        curve = np.array([reference_wt_power(WT, v) for v in speeds.tolist()])
         assert np.array_equal(draws, curve)
+        for v in speeds[:20].tolist():  # the scalar path returns a float
+            out = wt_power_curve(WT, v)
+            assert type(out) is float and out == reference_wt_power(WT, v)
 
     def test_wt_at_curve_corners(self):
         # v_in, v_e and v_out over z = 8 are exact, so the sampler sees
