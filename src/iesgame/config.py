@@ -128,7 +128,6 @@ class ScenarioConfig:
     bess: BessSpec | None = None
     pv: PvConfig | None = None
     wt: WtConfig | None = None
-    notes: tuple[str, ...] = ()
     # derived profiles, computed once per config; left out of ==, hash and
     # repr, and not carried over by `with_overrides`
     _derived: dict = field(default_factory=dict, init=False, repr=False,
@@ -411,7 +410,6 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
             bess=bess,
             pv=pv,
             wt=wt,
-            notes=tuple(data.get("notes", [])),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):

@@ -116,14 +116,9 @@ class EquilibriumSolution:
     t_sw: np.ndarray      # (n_pipe, T), NaN when transport is disabled
     t_rw: np.ndarray
     h_src: np.ndarray
-    expected: np.ndarray
     f1: float
     f2: float
     objective_milp: float
-
-    @property
-    def curtailment(self) -> np.ndarray:
-        return self.expected - self.p_res
 
     @property
     def absorbed(self) -> float:
@@ -424,9 +419,7 @@ def build_leader(cfg: ScenarioConfig,
             ir.add_obj_linear(names["mu"][t], float(fixed_load[t]) * dt)
             ir.add_obj_linear(names["gamma"][t], float(heat_base[t]) * dt)
     else:
-        load_e = fixed_load + p_sl_const
-        load_h = heat_base - h_cl_const
-        ir.obj_const += float(np.dot(fixed_mu, load_e) + np.dot(fixed_gamma, load_h)) * dt
+        ir.obj_const += users_bill(cfg, fixed_mu, fixed_gamma, p_sl_const, h_cl_const)
 
     for i, u in enumerate(cfg.tp_units):
         for t in range(t_count):
@@ -537,22 +530,26 @@ def follower_best_response(mu: np.ndarray, gamma: np.ndarray,
     return p_sl, h_cl
 
 
+def users_bill(cfg: ScenarioConfig, mu: np.ndarray, gamma: np.ndarray,
+               p_sl: np.ndarray, h_cl: np.ndarray) -> float:
+    """What the users pay at prices (mu, gamma) for the electricity and
+    heat they draw with shift p_sl and heat cut h_cl: the operator's
+    revenue."""
+    return float(np.dot(mu, np.asarray(cfg.fixed_load) + p_sl)
+                 + np.dot(gamma, cfg.heat_base_load() - h_cl)) * cfg.dt_hours
+
+
 def follower_cost(cfg: ScenarioConfig, mu: np.ndarray, gamma: np.ndarray,
                   p_sl: np.ndarray, h_cl: np.ndarray) -> float:
     """Users' total bill including the comfort penalty."""
-    load_e = np.asarray(cfg.fixed_load) + p_sl
-    load_h = cfg.heat_base_load() - h_cl
-    energy = float(np.dot(mu, load_e) + np.dot(gamma, load_h)) * cfg.dt_hours
     penalty = cfg.idr.theta * float(np.dot(h_cl, h_cl)) * cfg.dt_hours
-    return energy + penalty
+    return users_bill(cfg, mu, gamma, p_sl, h_cl) + penalty
 
 
 def leader_profit(cfg: ScenarioConfig, sol: "EquilibriumSolution") -> float:
     """Operator profit recomputed from primitives with exact quadratic costs."""
     dt = cfg.dt_hours
-    load_e = np.asarray(cfg.fixed_load) + sol.p_sl
-    load_h = cfg.heat_base_load() - sol.h_cl
-    revenue = float(np.dot(sol.mu, load_e) + np.dot(sol.gamma, load_h)) * dt
+    revenue = users_bill(cfg, sol.mu, sol.gamma, sol.p_sl, sol.h_cl)
     cost = 0.0
     for i, u in enumerate(cfg.tp_units):
         p = sol.p_tp[i]
@@ -621,7 +618,6 @@ def extract_solution(bundle: ModelBundle, values: dict[str, float],
         r_bess=series("r_bess") if "r_bess" in bundle.names else np.zeros(t_count),
         p_res=series("p_res"),
         t_sw=t_sw, t_rw=t_rw, h_src=h_src,
-        expected=cfg.expected_renewables().copy(),
         f1=0.0, f2=0.0, objective_milp=objective)
     sol.f1 = leader_profit(cfg, sol)
     sol.f2 = follower_cost(cfg, mu, gamma, p_sl, h_cl)

@@ -134,9 +134,9 @@ def run_pipeline(manifest: RunManifest) -> RunOutput:
         _write_json(out_dir / "summary.json", summary)
         return RunOutput(code, status, reason, summary)
 
-    if manifest.run_validation and manifest.mc_samples < MIN_MC_SAMPLES:
-        return fail(EXIT_SCHEMA, "SCHEMA_ERROR",
-                    _too_few_samples(manifest.mc_samples))
+    refused = _refused_settings(manifest)
+    if refused:
+        return fail(EXIT_SCHEMA, "SCHEMA_ERROR", refused)
     try:
         cfg = _overridden(load_scenario(manifest.scenario),
                           manifest.theta, manifest.confidence)
@@ -193,7 +193,7 @@ def run_pipeline(manifest: RunManifest) -> RunOutput:
         "f1": sol.f1,
         "f2": sol.f2,
         "absorbed_renewables": sol.absorbed,
-        "expected_renewables": float(np.sum(sol.expected)),
+        "expected_renewables": float(np.sum(cfg.expected_renewables())),
         "solve_runtime_s": result.runtime_s,
         "runtime_s": time.perf_counter() - started,
         "validation_passed": report.passed,
@@ -211,9 +211,24 @@ def run_pipeline(manifest: RunManifest) -> RunOutput:
     return RunOutput(EXIT_OK, "OPTIMAL", "", summary, sol)
 
 
+def _refused_settings(manifest: RunManifest) -> str | None:
+    """Why the solver or the Monte Carlo check could not honour a run's
+    settings as recorded, or None."""
+    if manifest.run_validation and manifest.mc_samples < MIN_MC_SAMPLES:
+        return _too_few_samples(manifest.mc_samples)
+    if manifest.seed < 0:
+        return f"seed={manifest.seed} must be nonnegative"
+    for name, value in (("gap", manifest.gap),
+                        ("time_limit", manifest.time_limit)):
+        if not value >= 0:  # NaN included
+            return f"{name}={value} must be a nonnegative number"
+    return None
+
+
 def _period_table(cfg: ScenarioConfig,
                   sol: gm.EquilibriumSolution) -> list[dict]:
     heat_base = cfg.heat_base_load()
+    expected = cfg.expected_renewables()
     r_req = [req.min_reserve() for req in cfg.reserve_requirements()]
     rows = []
     for t in range(cfg.horizon):
@@ -229,8 +244,8 @@ def _period_table(cfg: ScenarioConfig,
             "heat_cut": sol.h_cl[t],
             "heat_load": heat_base[t] - sol.h_cl[t],
             "p_res": sol.p_res[t],
-            "expected_renewable": sol.expected[t],
-            "curtailment": sol.curtailment[t],
+            "expected_renewable": expected[t],
+            "curtailment": expected[t] - sol.p_res[t],
             "p_ch": sol.p_ch[t],
             "p_dh": sol.p_dh[t],
             "soc": sol.soc[t],
@@ -415,7 +430,6 @@ def _solution_from_rows(cfg: ScenarioConfig, rows: list[dict],
         p_res=col("p_res"),
         t_sw=grid("t_sw", len(cfg.pipelines)), t_rw=grid("t_rw", len(cfg.pipelines)),
         h_src=grid("h_src", len(cfg.pipelines)),
-        expected=col("expected_renewable"),
         f1=float(summary["f1"]), f2=float(summary["f2"]),
         objective_milp=float(summary["objective"]))
     return sol
@@ -556,6 +570,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if report.passed else EXIT_VALIDATION
 
     if args.verb == "oracle":
+        if args.out:  # a refused or failed check leaves no older result
+            (Path(args.out) / "oracle.json").unlink(missing_ok=True)
         try:
             cfg = load_scenario(args.scenario)
             result = se.enumerate_oracle(cfg, args.step,
@@ -565,7 +581,7 @@ def main(argv: list[str] | None = None) -> int:
         except se.OracleSizeError as exc:
             print(str(exc), file=sys.stderr)
             return EXIT_ORACLE_SIZE
-        except ValueError as exc:  # scenario errors and unknown backends
+        except ValueError as exc:  # scenario errors, steps and backends
             print(str(exc), file=sys.stderr)
             return EXIT_SCHEMA
         payload = {

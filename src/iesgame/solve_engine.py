@@ -227,131 +227,91 @@ def _triage_infeasibility(bundle: gm.ModelBundle, opts: SolveOptions,
 # HiGHS solves to primal and dual feasibility tolerances of 1e-7 (its
 # defaults) and the exact MILP re-dispatches to a 1e-6 feasibility
 # tolerance; the pruning margin is this times the scale of the compared
-# quantities (see `_PostedPriceEvaluator.best`)
+# quantities (see `_best_posted_price`)
 CUT_TOL = 1e-6
 
 
-class _PostedPriceEvaluator:
-    """What the operator earns by posting (mu, gamma) to responding users
-    of scenario `cfg`.
+def _best_posted_price(cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
+                       backend, relax_binaries: bool, mu: np.ndarray,
+                       gamma: np.ndarray
+                       ) -> tuple[int, float, tuple[np.ndarray, np.ndarray], int]:
+    """The best of the price pairs (mu[i], gamma[i]) for the operator,
+    posted to responding users of scenario `cfg`.
 
-    The users' closed-form best response fixes the quantities; the
-    operator's dispatch for them (under the scenario's expected output,
-    reserve requirements and heat load) is solved at zero prices (leaving
-    minus its cost), once per distinct response, and the users' bill at
-    the posted prices is added back. `profit` prices one point; `best` finds
-    the exact best of many, solving only the points it cannot rule out.
-    Every exact solve adds exactly one `cost_cache` entry and goes through
-    `backend`. The dispatch program is built, assembled and compiled
-    once, at the first response (so the build's own checks see only
-    responses asked about); every other response only moves the
-    right-hand sides of the balance rows (`_balance_rhs`), so each
-    re-solve starts from the same `CompiledModel`. `relax_binaries`
-    zeroes its integrality, which can only lower the dispatch cost.
+    Returns the index, profit and users' response of the best of at
+    least one pair, and the number of exact dispatch solves; on equal
+    profits the earliest index wins, as in a loop over every pair.
+
+    A pair's profit is the users' bill (`gm.users_bill`) at their
+    closed-form best response, minus the operator's dispatch cost for
+    that response (under the scenario's expected output, reserve
+    requirements and heat load), solved at zero prices through `backend`
+    at most once per distinct response. The dispatch program is built,
+    assembled and compiled once, at the first response (so the build's
+    own checks see only responses asked about); every other response
+    only moves the right-hand sides of the balance rows (`_balance_rhs`).
+    `relax_binaries` zeroes its integrality, which can only lower the
+    dispatch cost.
+
+    With b the balance right-hand sides a response sets, the dispatch
+    cost C(b) is at least the cost of the program's LP relaxation, the
+    optimal value of an LP in which b enters only the right-hand sides.
+    That value is convex in b, so the relaxation's duals at a solved
+    point b_k give the cut C(b) >= C_k + lam_k . (b - b_k)
+    (`_dispatch_cost_cut`), with or without the unit binaries. Each
+    pair's profit is then at most its bill minus its largest cut, +inf
+    before the first cut. The pair with the highest such bound is solved
+    exactly and adds its cut, until every unsolved bound is below the
+    best exact profit minus a margin.
+
+    The margin covers the solvers' tolerances. The cut's duals are
+    feasible to within HiGHS's dual-feasibility tolerance, so moved by db
+    a cut may overstate the cost by that tolerance per unit of |db|: at
+    most `CUT_TOL` times the largest move, the summed spread of b over
+    the pairs. Its intercept and the exact solve's value carry the same
+    tolerance relative to their size. The margin is therefore
+    `CUT_TOL * (1 + max |bill| + max |C_k| + move)`; a pair is skipped
+    only when even its bound plus that margin stays below the best exact
+    profit, so an equal profit is never skipped and the earliest index
+    still wins ties.
     """
-
-    def __init__(self, cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
-                 backend, relax_binaries: bool):
-        self.cfg = cfg
-        self.backend = backend
-        self.cost_cache: dict[bytes, float] = {}
-        self._fixed_load = np.asarray(cfg.fixed_load)
-        self._build_args = (cfg, dhn_enabled, n_segments, relax_binaries)
-        self._dispatch: CompiledModel | None = None
-
-    def profit(self, mu: np.ndarray, gamma: np.ndarray
-               ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-        """The operator's exact profit at one posted price pair, and the
-        users' response to it."""
-        response = gm.follower_best_response(mu, gamma, self.cfg)
-        return self._bill(mu, gamma, response) - self._cost(response), response
-
-    def best(self, mu: np.ndarray, gamma: np.ndarray
-             ) -> tuple[int, float, tuple[np.ndarray, np.ndarray]]:
-        """Exact max of `profit` over the price pairs (mu[i], gamma[i]).
-
-        Returns the index, profit and response of the best of at least
-        one pair; on equal profits the earliest index wins, as in a loop
-        over every pair.
-
-        With b the balance right-hand sides a response sets, the dispatch
-        cost C(b) is at least the cost of the program's LP relaxation,
-        the optimal value of an LP in which b enters only the right-hand
-        sides. That value is convex in b, so the relaxation's duals at a
-        solved point b_k give the cut C(b) >= C_k + lam_k . (b - b_k)
-        (`_dispatch_cost_cut`), with or without the unit binaries. Each
-        pair's profit is then at most its bill minus its largest cut, +inf
-        before the first cut. The pair with the highest such bound is
-        solved exactly through the backend and adds its cut, until every
-        unsolved bound is below the best exact profit minus a margin.
-
-        The margin covers the solvers' tolerances. The cut's duals are
-        feasible to within HiGHS's dual-feasibility tolerance, so moved
-        by db a cut may overstate the cost by that tolerance per unit of
-        |db|: at most `CUT_TOL` times the largest move, the summed spread
-        of b over the pairs. Its intercept and the exact solve's value
-        carry the same tolerance relative to their size. The margin is
-        therefore `CUT_TOL * (1 + max |bill| + max |C_k| + move)`; a pair
-        is skipped only when even its bound plus that margin stays below
-        the best exact profit, so an equal profit is never skipped and
-        the earliest index still wins ties.
-        """
-        responses = [gm.follower_best_response(m, g, self.cfg)
-                     for m, g in zip(mu, gamma)]
-        bills = np.array([self._bill(m, g, r)
-                          for m, g, r in zip(mu, gamma, responses)])
-        program = self._program(responses[0])
-        rows = _balance_rhs(program, self.cfg, responses[0])[0]
-        rhs = np.array([_balance_rhs(program, self.cfg, r)[1]
-                        for r in responses])
-        move = float(np.sum(rhs.max(axis=0) - rhs.min(axis=0)))
-        scale = 1.0 + float(np.max(np.abs(bills))) + move
-        largest_cost = 0.0
-        floor = np.full(len(bills), -np.inf)  # largest cut at each pair
-        unsolved = np.ones(len(bills), dtype=bool)
-        best_i, best_profit = -1, -math.inf
-        while unsolved.any():
-            bound = np.where(unsolved, bills - floor, -np.inf)
-            i = int(np.argmax(bound))
-            if bound[i] < best_profit - CUT_TOL * (scale + largest_cost):
-                break
-            unsolved[i] = False
-            n_solved = len(self.cost_cache)
-            profit = float(bills[i]) - self._cost(responses[i])
-            if best_i < 0 or profit > best_profit or (
-                    profit == best_profit and i < best_i):
-                best_i, best_profit = i, profit
-            if len(self.cost_cache) == n_solved:
-                continue  # response seen before: no new solve, no new cut
-            cut = _dispatch_cost_cut(program.with_rhs(rows, rhs[i]), rows)
-            if cut is not None:
-                cost, lam = cut
-                floor = np.maximum(floor, cost + (rhs - rhs[i]) @ lam)
-                largest_cost = max(largest_cost, abs(cost))
-        return best_i, best_profit, responses[best_i]
-
-    def _bill(self, mu: np.ndarray, gamma: np.ndarray,
-              response: tuple[np.ndarray, np.ndarray]) -> float:
-        p_sl, h_cl = response
-        cfg = self.cfg
-        return float(np.dot(mu, self._fixed_load + p_sl)
-                     + np.dot(gamma, cfg.heat_base_load() - h_cl)) * cfg.dt_hours
-
-    def _program(self, response: tuple[np.ndarray, np.ndarray]
-                 ) -> CompiledModel:
-        if self._dispatch is None:
-            self._dispatch = _dispatch_program(*self._build_args, response)
-        return self._dispatch
-
-    def _cost(self, response: tuple[np.ndarray, np.ndarray]) -> float:
-        key = np.round(np.concatenate(response), 9).tobytes()
-        if key not in self.cost_cache:
-            res = self.backend.solve(
-                _with_response(self._program(response), self.cfg, response),
-                60.0, 1e-6)
-            self.cost_cache[key] = (-res.objective if res.status == OPTIMAL
-                                    else math.inf)
-        return self.cost_cache[key]
+    responses = [gm.follower_best_response(m, g, cfg) for m, g in zip(mu, gamma)]
+    bills = np.array([gm.users_bill(cfg, m, g, *r)
+                      for m, g, r in zip(mu, gamma, responses)])
+    program = _dispatch_program(cfg, dhn_enabled, n_segments, relax_binaries,
+                                responses[0])
+    rows, rhs = _balance_rhs(program, cfg, responses)
+    move = float(np.sum(rhs.max(axis=0) - rhs.min(axis=0)))
+    scale = 1.0 + float(np.max(np.abs(bills))) + move
+    largest_cost = 0.0
+    costs: dict[bytes, float] = {}  # exact dispatch cost per distinct response
+    floor = np.full(len(bills), -np.inf)  # largest cut at each pair
+    unsolved = np.ones(len(bills), dtype=bool)
+    best_i, best_profit = -1, -math.inf
+    while unsolved.any():
+        bound = np.where(unsolved, bills - floor, -np.inf)
+        i = int(np.argmax(bound))
+        if bound[i] < best_profit - CUT_TOL * (scale + largest_cost):
+            break
+        unsolved[i] = False
+        key = np.round(np.concatenate(responses[i]), 9).tobytes()
+        seen = key in costs
+        if not seen:
+            model = program.with_rhs(rows, rhs[i])
+            res = backend.solve(model, 60.0, 1e-6)
+            costs[key] = -res.objective if res.status == OPTIMAL else math.inf
+        profit = float(bills[i]) - costs[key]
+        if best_i < 0 or profit > best_profit or (
+                profit == best_profit and i < best_i):
+            best_i, best_profit = i, profit
+        if seen:
+            continue  # response seen before: no new solve, no new cut
+        cut = _dispatch_cost_cut(model, rows)
+        if cut is not None:
+            cost, lam = cut
+            floor = np.maximum(floor, cost + (rhs - rhs[i]) @ lam)
+            largest_cost = max(largest_cost, abs(cost))
+    return best_i, best_profit, responses[best_i], len(costs)
 
 
 def _dispatch_program(cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
@@ -368,34 +328,29 @@ def _dispatch_program(cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
 
 
 def _balance_rhs(model: CompiledModel, cfg: ScenarioConfig,
-                 response: tuple[np.ndarray, np.ndarray]
+                 responses: list[tuple[np.ndarray, np.ndarray]]
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """The balance rows of a compiled dispatch program that a users'
-    response moves, and their right-hand sides for that response.
+    """The balance rows of a compiled dispatch program that users'
+    responses move, and one row of their right-hand sides per response.
 
-    The response enters the program only as the right-hand sides
+    A response enters the program only as the right-hand sides
     `bal_e_t = fixed_load_t + p_sl_t` and `bal_h_t = heat_base_t - h_cl_t`
     (at zero prices the users' bill is zero). A heat balance the build
     dropped for want of contributing variables gets the build's check.
     """
-    p_sl, h_cl = response
+    elec = np.array([np.asarray(cfg.fixed_load) + p_sl for p_sl, _ in responses])
+    heat = np.array([cfg.heat_base_load() - h_cl for _, h_cl in responses])
     rows = [model.row_index[f"bal_e_{t}"] for t in range(cfg.horizon)]
-    rhs = list(np.asarray(cfg.fixed_load) + p_sl)
-    heat = cfg.heat_base_load() - h_cl
+    kept = []
     for t in range(cfg.horizon):
         row = model.row_index.get(f"bal_h_{t}")
         if row is None:
-            gm.check_empty_row(f"bal_h_{t}", float(heat[t]))
+            for value in heat[:, t]:
+                gm.check_empty_row(f"bal_h_{t}", float(value))
         else:
             rows.append(row)
-            rhs.append(heat[t])
-    return np.array(rows), np.array(rhs)
-
-
-def _with_response(model: CompiledModel, cfg: ScenarioConfig,
-                   response: tuple[np.ndarray, np.ndarray]) -> CompiledModel:
-    """A compiled dispatch program moved to another users' response."""
-    return model.with_rhs(*_balance_rhs(model, cfg, response))
+            kept.append(t)
+    return np.array(rows), np.hstack([elec, heat[:, kept]])
 
 
 def _dispatch_cost_cut(model: CompiledModel, rows: np.ndarray
@@ -470,17 +425,24 @@ def enumerate_oracle(cfg: ScenarioConfig, price_grid_step: float,
     """Exhaustive check of the equilibrium on a price grid.
 
     Every admissible price vector (grid points satisfying both the band
-    and the average-price rows) is a candidate, and the shared posted-
-    price evaluator's pruned search (`_PostedPriceEvaluator.best`) returns
-    the best profit over all of them, with the unit binaries kept, so
-    each dispatch it solves is exact; on equal profits the earliest grid
-    point wins. Its LP-relaxation cuts under-estimate the MILP dispatch
-    cost, so the grid points it does not solve provably cannot win.
-    `n_dispatch_solves` counts the exact dispatch solves, at most one per
-    distinct users' response. Only meant for horizons up to 4. The
-    thermal grid may use its own step since its band rarely shares
-    divisors with the electric one.
+    and the average-price rows) is a candidate, and the pruned search
+    `_best_posted_price` returns the best profit over all of them, with
+    the unit binaries kept, so each dispatch it solves is exact; on equal
+    profits the earliest grid point wins. Its LP-relaxation cuts
+    under-estimate the MILP dispatch cost, so the grid points it does not
+    solve provably cannot win. `n_dispatch_solves` counts the exact
+    dispatch solves, at most one per distinct users' response. Only meant
+    for horizons up to 4. The thermal grid may use its own step since its
+    band rarely shares divisors with the electric one; a step that is not
+    a positive finite number is refused with ValueError.
     """
+    if gamma_grid_step is None:
+        gamma_grid_step = price_grid_step
+    for name, step in (("price_grid_step", price_grid_step),
+                       ("gamma_grid_step", gamma_grid_step)):
+        if not (math.isfinite(step) and step > 0):
+            raise ValueError(f"{name} must be a positive finite number, "
+                             f"got {step}")
     if cfg.horizon > 4:
         raise OracleSizeError("enumeration oracle is limited to horizons <= 4")
     backend = backend or get_backend()
@@ -489,8 +451,7 @@ def enumerate_oracle(cfg: ScenarioConfig, price_grid_step: float,
                                 cfg.horizon, price_grid_step)
     gamma_grid = _admissible_grids(p.gamma_min, p.gamma_max,
                                    cfg.horizon * p.gamma_av,
-                                   cfg.horizon,
-                                   gamma_grid_step or price_grid_step)
+                                   cfg.horizon, gamma_grid_step)
     total = len(mu_grid) * len(gamma_grid)
     if total > max_points:
         raise OracleSizeError(
@@ -500,13 +461,12 @@ def enumerate_oracle(cfg: ScenarioConfig, price_grid_step: float,
         raise OracleSizeError("no admissible grid points; the step does not "
                               "reach the average-price plane")
 
-    evaluator = _PostedPriceEvaluator(cfg, bool(cfg.pipelines), n_segments,
-                                      backend, relax_binaries=False)
     mu_all = np.array([mu for mu in mu_grid for _ in gamma_grid])
     gamma_all = np.array([gamma for _ in mu_grid for gamma in gamma_grid])
-    i, profit, response = evaluator.best(mu_all, gamma_all)
+    i, profit, response, n_solves = _best_posted_price(
+        cfg, bool(cfg.pipelines), n_segments, backend, False, mu_all, gamma_all)
     return OracleResult(mu_all[i], gamma_all[i], response, profit,
-                        price_grid_step, total, len(evaluator.cost_cache))
+                        price_grid_step, total, n_solves)
 
 
 # ----------------------------------------------------------------------
@@ -553,15 +513,15 @@ def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
     `max_follower_improvement` is the solution's user cost minus the
     best response's, which must not exceed `gm.RESPONSE_TOL`. Leader
     side, sampled: the best of `n_deviations` random admissible price
-    vectors, found by the shared posted-price evaluator's pruned search
-    (`_PostedPriceEvaluator.best`) under the bundle's own scenario,
-    transport switch and segment count, must not beat the solution's
-    profit by more than the PWL error allowance. The evaluator relaxes the unit binaries here:
-    that can only overstate a deviation's profit, a conservative
-    direction for a no-improvement test, and it keeps every re-dispatch
-    an LP. The search solves exactly only the deviations whose cut bound
-    could still be the best, so `max_leader_improvement` is the exact
-    maximum over all of them and `n_dispatch_solves` counts the solves.
+    vectors, found by the pruned search `_best_posted_price` under the
+    bundle's own scenario, transport switch and segment count, must not
+    beat the solution's profit by more than the PWL error allowance. The
+    search relaxes the unit binaries here: that can only overstate a
+    deviation's profit, a conservative direction for a no-improvement
+    test, and it keeps every re-dispatch an LP. It solves exactly only
+    the deviations whose cut bound could still be the best, so
+    `max_leader_improvement` is the exact maximum over all of them and
+    `n_dispatch_solves` counts the solves.
     """
     cfg = bundle.cfg
     rng = np.random.default_rng(seed)
@@ -572,18 +532,18 @@ def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
     worst_follower = f2_star - gm.follower_cost(cfg, sol.mu, sol.gamma, *best)
 
     p = cfg.prices
-    evaluator = _PostedPriceEvaluator(cfg, bundle.mode.dhn_enabled,
-                                      bundle.n_segments, backend,
-                                      relax_binaries=True)
     deviations = [(_random_admissible_prices(p.mu_min, p.mu_max, p.mu_av,
                                              cfg.horizon, rng),
                    _random_admissible_prices(p.gamma_min, p.gamma_max,
                                              p.gamma_av, cfg.horizon, rng))
                   for _ in range(n_deviations)]
-    worst_leader = -math.inf
+    worst_leader, n_solves = -math.inf, 0
     if deviations:
         mu, gamma = (np.array(prices) for prices in zip(*deviations))
-        worst_leader = evaluator.best(mu, gamma)[1] - sol.f1
+        _, profit, _, n_solves = _best_posted_price(
+            cfg, bundle.mode.dhn_enabled, bundle.n_segments, backend, True,
+            mu, gamma)
+        worst_leader = profit - sol.f1
 
     leader_margin = bundle.pwl_error_bound + 1e-4 * max(abs(sol.f1), 1.0)
     return DeviationCheck(
@@ -592,7 +552,7 @@ def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
         max_leader_improvement=float(worst_leader),
         follower_ok=bool(worst_follower <= gm.RESPONSE_TOL),
         leader_ok=bool(worst_leader <= leader_margin),
-        n_dispatch_solves=len(evaluator.cost_cache))
+        n_dispatch_solves=n_solves)
 
 
 # ----------------------------------------------------------------------

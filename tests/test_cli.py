@@ -123,6 +123,29 @@ class TestRunVerb:
                         "--backend", "nope", "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_SCHEMA
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "-1"), ("--gap", "-1"), ("--gap", "nan"),
+        ("--time-limit", "-5"), ("--time-limit", "nan")])
+    def test_bad_run_settings_refused_before_building(
+            self, flag, value, toy_path, tmp_path, monkeypatch):
+        # HiGHS would swap a bad gap or time limit for its defaults and a
+        # negative seed would crash the Monte Carlo check after the solve;
+        # refused before building, the older run's solution goes too
+        out_dir = tmp_path / "o"
+        argv = ["run", "--scenario", str(toy_path), "--out", str(out_dir),
+                "--mc-samples", "20000"]
+        assert run_cli(argv + ["--mode", "3"]) == cli.EXIT_OK
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a model for a refused run")
+        monkeypatch.setattr(cli, "build_bundle", no_build)
+        assert run_cli(argv + ["--mode", "2", flag, value]) == cli.EXIT_SCHEMA
+        assert sorted(p.name for p in out_dir.iterdir()) == ["summary.json"]
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert (summary["mode"], summary["status"]) == (2, "SCHEMA_ERROR")
+        setting = flag[2:].replace("-", "_")
+        assert summary["reason"].startswith(f"{setting}={value}")
+
     def test_time_limit_exit_code(self, case1_path, tmp_path):
         # the district-scale single-level program cannot prove optimality
         # inside 10 ms
@@ -174,6 +197,15 @@ class TestCompareVerb:
         assert "FAILED" in text
         rows = text.splitlines()
         assert len(rows) == 3
+
+    def test_bad_settings_give_schema_error_rows(self, toy_path, tmp_path):
+        out_dir = tmp_path / "cmp"
+        code = run_cli(["compare", "--scenario", str(toy_path),
+                        "--modes", "1,3", "--out", str(out_dir),
+                        "--time-limit", "-1"])
+        assert code == cli.EXIT_ERROR
+        text = (out_dir / "comparison.csv").read_text()
+        assert text.count("SCHEMA_ERROR") == 2
 
     def test_single_mode_degenerate_table(self, toy_path, tmp_path):
         out_dir = tmp_path / "cmp1"
@@ -249,6 +281,15 @@ class TestSweepVerb:
         err = capsys.readouterr().err
         assert "--values" in err and len(err.strip().splitlines()) == 1
         assert not out_dir.exists()
+
+    def test_negative_seed_gives_schema_error_rows(self, toy_path, tmp_path):
+        out_dir = tmp_path / "sw"
+        code = run_cli(["sweep", "--scenario", str(toy_path), "--param",
+                        "theta", "--values", "120,150", "--seed", "-2",
+                        "--out", str(out_dir)])
+        assert code == cli.EXIT_ERROR
+        text = (out_dir / "sweep_theta.csv").read_text()
+        assert text.count("SCHEMA_ERROR") == 2
 
     def test_bad_param_rejected(self, toy_path, tmp_path):
         with pytest.raises(SystemExit):
@@ -437,6 +478,28 @@ class TestOracleVerb:
         assert code == cli.EXIT_SCHEMA
         assert "unknown backend 'nope'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", [
+        ["--step", "0"], ["--step", "-1"], ["--step", "nan"],
+        ["--step", "inf"], ["--step", "18.5", "--gamma-step", "0"],
+        ["--step", "18.5", "--gamma-step", "-9.5"]])
+    def test_bad_step_exit_code(self, steps, toy_path, capsys):
+        code = run_cli(["oracle", "--scenario", str(toy_path)] + steps)
+        assert code == cli.EXIT_SCHEMA
+        assert "must be a positive finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps, exit_code", [
+        (["--step", "7.0"], cli.EXIT_ORACLE_SIZE),
+        (["--step", "0"], cli.EXIT_SCHEMA)])
+    def test_failed_rerun_leaves_no_stale_result(self, steps, exit_code,
+                                                 toy_path, tmp_path):
+        out_dir = tmp_path / "orc"
+        argv = ["oracle", "--scenario", str(toy_path), "--out", str(out_dir)]
+        assert run_cli(argv + ["--step", "18.5", "--gamma-step", "9.5"]) \
+            == cli.EXIT_OK
+        assert (out_dir / "oracle.json").exists()
+        assert run_cli(argv + steps) == exit_code
+        assert not (out_dir / "oracle.json").exists()
+
 
 class TestEnvOverrides:
     def test_env_seed_used(self, toy_path, tmp_path, monkeypatch):
@@ -446,6 +509,16 @@ class TestEnvOverrides:
                  "--out", str(out_dir), "--mc-samples", "20000"])
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["seed"] == 33
+
+    def test_env_negative_seed_refused(self, toy_path, tmp_path,
+                                       monkeypatch):
+        monkeypatch.setenv("IES_SEED", "-1")
+        out_dir = tmp_path / "env"
+        code = run_cli(["run", "--scenario", str(toy_path), "--mode", "1",
+                        "--out", str(out_dir), "--mc-samples", "20000"])
+        assert code == cli.EXIT_SCHEMA
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert "seed=-1" in summary["reason"]
 
     @pytest.mark.parametrize("var, value", [("MC_SAMPLES", "abc"),
                                             ("SEED", "1.5")])

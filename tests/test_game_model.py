@@ -348,7 +348,7 @@ def hand_built_mode2(cfg):
         soc=np.zeros(t_count), r_bess=np.zeros(t_count),
         p_res=np.zeros(t_count),
         t_sw=t_sw[None, :], t_rw=t_rw[None, :], h_src=h_src[None, :],
-        expected=cfg.expected_renewables(), f1=0.0, f2=0.0, objective_milp=0.0)
+        f1=0.0, f2=0.0, objective_milp=0.0)
     sol.f1 = gm.leader_profit(cfg, sol)
     sol.f2 = gm.follower_cost(cfg, mu, gamma, sol.p_sl, sol.h_cl)
     sol.objective_milp = sol.f1

@@ -201,6 +201,16 @@ class TestEnumerationOracle:
         with pytest.raises(se.OracleSizeError, match="admissible"):
             se.enumerate_oracle(cfg, 7.0)
 
+    @pytest.mark.parametrize("step, gamma_step", [
+        (0.0, None), (-1.0, None), (np.nan, None), (np.inf, None),
+        (18.5, 0.0), (18.5, -9.5), (18.5, np.nan)])
+    def test_bad_step_refused(self, step, gamma_step):
+        # bad input (exit 2), not a grid-size refusal (exit 6)
+        cfg = self.two_period_cfg()
+        with pytest.raises(ValueError, match="positive finite") as err:
+            se.enumerate_oracle(cfg, step, gamma_grid_step=gamma_step)
+        assert not isinstance(err.value, se.OracleSizeError)
+
     def test_horizon_cap(self):
         data = toy_dict()
         data["horizon"] = 5
@@ -248,9 +258,10 @@ class TestReserveValidation:
         assert totals[0] <= totals[1] + 1e-9
 
 
-def evaluator_for(cfg, backend, relax_binaries):
-    return se._PostedPriceEvaluator(cfg, bool(cfg.pipelines), 8, backend,
-                                    relax_binaries)
+def best_posted_price(cfg, backend, relax_binaries, mu, gamma):
+    return se._best_posted_price(cfg, bool(cfg.pipelines), 8, backend,
+                                 relax_binaries, np.asarray(mu),
+                                 np.asarray(gamma))
 
 
 def random_prices(cfg, n, rng):
@@ -263,41 +274,74 @@ def random_prices(cfg, n, rng):
     return tuple(np.array(prices) for prices in zip(*pairs))
 
 
+def moved(program, cfg, response):
+    """A compiled dispatch program moved to another users' response."""
+    rows, rhs = se._balance_rhs(program, cfg, [response])
+    return program.with_rhs(rows, rhs[0])
+
+
+def counting(backend):
+    """`backend` with each solved model's row lower bounds recorded."""
+    calls = []
+    solve = backend.solve
+
+    def counted(model, *args):
+        calls.append(model.row_lower.tobytes())
+        return solve(model, *args)
+
+    backend.solve = counted
+    return backend, calls
+
+
 class TestPostedPriceProfit:
     @pytest.mark.parametrize("relax_binaries", [False, True])
     def test_matches_mode4_objective(self, toy_cfg, relax_binaries):
         # mode 4 posts the proportional tariff to responding users, so its
-        # optimum is the evaluator's profit at that tariff
+        # optimum is the operator's profit at that tariff
         bundle = build_bundle(toy_cfg, 4)
         out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
-        evaluator = evaluator_for(toy_cfg, se.get_backend(), relax_binaries)
-        profit, response = evaluator.profit(*toy_cfg.proportional_prices())
+        mu, gamma = toy_cfg.proportional_prices()
+        index, profit, response, n_solves = best_posted_price(
+            toy_cfg, se.get_backend(), relax_binaries, [mu], [gamma])
+        assert (index, n_solves) == (0, 1)
         assert profit == pytest.approx(out.result.objective, rel=1e-6)
         assert response[0] == pytest.approx(bundle.fixed_p_sl)
         assert response[1] == pytest.approx(bundle.fixed_h_cl)
 
-    def test_cache_counts_solves(self, toy_cfg, monkeypatch):
-        calls = []
-        backend = se.get_backend()
-        solve = backend.solve
-
-        def counted(*args):
-            calls.append(args)
-            return solve(*args)
-
-        monkeypatch.setattr(backend, "solve", counted)
-        evaluator = evaluator_for(toy_cfg, backend, False)
+    def test_cache_counts_solves(self, toy_cfg):
+        # within one search each distinct response is solved at most
+        # once, and every solve is a backend call
+        backend, calls = counting(se.get_backend())
         mu, gamma = toy_cfg.proportional_prices()
-        first = evaluator.profit(mu, gamma)[0]
-        assert evaluator.profit(mu, gamma)[0] == first
-        evaluator.profit(mu[::-1].copy(), gamma)
-        assert len(calls) == len(evaluator.cost_cache) == 2
+        index, _, _, n_solves = best_posted_price(
+            toy_cfg, backend, False, [mu] * 6, [gamma] * 6)
+        assert index == 0
+        assert n_solves == len(calls) == 1  # the copies are all visited
+        flipped = mu[::-1].copy()
+        backend, calls = counting(se.get_backend())
+        n_solves = best_posted_price(toy_cfg, backend, False,
+                                     [mu, flipped, mu, flipped],
+                                     [gamma] * 4)[3]
+        assert 1 <= n_solves == len(calls) == len(set(calls)) <= 2
 
 
-def exhaustive_best(evaluator, mu, gamma):
-    """Index and profit of the best pair by pricing every one, earliest
-    index on ties."""
-    profits = [evaluator.profit(m, g)[0] for m, g in zip(mu, gamma)]
+def exhaustive_profits(cfg, backend, relax_binaries, mu, gamma):
+    """Every pair's profit and users' response, from solving the dispatch
+    of every pair, with no cuts."""
+    responses = [gm.follower_best_response(m, g, cfg) for m, g in zip(mu, gamma)]
+    program = se._dispatch_program(cfg, bool(cfg.pipelines), 8, relax_binaries,
+                                   responses[0])
+    results = [backend.solve(moved(program, cfg, r), 60.0, 1e-6)
+               for r in responses]
+    costs = [-res.objective if res.status == se.OPTIMAL else np.inf
+             for res in results]
+    profits = [gm.users_bill(cfg, m, g, *r) - cost
+               for m, g, r, cost in zip(mu, gamma, responses, costs)]
+    return profits, responses
+
+
+def first_best(profits):
+    """Index and value of the largest profit, earliest index on ties."""
     best = int(np.argmax(profits))
     return best, profits[best]
 
@@ -323,21 +367,24 @@ class TestPrunedSearch:
         # (earliest index wins)
         cfg = toy_cfg if case == "toy" else load_scenario(case2_path)
         mu, gamma = random_prices(cfg, n, np.random.default_rng(seed))
-        exhaustive = evaluator_for(cfg, se.get_backend(), relax_binaries)
-        top = exhaustive_best(exhaustive, mu, gamma)[0]
-        lists = [(mu, gamma),
-                 (np.vstack([mu[top], mu]), np.vstack([gamma[top], gamma])),
-                 (np.vstack([mu, mu[top]]), np.vstack([gamma, gamma[top]]))]
-        for mu_list, gamma_list in lists:
-            want = exhaustive_best(exhaustive, mu_list, gamma_list)
-            pruned = evaluator_for(cfg, se.get_backend(), relax_binaries)
-            index, profit, response = pruned.best(mu_list, gamma_list)
-            assert (index, profit) == want
-            expect = exhaustive.profit(mu_list[index], gamma_list[index])[1]
-            for got, exp in zip(response, expect):
+        backend = se.get_backend()
+        profits, responses = exhaustive_profits(cfg, backend, relax_binaries,
+                                                mu, gamma)
+        top = first_best(profits)[0]
+        # the best pair repeated before or after the list prices as itself
+        cases = [((mu, gamma), profits, responses),
+                 ((np.vstack([mu[top], mu]), np.vstack([gamma[top], gamma])),
+                  [profits[top]] + profits, [responses[top]] + responses),
+                 ((np.vstack([mu, mu[top]]), np.vstack([gamma, gamma[top]])),
+                  profits + [profits[top]], responses + [responses[top]])]
+        for prices, want_profits, want_responses in cases:
+            index, profit, response, _ = best_posted_price(
+                cfg, backend, relax_binaries, *prices)
+            assert (index, profit) == first_best(want_profits)
+            for got, exp in zip(response, want_responses[index]):
                 np.testing.assert_array_equal(got, exp)
-        assert exhaustive_best(exhaustive, *lists[1])[0] == 0
-        assert exhaustive_best(exhaustive, *lists[2])[0] == top
+        assert first_best(cases[1][1])[0] == 0
+        assert first_best(cases[2][1])[0] == top
 
         # a near-tie the margin must keep: first a twin of the best pair
         # with the same response and a bill lower in its last bits, solved
@@ -347,11 +394,12 @@ class TestPrunedSearch:
         twin = mu[top] * (1.0 - 1e-15)
         mu_list = np.vstack([twin, mu])
         gamma_list = np.vstack([gamma[top], gamma])
-        want = exhaustive_best(evaluator_for(cfg, Undercut(), relax_binaries),
-                               mu_list, gamma_list)
+        want = first_best(exhaustive_profits(cfg, Undercut(), relax_binaries,
+                                             mu_list, gamma_list)[0])
         assert want[0] == top + 1
-        pruned = evaluator_for(cfg, Undercut(), relax_binaries)
-        assert pruned.best(mu_list, gamma_list)[:2] == want
+        got = best_posted_price(cfg, Undercut(), relax_binaries, mu_list,
+                                gamma_list)
+        assert got[:2] == want
 
     def test_one_cut_per_exact_solve(self, toy_cfg, monkeypatch):
         cuts = []
@@ -362,24 +410,26 @@ class TestPrunedSearch:
             return cut(*args)
 
         monkeypatch.setattr(se, "_dispatch_cost_cut", spy)
-        evaluator = evaluator_for(toy_cfg, se.get_backend(), True)
         mu, gamma = random_prices(toy_cfg, 50, np.random.default_rng(4))
-        evaluator.best(mu, gamma)
-        assert 1 <= len(cuts) == len(evaluator.cost_cache) < 50
+        n_solves = best_posted_price(toy_cfg, se.get_backend(), True, mu,
+                                     gamma)[3]
+        assert 1 <= len(cuts) == n_solves < 50
 
     @pytest.mark.parametrize("relax_binaries", [False, True])
     def test_cut_under_estimates_cost(self, toy_cfg, relax_binaries):
         # every cut lies below the exact dispatch cost at other responses
         cfg = toy_cfg
-        evaluator = evaluator_for(cfg, se.get_backend(), relax_binaries)
+        backend = se.get_backend()
         rng = np.random.default_rng(8)
         responses = [random_follower_point(cfg, rng) for _ in range(6)]
-        program = evaluator._program(responses[0])
-        rhs = [se._balance_rhs(program, cfg, r) for r in responses]
-        costs = [evaluator._cost(r) for r in responses]
-        for rows, b0 in rhs:
+        program = se._dispatch_program(cfg, True, 8, relax_binaries,
+                                       responses[0])
+        rows, rhs = se._balance_rhs(program, cfg, responses)
+        costs = [-backend.solve(program.with_rhs(rows, b), 60.0, 1e-6).objective
+                 for b in rhs]
+        for b0 in rhs:
             c0, lam = se._dispatch_cost_cut(program.with_rhs(rows, b0), rows)
-            for (_, b), cost in zip(rhs, costs):
+            for b, cost in zip(rhs, costs):
                 assert c0 + lam @ (b - b0) <= cost + 1e-6 * abs(cost)
 
 
@@ -403,7 +453,7 @@ class TestCompiledDispatch:
             *args, random_follower_point(cfg, rng))
         for _ in range(3):
             response = random_follower_point(cfg, rng)
-            patched = se._with_response(template, cfg, response)
+            patched = moved(template, cfg, response)
             fresh = se._dispatch_program(*args, response)
             for name in COMPILED_ARRAYS:
                 np.testing.assert_array_equal(getattr(patched, name),
@@ -428,7 +478,7 @@ class TestCompiledDispatch:
         with pytest.raises(gm.BuildError, match="row bal_h_0 demands -0.5"):
             se._dispatch_program(*args, bad)
         with pytest.raises(gm.BuildError, match="row bal_h_0 demands -0.5"):
-            se._with_response(template, cfg, bad)
+            moved(template, cfg, bad)
 
 
 class TestDeviationCheck:
