@@ -15,6 +15,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -285,9 +286,23 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
     _atomic_write(path, buf.getvalue())
 
 
+def _json_text(payload: dict) -> str:
+    """Strict JSON (RFC 8259): a non-finite float, such as an infinite
+    time limit, is written as null."""
+    def finite(value):
+        if isinstance(value, dict):
+            return {k: finite(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [finite(v) for v in value]
+        return None if isinstance(value, float) and not math.isfinite(value) \
+            else value
+
+    return json.dumps(finite(payload), indent=2, sort_keys=True,
+                      default=float, allow_nan=False)
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True,
-                                   default=float) + "\n")
+    _atomic_write(path, _json_text(payload) + "\n")
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -527,7 +542,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.verb == "run":
         out = run_pipeline(_manifest_from_args(args))
-        print(json.dumps(out.summary, indent=2, sort_keys=True, default=float))
+        print(_json_text(out.summary))
         if out.reason:
             print(f"reason: {out.reason}", file=sys.stderr)
         return out.exit_code
@@ -566,7 +581,7 @@ def main(argv: list[str] | None = None) -> int:
         payload = {"passed": report.passed,
                    "violations": [vars(v) for v in report.violations],
                    "reserve_mc": report.reserve_mc}
-        print(json.dumps(payload, indent=2, sort_keys=True, default=float))
+        print(_json_text(payload))
         return EXIT_OK if report.passed else EXIT_VALIDATION
 
     if args.verb == "oracle":
@@ -594,7 +609,7 @@ def main(argv: list[str] | None = None) -> int:
             "n_evaluations": result.n_evaluations,
             "n_dispatch_solves": result.n_dispatch_solves,
         }
-        print(json.dumps(payload, indent=2, sort_keys=True, default=float))
+        print(_json_text(payload))
         if args.out:
             Path(args.out).mkdir(parents=True, exist_ok=True)
             _write_json(Path(args.out) / "oracle.json", payload)

@@ -8,6 +8,9 @@ in-process through scipy from the compiled arrays. A file-based backend
 writes the LP text format and shells out to any command that reads an
 LP file and writes "name value" solution lines, so the core stays
 testable against arbitrary solvers.
+
+Both equilibrium checks re-solve one warm-started HiGHS LP per search
+(`_DispatchLp`): it gives every cut, and every cost of the relaxed one.
 """
 from __future__ import annotations
 
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy import _core as _highs
 
 from . import game_model as gm
 from .config import ScenarioConfig
@@ -113,7 +116,8 @@ class ExternalLpBackend:
     dual bound or node count, so none is reported. A command still
     running `EXTERNAL_GRACE_S` seconds past the time limit is reported as
     TIME_LIMIT and killed with its whole process group, so that no
-    solver the shell started outlives it.
+    solver the shell started outlives it; under an infinite time limit
+    the command is waited for.
     """
 
     name = "external"
@@ -133,12 +137,13 @@ class ExternalLpBackend:
             sol_path = Path(tmp) / "model.sol"
             lp_path.write_text(write_lp(m))
             cmd = self.command_template.format(lp=lp_path, sol=sol_path)
+            timeout = time_limit + EXTERNAL_GRACE_S \
+                if math.isfinite(time_limit) else None
             with subprocess.Popen(cmd, shell=True, stdout=subprocess.PIPE,
                                   stderr=subprocess.PIPE, text=True,
                                   start_new_session=True) as proc:
                 try:
-                    stdout, stderr = proc.communicate(
-                        timeout=time_limit + EXTERNAL_GRACE_S)
+                    stdout, stderr = proc.communicate(timeout=timeout)
                 except subprocess.TimeoutExpired:
                     os.killpg(proc.pid, signal.SIGKILL)
                     proc.communicate()
@@ -245,24 +250,24 @@ def _best_posted_price(cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
     A pair's profit is the users' bill (`gm.users_bill`) at their
     closed-form best response, minus the operator's dispatch cost for
     that response (under the scenario's expected output, reserve
-    requirements and heat load), solved at zero prices through `backend`
-    at most once per distinct response. The dispatch program is built,
-    assembled and compiled once, at the first response (so the build's
-    own checks see only responses asked about); every other response
-    only moves the right-hand sides of the balance rows (`_balance_rhs`).
-    `relax_binaries` zeroes its integrality, which can only lower the
-    dispatch cost.
+    requirements and heat load) at zero prices, solved at most once per
+    distinct response. The dispatch program is built, assembled and
+    compiled once, at the first response (so the build's own checks see
+    only responses asked about); every other response only moves the
+    right-hand sides of the balance rows (`_balance_rhs`). Its LP
+    relaxation, one warm-started `_DispatchLp`, gives each cut below;
+    with `relax_binaries` the program is that LP, so the same solve gives
+    the exact cost, else `backend` solves it with the binaries kept.
 
     With b the balance right-hand sides a response sets, the dispatch
     cost C(b) is at least the cost of the program's LP relaxation, the
     optimal value of an LP in which b enters only the right-hand sides.
     That value is convex in b, so the relaxation's duals at a solved
-    point b_k give the cut C(b) >= C_k + lam_k . (b - b_k)
-    (`_dispatch_cost_cut`), with or without the unit binaries. Each
-    pair's profit is then at most its bill minus its largest cut, +inf
-    before the first cut. The pair with the highest such bound is solved
-    exactly and adds its cut, until every unsolved bound is below the
-    best exact profit minus a margin.
+    point b_k give the cut C(b) >= C_k + lam_k . (b - b_k), with or
+    without the unit binaries. Each pair's profit is then at most its
+    bill minus its largest cut, +inf before the first cut. The pair with
+    the highest such bound is solved exactly and adds its cut, until
+    every unsolved bound is below the best exact profit minus a margin.
 
     The margin covers the solvers' tolerances. The cut's duals are
     feasible to within HiGHS's dual-feasibility tolerance, so moved by db
@@ -273,7 +278,8 @@ def _best_posted_price(cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
     `CUT_TOL * (1 + max |bill| + max |C_k| + move)`; a pair is skipped
     only when even its bound plus that margin stays below the best exact
     profit, so an equal profit is never skipped and the earliest index
-    still wins ties.
+    still wins ties. A solve without an optimum gives no cut, and in the
+    relaxed search an infinite cost.
     """
     responses = [gm.follower_best_response(m, g, cfg) for m, g in zip(mu, gamma)]
     bills = np.array([gm.users_bill(cfg, m, g, *r)
@@ -281,6 +287,7 @@ def _best_posted_price(cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
     program = _dispatch_program(cfg, dhn_enabled, n_segments, relax_binaries,
                                 responses[0])
     rows, rhs = _balance_rhs(program, cfg, responses)
+    lp = _DispatchLp(program, rows)
     move = float(np.sum(rhs.max(axis=0) - rhs.min(axis=0)))
     scale = 1.0 + float(np.max(np.abs(bills))) + move
     largest_cost = 0.0
@@ -297,16 +304,18 @@ def _best_posted_price(cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
         key = np.round(np.concatenate(responses[i]), 9).tobytes()
         seen = key in costs
         if not seen:
-            model = program.with_rhs(rows, rhs[i])
-            res = backend.solve(model, 60.0, 1e-6)
-            costs[key] = -res.objective if res.status == OPTIMAL else math.inf
+            cut = lp.cut(rhs[i])
+            if relax_binaries:
+                costs[key] = math.inf if cut is None else cut[0]
+            else:
+                res = backend.solve(program.with_rhs(rows, rhs[i]), 60.0, 1e-6)
+                costs[key] = -res.objective if res.status == OPTIMAL else math.inf
         profit = float(bills[i]) - costs[key]
         if best_i < 0 or profit > best_profit or (
                 profit == best_profit and i < best_i):
             best_i, best_profit = i, profit
         if seen:
             continue  # response seen before: no new solve, no new cut
-        cut = _dispatch_cost_cut(model, rows)
         if cut is not None:
             cost, lam = cut
             floor = np.maximum(floor, cost + (rhs - rhs[i]) @ lam)
@@ -353,30 +362,45 @@ def _balance_rhs(model: CompiledModel, cfg: ScenarioConfig,
     return np.array(rows), np.hstack([elec, heat[:, kept]])
 
 
-def _dispatch_cost_cut(model: CompiledModel, rows: np.ndarray
-                       ) -> tuple[float, np.ndarray] | None:
-    """A cut `C(b) >= cost + lam . (b - b0)` on the dispatch cost at the
-    right-hand sides b0 that `model` gives the balance rows `rows`.
+class _DispatchLp:
+    """The LP relaxation of a compiled (maximizing) dispatch program,
+    passed to HiGHS once (as scipy's private `_highs_wrapper` passes its
+    own) and re-solved from the previous basis at new right-hand sides
+    of its balance rows `rows`."""
 
-    `model` is a (maximizing) dispatch program; its cost is minus its
-    objective. One solve of its LP relaxation gives the relaxed cost and,
-    as `eqlin.marginals`, the cost's slopes in the equality rows'
-    right-hand sides. None when the relaxation has no optimum.
-    """
-    eq = model.row_lower == model.row_upper
-    upper = ~eq & np.isfinite(model.row_upper)
-    lower = ~eq & np.isfinite(model.row_lower)
-    res = linprog(-model.c,
-                  A_ub=sparse.vstack([model.a[upper], -model.a[lower]]),
-                  b_ub=np.concatenate([model.row_upper[upper],
-                                       -model.row_lower[lower]]),
-                  A_eq=model.a[eq], b_eq=model.row_lower[eq],
-                  bounds=np.column_stack([model.col_lower, model.col_upper]),
-                  method="highs")
-    if res.status != 0:
-        return None
-    slopes = res.eqlin.marginals[np.cumsum(eq)[rows] - 1]
-    return res.fun - model.obj_const, slopes
+    def __init__(self, model: CompiledModel, rows: np.ndarray):
+        a = model.a.tocsc()
+        lp = _highs.HighsLp()
+        lp.num_row_, lp.num_col_ = a.shape
+        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a.shape
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = a.indptr
+        lp.a_matrix_.index_ = a.indices
+        lp.a_matrix_.value_ = a.data
+        lp.col_cost_ = -model.c
+        lp.col_lower_, lp.col_upper_ = model.col_lower, model.col_upper
+        lp.row_lower_, lp.row_upper_ = model.row_lower, model.row_upper
+        self._highs = _highs._Highs()
+        self._highs.setOptionValue("output_flag", False)
+        if self._highs.passModel(lp) == _highs.HighsStatus.kError:
+            raise RuntimeError(f"HiGHS refused the LP relaxation of {model.name}")
+        self._rows = rows
+        self._obj_const = model.obj_const
+
+    def cut(self, b: np.ndarray) -> tuple[float, np.ndarray] | None:
+        """The relaxed dispatch cost at balance right-hand sides `b` and,
+        as the balance rows' duals, its slopes in them; None when the
+        relaxation has no optimum."""
+        highs = self._highs
+        for row, value in zip(self._rows.tolist(), b.tolist()):
+            highs.changeRowBounds(row, value, value)
+        # HiGHS counts its time limit over every run of the object
+        highs.setOptionValue("time_limit", highs.getRunTime() + 60.0)
+        highs.run()
+        if highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
+            return None
+        cost = highs.getInfo().objective_function_value - self._obj_const
+        return cost, np.asarray(highs.getSolution().row_dual)[self._rows]
 
 
 # ----------------------------------------------------------------------
@@ -427,10 +451,11 @@ def enumerate_oracle(cfg: ScenarioConfig, price_grid_step: float,
     Every admissible price vector (grid points satisfying both the band
     and the average-price rows) is a candidate, and the pruned search
     `_best_posted_price` returns the best profit over all of them, with
-    the unit binaries kept, so each dispatch it solves is exact; on equal
-    profits the earliest grid point wins. Its LP-relaxation cuts
-    under-estimate the MILP dispatch cost, so the grid points it does not
-    solve provably cannot win. `n_dispatch_solves` counts the exact
+    the unit binaries kept, so each dispatch it solves through `backend`
+    is exact; on equal profits the earliest grid point wins. Its
+    LP-relaxation cuts under-estimate the MILP dispatch cost, so the grid
+    points it does not solve provably cannot win. `n_dispatch_solves`
+    counts the exact
     dispatch solves, at most one per distinct users' response. Only meant
     for horizons up to 4. The thermal grid may use its own step since its
     band rarely shares divisors with the electric one; a step that is not
@@ -504,8 +529,7 @@ def _random_admissible_prices(lo: float, hi: float, avg: float, t_count: int,
 
 
 def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
-                       n_deviations: int = 1000, seed: int = 0,
-                       backend=None) -> DeviationCheck:
+                       n_deviations: int = 1000, seed: int = 0) -> DeviationCheck:
     """Equilibrium test against unilateral deviations.
 
     Follower side, exact: the users' problem is convex at posted prices
@@ -518,14 +542,14 @@ def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
     beat the solution's profit by more than the PWL error allowance. The
     search relaxes the unit binaries here: that can only overstate a
     deviation's profit, a conservative direction for a no-improvement
-    test, and it keeps every re-dispatch an LP. It solves exactly only
-    the deviations whose cut bound could still be the best, so
+    test, and it makes every re-dispatch an LP, solved exactly in the
+    search's own HiGHS LP with no backend call. It solves only the
+    deviations whose cut bound could still be the best, so
     `max_leader_improvement` is the exact maximum over all of them and
     `n_dispatch_solves` counts the solves.
     """
     cfg = bundle.cfg
     rng = np.random.default_rng(seed)
-    backend = backend or get_backend()
 
     f2_star = gm.follower_cost(cfg, sol.mu, sol.gamma, sol.p_sl, sol.h_cl)
     best = gm.follower_best_response(sol.mu, sol.gamma, cfg)
@@ -541,7 +565,7 @@ def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
     if deviations:
         mu, gamma = (np.array(prices) for prices in zip(*deviations))
         _, profit, _, n_solves = _best_posted_price(
-            cfg, bundle.mode.dhn_enabled, bundle.n_segments, backend, True,
+            cfg, bundle.mode.dhn_enabled, bundle.n_segments, None, True,
             mu, gamma)
         worst_leader = profit - sol.f1
 

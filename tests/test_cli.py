@@ -85,6 +85,41 @@ class TestRunVerb:
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert summary["status"] == "TIME_LIMIT"
 
+    def test_external_solver_without_time_limit(self, toy_path, tmp_path,
+                                                monkeypatch):
+        # an infinite time limit waits for the command: this one writes no
+        # solution, so the run fails as a backend failure, not a traceback
+        stub = tmp_path / "silent.py"
+        stub.write_text("pass\n")
+        monkeypatch.setenv("IES_SOLVER_CMD", f"python3 {stub} {{lp}} {{sol}}")
+        code = run_cli(["run", "--scenario", str(toy_path), "--mode", "1",
+                        "--backend", "external", "--time-limit", "inf",
+                        "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_ERROR
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert (summary["status"], summary["reason"]) == ("ERROR",
+                                                          "backend failure")
+
+    def test_infinite_limits_write_strict_json(self, toy_path, tmp_path,
+                                               capsys):
+        out_dir = tmp_path / "out"
+        code = run_cli(["run", "--scenario", str(toy_path), "--mode", "1",
+                        "--out", str(out_dir), "--time-limit", "inf",
+                        "--gap", "inf", "--no-validate"])
+        assert code == cli.EXIT_OK
+
+        def refuse(token):
+            raise ValueError(f"{token} is not RFC 8259 JSON")
+
+        for text in ((out_dir / "summary.json").read_text(),
+                     capsys.readouterr().out):
+            summary = json.loads(text, parse_constant=refuse)
+            assert summary["time_limit"] is None
+            assert summary["gap_tolerance"] is None
+        code = run_cli(["validate", "--scenario", str(toy_path),
+                        "--run-dir", str(out_dir), "--mc-samples", "20000"])
+        assert code == cli.EXIT_OK
+
     def test_static_infeasibility_is_schema_error(self, tmp_path):
         # capacity 2.5 MW against a 3.0 MW peak: refused while building
         data = toy_dict()
