@@ -4,8 +4,8 @@ Pipeline: discretize the renewable output laws into probability
 sequences, convert the reserve chance constraint to its deterministic
 equivalent, build the operator and user problems, collapse them to one
 mixed-integer program through optimality conditions with big-M
-linearization, and solve through a pluggable backend with enumeration
-and Monte Carlo oracles for verification.
+linearization, and solve it with HiGHS, with enumeration and Monte Carlo
+oracles for verification.
 """
 
 from .config import ConfigError, ScenarioConfig, load_scenario
@@ -13,7 +13,7 @@ from .game_model import (EquilibriumSolution, ModeSettings, ValidationReport,
                          build_follower, build_leader, follower_best_response,
                          verify_solution)
 from .kkt_reformulation import assemble_single_level
-from .solve_engine import SolveOptions, enumerate_oracle, get_backend, solve
+from .solve_engine import SolveOptions, enumerate_oracle, solve
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,6 @@ __all__ = [
     "assemble_single_level",
     "SolveOptions",
     "enumerate_oracle",
-    "get_backend",
     "solve",
     "__version__",
 ]

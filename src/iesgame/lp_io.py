@@ -1,10 +1,8 @@
-"""LP-format model writer and solution-file parser.
+"""LP-format model writer.
 
-The writer emits variables and rows in declaration order with
+`write_lp` emits variables and rows in declaration order with
 shortest-round-trip float formatting, so identical models produce
-byte-identical files. The parser accepts plain "name value" lines and
-skips anything else, which covers the header/comment noise that
-different solvers put at the top of their solution files.
+byte-identical files: the text serves as a fingerprint of a model.
 """
 from __future__ import annotations
 
@@ -69,29 +67,3 @@ def write_lp(model: ModelIR | CompiledModel) -> str:
             lines.append(f" {name}")
     lines.append("End")
     return "\n".join(lines) + "\n"
-
-
-def parse_solution(text: str, known: set[str] | None = None) -> dict[str, float]:
-    """Extract variable values from solver solution text.
-
-    Lines that are not "<name> <number>" pairs (status banners, comments,
-    objective summaries and the like) are ignored. When `known` is given,
-    names outside it are dropped as well.
-    """
-    values: dict[str, float] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line[0] in "#*\\/;":
-            continue
-        tokens = line.replace("=", " ").split()
-        if len(tokens) < 2:
-            continue
-        name = tokens[0]
-        try:
-            value = float(tokens[-1])
-        except ValueError:
-            continue
-        if known is not None and name not in known:
-            continue
-        values[name] = value
-    return values

@@ -8,7 +8,7 @@ priced at the segment's slope, and one row tying their sum to the
 variable. It needs no binaries because every term's curvature matches
 the optimization sense, so the optimum fills the segments in order.
 
-`ModelIR.compile` is the one lowering from a model to arrays: every
+`ModelIR.compile` is the one lowering from a model to arrays: the
 backend and the LP writer read the `CompiledModel` it returns. A
 compiled model can be re-solved with other right-hand sides
 (`CompiledModel.with_rhs`) without building the model again.
@@ -254,7 +254,7 @@ class ModelIR:
     def compile(self) -> CompiledModel:
         """Lower to solver arrays, expanding the PWL terms first.
 
-        Quadratic objective terms are rejected: no backend takes them.
+        Quadratic objective terms are rejected: the MILP backend takes none.
         """
         ir = self.lower_pwl()
         if ir.obj_quad:

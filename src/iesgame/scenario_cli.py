@@ -5,8 +5,8 @@ tiny instance against the enumeration oracle.
 Exit codes: 0 success, 2 scenario/schema error, 3 infeasible,
 4 time limit, 5 validation failure, 6 oracle sizing refusal,
 1 other failures. Flags can also be set through environment variables
-with the IES_ prefix (IES_BACKEND, IES_OUT, IES_SEED, IES_GAP,
-IES_TIME_LIMIT, IES_SEGMENTS, IES_MC_SAMPLES).
+with the IES_ prefix (IES_OUT, IES_SEED, IES_GAP, IES_TIME_LIMIT,
+IES_SEGMENTS, IES_MC_SAMPLES).
 """
 from __future__ import annotations
 
@@ -81,7 +81,6 @@ class RunManifest:
     out_dir: str
     confidence: float | None = None
     seed: int = 0
-    backend: str | None = None
     gap: float = 1e-4
     time_limit: float = 300.0
     n_segments: int = 8
@@ -147,11 +146,7 @@ def run_pipeline(manifest: RunManifest) -> RunOutput:
 
     opts = se.SolveOptions(time_limit=manifest.time_limit,
                            gap_tolerance=manifest.gap)
-    try:
-        backend = se.get_backend(manifest.backend)
-    except ValueError as exc:
-        return fail(EXIT_SCHEMA, "SCHEMA_ERROR", str(exc))
-    outcome = se.solve(bundle, opts, backend)
+    outcome = se.solve(bundle, opts)
     result = outcome.result
     if result.status == se.INFEASIBLE:
         return fail(EXIT_INFEASIBLE, result.status,
@@ -174,7 +169,7 @@ def run_pipeline(manifest: RunManifest) -> RunOutput:
         "scenario_name": cfg.name,
         "mode": manifest.mode,
         "seed": manifest.seed,
-        "backend": backend.name,
+        "backend": se.ScipyMilpBackend.name,
         "confidence": cfg.confidence,
         "theta": cfg.idr.theta,
         "n_segments": manifest.n_segments,
@@ -425,6 +420,9 @@ def _too_few_samples(n: int) -> str:
 def _solution_from_rows(cfg: ScenarioConfig, rows: list[dict],
                         summary: dict) -> gm.EquilibriumSolution:
     t_count = cfg.horizon
+    if len(rows) != t_count:
+        raise ValueError(f"periods.csv has {len(rows)} rows for a "
+                         f"{t_count}-period horizon")
 
     def col(name: str) -> np.ndarray:
         return np.array([float(r[name]) for r in rows])
@@ -461,8 +459,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--confidence", type=float, default=None,
                    help="override the scenario confidence level")
     p.add_argument("--seed", type=int, default=_env("SEED", int, 0))
-    p.add_argument("--backend", default=_env("BACKEND", str, None),
-                   help="solver backend (scipy, external)")
     p.add_argument("--gap", type=float, default=_env("GAP", float, 1e-4))
     p.add_argument("--time-limit", type=float,
                    default=_env("TIME_LIMIT", float, 300.0))
@@ -476,8 +472,8 @@ def _manifest_from_args(args, mode: int | None = None) -> RunManifest:
     return RunManifest(
         scenario=args.scenario, mode=mode if mode is not None else args.mode,
         out_dir=args.out, confidence=args.confidence, seed=args.seed,
-        backend=args.backend, gap=args.gap, time_limit=args.time_limit,
-        n_segments=args.segments, mc_samples=args.mc_samples,
+        gap=args.gap, time_limit=args.time_limit, n_segments=args.segments,
+        mc_samples=args.mc_samples,
         run_validation=not getattr(args, "no_validate", False))
 
 
@@ -527,7 +523,6 @@ def _parser() -> argparse.ArgumentParser:
     p_orc.add_argument("--gamma-step", type=float, default=None,
                        help="thermal price grid step (defaults to --step)")
     p_orc.add_argument("--segments", type=int, default=_env("SEGMENTS", int, 8))
-    p_orc.add_argument("--backend", default=_env("BACKEND", str, None))
     p_orc.add_argument("--out", default=None)
     return parser
 
@@ -548,25 +543,30 @@ def main(argv: list[str] | None = None) -> int:
         return out.exit_code
 
     if args.verb == "compare":
+        # a refused re-run leaves no older table
+        table_path = Path(args.out) / "comparison.csv"
+        table_path.unlink(missing_ok=True)
         try:
             modes = _parse_list("--modes", args.modes, int, MODES)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return EXIT_SCHEMA
         table = compare_modes(_manifest_from_args(args, mode=modes[0]), modes)
-        _write_csv(Path(args.out) / "comparison.csv", table)
+        _write_csv(table_path, table)
         _print_table(table)
         failed = any(r["f1"] == "FAILED" for r in table)
         return EXIT_ERROR if failed else EXIT_OK
 
     if args.verb == "sweep":
+        table_path = Path(args.out) / f"sweep_{args.param}.csv"
+        table_path.unlink(missing_ok=True)  # as for compare above
         try:
             values = _parse_list("--values", args.values, float)
             table = sweep(_manifest_from_args(args), args.param, values)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return EXIT_SCHEMA
-        _write_csv(Path(args.out) / f"sweep_{args.param}.csv", table)
+        _write_csv(table_path, table)
         _print_table(table)
         failed = any(r["exit_code"] != EXIT_OK for r in table)
         return EXIT_ERROR if failed else EXIT_OK
@@ -591,12 +591,11 @@ def main(argv: list[str] | None = None) -> int:
             cfg = load_scenario(args.scenario)
             result = se.enumerate_oracle(cfg, args.step,
                                          gamma_grid_step=args.gamma_step,
-                                         n_segments=args.segments,
-                                         backend=se.get_backend(args.backend))
+                                         n_segments=args.segments)
         except se.OracleSizeError as exc:
             print(str(exc), file=sys.stderr)
             return EXIT_ORACLE_SIZE
-        except ValueError as exc:  # scenario errors, steps and backends
+        except ValueError as exc:  # scenario errors and steps
             print(str(exc), file=sys.stderr)
             return EXIT_SCHEMA
         payload = {

@@ -1,13 +1,10 @@
-"""Solver backends, the end-to-end solve step, and two independent
+"""The solver backend, the end-to-end solve step, and two independent
 oracles: exhaustive price-grid enumeration for tiny instances and the
 Monte Carlo reserve-adequacy validator.
 
-Both backends take a `ModelIR` or the `CompiledModel` it lowers to; a
-`ModelIR` is compiled on entry. The default backend drives HiGHS
-in-process through scipy from the compiled arrays. A file-based backend
-writes the LP text format and shells out to any command that reads an
-LP file and writes "name value" solution lines, so the core stays
-testable against arbitrary solvers.
+`ScipyMilpBackend` drives HiGHS in-process through scipy from the arrays
+of a `CompiledModel`; a `ModelIR` is compiled on entry. `solve` and
+`enumerate_oracle` take any object with its `solve` method as `backend`.
 
 Both equilibrium checks re-solve one warm-started HiGHS LP per search
 (`_DispatchLp`): it gives every cut, and every cost of the relaxed one.
@@ -15,13 +12,8 @@ Both equilibrium checks re-solve one warm-started HiGHS LP per search
 from __future__ import annotations
 
 import math
-import os
-import signal
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -30,7 +22,6 @@ from scipy.optimize._highspy import _core as _highs
 from . import game_model as gm
 from .config import ScenarioConfig
 from .kkt_reformulation import assemble_single_level
-from .lp_io import parse_solution, write_lp
 from .model_ir import CompiledModel, ModelIR, as_compiled
 from .prob_sequences import MC_ALLOWANCE, chance_satisfaction_mc
 
@@ -40,13 +31,7 @@ TIME_LIMIT = "TIME_LIMIT"
 UNBOUNDED = "UNBOUNDED"
 ERROR = "ERROR"
 
-# status banner keyword -> status for file-based solvers, checked in order
-_BANNER_STATUS = (("infeasible", INFEASIBLE), ("unbounded", UNBOUNDED),
-                  ("time limit", TIME_LIMIT), ("error", ERROR))
-
 TRIAGE_STAGES = ("balance_with_relaxed_reserves", "full_model")
-
-EXTERNAL_GRACE_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -60,8 +45,8 @@ class SolveResult:
     status: str
     values: dict[str, float]
     objective: float
-    bound: float | None  # None: the backend reports no dual bound
-    gap: float | None  # None: the backend reports no gap
+    bound: float
+    gap: float
     runtime_s: float = 0.0
     infeasible_stage: str | None = None
     node_count: int | None = None  # branch-and-bound nodes, when reported
@@ -105,86 +90,6 @@ class ScipyMilpBackend:
                            node_count=None if nodes is None else int(nodes))
 
 
-class ExternalLpBackend:
-    """File-boundary backend: write LP, run a command, read the solution.
-
-    The command template must contain "{lp}" and "{sol}" placeholders;
-    default comes from the IES_SOLVER_CMD environment variable. A status
-    banner on the solution file's first line naming infeasibility,
-    unboundedness, a time limit or an error is reported as that status;
-    otherwise the values are taken as optimal. Such files carry no gap,
-    dual bound or node count, so none is reported. A command still
-    running `EXTERNAL_GRACE_S` seconds past the time limit is reported as
-    TIME_LIMIT and killed with its whole process group, so that no
-    solver the shell started outlives it; under an infinite time limit
-    the command is waited for.
-    """
-
-    name = "external"
-
-    def __init__(self, command_template: str | None = None):
-        self.command_template = command_template or os.environ.get("IES_SOLVER_CMD")
-        if not self.command_template:
-            raise ValueError("external backend needs IES_SOLVER_CMD with "
-                             "{lp} and {sol} placeholders")
-
-    def solve(self, model: ModelIR | CompiledModel, time_limit: float,
-              gap_tolerance: float) -> SolveResult:
-        started = time.perf_counter()
-        m = as_compiled(model)
-        with tempfile.TemporaryDirectory(prefix="iesgame_") as tmp:
-            lp_path = Path(tmp) / "model.lp"
-            sol_path = Path(tmp) / "model.sol"
-            lp_path.write_text(write_lp(m))
-            cmd = self.command_template.format(lp=lp_path, sol=sol_path)
-            timeout = time_limit + EXTERNAL_GRACE_S \
-                if math.isfinite(time_limit) else None
-            with subprocess.Popen(cmd, shell=True, stdout=subprocess.PIPE,
-                                  stderr=subprocess.PIPE, text=True,
-                                  start_new_session=True) as proc:
-                try:
-                    stdout, stderr = proc.communicate(timeout=timeout)
-                except subprocess.TimeoutExpired:
-                    os.killpg(proc.pid, signal.SIGKILL)
-                    proc.communicate()
-                    return SolveResult(TIME_LIMIT, {}, math.nan, math.nan,
-                                       math.inf, time.perf_counter() - started)
-            runtime = time.perf_counter() - started
-            if not sol_path.exists():
-                status = INFEASIBLE if "infeasible" in (
-                    stdout + stderr).lower() else ERROR
-                return SolveResult(status, {}, math.nan, math.nan, math.inf, runtime)
-            text = sol_path.read_text()
-        first_line = text.splitlines()[0].lower() if text else ""
-        banner = first_line.replace("_", " ")
-        for keyword, status in _BANNER_STATUS:
-            if keyword in banner:
-                return SolveResult(status, {}, math.nan, math.nan, math.inf, runtime)
-        values = parse_solution(text, known=set(m.var_names))
-        for j, name in enumerate(m.var_names):
-            if name in values:
-                continue
-            # solvers commonly omit variables at zero; a variable whose
-            # bounds exclude zero cannot have been omitted for that reason
-            if not m.col_lower[j] <= 0.0 <= m.col_upper[j]:
-                return SolveResult(ERROR, {}, math.nan, math.nan, math.inf, runtime)
-            values[name] = 0.0
-        objective = m.objective([values[name] for name in m.var_names])
-        return SolveResult(OPTIMAL, values, objective, None, None, runtime)
-
-
-_BACKENDS = {"scipy": ScipyMilpBackend, "external": ExternalLpBackend}
-
-
-def get_backend(name: str | None = None):
-    """Resolve a backend by name, flag over IES_BACKEND over the default."""
-    chosen = name or os.environ.get("IES_BACKEND", "scipy")
-    if chosen not in _BACKENDS:
-        raise ValueError(f"unknown backend {chosen!r}; available: "
-                         f"{sorted(_BACKENDS)}")
-    return _BACKENDS[chosen]()
-
-
 @dataclass
 class SolveOutcome:
     solution: gm.EquilibriumSolution | None
@@ -202,7 +107,7 @@ def solve(bundle: gm.ModelBundle, opts: SolveOptions | None = None,
     `build_leader` rejects them with a `BuildError`.
     """
     opts = opts or SolveOptions()
-    backend = backend or get_backend()
+    backend = backend or ScipyMilpBackend()
     result = backend.solve(bundle.ir, opts.time_limit, opts.gap_tolerance)
     if result.status == INFEASIBLE:
         result.infeasible_stage = _triage_infeasibility(bundle, opts, backend)
@@ -470,7 +375,7 @@ def enumerate_oracle(cfg: ScenarioConfig, price_grid_step: float,
                              f"got {step}")
     if cfg.horizon > 4:
         raise OracleSizeError("enumeration oracle is limited to horizons <= 4")
-    backend = backend or get_backend()
+    backend = backend or ScipyMilpBackend()
     p = cfg.prices
     mu_grid = _admissible_grids(p.mu_min, p.mu_max, cfg.horizon * p.mu_av,
                                 cfg.horizon, price_grid_step)

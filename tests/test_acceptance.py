@@ -42,7 +42,7 @@ def case2_cfg(case2_path):
 def toy_mode3():
     cfg = scenario_from_dict(toy_dict())
     bundle = build_bundle(cfg, 3)
-    out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
+    out = se.solve(bundle, se.SolveOptions(time_limit=60))
     assert out.result.status == se.OPTIMAL
     return cfg, bundle, out
 
@@ -50,7 +50,7 @@ def toy_mode3():
 @pytest.fixture(scope="module")
 def case2_mode3(case2_cfg):
     bundle = build_bundle(case2_cfg, 3)
-    out = se.solve(bundle, se.SolveOptions(time_limit=120), se.get_backend())
+    out = se.solve(bundle, se.SolveOptions(time_limit=120))
     assert out.result.status == se.OPTIMAL
     return case2_cfg, bundle, out
 
@@ -193,8 +193,7 @@ def test_criterion_6_mode_ordering(case2_cfg):
     results = {}
     for mode in (1, 2, 3, 4):
         bundle = build_bundle(case2_cfg, mode)
-        out = se.solve(bundle, se.SolveOptions(time_limit=120),
-                       se.get_backend())
+        out = se.solve(bundle, se.SolveOptions(time_limit=120))
         assert out.result.status == se.OPTIMAL, f"mode {mode}"
         assert out.report.passed, f"mode {mode}"
         results[mode] = out.solution
@@ -223,8 +222,7 @@ def test_criterion_7_penalty_factor_sweep(case1_cfg):
     for theta in (0.6, 0.8, 1.0):
         cfg = case1_cfg.with_overrides(theta=theta)
         bundle = build_bundle(cfg, 3)
-        out = se.solve(bundle, se.SolveOptions(time_limit=120),
-                       se.get_backend())
+        out = se.solve(bundle, se.SolveOptions(time_limit=120))
         assert out.result.status == se.OPTIMAL
         cuts[theta] = out.solution.h_cl
     elapsed = time.perf_counter() - started

@@ -227,7 +227,7 @@ class TestBuildLeader:
             assert f"p_sl_{t}" in names and f"h_cl_{t}" in names
         assemble_single_level(bundle)
         assert len(bundle.ir.binary_names) == 2 * toy_cfg.horizon
-        out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
+        out = se.solve(bundle, se.SolveOptions(time_limit=60))
         assert out.result.status == se.OPTIMAL
         assert out.result.objective == pytest.approx(166.92037, rel=1e-4)
         assert out.report.passed, out.report.violations[:3]
@@ -381,7 +381,7 @@ class TestVerifySolution:
 
     def test_best_response_mismatch_flagged(self, toy_cfg):
         bundle = build_bundle(toy_cfg, 3)
-        out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
+        out = se.solve(bundle, se.SolveOptions(time_limit=60))
         sol = out.solution
         sol.h_cl = sol.h_cl.copy()
         sol.h_cl[0] += 0.02  # interior shift away from gamma/(2 theta)
@@ -391,8 +391,7 @@ class TestVerifySolution:
     def test_modes_without_response_pin_baseline(self, toy_cfg):
         for mode in (1, 2):
             bundle = build_bundle(toy_cfg, mode)
-            out = se.solve(bundle, se.SolveOptions(time_limit=60),
-                           se.get_backend())
+            out = se.solve(bundle, se.SolveOptions(time_limit=60))
             assert out.report.passed
             assert out.solution.p_sl == pytest.approx(
                 toy_cfg.baseline_shift(), abs=1e-9)

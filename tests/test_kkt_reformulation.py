@@ -14,7 +14,7 @@ from iesgame.scenario_cli import build_bundle
 def solved_toy():
     cfg = scenario_from_dict(toy_dict())
     bundle = build_bundle(cfg, 3)
-    out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
+    out = se.solve(bundle, se.SolveOptions(time_limit=60))
     assert out.result.status == se.OPTIMAL
     return cfg, bundle, out
 

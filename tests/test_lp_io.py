@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from iesgame.lp_io import parse_solution, write_lp
+from iesgame.lp_io import write_lp
 from iesgame.model_ir import ModelIR, PwlObjTerm
 
 
@@ -57,92 +56,3 @@ class TestWriter:
         ir.add_row("r", {"x": 1.0}, ">=", 0.5)
         assert "Minimize" in write_lp(ir)
 
-
-class TestSolutionParser:
-    def test_skips_headers_and_comments(self):
-        text = """* Solver: AcmeMip 3.1 found OPTIMAL
-# objective sections and notes
-objective value = 9.5
-\\ another comment
-x 4.0
-y = -1.25
-b   1
-status optimal
-"""
-        values = parse_solution(text, known={"x", "y", "b"})
-        assert values == {"x": 4.0, "y": -1.25, "b": 1.0}
-
-    def test_unknown_names_dropped(self):
-        values = parse_solution("x 1\nslack_1 0.5\n", known={"x"})
-        assert values == {"x": 1.0}
-
-    def test_without_filter_keeps_pairs(self):
-        values = parse_solution("x 1\nnoise not_a_number\n")
-        assert values == {"x": 1.0}
-
-    def test_empty_text(self):
-        assert parse_solution("") == {}
-
-
-class TestExternalBackend:
-    def test_stub_solver_round_trip(self, tmp_path, monkeypatch):
-        from iesgame.solve_engine import ExternalLpBackend
-        stub = tmp_path / "stub.py"
-        stub.write_text(
-            "import sys\n"
-            "lp, sol = sys.argv[1], sys.argv[2]\n"
-            "assert open(lp).read().startswith('\\\\ sample')\n"
-            "open(sol, 'w').write('* stub header\\nx 4\\ny 0.5\\nb 1\\n')\n")
-        backend = ExternalLpBackend(f"python3 {stub} {{lp}} {{sol}}")
-        res = backend.solve(sample_ir(), 30.0, 1e-4)
-        assert res.status == "OPTIMAL"
-        assert res.values["x"] == 4.0
-        assert res.objective == pytest.approx(4.0 - 2.5 * 0.5)
-        # a solution file carries no gap, dual bound or node count
-        assert res.gap is None
-        assert res.bound is None and res.node_count is None
-
-    @pytest.mark.parametrize("banner, status", [
-        ("Status: TIME LIMIT reached", "TIME_LIMIT"),
-        ("Status: UNBOUNDED", "UNBOUNDED"),
-        ("Status: solver ERROR", "ERROR"),
-        ("Status: INFEASIBLE", "INFEASIBLE"),
-    ])
-    def test_status_banner_reported(self, tmp_path, banner, status):
-        from iesgame.solve_engine import ExternalLpBackend
-        stub = tmp_path / "stub.py"
-        stub.write_text(
-            "import sys\n"
-            f"open(sys.argv[2], 'w').write({banner!r} + '\\nx 4\\ny 0.5\\nb 1\\n')\n")
-        backend = ExternalLpBackend(f"python3 {stub} {{lp}} {{sol}}")
-        res = backend.solve(sample_ir(), 30.0, 1e-4)
-        assert res.status == status
-        assert not res.values
-
-    def test_missing_variable_outside_zero_is_error(self, tmp_path):
-        from iesgame.solve_engine import ExternalLpBackend
-        ir = sample_ir()
-        ir.add_variable("t_sw", 90.0, 100.0)
-        ir.add_row("t_cap", {"t_sw": 1.0}, "<=", 95.0)
-        stub = tmp_path / "stub.py"
-        stub.write_text(
-            "import sys\n"
-            "open(sys.argv[2], 'w').write('x 4\\ny 0.5\\nb 1\\n')\n")
-        backend = ExternalLpBackend(f"python3 {stub} {{lp}} {{sol}}")
-        res = backend.solve(ir, 30.0, 1e-4)
-        assert res.status == "ERROR"
-        assert not res.values
-
-    def test_missing_command_rejected(self, monkeypatch):
-        from iesgame.solve_engine import ExternalLpBackend
-        monkeypatch.delenv("IES_SOLVER_CMD", raising=False)
-        with pytest.raises(ValueError, match="IES_SOLVER_CMD"):
-            ExternalLpBackend()
-
-    def test_env_selection(self, monkeypatch):
-        from iesgame import solve_engine as se
-        monkeypatch.setenv("IES_BACKEND", "scipy")
-        assert se.get_backend().name == "scipy"
-        monkeypatch.setenv("IES_BACKEND", "bogus")
-        with pytest.raises(ValueError, match="bogus"):
-            se.get_backend()

@@ -67,8 +67,7 @@ class TestBackend:
         objs, values = [], []
         for _ in range(2):
             bundle = build_bundle(cfg, 3)
-            out = se.solve(bundle, se.SolveOptions(time_limit=60),
-                           se.get_backend())
+            out = se.solve(bundle, se.SolveOptions(time_limit=60))
             objs.append(out.result.objective)
             values.append(out.result.values)
             assert out.report.passed
@@ -80,7 +79,7 @@ class TestSolvePipeline:
     def test_single_unit_dispatch_tracks_load(self):
         cfg = scenario_from_dict(flat_single_unit_dict())
         bundle = build_bundle(cfg, 1)
-        out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
+        out = se.solve(bundle, se.SolveOptions(time_limit=60))
         assert out.result.status == se.OPTIMAL
         assert out.solution.p_tp[0] == pytest.approx([1.0, 1.0, 1.0])
         assert out.report.passed
@@ -93,7 +92,7 @@ class TestSolvePipeline:
         data["idr"]["theta"] = 1e9
         cfg = scenario_from_dict(data)
         bundle = build_bundle(cfg, 3)
-        out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
+        out = se.solve(bundle, se.SolveOptions(time_limit=60))
         sol = out.solution
         assert np.max(np.abs(sol.p_sl)) == 0.0
         assert np.max(sol.h_cl) < 1e-5
@@ -106,7 +105,7 @@ class TestSolvePipeline:
         data["fixed_load_mw"] = [1.45, 2.2, 1.6]
         cfg = scenario_from_dict(data)
         bundle = build_bundle(cfg, 2)
-        out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
+        out = se.solve(bundle, se.SolveOptions(time_limit=60))
         assert out.result.status == se.INFEASIBLE
         assert out.result.infeasible_stage == "balance_with_relaxed_reserves"
 
@@ -123,7 +122,7 @@ class TestSolvePipeline:
             unit["ramp_up"] = 0.10
         cfg = scenario_from_dict(data)
         bundle = build_bundle(cfg, 2)
-        out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
+        out = se.solve(bundle, se.SolveOptions(time_limit=60))
         assert out.result.status == se.INFEASIBLE
         assert out.result.infeasible_stage == "full_model"
 
@@ -158,8 +157,7 @@ class TestEnumerationOracle:
         open_band["idr"]["theta"] = 60.0
         for cfg in (self.two_period_cfg(), scenario_from_dict(open_band)):
             bundle = build_bundle(cfg, 3)
-            out = se.solve(bundle, se.SolveOptions(time_limit=60),
-                           se.get_backend())
+            out = se.solve(bundle, se.SolveOptions(time_limit=60))
             oracle = se.enumerate_oracle(cfg, 9.25, gamma_grid_step=4.75)
             max_pl = float(np.max(np.asarray(cfg.fixed_load) + cfg.shift_upper()))
             max_hl = float(np.max(cfg.heat_base_load()))
@@ -183,7 +181,7 @@ class TestEnumerationOracle:
         data["outdoor_temp_c"] = temps[:horizon]
         cfg = scenario_from_dict(data)
         bundle = build_bundle(cfg, 3)
-        out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
+        out = se.solve(bundle, se.SolveOptions(time_limit=60))
         assert out.result.status == se.OPTIMAL
         oracle = se.enumerate_oracle(cfg, 9.25, gamma_grid_step=4.75)
         assert out.solution.f1 >= oracle.profit - bundle.pwl_error_bound - 1e-6
@@ -196,7 +194,7 @@ class TestEnumerationOracle:
     def test_builds_dispatch_once(self, toy_cfg, monkeypatch):
         builds, solves = [], []
         build_leader = gm.build_leader
-        backend = se.get_backend()
+        backend = se.ScipyMilpBackend()
         solve = backend.solve
 
         def spy_build(*args, **kwargs):
@@ -269,7 +267,7 @@ class TestEnumerationOracle:
 def solved():
     cfg = scenario_from_dict(toy_dict())
     bundle = build_bundle(cfg, 2)
-    out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
+    out = se.solve(bundle, se.SolveOptions(time_limit=60))
     return bundle, out.solution
 
 
@@ -296,8 +294,7 @@ class TestReserveValidation:
         totals = []
         for conf in (0.85, 0.95):
             bundle = build_bundle(cfg.with_overrides(confidence=conf), 2)
-            out = se.solve(bundle, se.SolveOptions(time_limit=60),
-                           se.get_backend())
+            out = se.solve(bundle, se.SolveOptions(time_limit=60))
             totals.append(float(np.sum(out.solution.reserve_total)))
         assert totals[0] <= totals[1] + 1e-9
 
@@ -343,10 +340,10 @@ class TestPostedPriceProfit:
         # mode 4 posts the proportional tariff to responding users, so its
         # optimum is the operator's profit at that tariff
         bundle = build_bundle(toy_cfg, 4)
-        out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
+        out = se.solve(bundle, se.SolveOptions(time_limit=60))
         mu, gamma = toy_cfg.proportional_prices()
         index, profit, response, n_solves = best_posted_price(
-            toy_cfg, se.get_backend(), relax_binaries, [mu], [gamma])
+            toy_cfg, se.ScipyMilpBackend(), relax_binaries, [mu], [gamma])
         assert (index, n_solves) == (0, 1)
         assert profit == pytest.approx(out.result.objective, rel=1e-6)
         assert response[0] == pytest.approx(bundle.fixed_p_sl)
@@ -355,14 +352,14 @@ class TestPostedPriceProfit:
     def test_cache_counts_solves(self, toy_cfg):
         # within one search each distinct response is solved at most
         # once, and every solve is a backend call
-        backend, calls = counting(se.get_backend())
+        backend, calls = counting(se.ScipyMilpBackend())
         mu, gamma = toy_cfg.proportional_prices()
         index, _, _, n_solves = best_posted_price(
             toy_cfg, backend, False, [mu] * 6, [gamma] * 6)
         assert index == 0
         assert n_solves == len(calls) == 1  # the copies are all visited
         flipped = mu[::-1].copy()
-        backend, calls = counting(se.get_backend())
+        backend, calls = counting(se.ScipyMilpBackend())
         n_solves = best_posted_price(toy_cfg, backend, False,
                                      [mu, flipped, mu, flipped],
                                      [gamma] * 4)[3]
@@ -455,7 +452,7 @@ class TestPrunedSearch:
         # after itself (earliest index wins)
         cfg = toy_cfg if case == "toy" else load_scenario(case2_path)
         mu, gamma = random_prices(cfg, n, np.random.default_rng(seed))
-        backend = se.get_backend()
+        backend = se.ScipyMilpBackend()
         profits, responses = exhaustive_profits(cfg, backend, relax_binaries,
                                                 mu, gamma)
         top = first_best(profits)[0]
@@ -510,7 +507,7 @@ class TestPrunedSearch:
     def test_cut_under_estimates_cost(self, toy_cfg, relax_binaries):
         # every cut lies below the exact dispatch cost at other responses
         cfg = toy_cfg
-        backend = se.get_backend()
+        backend = se.ScipyMilpBackend()
         rng = np.random.default_rng(8)
         responses = [random_follower_point(cfg, rng) for _ in range(6)]
         program = se._dispatch_program(cfg, True, 8, relax_binaries,
@@ -605,12 +602,12 @@ class TestDeviationCheck:
     def test_relaxed_search_calls_no_backend(self, toy_cfg, monkeypatch):
         # every re-dispatch of the relaxed search is solved in its own LP
         bundle = build_bundle(toy_cfg, 3)
-        out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
+        out = se.solve(bundle, se.SolveOptions(time_limit=60))
 
         def refuse(*args, **kwargs):
             raise AssertionError("the relaxed search called a backend")
 
-        monkeypatch.setattr(se, "get_backend", refuse)
+        monkeypatch.setattr(se.ScipyMilpBackend, "solve", refuse)
         monkeypatch.setattr(se, "milp", refuse)
         check = se.no_deviation_check(bundle, out.solution, n_deviations=40,
                                       seed=3)
@@ -619,7 +616,7 @@ class TestDeviationCheck:
 
     def test_fields_are_plain_python(self, toy_cfg):
         bundle = build_bundle(toy_cfg, 3)
-        out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
+        out = se.solve(bundle, se.SolveOptions(time_limit=60))
         check = se.no_deviation_check(bundle, out.solution, n_deviations=20,
                                       seed=2)
         fields = vars(check)
@@ -630,7 +627,7 @@ class TestDeviationCheck:
 
     def test_redispatch_uses_bundle_segments(self, toy_cfg, monkeypatch):
         bundle = build_bundle(toy_cfg, 3, n_segments=2)
-        out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
+        out = se.solve(bundle, se.SolveOptions(time_limit=60))
         seen = []
         apply_pwl = kkt.apply_pwl
 
@@ -645,7 +642,7 @@ class TestDeviationCheck:
     def test_toy_equilibrium_stable(self):
         cfg = scenario_from_dict(toy_dict())
         bundle = build_bundle(cfg, 3)
-        out = se.solve(bundle, se.SolveOptions(time_limit=60), se.get_backend())
+        out = se.solve(bundle, se.SolveOptions(time_limit=60))
         sol = out.solution
         check = se.no_deviation_check(bundle, sol, n_deviations=300, seed=5)
         best = gm.follower_best_response(sol.mu, sol.gamma, cfg)
@@ -660,8 +657,7 @@ class TestDeviationCheck:
         # raises the users' bill by exactly the price spread; the check
         # must report that difference, not a sampled lower estimate
         bundle = build_bundle(toy_cfg, 3)
-        sol = se.solve(bundle, se.SolveOptions(time_limit=60),
-                       se.get_backend()).solution
+        sol = se.solve(bundle, se.SolveOptions(time_limit=60)).solution
         cheap, dear = int(np.argmin(sol.mu)), int(np.argmax(sol.mu))
         p_sl = sol.p_sl.copy()
         p_sl[cheap] -= 0.01
