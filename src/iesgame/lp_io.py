@@ -38,7 +38,8 @@ def write_lp(model: ModelIR | CompiledModel) -> str:
     obj = [(names[j], c) for j, c in zip(m.obj_cols, m.obj_coefs) if c != 0.0]
     lines.append(" obj: " + (_expr(obj) if obj else "0 " + names[0]))
     if m.obj_const:
-        lines[0] += f"  (objective constant {_fmt(m.obj_const)} applied on read-back)"
+        lines[0] += (f"  (objective constant {_fmt(m.obj_const)}: "
+                     "the offset that obj: leaves out)")
     lines.append("Subject To")
     indptr, indices, data = m.a.indptr, m.a.indices, m.a.data
     for r, row_name in enumerate(m.row_index):

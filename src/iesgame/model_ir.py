@@ -255,12 +255,15 @@ class ModelIR:
         """Lower to solver arrays, expanding the PWL terms first.
 
         Quadratic objective terms are rejected: the MILP backend takes none.
+        A model that `lower_pwl` rewrote was validated there; one without
+        PWL terms is validated here.
         """
         ir = self.lower_pwl()
         if ir.obj_quad:
             raise ValueError("compiled models take linear objectives only; "
                              "apply the PWL approximation first")
-        ir.validate()
+        if ir is self:
+            ir.validate()
         names = list(ir.variables)
         index = {n: i for i, n in enumerate(names)}
         obj_cols = tuple(index[v] for v in ir.obj_linear)

@@ -179,7 +179,8 @@ def run_pipeline(manifest: RunManifest) -> RunOutput:
         "scenario_sha256": _sha256(manifest.scenario),
         "versions": {"iesgame": __version__,
                      "python": sys.version.split()[0],
-                     "numpy": np.__version__, "scipy": scipy.__version__},
+                     "numpy": np.__version__, "scipy": scipy.__version__,
+                     "highs": se.HIGHS_VERSION},
         "status": result.status,
         "objective": result.objective,
         "gap": result.gap,

@@ -2,11 +2,15 @@
 oracles: exhaustive price-grid enumeration for tiny instances and the
 Monte Carlo reserve-adequacy validator.
 
-`ScipyMilpBackend` drives HiGHS in-process through scipy from the arrays
-of a `CompiledModel`; a `ModelIR` is compiled on entry. `solve` and
+`ScipyMilpBackend` drives HiGHS in-process from the arrays of a
+`CompiledModel`; a `ModelIR` is compiled on entry. `solve` and
 `enumerate_oracle` take any object with its `solve` method as `backend`.
 
-Both equilibrium checks re-solve one warm-started HiGHS LP per search
+Every solve reaches HiGHS through scipy's private binding
+(`scipy.optimize._highspy._core`), and `_highs_lp` is the one place a
+compiled model becomes a HiGHS model: `milp` solves it with a new HiGHS
+instance, without the feasibility-jump heuristic, and both equilibrium
+checks re-solve one warm-started LP relaxation per search
 (`_DispatchLp`): it gives every cut, and every cost of the relaxed one.
 """
 from __future__ import annotations
@@ -16,7 +20,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize._highspy import _core as _highs
 
 from . import game_model as gm
@@ -32,6 +35,10 @@ UNBOUNDED = "UNBOUNDED"
 ERROR = "ERROR"
 
 TRIAGE_STAGES = ("balance_with_relaxed_reserves", "full_model")
+
+# the HiGHS library every solve runs on, as scipy's binding was built with
+HIGHS_VERSION = (f"{_highs.HIGHS_VERSION_MAJOR}.{_highs.HIGHS_VERSION_MINOR}."
+                 f"{_highs.HIGHS_VERSION_PATCH}")
 
 
 @dataclass(frozen=True)
@@ -52,9 +59,95 @@ class SolveResult:
     node_count: int | None = None  # branch-and-bound nodes, when reported
 
 
+# HiGHS's model statuses that the backend reports; any other is ERROR
+_STATUS = {_highs.HighsModelStatus.kOptimal: OPTIMAL,
+           _highs.HighsModelStatus.kTimeLimit: TIME_LIMIT,
+           _highs.HighsModelStatus.kIterationLimit: TIME_LIMIT,
+           _highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+           _highs.HighsModelStatus.kUnbounded: UNBOUNDED}
+_VAR_TYPE = (_highs.HighsVarType.kContinuous, _highs.HighsVarType.kInteger)
+
+
+def _highs_lp(model: CompiledModel, integral: bool) -> _highs.HighsLp:
+    """A compiled model as a HiGHS LP: its matrix column-wise, its costs
+    in minimize sense (negated for a maximization; the constant left
+    out), its bounds and, if `integral`, its integrality.
+
+    Refuses with ValueError a non-finite cost or matrix entry and a NaN
+    bound: HiGHS would solve the first two as given and refuse the last
+    as a model error, which is no status of the model.
+    """
+    a = model.a.tocsc()
+    if not (np.isfinite(model.c).all() and np.isfinite(a.data).all()):
+        raise ValueError(f"model {model.name}: objective and matrix "
+                         "coefficients must be finite")
+    if any(np.isnan(b).any() for b in (model.row_lower, model.row_upper,
+                                       model.col_lower, model.col_upper)):
+        raise ValueError(f"model {model.name}: a bound is NaN")
+    lp = _highs.HighsLp()
+    lp.num_row_, lp.num_col_ = a.shape
+    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a.shape
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = a.indptr
+    lp.a_matrix_.index_ = a.indices
+    lp.a_matrix_.value_ = a.data
+    lp.col_cost_ = -model.c if model.sense == "max" else model.c
+    lp.col_lower_, lp.col_upper_ = model.col_lower, model.col_upper
+    lp.row_lower_, lp.row_upper_ = model.row_lower, model.row_upper
+    if integral:
+        lp.integrality_ = [_VAR_TYPE[i] for i in model.integrality.tolist()]
+    return lp
+
+
+@dataclass
+class MilpResult:
+    """What one HiGHS run reports: the backend's status, the primal
+    point when HiGHS has a feasible one, and for a model with integer
+    columns the dual bound (minimize sense, without the constant), the
+    relative gap and the branch-and-bound node count."""
+    status: str
+    x: list[float] | None = None
+    mip_dual_bound: float | None = None
+    mip_gap: float | None = None
+    mip_node_count: int | None = None
+
+
+def milp(model: CompiledModel, time_limit: float,
+         gap_tolerance: float) -> MilpResult:
+    """Solve a compiled model with a new HiGHS instance.
+
+    HiGHS's feasibility-jump heuristic is off: on the game's programs
+    every search closes at the root node, the heuristic never supplies
+    the incumbent and it costs about a third of each solve (README,
+    "Solver"). A pure LP gives its point only at an optimum, a MILP also
+    at a time or iteration limit when HiGHS holds a feasible point.
+    """
+    highs = _highs._Highs()
+    for option, value in (("output_flag", False),
+                          ("time_limit", float(time_limit)),
+                          ("mip_rel_gap", float(gap_tolerance)),
+                          ("mip_heuristic_run_feasibility_jump", False)):
+        if highs.setOptionValue(option, value) != _highs.HighsStatus.kOk:
+            raise ValueError(f"HiGHS refused {option}={value}")
+    mip = bool(model.integrality.any())
+    if highs.passModel(_highs_lp(model, mip)) == _highs.HighsStatus.kError:
+        return MilpResult(ERROR)
+    highs.run()
+    status = _STATUS.get(highs.getModelStatus(), ERROR)
+    info = highs.getInfo()
+    feasible = status == OPTIMAL or (
+        mip and status == TIME_LIMIT and info.primal_solution_status
+        == _highs.SolutionStatus.kSolutionStatusFeasible)
+    x = highs.getSolution().col_value if feasible else None
+    if not mip:
+        return MilpResult(status, x)
+    return MilpResult(status, x, info.mip_dual_bound, info.mip_gap,
+                      info.mip_node_count)
+
+
 class ScipyMilpBackend:
-    """In-process HiGHS backend via scipy.optimize.milp, solving from the
-    compiled model's arrays."""
+    """In-process HiGHS backend through scipy's HiGHS binding (`milp`),
+    solving from the compiled model's arrays."""
 
     name = "scipy"
 
@@ -62,32 +155,22 @@ class ScipyMilpBackend:
               gap_tolerance: float) -> SolveResult:
         started = time.perf_counter()
         m = as_compiled(model)
-        res = milp(-m.c if m.sense == "max" else m.c,
-                   constraints=[LinearConstraint(m.a, m.row_lower, m.row_upper)],
-                   bounds=Bounds(m.col_lower, m.col_upper),
-                   integrality=m.integrality,
-                   options={"time_limit": time_limit,
-                            "mip_rel_gap": gap_tolerance,
-                            "presolve": True})
+        res = milp(m, time_limit, gap_tolerance)
         runtime = time.perf_counter() - started
 
-        status = {0: OPTIMAL, 1: TIME_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}.get(
-            res.status, ERROR)
         if res.x is None:
-            return SolveResult(status, {}, math.nan, math.nan, math.inf, runtime)
-        x = res.x.tolist()
-        values = dict(zip(m.var_names, x))
-        objective = m.objective(x)
-        bound_raw = getattr(res, "mip_dual_bound", None)
-        if bound_raw is None:
+            return SolveResult(res.status, {}, math.nan, math.nan, math.inf,
+                               runtime)
+        values = dict(zip(m.var_names, res.x))
+        objective = m.objective(res.x)
+        if res.mip_dual_bound is None:
             bound = objective
         else:
-            bound = -float(bound_raw) + m.obj_const if m.sense == "max" \
-                else float(bound_raw) + m.obj_const
-        gap = float(getattr(res, "mip_gap", 0.0) or 0.0)
-        nodes = getattr(res, "mip_node_count", None)
-        return SolveResult(status, values, objective, bound, gap, runtime,
-                           node_count=None if nodes is None else int(nodes))
+            bound = m.obj_const + (-res.mip_dual_bound if m.sense == "max"
+                                   else res.mip_dual_bound)
+        return SolveResult(res.status, values, objective, bound,
+                           res.mip_gap or 0.0, runtime,
+                           node_count=res.mip_node_count)
 
 
 @dataclass
@@ -269,22 +352,12 @@ def _balance_rhs(model: CompiledModel, cfg: ScenarioConfig,
 
 class _DispatchLp:
     """The LP relaxation of a compiled (maximizing) dispatch program,
-    passed to HiGHS once (as scipy's private `_highs_wrapper` passes its
-    own) and re-solved from the previous basis at new right-hand sides
-    of its balance rows `rows`."""
+    passed to HiGHS once (built by `_highs_lp`, as every MILP is) and
+    re-solved from the previous basis at new right-hand sides of its
+    balance rows `rows`."""
 
     def __init__(self, model: CompiledModel, rows: np.ndarray):
-        a = model.a.tocsc()
-        lp = _highs.HighsLp()
-        lp.num_row_, lp.num_col_ = a.shape
-        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a.shape
-        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = a.indptr
-        lp.a_matrix_.index_ = a.indices
-        lp.a_matrix_.value_ = a.data
-        lp.col_cost_ = -model.c
-        lp.col_lower_, lp.col_upper_ = model.col_lower, model.col_upper
-        lp.row_lower_, lp.row_upper_ = model.row_lower, model.row_upper
+        lp = _highs_lp(model, False)
         self._highs = _highs._Highs()
         self._highs.setOptionValue("output_flag", False)
         if self._highs.passModel(lp) == _highs.HighsStatus.kError:

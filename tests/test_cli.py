@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from scipy.optimize._highspy import _core as _highs
 
 from conftest import toy_dict
 from iesgame import scenario_cli as cli
@@ -452,8 +453,9 @@ class TestValidateVerb:
         assert summary["scenario_sha256"] == \
             hashlib.sha256(toy_path.read_bytes()).hexdigest()
         assert set(summary["versions"]) == {"iesgame", "python", "numpy",
-                                            "scipy"}
+                                            "scipy", "highs"}
         assert summary["versions"]["python"] == sys.version.split()[0]
+        assert summary["versions"]["highs"] == _highs._Highs().version()
 
     def test_summary_records_solve_overrides(self, toy_path, tmp_path):
         out_dir = tmp_path / "run"

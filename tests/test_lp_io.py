@@ -49,6 +49,16 @@ class TestWriter:
         assert " obj: 1 x - 2.5 y - 2 pwl_d_0_x_0 - 6 pwl_d_0_x_1\n" in text
         assert " pwl_link_0_x: 1 pwl_d_0_x_0 + 1 pwl_d_0_x_1 - 1 x = 0" in text
 
+    def test_objective_constant_in_header(self):
+        # a PWL term whose first value is not zero leaves that value as a
+        # constant, which the header states because obj: cannot hold it
+        ir = sample_ir()
+        ir.add_obj_pwl(PwlObjTerm("x", (0.0, 2.0, 4.0), (-1.5, -5.5, -17.5)))
+        text = write_lp(ir)
+        assert text.startswith("\\ sample  (objective constant -1.5: the "
+                               "offset that obj: leaves out)\nMaximize\n")
+        assert " obj: 1 x - 2.5 y - 2 pwl_d_0_x_0 - 6 pwl_d_0_x_1\n" in text
+
     def test_min_sense(self):
         ir = ModelIR("m", "min")
         ir.add_variable("x", 0.0, 1.0)

@@ -44,6 +44,31 @@ class TestConstruction:
         with pytest.raises(ValueError, match="ghost"):
             ir.validate()
 
+    @pytest.mark.parametrize("with_pwl", [False, True], ids=["plain", "pwl"])
+    def test_compile_validates_once(self, monkeypatch, with_pwl):
+        # `lower_pwl` validates the model it rewrites, so compiling walks
+        # the rows once either way, and still refuses a dangling reference
+        ir = tiny_model()
+        if with_pwl:
+            ir.add_obj_pwl(PwlObjTerm("x", (0.0, 2.0, 4.0),
+                                      (0.0, -4.0, -16.0)))
+        calls = []
+        validate = ModelIR.validate
+
+        def spy(model):
+            calls.append(model)
+            validate(model)
+
+        monkeypatch.setattr(ModelIR, "validate", spy)
+        ir.compile()
+        assert len(calls) == 1
+        ir.add_row("bad", {"ghost": 1.0}, "<=", 1.0)
+        with pytest.raises(ValueError, match="ghost"):
+            ir.compile()
+        if with_pwl:
+            with pytest.raises(ValueError, match="ghost"):
+                ir.lower_pwl()
+
     def test_constant_row_rejected(self):
         ir = tiny_model()
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from conftest import random_follower_point, toy_dict
 from iesgame import game_model as gm
@@ -31,16 +31,39 @@ def flat_single_unit_dict():
     return data
 
 
+def small_milp():
+    ir = ModelIR("small", "max")
+    ir.add_variable("x", 0.0, 2.0)
+    ir.add_variable("y", 0.0, 2.0, binary=False)
+    ir.add_variable("b", 0.0, 1.0, binary=True)
+    ir.add_obj_linear("x", 1.0)
+    ir.add_obj_linear("b", 2.0)
+    ir.add_row("cap", {"x": 1.0, "b": 1.0}, "<=", 2.5)
+    return ir
+
+
+def with_entry(model, array, value):
+    """`model` with the first entry of its array `array` set to `value`."""
+    changed = getattr(model, array).copy()
+    if array == "a":
+        changed.data[0] = value
+    else:
+        changed[0] = value
+    return dataclasses.replace(model, **{array: changed})
+
+
+# inputs HiGHS would solve or report a status for that it did not
+# observe: scipy.optimize.milp raised on the costs, reported the NaN
+# bounds as infeasible and solved the NaN matrix entry as optimal
+BAD_INPUTS = {"nan-c": ("c", np.nan), "inf-c": ("c", np.inf),
+              "nan-rhs": ("row_upper", np.nan),
+              "nan-matrix-entry": ("a", np.nan),
+              "nan-column-bound": ("col_lower", np.nan)}
+
+
 class TestBackend:
     def test_small_milp(self):
-        ir = ModelIR("small", "max")
-        ir.add_variable("x", 0.0, 2.0)
-        ir.add_variable("y", 0.0, 2.0, binary=False)
-        ir.add_variable("b", 0.0, 1.0, binary=True)
-        ir.add_obj_linear("x", 1.0)
-        ir.add_obj_linear("b", 2.0)
-        ir.add_row("cap", {"x": 1.0, "b": 1.0}, "<=", 2.5)
-        res = se.ScipyMilpBackend().solve(ir, 10.0, 1e-9)
+        res = se.ScipyMilpBackend().solve(small_milp(), 10.0, 1e-9)
         assert res.status == se.OPTIMAL
         assert res.objective == pytest.approx(3.5)
         assert res.values["b"] == pytest.approx(1.0)
@@ -52,6 +75,20 @@ class TestBackend:
         ir.add_row("lo", {"x": 1.0}, ">=", 2.0)
         res = se.ScipyMilpBackend().solve(ir, 10.0, 1e-4)
         assert res.status == se.INFEASIBLE
+
+    @pytest.mark.parametrize("bad", BAD_INPUTS)
+    def test_bad_input_refused(self, bad):
+        model = with_entry(small_milp().compile(), *BAD_INPUTS[bad])
+        with pytest.raises(ValueError, match="finite|NaN"):
+            se.ScipyMilpBackend().solve(model, 10.0, 1e-4)
+
+    def test_time_limit_without_point(self, case1_path):
+        # at a zero time limit HiGHS holds no feasible point, so the
+        # backend reports the limit and no values
+        model = build_bundle(load_scenario(case1_path), 3).ir.compile()
+        res = se.ScipyMilpBackend().solve(model, 0.0, 1e-4)
+        assert res.status == se.TIME_LIMIT
+        assert res.values == {}
 
     def test_gap_reported(self):
         ir = ModelIR("g", "max")
@@ -548,6 +585,28 @@ class TestPrunedSearch:
             np.testing.assert_allclose(
                 lam, want_lam, rtol=0,
                 atol=1e-10 * max(1.0, float(np.max(np.abs(want_lam)))))
+
+    @pytest.mark.parametrize("mode", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", ["toy", "case1", "case2"])
+    def test_milp_matches_public_milp(self, toy_cfg, case1_path, case2_path,
+                                      case, mode):
+        # every solve goes through scipy's private HiGHS binding (`se.milp`);
+        # public `scipy.optimize.milp` at the same gap must reach the same
+        # status and, within the gap, the same objective
+        paths = {"case1": case1_path, "case2": case2_path}
+        cfg = toy_cfg if case == "toy" else load_scenario(paths[case])
+        model = build_bundle(cfg, mode).ir.compile()
+        gap = 1e-4
+        got = se.milp(model, 60.0, gap)
+        want = milp(-model.c if model.sense == "max" else model.c,
+                    constraints=LinearConstraint(model.a, model.row_lower,
+                                                 model.row_upper),
+                    bounds=Bounds(model.col_lower, model.col_upper),
+                    integrality=model.integrality,
+                    options={"time_limit": 60.0, "mip_rel_gap": gap})
+        assert got.status == se.OPTIMAL and want.status == 0
+        assert model.objective(got.x) == pytest.approx(
+            model.objective(want.x.tolist()), rel=gap, abs=0)
 
 
 COMPILED_ARRAYS = ("c", "row_lower", "row_upper", "col_lower", "col_upper",
