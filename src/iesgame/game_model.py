@@ -6,10 +6,11 @@ balances, ramps, pipeline temperature windows, price-band and
 average-price rows, and the deterministic-equivalent reserve rows. The
 users (follower) shift electric load and curtail heat load against the
 posted prices. `build_leader` is the one entry that emits the program and
-decides the users' side: with optimized prices it adds the users' own
-variables (`build_follower`), whose optimality conditions the KKT pass
-then folds into the operator's problem; with posted prices the users'
-quantities enter as constants.
+decides the users' side, in one place: with optimized prices it adds the
+users' own variables (`build_follower`), whose optimality conditions the
+KKT pass then folds into the operator's problem; with posted prices the
+users' quantities enter as constants. Either way `balance_rhs` gives the
+balances' right-hand sides, and with them the users' bill.
 """
 from __future__ import annotations
 
@@ -64,27 +65,18 @@ class ModeSettings:
 
 
 @dataclass
-class FollowerFragment:
-    """Names of the users' variables, shiftable load and heat cut, per
-    period. Their bounds, the shift total and theta are the scenario's
-    (`ScenarioConfig.shift_*`, `cut_upper`, `idr.theta`)."""
-
-    p_sl: list[str]
-    h_cl: list[str]
-
-
-@dataclass
 class ModelBundle:
     """A built program plus what extraction and verification need beyond
     its scenario. Every scenario-derived value (expected renewables,
     reserve requirements and confidence, heat loads, pipe delays) is read
-    from `cfg`, which memoizes them."""
+    from `cfg`, which memoizes them. `names` holds each variable family's
+    names; the users' `p_sl`/`h_cl` and the prices `mu`/`gamma` are
+    variables only in mode 3, and otherwise the `fixed_*` constants."""
 
     ir: ModelIR
     cfg: ScenarioConfig
     mode: ModeSettings
     names: dict[str, object]
-    follower: FollowerFragment | None
     fixed_mu: np.ndarray | None
     fixed_gamma: np.ndarray | None
     fixed_p_sl: np.ndarray | None
@@ -126,10 +118,7 @@ class EquilibriumSolution:
 
     @property
     def reserve_total(self) -> np.ndarray:
-        total = self.r_tp.sum(axis=0) + self.r_chp.sum(axis=0)
-        if self.r_bess.size:
-            total = total + self.r_bess
-        return total
+        return self.r_tp.sum(axis=0) + self.r_chp.sum(axis=0) + self.r_bess
 
 
 @dataclass
@@ -160,8 +149,9 @@ class ValidationReport:
 # construction
 
 
-def build_follower(cfg: ScenarioConfig, ir: ModelIR) -> FollowerFragment:
-    """Add shiftable-load and heat-cut variables with their primal rows.
+def build_follower(cfg: ScenarioConfig, ir: ModelIR) -> tuple[list[str], list[str]]:
+    """Add shiftable-load and heat-cut variables with their primal rows;
+    returns their names, per period.
 
     The shiftable-total row uses the constant S = alpha/(1-alpha) * sum
     of fixed load, which removes the self-reference of defining the
@@ -180,45 +170,54 @@ def build_follower(cfg: ScenarioConfig, ir: ModelIR) -> FollowerFragment:
                             float(cut_ub[t]))
             for t in range(t_count)]
     ir.add_row("shift_total", {v: 1.0 for v in p_sl}, "==", cfg.shift_total())
-    return FollowerFragment(p_sl=p_sl, h_cl=h_cl)
+    return p_sl, h_cl
+
+
+def balance_rhs(cfg: ScenarioConfig, p_sl: np.ndarray | float,
+                h_cl: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """The electricity and heat the users draw with shift `p_sl` and heat
+    cut `h_cl` (per period, or one row per response): the fixed load
+    plus the shift and the base heat load minus the cut. These are the
+    right-hand sides of the balance rows `bal_e_t` and `bal_h_t` when the
+    users' quantities are constants; their own columns enter at zero."""
+    return np.asarray(cfg.fixed_load) + p_sl, cfg.heat_base_load() - h_cl
 
 
 def build_leader(cfg: ScenarioConfig,
                  mode: ModeSettings,
                  *,
-                 fixed_prices: tuple[np.ndarray, np.ndarray] | None = None,
-                 fixed_response: tuple[np.ndarray, np.ndarray] | None = None
+                 dispatch_response: tuple[np.ndarray, np.ndarray] | None = None
                  ) -> ModelBundle:
     """Emit the operator's dispatch-and-pricing program.
 
-    The users' side follows one rule, first match wins:
-    1. optimized prices (mode 3): the users' variables are added here
-       (`build_follower`) and the balances reference them; the revenue
-       they pay is substituted by `assemble_single_level`;
-    2. `fixed_response` given: those quantities enter as constants;
-    3. users respond (mode 4): their best response to the posted prices;
-    4. otherwise the baseline shift and no heat cut.
-    Posted prices are `fixed_prices`, else the proportional tariff. The
+    The users' side is decided once:
+    - optimized prices (mode 3): the prices and the users' shift and heat
+      cut are columns (`build_follower`); the fixed loads' revenue enters
+      the objective here, and the users' own payments are substituted by
+      `assemble_single_level`;
+    - otherwise the prices and the users' quantities are constants. With
+      `dispatch_response` the prices are zero and the users take that
+      response, so the optimum is minus the dispatch cost of serving it;
+      else the prices are the proportional tariff and the users take
+      their best response to it (mode 4) or the baseline shift and no
+      heat cut. The users' bill is the objective's constant.
+    Either way the balances' right-hand sides are `balance_rhs`. The
     expected renewable output, the reserve rows (at `cfg.confidence`) and
     the heat loads are the scenario's memoized values.
     """
     t_count = cfg.horizon
     dt = cfg.dt_hours
-    if mode.optimize_prices and (fixed_prices is not None
-                                 or fixed_response is not None):
-        raise BuildError("fixed prices or response conflict with price optimization")
-    ir = ModelIR(name=f"{cfg.name}_mode{mode.number}")
-    follower = build_follower(cfg, ir) if mode.optimize_prices else None
-
-    heat_base = cfg.heat_base_load()
-    fixed_load = np.asarray(cfg.fixed_load)
+    if mode.optimize_prices and dispatch_response is not None:
+        raise BuildError("a fixed response conflicts with price optimization")
     _static_checks(cfg, mode)
-
+    ir = ModelIR(name=f"{cfg.name}_mode{mode.number}")
     names: dict[str, object] = {}
-    fixed_mu = fixed_gamma = None
 
-    # prices
+    # the users' side, decided once: `users` holds their columns' terms in
+    # each period's electric ("e") and heat ("h") balance, none when their
+    # quantities are constants, and `demand` the balances' right-hand sides
     if mode.optimize_prices:
+        p_sl_names, h_cl_names = build_follower(cfg, ir)
         p = cfg.prices
         mu = [ir.add_variable(f"mu_{t}", p.mu_min, p.mu_max) for t in range(t_count)]
         gamma = [ir.add_variable(f"gamma_{t}", p.gamma_min, p.gamma_max)
@@ -226,25 +225,31 @@ def build_leader(cfg: ScenarioConfig,
         ir.add_row("price_avg_mu", {v: 1.0 for v in mu}, "==", t_count * p.mu_av)
         ir.add_row("price_avg_gamma", {v: 1.0 for v in gamma}, "==",
                    t_count * p.gamma_av)
-        names["mu"], names["gamma"] = mu, gamma
+        names.update(mu=mu, gamma=gamma, p_sl=p_sl_names, h_cl=h_cl_names)
+        rhs_e, rhs_h = balance_rhs(cfg, 0.0, 0.0)
+        for t in range(t_count):
+            ir.add_obj_linear(mu[t], float(rhs_e[t]) * dt)
+            ir.add_obj_linear(gamma[t], float(rhs_h[t]) * dt)
+        users = {"e": [{v: -1.0} for v in p_sl_names],
+                 "h": [{v: 1.0} for v in h_cl_names]}
+        fixed_mu = fixed_gamma = p_sl = h_cl = None
     else:
-        fixed_mu, fixed_gamma = (fixed_prices if fixed_prices is not None
-                                 else cfg.proportional_prices())
-        fixed_mu = np.asarray(fixed_mu, dtype=float)
-        fixed_gamma = np.asarray(fixed_gamma, dtype=float)
+        if dispatch_response is not None:
+            fixed_mu = fixed_gamma = np.zeros(t_count)
+            p_sl, h_cl = (np.asarray(a, dtype=float) for a in dispatch_response)
+        else:
+            fixed_mu, fixed_gamma = cfg.proportional_prices()
+            p_sl, h_cl = (follower_best_response(fixed_mu, fixed_gamma, cfg)
+                          if mode.idr_enabled
+                          else (cfg.baseline_shift(), np.zeros(t_count)))
+        rhs_e, rhs_h = balance_rhs(cfg, p_sl, h_cl)
+        ir.obj_const += users_bill(cfg, fixed_mu, fixed_gamma, p_sl, h_cl)
+        users = {"e": [{}] * t_count, "h": [{}] * t_count}
+    demand = {"e": rhs_e, "h": rhs_h}
 
-    # follower quantities as constants; without response the shiftable
-    # block still exists, timed along the fixed-load shape
-    if follower is not None:
-        p_sl_const = h_cl_const = None
-    elif fixed_response is not None or mode.idr_enabled:
-        if fixed_response is None:
-            fixed_response = follower_best_response(fixed_mu, fixed_gamma, cfg)
-        p_sl_const = np.asarray(fixed_response[0], dtype=float)
-        h_cl_const = np.asarray(fixed_response[1], dtype=float)
-    else:
-        p_sl_const = cfg.baseline_shift()
-        h_cl_const = np.zeros(t_count)
+    def balance(kind: str, t: int, supply: dict[str, float]) -> None:
+        _add_row_or_check(ir, f"bal_{kind}_{t}", {**supply, **users[kind][t]},
+                          "==", float(demand[kind][t]))
 
     # units
     tp_p, tp_r = [], []
@@ -334,28 +339,21 @@ def build_leader(cfg: ScenarioConfig,
         if bess_ch is not None:
             coeffs[bess_dh[t]] = 1.0
             coeffs[bess_ch[t]] = -1.0
-        rhs = float(fixed_load[t])
-        if follower is not None:
-            coeffs[follower.p_sl[t]] = -1.0
-        else:
-            rhs += float(p_sl_const[t])
-        ir.add_row(f"bal_e_{t}", coeffs, "==", rhs)
+        balance("e", t, coeffs)
 
-    # heat side
+    # heat side: the heat delivered is the pipelines' (transport on), fed
+    # by the CHP units' output, else the CHP units' output itself
     pipe_names: dict[str, list[list[str]]] = {"t_sw": [], "t_rw": [], "h_src": []}
     if mode.dhn_enabled:
         if not cfg.pipelines:
             raise BuildError("transport effects enabled but no pipelines defined")
         tb = cfg.temperature_bounds
-        deliver_coeff = []
-        loss_coeff = []
+        delivered: list[dict[str, float]] = [{} for _ in range(t_count)]
         for p_idx, pipe in enumerate(cfg.pipelines):
             _, steps = th.pipe_delay(pipe, dt)
             hco = th.WATER_HEAT_CAPACITY_KJ * pipe.mass_flow_kg_s / 1000.0
             lco = 2.0 * math.pi * pipe.length_km / (
                 pipe.thermal_resistance_km_c_per_kw * 1000.0)
-            deliver_coeff.append(hco)
-            loss_coeff.append(lco)
             sw = [ir.add_variable(f"t_sw_{p_idx}_{t}", tb.supply_min, tb.supply_max)
                   for t in range(t_count)]
             rw = [ir.add_variable(f"t_rw_{p_idx}_{t}", tb.return_min, tb.return_max)
@@ -376,31 +374,16 @@ def build_leader(cfg: ScenarioConfig,
                 ir.add_row(f"pipe_src_{p_idx}_{t}",
                            {src[t]: 1.0, sw[ta]: -(hco + lco), rw[ta]: hco},
                            "==", -lco * pipe.ambient_temp_c)
-        for t in range(t_count):
-            coeffs: dict[str, float] = {}
-            for p_idx in range(len(cfg.pipelines)):
-                coeffs[pipe_names["t_sw"][p_idx][t]] = deliver_coeff[p_idx]
-                coeffs[pipe_names["t_rw"][p_idx][t]] = -deliver_coeff[p_idx]
-            rhs = float(heat_base[t])
-            if follower is not None:
-                coeffs[follower.h_cl[t]] = 1.0
-            else:
-                rhs -= float(h_cl_const[t])
-            ir.add_row(f"bal_h_{t}", coeffs, "==", rhs)
-            src_coeffs = {pipe_names["h_src"][p][t]: 1.0
-                          for p in range(len(cfg.pipelines))}
+                delivered[t].update({sw[t]: hco, rw[t]: -hco})
+    else:
+        delivered = [{hrow[t]: 1.0 for hrow in chp_h} for t in range(t_count)]
+    for t in range(t_count):
+        balance("h", t, delivered[t])
+        if mode.dhn_enabled:
+            src_coeffs = {row[t]: 1.0 for row in pipe_names["h_src"]}
             for hrow in chp_h:
                 src_coeffs[hrow[t]] = -1.0
             _add_row_or_check(ir, f"bal_src_{t}", src_coeffs, "==", 0.0)
-    else:
-        for t in range(t_count):
-            coeffs = {hrow[t]: 1.0 for hrow in chp_h}
-            rhs = float(heat_base[t])
-            if follower is not None:
-                coeffs[follower.h_cl[t]] = 1.0
-            else:
-                rhs -= float(h_cl_const[t])
-            _add_row_or_check(ir, f"bal_h_{t}", coeffs, "==", rhs)
     names.update(pipe_names)
 
     # reserve: the chance constraint's exact deterministic equivalent
@@ -412,15 +395,8 @@ def build_leader(cfg: ScenarioConfig,
         _add_row_or_check(ir, f"res_min_{t}", r_coeffs, ">=",
                           reserve_reqs[t].min_reserve())
 
-    # objective: revenue minus generation, storage and reserve costs; the
-    # users' price*quantity payments are added by `eliminate_bilinear`
-    if mode.optimize_prices:
-        for t in range(t_count):
-            ir.add_obj_linear(names["mu"][t], float(fixed_load[t]) * dt)
-            ir.add_obj_linear(names["gamma"][t], float(heat_base[t]) * dt)
-    else:
-        ir.obj_const += users_bill(cfg, fixed_mu, fixed_gamma, p_sl_const, h_cl_const)
-
+    # objective: the users' payments entered with their side above; here
+    # the generation, storage and reserve costs
     for i, u in enumerate(cfg.tp_units):
         for t in range(t_count):
             ir.add_obj_quad(tp_p[i][t], -u.cost_a * dt)
@@ -441,9 +417,9 @@ def build_leader(cfg: ScenarioConfig,
             ir.add_obj_linear(bess_r[t], -b.reserve_cost * dt)
 
     return ModelBundle(
-        ir=ir, cfg=cfg, mode=mode, names=names, follower=follower,
+        ir=ir, cfg=cfg, mode=mode, names=names,
         fixed_mu=fixed_mu, fixed_gamma=fixed_gamma,
-        fixed_p_sl=p_sl_const, fixed_h_cl=h_cl_const)
+        fixed_p_sl=p_sl, fixed_h_cl=h_cl)
 
 
 def _ramp_rows(ir: ModelIR, tag: str, prow: list[str], up: float, down: float) -> None:
@@ -458,7 +434,6 @@ def _ramp_rows(ir: ModelIR, tag: str, prow: list[str], up: float, down: float) -
 
 def _add_row_or_check(ir: ModelIR, name: str, coeffs: dict[str, float],
                       sense: str, rhs: float) -> None:
-    coeffs = {v: c for v, c in coeffs.items() if c != 0.0}
     if coeffs:
         ir.add_row(name, coeffs, sense, rhs)
     else:
@@ -535,8 +510,8 @@ def users_bill(cfg: ScenarioConfig, mu: np.ndarray, gamma: np.ndarray,
     """What the users pay at prices (mu, gamma) for the electricity and
     heat they draw with shift p_sl and heat cut h_cl: the operator's
     revenue."""
-    return float(np.dot(mu, np.asarray(cfg.fixed_load) + p_sl)
-                 + np.dot(gamma, cfg.heat_base_load() - h_cl)) * cfg.dt_hours
+    elec, heat = balance_rhs(cfg, p_sl, h_cl)
+    return float(np.dot(mu, elec) + np.dot(gamma, heat)) * cfg.dt_hours
 
 
 def follower_cost(cfg: ScenarioConfig, mu: np.ndarray, gamma: np.ndarray,
@@ -580,25 +555,17 @@ def extract_solution(bundle: ModelBundle, values: dict[str, float],
     def grid(family: str, n_rows: int) -> np.ndarray:
         rows = bundle.names.get(family, [])
         if not rows:
-            return np.zeros((n_rows, t_count)) if n_rows else np.zeros((0, t_count))
+            return np.zeros((n_rows, t_count))
         return np.array([[values[name] for name in row] for row in rows])
 
     def series(family: str, fallback=None) -> np.ndarray:
         row = bundle.names.get(family)
         if row is None:
-            return np.zeros(t_count) if fallback is None else np.asarray(fallback)
+            return np.zeros(t_count) if fallback is None else np.array(fallback)
         return np.array([values[name] for name in row])
 
-    if bundle.mode.optimize_prices:
-        mu = series("mu")
-        gamma = series("gamma")
-    else:
-        mu, gamma = bundle.fixed_mu.copy(), bundle.fixed_gamma.copy()
-    if bundle.follower is not None:
-        p_sl = np.array([values[v] for v in bundle.follower.p_sl])
-        h_cl = np.array([values[v] for v in bundle.follower.h_cl])
-    else:
-        p_sl, h_cl = bundle.fixed_p_sl.copy(), bundle.fixed_h_cl.copy()
+    mu, gamma = series("mu", bundle.fixed_mu), series("gamma", bundle.fixed_gamma)
+    p_sl, h_cl = series("p_sl", bundle.fixed_p_sl), series("h_cl", bundle.fixed_h_cl)
 
     n_pipe = len(cfg.pipelines)
     if bundle.mode.dhn_enabled and n_pipe:
@@ -615,8 +582,7 @@ def extract_solution(bundle: ModelBundle, values: dict[str, float],
         p_chp=grid("p_chp", len(cfg.chp_units)), h_chp=grid("h_chp", len(cfg.chp_units)),
         r_chp=grid("r_chp", len(cfg.chp_units)),
         p_ch=series("p_ch"), p_dh=series("p_dh"), soc=series("soc"),
-        r_bess=series("r_bess") if "r_bess" in bundle.names else np.zeros(t_count),
-        p_res=series("p_res"),
+        r_bess=series("r_bess"), p_res=series("p_res"),
         t_sw=t_sw, t_rw=t_rw, h_src=h_src,
         f1=0.0, f2=0.0, objective_milp=objective)
     sol.f1 = leader_profit(cfg, sol)
@@ -637,12 +603,11 @@ def verify_solution(sol: EquilibriumSolution, bundle: ModelBundle,
     rep = ValidationReport()
     t_count = cfg.horizon
     dt = cfg.dt_hours
-    fixed_load = np.asarray(cfg.fixed_load)
+    load, heat_load = balance_rhs(cfg, sol.p_sl, sol.h_cl)
 
     # electric balance
     gen = sol.p_tp.sum(axis=0) + sol.p_chp.sum(axis=0) + sol.p_res
     gen = gen + sol.p_dh - sol.p_ch
-    load = fixed_load + sol.p_sl
     for t in range(t_count):
         rep.add("electric_balance", f"t={t}", abs(gen[t] - load[t]), BALANCE_TOL)
 
@@ -695,7 +660,6 @@ def verify_solution(sol: EquilibriumSolution, bundle: ModelBundle,
         rep.add("soc_cyclic", "end", abs(sol.soc[-1] - b.soc_start_mwh), BALANCE_TOL)
 
     # heat side
-    heat_load = cfg.heat_base_load() - sol.h_cl
     if mode.dhn_enabled and cfg.pipelines:
         delivered = np.zeros(t_count)
         for p_idx, pipe in enumerate(cfg.pipelines):
@@ -761,7 +725,7 @@ def verify_solution(sol: EquilibriumSolution, bundle: ModelBundle,
         rep.add("shift_total", "sum",
                 abs(float(sol.p_sl.sum()) - cfg.shift_total()), BALANCE_TOL)
         _check_best_response(rep, sol, cfg)
-        _check_comfort_window(rep, sol, bundle)
+        _check_comfort_window(rep, cfg, heat_load)
     else:
         rep.add("response_off", "p_sl",
                 float(np.abs(sol.p_sl - bundle.fixed_p_sl).max(initial=0.0)),
@@ -809,13 +773,9 @@ def _check_best_response(rep: ValidationReport, sol: EquilibriumSolution,
             1e-6 * max(1.0, float(np.dot(sol.mu, br_sl))))
 
 
-def _check_comfort_window(rep: ValidationReport, sol: EquilibriumSolution,
-                          bundle: ModelBundle) -> None:
-    cfg = bundle.cfg
+def _check_comfort_window(rep: ValidationReport, cfg: ScenarioConfig,
+                          heat_load: np.ndarray) -> None:
     kf = cfg.kf_total()
-    if kf <= 0:
-        return
-    heat_load = cfg.heat_base_load() - sol.h_cl
     for t in range(cfg.horizon):
         t_in = cfg.outdoor_temp[t] + heat_load[t] * 1000.0 / kf
         if t_in >= cfg.pmv.skin_temp_c:

@@ -21,15 +21,15 @@ import numpy as np
 from .game_model import ModelBundle
 from .model_ir import ModelIR, PwlObjTerm
 
+N_SEGMENTS = 8  # chord segments per quadratic cost term, by default
+
 
 @dataclass(frozen=True)
 class PwlApprox:
     """Secant piecewise-linear stand-in for coef*x^2 on [lo, hi]."""
 
-    coef: float
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
-    slopes: tuple[float, ...]
     max_error: float
 
 
@@ -41,15 +41,11 @@ def pwl_quadratic(coef: float, lo: float, hi: float, n_segments: int) -> PwlAppr
         raise ValueError("empty range")
     if coef == 0.0 or hi == lo:
         bps = (lo, hi) if hi > lo else (lo, lo + 1.0)
-        vals = tuple(coef * x ** 2 for x in bps)
-        return PwlApprox(coef, bps, vals, ((vals[1] - vals[0]) / (bps[1] - bps[0]),),
-                         0.0)
+        return PwlApprox(bps, tuple(coef * x ** 2 for x in bps), 0.0)
     bps = tuple(np.linspace(lo, hi, n_segments + 1))
-    vals = tuple(coef * x ** 2 for x in bps)
-    slopes = tuple((v2 - v1) / (b2 - b1) for v1, v2, b1, b2
-                   in zip(vals, vals[1:], bps, bps[1:]))
     width = (hi - lo) / n_segments
-    return PwlApprox(coef, bps, vals, slopes, abs(coef) * width ** 2 / 4.0)
+    return PwlApprox(bps, tuple(coef * x ** 2 for x in bps),
+                     abs(coef) * width ** 2 / 4.0)
 
 
 @dataclass
@@ -90,8 +86,9 @@ class KktBlock:
 
 def emit_kkt(ir: ModelIR, bundle: ModelBundle) -> KktBlock:
     """Optimality conditions of the users' problem, one block per period,
-    over the bundle's price and users' variables; the price band, theta
-    and the users' bounds are the scenario's (`bundle.cfg`).
+    over the bundle's price and users' variables (`bundle.names`: `mu`,
+    `gamma`, `p_sl`, `h_cl`); the price band, theta and the users' bounds
+    are the scenario's (`bundle.cfg`).
 
     Electric stationarity:  mu_t - d1_t + d2_t + xi = 0
     Heat stationarity:      -gamma_t + 2*theta*hcl_t + d4_t = 0
@@ -113,15 +110,17 @@ def emit_kkt(ir: ModelIR, bundle: ModelBundle) -> KktBlock:
       d4_t = max(0, gamma_t - 2 theta cut_ub_t), at most
       max(0, gamma_max - 2 theta cut_ub_t). Where cut_ub_t <=
       gamma_min/(2 theta) the cap binds at every admissible price, and
-      `build_follower` fixes hcl_t there.
+      `build_follower` (which `build_leader` calls in mode 3) fixes hcl_t
+      there.
     Conversely, any point of these rows and pairs is a best response,
     since the KKT conditions of a convex program are sufficient. A pair
     whose primal range or multiplier cap is zero (a fixed cut, a cap that
     never binds) therefore holds by its bounds; `big_m_linearize` gives
     it no binary.
     """
-    cfg, follower = bundle.cfg, bundle.follower
-    mu_names, gamma_names = bundle.names["mu"], bundle.names["gamma"]
+    cfg, names = bundle.cfg, bundle.names
+    mu_names, gamma_names = names["mu"], names["gamma"]
+    p_sl, h_cl = names["p_sl"], names["h_cl"]
     prices, theta = cfg.prices, cfg.idr.theta
     t_count = cfg.horizon
     sl_lb, sl_ub, cut_ub = cfg.shift_lower(), cfg.shift_upper(), cfg.cut_upper()
@@ -140,19 +139,19 @@ def emit_kkt(ir: ModelIR, bundle: ModelBundle) -> KktBlock:
                   deltas["delta2"][t]: 1.0, xi: 1.0}
         ir.add_row(f"kkt_stat_e_{t}", stat_e, "==", 0.0)
         block.stationarity.append((f"kkt_stat_e_{t}", stat_e, 0.0))
-        stat_h = {gamma_names[t]: -1.0, follower.h_cl[t]: 2.0 * theta,
+        stat_h = {gamma_names[t]: -1.0, h_cl[t]: 2.0 * theta,
                   deltas["delta4"][t]: 1.0}
         ir.add_row(f"kkt_stat_h_{t}", stat_h, "==", 0.0)
         block.stationarity.append((f"kkt_stat_h_{t}", stat_h, 0.0))
 
         block.pairs.append(ComplementarityPair(
-            f"shift_lb_{t}", {follower.p_sl[t]: 1.0}, -float(sl_lb[t]),
+            f"shift_lb_{t}", {p_sl[t]: 1.0}, -float(sl_lb[t]),
             deltas["delta1"][t]))
         block.pairs.append(ComplementarityPair(
-            f"shift_ub_{t}", {follower.p_sl[t]: -1.0}, float(sl_ub[t]),
+            f"shift_ub_{t}", {p_sl[t]: -1.0}, float(sl_ub[t]),
             deltas["delta2"][t]))
         block.pairs.append(ComplementarityPair(
-            f"cut_ub_{t}", {follower.h_cl[t]: -1.0}, float(cut_ub[t]),
+            f"cut_ub_{t}", {h_cl[t]: -1.0}, float(cut_ub[t]),
             deltas["delta4"][t]))
     return block
 
@@ -195,13 +194,13 @@ def eliminate_bilinear(ir: ModelIR, bundle: ModelBundle, block: KktBlock) -> Non
     binaries. The electric pieces aggregate to -xi*S because every period
     carries the same weight dt and the shift-total row fixes sum psl_t = S.
     """
-    cfg, follower = bundle.cfg, bundle.follower
+    cfg, h_cl = bundle.cfg, bundle.names["h_cl"]
     dt = cfg.dt_hours
     sl_lb, sl_ub, cut_ub = cfg.shift_lower(), cfg.shift_upper(), cfg.cut_upper()
     for t in range(cfg.horizon):
         ir.add_obj_linear(block.deltas["delta1"][t], dt * float(sl_lb[t]))
         ir.add_obj_linear(block.deltas["delta2"][t], -dt * float(sl_ub[t]))
-        ir.add_obj_quad(follower.h_cl[t], -dt * 2.0 * cfg.idr.theta)
+        ir.add_obj_quad(h_cl[t], -dt * 2.0 * cfg.idr.theta)
         ir.add_obj_linear(block.deltas["delta4"][t], -dt * float(cut_ub[t]))
     ir.add_obj_linear(block.xi, -dt * cfg.shift_total())
 
@@ -209,18 +208,18 @@ def eliminate_bilinear(ir: ModelIR, bundle: ModelBundle, block: KktBlock) -> Non
 def bilinear_identity_residuals(bundle: ModelBundle, block: KktBlock,
                                 values: dict[str, float]) -> list[tuple[str, float]]:
     """Per-period gap between price*quantity and its substituted expression."""
-    cfg, follower = bundle.cfg, bundle.follower
+    cfg, names = bundle.cfg, bundle.names
     sl_lb, sl_ub, cut_ub = cfg.shift_lower(), cfg.shift_upper(), cfg.cut_upper()
     out = []
     for t in range(cfg.horizon):
-        psl = values[follower.p_sl[t]]
-        lhs = values[bundle.names["mu"][t]] * psl
+        psl = values[names["p_sl"][t]]
+        lhs = values[names["mu"][t]] * psl
         rhs = (values[block.deltas["delta1"][t]] * float(sl_lb[t])
                - values[block.deltas["delta2"][t]] * float(sl_ub[t])
                - values[block.xi] * psl)
         out.append((f"elec_{t}", lhs - rhs))
-        hcl = values[follower.h_cl[t]]
-        lhs = values[bundle.names["gamma"][t]] * hcl
+        hcl = values[names["h_cl"][t]]
+        lhs = values[names["gamma"][t]] * hcl
         rhs = (2.0 * cfg.idr.theta * hcl ** 2
                + values[block.deltas["delta4"][t]] * float(cut_ub[t]))
         out.append((f"heat_{t}", lhs - rhs))
@@ -246,15 +245,17 @@ def apply_pwl(ir: ModelIR, n_segments: int) -> float:
     return total_bound
 
 
-def assemble_single_level(bundle: ModelBundle, n_segments: int = 8) -> ModelBundle:
+def assemble_single_level(bundle: ModelBundle,
+                          n_segments: int = N_SEGMENTS) -> ModelBundle:
     """Finish the program: optimality conditions, big-M rows, bilinear
     elimination, and the PWL pass that makes it a pure MILP.
 
-    Without the users' variables (posted prices) no KKT rows are emitted;
-    the same entry point then just linearizes the costs.
+    Without optimized prices the users' quantities are constants and no
+    KKT rows are emitted; the same entry point then just linearizes the
+    costs.
     """
     ir = bundle.ir
-    if bundle.follower is not None:
+    if bundle.mode.optimize_prices:
         block = emit_kkt(ir, bundle)
         for pair in block.pairs:
             big_m_linearize(ir, pair)

@@ -29,7 +29,7 @@ from . import __version__
 from . import game_model as gm
 from . import solve_engine as se
 from .config import ConfigError, ScenarioConfig, load_scenario
-from .kkt_reformulation import assemble_single_level
+from .kkt_reformulation import N_SEGMENTS, assemble_single_level
 from .prob_sequences import MIN_MC_SAMPLES
 
 EXIT_OK = 0
@@ -81,10 +81,10 @@ class RunManifest:
     out_dir: str
     confidence: float | None = None
     seed: int = 0
-    gap: float = 1e-4
-    time_limit: float = 300.0
-    n_segments: int = 8
-    mc_samples: int = 100_000
+    gap: float = se.SolveOptions.gap_tolerance
+    time_limit: float = se.SolveOptions.time_limit
+    n_segments: int = N_SEGMENTS
+    mc_samples: int = se.MC_SAMPLES
     run_validation: bool = True
     theta: float | None = None  # sweep override
 
@@ -99,7 +99,7 @@ class RunOutput:
 
 
 def build_bundle(cfg: ScenarioConfig, mode_number: int,
-                 n_segments: int = 8) -> gm.ModelBundle:
+                 n_segments: int = N_SEGMENTS) -> gm.ModelBundle:
     """Construct the single-level program for one mode."""
     bundle = gm.build_leader(cfg, gm.ModeSettings.for_mode(mode_number))
     return assemble_single_level(bundle, n_segments=n_segments)
@@ -399,7 +399,7 @@ def revalidate(scenario: str, run_dir: str, mc_samples: int,
     cfg = _overridden(load_scenario(scenario), summary.get("theta"),
                       summary.get("confidence"))
     bundle = build_bundle(cfg, int(summary["mode"]),
-                          int(summary.get("n_segments", 8)))
+                          int(summary.get("n_segments", N_SEGMENTS)))
     with (run_path / "periods.csv").open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     sol = _solution_from_rows(cfg, rows, summary)
@@ -460,13 +460,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--confidence", type=float, default=None,
                    help="override the scenario confidence level")
     p.add_argument("--seed", type=int, default=_env("SEED", int, 0))
-    p.add_argument("--gap", type=float, default=_env("GAP", float, 1e-4))
+    p.add_argument("--gap", type=float,
+                   default=_env("GAP", float, se.SolveOptions.gap_tolerance))
     p.add_argument("--time-limit", type=float,
-                   default=_env("TIME_LIMIT", float, 300.0))
-    p.add_argument("--segments", type=int, default=_env("SEGMENTS", int, 8),
+                   default=_env("TIME_LIMIT", float, se.SolveOptions.time_limit))
+    p.add_argument("--segments", type=int,
+                   default=_env("SEGMENTS", int, N_SEGMENTS),
                    help="PWL segments per quadratic cost term")
     p.add_argument("--mc-samples", type=int,
-                   default=_env("MC_SAMPLES", int, 100_000))
+                   default=_env("MC_SAMPLES", int, se.MC_SAMPLES))
 
 
 def _manifest_from_args(args, mode: int | None = None) -> RunManifest:
@@ -515,7 +517,7 @@ def _parser() -> argparse.ArgumentParser:
     p_val.add_argument("--run-dir", required=True)
     p_val.add_argument("--seed", type=int, default=_env("SEED", int, 0))
     p_val.add_argument("--mc-samples", type=int,
-                       default=_env("MC_SAMPLES", int, 100_000))
+                       default=_env("MC_SAMPLES", int, se.MC_SAMPLES))
 
     p_orc = sub.add_parser("oracle", help="price-grid enumeration on a tiny case")
     p_orc.add_argument("--scenario", required=True)
@@ -523,7 +525,8 @@ def _parser() -> argparse.ArgumentParser:
                        help="electricity price grid step")
     p_orc.add_argument("--gamma-step", type=float, default=None,
                        help="thermal price grid step (defaults to --step)")
-    p_orc.add_argument("--segments", type=int, default=_env("SEGMENTS", int, 8))
+    p_orc.add_argument("--segments", type=int,
+                       default=_env("SEGMENTS", int, N_SEGMENTS))
     p_orc.add_argument("--out", default=None)
     return parser
 

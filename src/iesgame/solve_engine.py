@@ -24,7 +24,7 @@ from scipy.optimize._highspy import _core as _highs
 
 from . import game_model as gm
 from .config import ScenarioConfig
-from .kkt_reformulation import assemble_single_level
+from .kkt_reformulation import N_SEGMENTS, assemble_single_level
 from .model_ir import CompiledModel, ModelIR, as_compiled
 from .prob_sequences import MC_ALLOWANCE, chance_satisfaction_mc
 
@@ -35,6 +35,8 @@ UNBOUNDED = "UNBOUNDED"
 ERROR = "ERROR"
 
 TRIAGE_STAGES = ("balance_with_relaxed_reserves", "full_model")
+
+MC_SAMPLES = 100_000  # Monte Carlo draws per reserve validation, by default
 
 # the HiGHS library every solve runs on, as scipy's binding was built with
 HIGHS_VERSION = (f"{_highs.HIGHS_VERSION_MAJOR}.{_highs.HIGHS_VERSION_MINOR}."
@@ -316,9 +318,8 @@ def _dispatch_program(cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
                       response: tuple[np.ndarray, np.ndarray]) -> CompiledModel:
     """The operator's zero-price dispatch for a fixed users' response,
     compiled; its optimum is minus the dispatch cost."""
-    zero = np.zeros(cfg.horizon)
     bundle = gm.build_leader(cfg, gm.ModeSettings(4, dhn_enabled, True, False),
-                             fixed_prices=(zero, zero), fixed_response=response)
+                             dispatch_response=response)
     assemble_single_level(bundle, n_segments=n_segments)
     model = bundle.ir.compile()
     return model.relaxed() if relax_binaries else model
@@ -330,24 +331,22 @@ def _balance_rhs(model: CompiledModel, cfg: ScenarioConfig,
     """The balance rows of a compiled dispatch program that users'
     responses move, and one row of their right-hand sides per response.
 
-    A response enters the program only as the right-hand sides
-    `bal_e_t = fixed_load_t + p_sl_t` and `bal_h_t = heat_base_t - h_cl_t`
-    (at zero prices the users' bill is zero). A heat balance the build
-    dropped for want of contributing variables gets the build's check.
+    A response enters the program only as the balances' right-hand sides
+    (`gm.balance_rhs`; at zero prices the users' bill is zero). A balance
+    the build dropped for want of contributing variables gets the
+    build's check instead.
     """
-    elec = np.array([np.asarray(cfg.fixed_load) + p_sl for p_sl, _ in responses])
-    heat = np.array([cfg.heat_base_load() - h_cl for _, h_cl in responses])
-    rows = [model.row_index[f"bal_e_{t}"] for t in range(cfg.horizon)]
+    p_sl, h_cl = (np.array(part) for part in zip(*responses))
+    rhs = np.hstack(gm.balance_rhs(cfg, p_sl, h_cl))
+    names = [f"bal_{kind}_{t}" for kind in "eh" for t in range(cfg.horizon)]
     kept = []
-    for t in range(cfg.horizon):
-        row = model.row_index.get(f"bal_h_{t}")
-        if row is None:
-            for value in heat[:, t]:
-                gm.check_empty_row(f"bal_h_{t}", float(value))
+    for j, name in enumerate(names):
+        if name in model.row_index:
+            kept.append(j)
         else:
-            rows.append(row)
-            kept.append(t)
-    return np.array(rows), np.hstack([elec, heat[:, kept]])
+            for value in rhs[:, j]:
+                gm.check_empty_row(name, float(value))
+    return np.array([model.row_index[names[j]] for j in kept]), rhs[:, kept]
 
 
 class _DispatchLp:
@@ -422,7 +421,7 @@ def _admissible_grids(lo: float, hi: float, target_sum: float, periods: int,
 
 def enumerate_oracle(cfg: ScenarioConfig, price_grid_step: float,
                      gamma_grid_step: float | None = None,
-                     n_segments: int = 8, backend=None,
+                     n_segments: int = N_SEGMENTS, backend=None,
                      max_points: int = 10_000_000) -> OracleResult:
     """Exhaustive check of the equilibrium on a price grid.
 
@@ -562,7 +561,7 @@ def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
 
 
 def validate_reserve(sol: gm.EquilibriumSolution, bundle: gm.ModelBundle,
-                     n_samples: int = 100_000,
+                     n_samples: int = MC_SAMPLES,
                      seed: int = 0) -> gm.ValidationReport:
     """Per-period Monte Carlo satisfaction of the reserve chance rule.
 

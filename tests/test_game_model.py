@@ -210,14 +210,13 @@ class TestBuildLeader:
         assert "t_sw" not in bundle.names or not bundle.names["t_sw"]
         assert not any(n.startswith("t_sw") for n in bundle.ir.variables)
 
-    def test_fixed_prices_conflict(self, toy_cfg):
-        mode = gm.ModeSettings.for_mode(3)
+    def test_fixed_response_conflict(self, toy_cfg):
+        # a response to dispatch at zero prices has no place in the game,
+        # where the users respond to the optimized prices
         with pytest.raises(gm.BuildError):
-            gm.build_leader(toy_cfg, mode,
-                            fixed_prices=(np.full(3, 68.5), np.full(3, 29.5)))
-        with pytest.raises(gm.BuildError):
-            gm.build_leader(toy_cfg, mode,
-                            fixed_response=(toy_cfg.baseline_shift(), np.zeros(3)))
+            gm.build_leader(toy_cfg, gm.ModeSettings.for_mode(3),
+                            dispatch_response=(toy_cfg.baseline_shift(),
+                                               np.zeros(3)))
 
     def test_game_built_from_public_entry(self, toy_cfg):
         # optimized prices make build_leader add the users' block itself

@@ -41,7 +41,9 @@ class TestPwlQuadratic:
 
     def test_slopes_increase_for_convex(self):
         approx = kkt.pwl_quadratic(2.0, -1.0, 3.0, 6)
-        assert all(s2 > s1 for s1, s2 in zip(approx.slopes, approx.slopes[1:]))
+        slopes = np.diff(approx.values) / np.diff(approx.breakpoints)
+        assert len(slopes) == 6
+        assert all(s2 > s1 for s1, s2 in zip(slopes, slopes[1:]))
 
     def test_apply_pwl_folds_fixed_variables(self):
         ir = ModelIR("f", "max")
