@@ -159,17 +159,11 @@ def build_follower(cfg: ScenarioConfig, ir: ModelIR) -> tuple[list[str], list[st
     cut whose cap is at most gamma_min/(2 theta) sits at its cap at every
     admissible price, so it is fixed there (see `emit_kkt`).
     """
-    t_count = cfg.horizon
-    sl_lb = cfg.shift_lower()
-    sl_ub = cfg.shift_upper()
     cut_ub = cfg.cut_upper()
     capped = cut_ub <= cfg.prices.gamma_min / (2.0 * cfg.idr.theta)
-    p_sl = [ir.add_variable(f"p_sl_{t}", float(sl_lb[t]), float(sl_ub[t]))
-            for t in range(t_count)]
-    h_cl = [ir.add_variable(f"h_cl_{t}", float(cut_ub[t]) if capped[t] else 0.0,
-                            float(cut_ub[t]))
-            for t in range(t_count)]
-    ir.add_row("shift_total", {v: 1.0 for v in p_sl}, "==", cfg.shift_total())
+    p_sl = ir.add_block("p_sl", cfg.horizon, cfg.shift_lower(), cfg.shift_upper())
+    h_cl = ir.add_block("h_cl", cfg.horizon, np.where(capped, cut_ub, 0.0), cut_ub)
+    ir.add_row("shift_total", dict.fromkeys(p_sl, 1.0), "==", cfg.shift_total())
     return p_sl, h_cl
 
 
@@ -211,27 +205,31 @@ def build_leader(cfg: ScenarioConfig,
         raise BuildError("a fixed response conflicts with price optimization")
     _static_checks(cfg, mode)
     ir = ModelIR(name=f"{cfg.name}_mode{mode.number}")
-    names: dict[str, object] = {}
+    # a family per unit (or pipeline) and kind, spanning the periods
+    names: dict[str, object] = {key: [] for key in (
+        "p_tp", "r_tp", "p_chp", "h_chp", "y_chp", "r_chp", "t_sw", "t_rw", "h_src")}
+
+    def unit(key: str, i: int, lb, ub) -> list[str]:
+        names[key].append(ir.add_block(f"{key}_{i}", t_count, lb, ub))
+        return names[key][-1]
 
     # the users' side, decided once: `users` holds their columns' terms in
-    # each period's electric ("e") and heat ("h") balance, none when their
-    # quantities are constants, and `demand` the balances' right-hand sides
+    # the electric ("e") and heat ("h") balances, none when their
+    # quantities are constants, and rhs_e/rhs_h the balances' right sides
     if mode.optimize_prices:
         p_sl_names, h_cl_names = build_follower(cfg, ir)
         p = cfg.prices
-        mu = [ir.add_variable(f"mu_{t}", p.mu_min, p.mu_max) for t in range(t_count)]
-        gamma = [ir.add_variable(f"gamma_{t}", p.gamma_min, p.gamma_max)
-                 for t in range(t_count)]
-        ir.add_row("price_avg_mu", {v: 1.0 for v in mu}, "==", t_count * p.mu_av)
-        ir.add_row("price_avg_gamma", {v: 1.0 for v in gamma}, "==",
+        mu = ir.add_block("mu", t_count, p.mu_min, p.mu_max)
+        gamma = ir.add_block("gamma", t_count, p.gamma_min, p.gamma_max)
+        ir.add_row("price_avg_mu", dict.fromkeys(mu, 1.0), "==", t_count * p.mu_av)
+        ir.add_row("price_avg_gamma", dict.fromkeys(gamma, 1.0), "==",
                    t_count * p.gamma_av)
         names.update(mu=mu, gamma=gamma, p_sl=p_sl_names, h_cl=h_cl_names)
         rhs_e, rhs_h = balance_rhs(cfg, 0.0, 0.0)
         for t in range(t_count):
             ir.add_obj_linear(mu[t], float(rhs_e[t]) * dt)
             ir.add_obj_linear(gamma[t], float(rhs_h[t]) * dt)
-        users = {"e": [{v: -1.0} for v in p_sl_names],
-                 "h": [{v: 1.0} for v in h_cl_names]}
+        users = {"e": [(p_sl_names, -1.0)], "h": [(h_cl_names, 1.0)]}
         fixed_mu = fixed_gamma = p_sl = h_cl = None
     else:
         if dispatch_response is not None:
@@ -244,171 +242,111 @@ def build_leader(cfg: ScenarioConfig,
                           else (cfg.baseline_shift(), np.zeros(t_count)))
         rhs_e, rhs_h = balance_rhs(cfg, p_sl, h_cl)
         ir.obj_const += users_bill(cfg, fixed_mu, fixed_gamma, p_sl, h_cl)
-        users = {"e": [{}] * t_count, "h": [{}] * t_count}
-    demand = {"e": rhs_e, "h": rhs_h}
+        users = {"e": [], "h": []}
 
-    def balance(kind: str, t: int, supply: dict[str, float]) -> None:
-        _add_row_or_check(ir, f"bal_{kind}_{t}", {**supply, **users[kind][t]},
-                          "==", float(demand[kind][t]))
-
-    # units
-    tp_p, tp_r = [], []
+    # units; the rows of families added together interleave period by period
     for i, u in enumerate(cfg.tp_units):
-        prow = [ir.add_variable(f"p_tp_{i}_{t}", u.p_min, u.p_max)
-                for t in range(t_count)]
-        rrow = [ir.add_variable(f"r_tp_{i}_{t}", 0.0, u.ramp_up * dt)
-                for t in range(t_count)]
-        tp_p.append(prow)
-        tp_r.append(rrow)
-        for t in range(t_count):
-            ir.add_row(f"tp_head_{i}_{t}", {prow[t]: 1.0, rrow[t]: 1.0}, "<=", u.p_max)
+        prow = unit("p_tp", i, u.p_min, u.p_max)
+        rrow = unit("r_tp", i, 0.0, u.ramp_up * dt)
+        ir.add_rows(t_count, [(f"tp_head_{i}", [(prow, 1.0), (rrow, 1.0)], "<=", u.p_max)])
         _ramp_rows(ir, f"tp_{i}", prow, u.ramp_up * dt, u.ramp_down * dt)
-    names["p_tp"], names["r_tp"] = tp_p, tp_r
-
-    chp_p, chp_h, chp_y, chp_r = [], [], [], []
     for i, u in enumerate(cfg.chp_units):
-        prow = [ir.add_variable(f"p_chp_{i}_{t}", 0.0, u.p_max) for t in range(t_count)]
-        hrow = [ir.add_variable(f"h_chp_{i}_{t}", 0.0, u.h_max) for t in range(t_count)]
-        yrow = [ir.add_variable(f"y_chp_{i}_{t}", u.p_min, u.p_max)
-                for t in range(t_count)]
-        rrow = [ir.add_variable(f"r_chp_{i}_{t}", 0.0, u.ramp_up * dt)
-                for t in range(t_count)]
-        chp_p.append(prow)
-        chp_h.append(hrow)
-        chp_y.append(yrow)
-        chp_r.append(rrow)
-        for t in range(t_count):
-            # fuel-equivalent output y = p + c_v h carries the operating window
-            ir.add_row(f"chp_fuel_{i}_{t}",
-                       {yrow[t]: 1.0, prow[t]: -1.0, hrow[t]: -u.c_v}, "==", 0.0)
-            # back-pressure line: power cannot fall below c_m * heat
-            ir.add_row(f"chp_bp_{i}_{t}", {prow[t]: 1.0, hrow[t]: -u.c_m}, ">=", 0.0)
-            ir.add_row(f"chp_head_{i}_{t}", {prow[t]: 1.0, rrow[t]: 1.0}, "<=", u.p_max)
+        prow, hrow = unit("p_chp", i, 0.0, u.p_max), unit("h_chp", i, 0.0, u.h_max)
+        yrow, rrow = unit("y_chp", i, u.p_min, u.p_max), unit("r_chp", i, 0.0, u.ramp_up * dt)
+        # fuel-equivalent output y = p + c_v h carries the operating window;
+        # back-pressure line: power cannot fall below c_m * heat
+        ir.add_rows(t_count, [
+            (f"chp_fuel_{i}", [(yrow, 1.0), (prow, -1.0), (hrow, -u.c_v)], "==", 0.0),
+            (f"chp_bp_{i}", [(prow, 1.0), (hrow, -u.c_m)], ">=", 0.0),
+            (f"chp_head_{i}", [(prow, 1.0), (rrow, 1.0)], "<=", u.p_max)])
         _ramp_rows(ir, f"chp_{i}", prow, u.ramp_up * dt, u.ramp_down * dt)
-    names["p_chp"], names["h_chp"] = chp_p, chp_h
-    names["y_chp"], names["r_chp"] = chp_y, chp_r
 
     # storage
-    bess_ch = bess_dh = bess_soc = bess_r = None
+    bess_ch = bess_dh = bess_r = None
     if cfg.bess is not None:
         b = cfg.bess
-        bess_ch = [ir.add_variable(f"p_ch_{t}", 0.0, b.charge_max) for t in range(t_count)]
-        bess_dh = [ir.add_variable(f"p_dh_{t}", 0.0, b.discharge_max)
-                   for t in range(t_count)]
-        bess_soc = [ir.add_variable(f"soc_{t}", b.cap_min, b.cap_max)
-                    for t in range(t_count)]
-        bess_u = [ir.add_variable(f"u_dh_{t}", 0.0, 1.0, binary=True)
-                  for t in range(t_count)]
-        bess_r = [ir.add_variable(f"r_bess_{t}", 0.0, b.discharge_max + b.charge_max)
-                  for t in range(t_count)]
-        start = b.soc_start_mwh
-        for t in range(t_count):
-            prev = {bess_soc[t - 1]: -1.0} if t > 0 else {}
-            rhs = 0.0 if t > 0 else start
-            ir.add_row(f"soc_rec_{t}",
-                       {bess_soc[t]: 1.0, bess_ch[t]: -b.efficiency * dt,
-                        bess_dh[t]: dt / b.efficiency, **prev}, "==", rhs)
-            ir.add_row(f"bess_mutex_ch_{t}",
-                       {bess_ch[t]: 1.0, bess_u[t]: b.charge_max}, "<=", b.charge_max)
-            ir.add_row(f"bess_mutex_dh_{t}",
-                       {bess_dh[t]: 1.0, bess_u[t]: -b.discharge_max}, "<=", 0.0)
+        bess_ch = names["p_ch"] = ir.add_block("p_ch", t_count, 0.0, b.charge_max)
+        bess_dh = names["p_dh"] = ir.add_block("p_dh", t_count, 0.0, b.discharge_max)
+        bess_soc = names["soc"] = ir.add_block("soc", t_count, b.cap_min, b.cap_max)
+        bess_u = names["u_dh"] = ir.add_block("u_dh", t_count, 0.0, 1.0, binary=True)
+        bess_r = names["r_bess"] = ir.add_block("r_bess", t_count, 0.0,
+                                                b.discharge_max + b.charge_max)
+        first = np.arange(t_count) == 0  # the recursion starts from soc_start
+        ir.add_rows(t_count, [
+            ("soc_rec", [(bess_soc, 1.0), (bess_ch, -b.efficiency * dt),
+                         (bess_dh, dt / b.efficiency),
+                         (bess_soc[-1:] + bess_soc[:-1], np.where(first, 0.0, -1.0))],
+             "==", np.where(first, b.soc_start_mwh, 0.0)),
+            ("bess_mutex_ch", [(bess_ch, 1.0), (bess_u, b.charge_max)], "<=", b.charge_max),
+            ("bess_mutex_dh", [(bess_dh, 1.0), (bess_u, -b.discharge_max)], "<=", 0.0),
             # headroom to swing to full discharge, and deliverable energy
-            ir.add_row(f"bess_res_head_{t}",
-                       {bess_r[t]: 1.0, bess_dh[t]: 1.0, bess_ch[t]: -1.0},
-                       "<=", b.discharge_max)
-            ir.add_row(f"bess_res_energy_{t}",
-                       {bess_r[t]: 1.0, bess_soc[t]: -b.efficiency / dt},
-                       "<=", -b.efficiency / dt * b.cap_min)
-        ir.add_row("soc_cyclic", {bess_soc[t_count - 1]: 1.0}, "==", start)
-        names["p_ch"], names["p_dh"] = bess_ch, bess_dh
-        names["soc"], names["u_dh"], names["r_bess"] = bess_soc, bess_u, bess_r
+            ("bess_res_head", [(bess_r, 1.0), (bess_dh, 1.0), (bess_ch, -1.0)],
+             "<=", b.discharge_max),
+            ("bess_res_energy", [(bess_r, 1.0), (bess_soc, -b.efficiency / dt)],
+             "<=", -b.efficiency / dt * b.cap_min)])
+        ir.add_row("soc_cyclic", {bess_soc[-1]: 1.0}, "==", b.soc_start_mwh)
 
-    # renewables consumed
-    expected = cfg.expected_renewables()
-    p_res = [ir.add_variable(f"p_res_{t}", 0.0, max(float(expected[t]), 0.0))
-             for t in range(t_count)]
-    names["p_res"] = p_res
-
-    # electric balance
-    for t in range(t_count):
-        coeffs = {p_res[t]: 1.0}
-        for prow in tp_p:
-            coeffs[prow[t]] = 1.0
-        for prow in chp_p:
-            coeffs[prow[t]] = 1.0
-        if bess_ch is not None:
-            coeffs[bess_dh[t]] = 1.0
-            coeffs[bess_ch[t]] = -1.0
-        balance("e", t, coeffs)
+    # renewables consumed, and the electric balance
+    p_res = names["p_res"] = ir.add_block("p_res", t_count, 0.0,
+                                          np.maximum(cfg.expected_renewables(), 0.0))
+    supply = [(p_res, 1.0)] + [(prow, 1.0) for prow in names["p_tp"] + names["p_chp"]]
+    if bess_ch is not None:
+        supply += [(bess_dh, 1.0), (bess_ch, -1.0)]
+    _add_rows_or_check(ir, t_count, [("bal_e", supply + users["e"], "==", rhs_e)])
 
     # heat side: the heat delivered is the pipelines' (transport on), fed
     # by the CHP units' output, else the CHP units' output itself
-    pipe_names: dict[str, list[list[str]]] = {"t_sw": [], "t_rw": [], "h_src": []}
     if mode.dhn_enabled:
         if not cfg.pipelines:
             raise BuildError("transport effects enabled but no pipelines defined")
         tb = cfg.temperature_bounds
-        delivered: list[dict[str, float]] = [{} for _ in range(t_count)]
+        delivered = []
         for p_idx, pipe in enumerate(cfg.pipelines):
             _, steps = th.pipe_delay(pipe, dt)
             hco = th.WATER_HEAT_CAPACITY_KJ * pipe.mass_flow_kg_s / 1000.0
             lco = 2.0 * math.pi * pipe.length_km / (
                 pipe.thermal_resistance_km_c_per_kw * 1000.0)
-            sw = [ir.add_variable(f"t_sw_{p_idx}_{t}", tb.supply_min, tb.supply_max)
-                  for t in range(t_count)]
-            rw = [ir.add_variable(f"t_rw_{p_idx}_{t}", tb.return_min, tb.return_max)
-                  for t in range(t_count)]
+            sw = unit("t_sw", p_idx, tb.supply_min, tb.supply_max)
+            rw = unit("t_rw", p_idx, tb.return_min, tb.return_max)
             src_lo = (hco * (tb.supply_min - tb.return_max)
                       + lco * (tb.supply_min - pipe.ambient_temp_c))
             src_hi = (hco * (tb.supply_max - tb.return_min)
                       + lco * (tb.supply_max - pipe.ambient_temp_c))
-            src = [ir.add_variable(f"h_src_{p_idx}_{t}", src_lo, src_hi)
-                   for t in range(t_count)]
-            pipe_names["t_sw"].append(sw)
-            pipe_names["t_rw"].append(rw)
-            pipe_names["h_src"].append(src)
-            for t in range(t_count):
-                # heat injected now covers delivery plus loss one delay later
-                # (wrapped: the schedule repeats daily)
-                ta = (t + steps) % t_count
-                ir.add_row(f"pipe_src_{p_idx}_{t}",
-                           {src[t]: 1.0, sw[ta]: -(hco + lco), rw[ta]: hco},
-                           "==", -lco * pipe.ambient_temp_c)
-                delivered[t].update({sw[t]: hco, rw[t]: -hco})
+            src = unit("h_src", p_idx, src_lo, src_hi)
+            # heat injected now covers delivery plus loss one delay later
+            # (wrapped: the schedule repeats daily)
+            later = [(t + steps) % t_count for t in range(t_count)]
+            ir.add_rows(t_count, [(f"pipe_src_{p_idx}",
+                                   [(src, 1.0), ([sw[t] for t in later], -(hco + lco)),
+                                    ([rw[t] for t in later], hco)],
+                                   "==", -lco * pipe.ambient_temp_c)])
+            delivered += [(sw, hco), (rw, -hco)]
+        feed = ([(row, 1.0) for row in names["h_src"]]
+                + [(hrow, -1.0) for hrow in names["h_chp"]])
+        heat = [("bal_h", delivered + users["h"], "==", rhs_h),
+                ("bal_src", feed, "==", 0.0)]
     else:
-        delivered = [{hrow[t]: 1.0 for hrow in chp_h} for t in range(t_count)]
-    for t in range(t_count):
-        balance("h", t, delivered[t])
-        if mode.dhn_enabled:
-            src_coeffs = {row[t]: 1.0 for row in pipe_names["h_src"]}
-            for hrow in chp_h:
-                src_coeffs[hrow[t]] = -1.0
-            _add_row_or_check(ir, f"bal_src_{t}", src_coeffs, "==", 0.0)
-    names.update(pipe_names)
+        heat = [("bal_h", [(hrow, 1.0) for hrow in names["h_chp"]] + users["h"],
+                 "==", rhs_h)]
+    _add_rows_or_check(ir, t_count, heat)
 
     # reserve: the chance constraint's exact deterministic equivalent
-    reserve_reqs = cfg.reserve_requirements()
-    for t in range(t_count):
-        r_coeffs = {rrow[t]: 1.0 for rrow in tp_r + chp_r}
-        if bess_r is not None:
-            r_coeffs[bess_r[t]] = 1.0
-        _add_row_or_check(ir, f"res_min_{t}", r_coeffs, ">=",
-                          reserve_reqs[t].min_reserve())
+    reserve = [(rrow, 1.0) for rrow in names["r_tp"] + names["r_chp"]]
+    if bess_r is not None:
+        reserve.append((bess_r, 1.0))
+    _add_rows_or_check(ir, t_count, [("res_min", reserve, ">=", [
+        req.min_reserve() for req in cfg.reserve_requirements()])])
 
     # objective: the users' payments entered with their side above; here
     # the generation, storage and reserve costs
-    for i, u in enumerate(cfg.tp_units):
-        for t in range(t_count):
-            ir.add_obj_quad(tp_p[i][t], -u.cost_a * dt)
-            ir.add_obj_linear(tp_p[i][t], -u.cost_b * dt)
-            ir.add_obj_linear(tp_r[i][t], -u.reserve_cost * dt)
-            ir.obj_const -= u.cost_c * dt
-    for i, u in enumerate(cfg.chp_units):
-        for t in range(t_count):
-            ir.add_obj_quad(chp_y[i][t], -u.cost_a * dt)
-            ir.add_obj_linear(chp_y[i][t], -u.cost_b * dt)
-            ir.add_obj_linear(chp_r[i][t], -u.reserve_cost * dt)
-            ir.obj_const -= u.cost_c * dt
+    for units, p_key, r_key in ((cfg.tp_units, "p_tp", "r_tp"),
+                                (cfg.chp_units, "y_chp", "r_chp")):
+        for u, prow, rrow in zip(units, names[p_key], names[r_key]):
+            for t in range(t_count):
+                ir.add_obj_quad(prow[t], -u.cost_a * dt)
+                ir.add_obj_linear(prow[t], -u.cost_b * dt)
+                ir.add_obj_linear(rrow[t], -u.reserve_cost * dt)
+                ir.obj_const -= u.cost_c * dt
     if cfg.bess is not None:
         b = cfg.bess
         for t in range(t_count):
@@ -423,21 +361,21 @@ def build_leader(cfg: ScenarioConfig,
 
 
 def _ramp_rows(ir: ModelIR, tag: str, prow: list[str], up: float, down: float) -> None:
-    t_count = len(prow)
-    if t_count < 2:
+    if len(prow) < 2:
         return
-    for t in range(t_count):
-        prev = prow[(t - 1) % t_count]  # day-cyclic, like the heat side
-        ir.add_row(f"ramp_up_{tag}_{t}", {prow[t]: 1.0, prev: -1.0}, "<=", up)
-        ir.add_row(f"ramp_dn_{tag}_{t}", {prow[t]: 1.0, prev: -1.0}, ">=", -down)
+    step = [(prow, 1.0), (prow[-1:] + prow[:-1], -1.0)]  # day-cyclic, like the heat side
+    ir.add_rows(len(prow), [(f"ramp_up_{tag}", step, "<=", up),
+                            (f"ramp_dn_{tag}", step, ">=", -down)])
 
 
-def _add_row_or_check(ir: ModelIR, name: str, coeffs: dict[str, float],
-                      sense: str, rhs: float) -> None:
-    if coeffs:
-        ir.add_row(name, coeffs, sense, rhs)
-    else:
-        check_empty_row(name, rhs)
+def _add_rows_or_check(ir: ModelIR, n: int, families: list) -> None:
+    """`ir.add_rows(n, families)`, except that a family without terms
+    gets `check_empty_row` on each of its rows instead."""
+    for prefix, terms, _, rhs in families:
+        if not terms:
+            for t, value in enumerate(np.broadcast_to(rhs, (n,)).tolist()):
+                check_empty_row(f"{prefix}_{t}", value)
+    ir.add_rows(n, [family for family in families if family[1]])
 
 
 def check_empty_row(name: str, rhs: float) -> None:
@@ -476,11 +414,13 @@ def _static_checks(cfg: ScenarioConfig, mode: ModeSettings) -> None:
 
 def follower_best_response(mu: np.ndarray, gamma: np.ndarray,
                            cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Users' cost-minimizing response to posted prices.
+    """Users' cost-minimizing response to posted prices, per period, or
+    one row per price pair for (n, T) price arrays.
 
     Heat cut is the per-period closed form gamma/(2 theta) clamped to its
     bounds. The shiftable total is allocated greedily by ascending
-    electricity price, ties broken by period index.
+    electricity price, ties broken by period index: one period at a time,
+    across all rows, until a row has no more than 1e-15 left to place.
     """
     mu = np.asarray(mu, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
@@ -489,29 +429,34 @@ def follower_best_response(mu: np.ndarray, gamma: np.ndarray,
             or np.any(gamma < p.gamma_min - 1e-9) or np.any(gamma > p.gamma_max + 1e-9)):
         raise ValueError("prices outside the configured bands")
 
-    cut_ub = cfg.cut_upper()
-    h_cl = np.clip(gamma / (2.0 * cfg.idr.theta), 0.0, cut_ub)
+    h_cl = np.clip(gamma / (2.0 * cfg.idr.theta), 0.0, cfg.cut_upper())
 
     lb, ub = cfg.shift_lower(), cfg.shift_upper()
-    p_sl = lb.copy()
-    remaining = cfg.shift_total() - float(lb.sum())
-    order = np.lexsort((np.arange(cfg.horizon), mu))  # price, then period index
-    for t in order:
-        if remaining <= 1e-15:
+    prices = mu.reshape(-1, cfg.horizon)
+    p_sl = np.tile(lb, (len(prices), 1))
+    remaining = np.full(len(prices), cfg.shift_total() - float(lb.sum()))
+    order = np.argsort(prices, axis=1, kind="stable")  # price, then period index
+    for t in order.T:
+        rows = np.flatnonzero(remaining > 1e-15)
+        if not rows.size:
             break
-        add = min(float(ub[t] - lb[t]), remaining)
-        p_sl[t] += add
-        remaining -= add
-    return p_sl, h_cl
+        add = np.minimum((ub - lb)[t[rows]], remaining[rows])
+        p_sl[rows, t[rows]] += add
+        remaining[rows] -= add
+    return p_sl.reshape(mu.shape), h_cl
 
 
 def users_bill(cfg: ScenarioConfig, mu: np.ndarray, gamma: np.ndarray,
-               p_sl: np.ndarray, h_cl: np.ndarray) -> float:
+               p_sl: np.ndarray, h_cl: np.ndarray) -> float | np.ndarray:
     """What the users pay at prices (mu, gamma) for the electricity and
     heat they draw with shift p_sl and heat cut h_cl: the operator's
-    revenue."""
+    revenue. For (n, T) arrays, one bill per row, each summed as the
+    one-row bill is."""
     elec, heat = balance_rhs(cfg, p_sl, h_cl)
-    return float(np.dot(mu, elec) + np.dot(gamma, heat)) * cfg.dt_hours
+    bills = np.array([np.dot(m, e) + np.dot(g, h) for m, e, g, h in zip(
+        *(np.reshape(a, (-1, cfg.horizon)) for a in (mu, elec, gamma, heat)))])
+    bills *= cfg.dt_hours
+    return float(bills[0]) if np.ndim(mu) == 1 else bills
 
 
 def follower_cost(cfg: ScenarioConfig, mu: np.ndarray, gamma: np.ndarray,

@@ -42,8 +42,9 @@ def pwl_quadratic(coef: float, lo: float, hi: float, n_segments: int) -> PwlAppr
     if coef == 0.0 or hi == lo:
         bps = (lo, hi) if hi > lo else (lo, lo + 1.0)
         return PwlApprox(bps, tuple(coef * x ** 2 for x in bps), 0.0)
-    bps = tuple(np.linspace(lo, hi, n_segments + 1))
     width = (hi - lo) / n_segments
+    # the floats np.linspace(lo, hi, n_segments + 1) gives, without its overhead
+    bps = tuple(k * width + lo for k in range(n_segments)) + (hi,)
     return PwlApprox(bps, tuple(coef * x ** 2 for x in bps),
                      abs(coef) * width ** 2 / 4.0)
 
@@ -129,21 +130,19 @@ def emit_kkt(ir: ModelIR, bundle: ModelBundle) -> KktBlock:
             "delta4": np.maximum(0.0, prices.gamma_max - 2.0 * theta * cut_ub)}
 
     xi = ir.add_variable("xi", -prices.mu_max, -prices.mu_min)
-    deltas = {family: [ir.add_variable(f"{family}_{t}", 0.0, float(cap[t]))
-                       for t in range(t_count)]
+    deltas = {family: ir.add_block(family, t_count, 0.0, cap)
               for family, cap in caps.items()}
+    stat_e = [(mu_names, 1.0), (deltas["delta1"], -1.0), (deltas["delta2"], 1.0),
+              ([xi] * t_count, 1.0)]
+    stat_h = [(gamma_names, -1.0), (h_cl, 2.0 * theta), (deltas["delta4"], 1.0)]
+    ir.add_rows(t_count, [("kkt_stat_e", stat_e, "==", 0.0),
+                          ("kkt_stat_h", stat_h, "==", 0.0)])
 
     block = KktBlock(xi=xi, deltas=deltas, pairs=[])
     for t in range(t_count):
-        stat_e = {mu_names[t]: 1.0, deltas["delta1"][t]: -1.0,
-                  deltas["delta2"][t]: 1.0, xi: 1.0}
-        ir.add_row(f"kkt_stat_e_{t}", stat_e, "==", 0.0)
-        block.stationarity.append((f"kkt_stat_e_{t}", stat_e, 0.0))
-        stat_h = {gamma_names[t]: -1.0, h_cl[t]: 2.0 * theta,
-                  deltas["delta4"][t]: 1.0}
-        ir.add_row(f"kkt_stat_h_{t}", stat_h, "==", 0.0)
-        block.stationarity.append((f"kkt_stat_h_{t}", stat_h, 0.0))
-
+        for name, terms in (("kkt_stat_e", stat_e), ("kkt_stat_h", stat_h)):
+            block.stationarity.append(
+                (f"{name}_{t}", {v[t]: c for v, c in terms}, 0.0))
         block.pairs.append(ComplementarityPair(
             f"shift_lb_{t}", {p_sl[t]: 1.0}, -float(sl_lb[t]),
             deltas["delta1"][t]))
@@ -156,29 +155,36 @@ def emit_kkt(ir: ModelIR, bundle: ModelBundle) -> KktBlock:
     return block
 
 
-def big_m_linearize(ir: ModelIR, pair: ComplementarityPair) -> str | None:
-    """Replace one complementarity pair by two big-M rows and a binary.
+def big_m_linearize(ir: ModelIR, pairs: list[ComplementarityPair]
+                    ) -> list[str | None]:
+    """Replace complementarity pairs by two big-M rows and a binary each.
 
-    Both constants come from the variable bounds: the primal one is the
-    expression's largest value over them, the dual one the multiplier's
-    upper bound. With indicator 1 the dual is forced to zero; with
-    indicator 0 the primal expression is. Nonnegativity of both sides is
-    carried by the bounds, so a pair with a zero constant already holds
-    and gets no binary and no rows (returns None).
+    Both constants of a pair come from the variable bounds: the primal one
+    is the expression's largest value over them, the dual one the
+    multiplier's upper bound. With indicator 1 the dual is forced to zero;
+    with indicator 0 the primal expression is. Nonnegativity of both sides
+    is carried by the bounds, so a pair with a zero constant already holds
+    and gets no binary and no rows. The binaries enter as one block, then
+    the rows, pair by pair, in one call; returns each pair's binary, or
+    None.
     """
-    var = ir.variables
-    pair.big_m_primal = pair.primal_const + sum(
-        c * (var[v].ub if c > 0 else var[v].lb) for v, c in pair.primal_coeffs.items())
-    pair.big_m_dual = var[pair.dual_var].ub
-    if pair.big_m_primal == 0.0 or pair.big_m_dual == 0.0:
-        return None
-    binary = ir.add_variable(f"pi_{pair.name}", 0.0, 1.0, binary=True)
-    coeffs = dict(pair.primal_coeffs)
-    coeffs[binary] = -pair.big_m_primal
-    ir.add_row(f"bigm_g_{pair.name}", coeffs, "<=", -pair.primal_const)
-    ir.add_row(f"bigm_d_{pair.name}",
-               {pair.dual_var: 1.0, binary: pair.big_m_dual}, "<=", pair.big_m_dual)
-    return binary
+    for pair in pairs:
+        pair.big_m_primal = pair.primal_const + sum(  # (lb, ub)[c > 0]: c*v at its largest
+            c * ir.bounds(v)[c > 0] for v, c in pair.primal_coeffs.items())
+        pair.big_m_dual = ir.bounds(pair.dual_var)[1]
+    decided = [pair.big_m_primal == 0.0 or pair.big_m_dual == 0.0 for pair in pairs]
+    added = iter(ir.add_columns([f"pi_{pair.name}" for pair, d in zip(pairs, decided)
+                                 if not d], 0.0, 1.0, binary=True))
+    binaries = [None if d else next(added) for d in decided]
+    rows = []
+    for pair, binary in zip(pairs, binaries):
+        if binary is not None:
+            rows += [(f"bigm_g_{pair.name}", {**pair.primal_coeffs, binary: -pair.big_m_primal},
+                      "<=", -pair.primal_const),
+                     (f"bigm_d_{pair.name}", {pair.dual_var: 1.0, binary: pair.big_m_dual},
+                      "<=", pair.big_m_dual)]
+    ir.add_row_list(rows)
+    return binaries
 
 
 def eliminate_bilinear(ir: ModelIR, bundle: ModelBundle, block: KktBlock) -> None:
@@ -234,11 +240,11 @@ def apply_pwl(ir: ModelIR, n_segments: int) -> float:
     """
     total_bound = 0.0
     for term in ir.obj_quad:
-        var = ir.variables[term.var]
-        if var.ub - var.lb < 1e-12:
-            ir.obj_const += term.coef * var.lb ** 2
+        lb, ub = ir.bounds(term.var)
+        if ub - lb < 1e-12:
+            ir.obj_const += term.coef * lb ** 2
             continue
-        approx = pwl_quadratic(term.coef, var.lb, var.ub, n_segments)
+        approx = pwl_quadratic(term.coef, lb, ub, n_segments)
         ir.add_obj_pwl(PwlObjTerm(term.var, approx.breakpoints, approx.values))
         total_bound += approx.max_error
     ir.obj_quad = []
@@ -257,8 +263,7 @@ def assemble_single_level(bundle: ModelBundle,
     ir = bundle.ir
     if bundle.mode.optimize_prices:
         block = emit_kkt(ir, bundle)
-        for pair in block.pairs:
-            big_m_linearize(ir, pair)
+        big_m_linearize(ir, block.pairs)
         eliminate_bilinear(ir, bundle, block)
         bundle.kkt = block
     bundle.pwl_error_bound = apply_pwl(ir, n_segments)

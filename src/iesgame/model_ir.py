@@ -1,12 +1,22 @@
 """Solver-agnostic mixed-integer program representation.
 
-Variables and rows are kept in insertion order, which makes serialized
-models byte-stable across runs. The objective is linear plus diagonal
-quadratic plus piecewise-linear terms; `lower_pwl` rewrites each PWL
-term into the incremental (delta) form: one bounded column per segment,
-priced at the segment's slope, and one row tying their sum to the
-variable. It needs no binaries because every term's curvature matches
-the optimization sense, so the optimum fills the segments in order.
+A model is held array-first: its columns as a name list, a name->index
+map and growing bound and binary arrays, its rows as COO triplets stored
+row by row, plus each row's name, sense and right-hand side. `add_block`
+adds a family of columns and `add_rows` families of rows, interleaved
+period by period, checking names and bounds once, as arrays;
+`add_row_list` adds rows given one by one, and `add_variable` and
+`add_row` add one, with the same checks. Columns, rows
+and each row's coefficients keep their insertion order, which makes
+serialized models byte-stable across runs. A row may name only variables
+declared before it; `validate` rejects any other name.
+
+The objective is linear plus diagonal quadratic plus piecewise-linear
+terms; `lower_pwl` rewrites all PWL terms, as one block, into the
+incremental (delta) form: one bounded column per segment, priced at the
+segment's slope, and one row per term tying their sum to the variable.
+It needs no binaries because every term's curvature matches the
+optimization sense, so the optimum fills the segments in order.
 
 `ModelIR.compile` is the one lowering from a model to arrays: the
 backend and the LP writer read the `CompiledModel` it returns. A
@@ -15,8 +25,11 @@ compiled model can be re-solved with other right-hand sides
 """
 from __future__ import annotations
 
+import copy
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -24,34 +37,18 @@ from scipy import sparse
 SENSES = ("<=", ">=", "==")
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):  # a column, as `ModelIR.variables` reads it
     name: str
     lb: float
     ub: float
     binary: bool = False
 
-    def __post_init__(self):
-        if not self.name or any(c.isspace() for c in self.name):
-            raise ValueError(f"bad variable name {self.name!r}")
-        if not (math.isfinite(self.lb) and math.isfinite(self.ub)):
-            raise ValueError(f"variable {self.name} needs finite bounds")
-        if self.lb > self.ub:
-            raise ValueError(f"variable {self.name}: lb {self.lb} > ub {self.ub}")
 
-
-@dataclass
-class LinearRow:
+class LinearRow(NamedTuple):  # a row, as `ModelIR.rows` reads it
     name: str
     coeffs: dict[str, float]
     sense: str
     rhs: float
-
-    def __post_init__(self):
-        if self.sense not in SENSES:
-            raise ValueError(f"row {self.name}: sense must be one of {SENSES}")
-        if not self.coeffs:
-            raise ValueError(f"row {self.name} has no coefficients")
 
 
 @dataclass(frozen=True)
@@ -152,9 +149,18 @@ class ModelIR:
             raise ValueError("sense must be 'max' or 'min'")
         self.name = name
         self.sense = sense
-        self.variables: dict[str, Variable] = {}
-        self.rows: list[LinearRow] = []
-        self._row_names: set[str] = set()
+        # columns: names, index by name, bound and binary arrays whose first
+        # len(_names) entries are set; rows: index by name, sense (index into
+        # SENSES) and rhs arrays, and the first _nnz entries of the COO
+        # triplets, stored row by row. Every array doubles when full.
+        self._names: list[str] = []
+        self._col: dict[str, int] = {}
+        self._lb, self._ub, self._binary = np.empty(0), np.empty(0), np.empty(0, bool)
+        self._row_index: dict[str, int] = {}
+        self._sense, self._rhs = np.empty(0, np.int8), np.empty(0)
+        self._coo_row, self._coo_col = np.empty(0, np.int64), np.empty(0, np.int64)
+        self._coo_val, self._nnz = np.empty(0), 0
+        self._dangling: list[tuple[str, str]] = []  # (row, undeclared variable)
         self.obj_linear: dict[str, float] = {}
         self.obj_quad: list[QuadObjTerm] = []
         self.obj_pwl: list[PwlObjTerm] = []
@@ -162,22 +168,106 @@ class ModelIR:
 
     # -- construction -------------------------------------------------
 
+    def add_block(self, prefix: str, n: int, lb, ub, binary: bool = False) -> list[str]:
+        """Add the family `{prefix}_0` ... `{prefix}_{n-1}` with bounds `lb`,
+        `ub` (numbers, or one per column); returns its names."""
+        return self.add_columns([f"{prefix}_{i}" for i in range(n)], lb, ub, binary)
+
+    def add_columns(self, names: list[str], lb, ub, binary: bool = False) -> list[str]:
+        """Add one column per name, with bounds `lb`, `ub` (numbers, or one
+        per name), checked once for the whole list: no name declared twice,
+        empty or holding whitespace, every bound finite and lb <= ub."""
+        n = len(names)
+        lb, ub = np.full(n, lb, dtype=float), np.full(n, ub, dtype=float)
+        _refuse_duplicate("variable", self._col, names)
+        joined = "".join(names)  # whitespace-free exactly when every name is
+        if not all(names) or (joined and joined.split() != [joined]):
+            bad = next(x for x in names if x.split() != [x])
+            raise ValueError(f"bad variable name {bad!r}")
+        finite = np.isfinite(lb) & np.isfinite(ub)
+        if not finite.all():
+            raise ValueError(f"variable {names[np.argmin(finite)]} needs finite bounds")
+        if (lb > ub).any():
+            i = int(np.argmax(lb > ub))
+            raise ValueError(f"variable {names[i]}: lb {lb[i]} > ub {ub[i]}")
+        start = len(self._names)
+        self._names.extend(names)
+        self._col.update(zip(names, range(start, start + n)))
+        self._lb = _append(self._lb, start, lb)
+        self._ub = _append(self._ub, start, ub)
+        self._binary = _append(self._binary, start, np.full(n, binary))
+        return names
+
     def add_variable(self, name: str, lb: float, ub: float,
                      binary: bool = False) -> str:
-        if name in self.variables:
-            raise ValueError(f"variable {name} declared twice")
-        self.variables[name] = Variable(name, lb, ub, binary)
-        return name
+        return self.add_columns([name], lb, ub, binary)[0]
+
+    def add_rows(self, n: int, families: Sequence[tuple[str, list, str, object]]) -> None:
+        """Add `n` rows to each family `(prefix, terms, sense, rhs)`, period
+        by period: row t of every family, in the order given, then row t+1.
+        Row t of a family is `{prefix}_{t}`; each term `(names, coef)` gives
+        it the coefficient coef (a number, or coef[t]) on names[t], in the
+        order of the terms. `rhs` is a number or one per row. Zero
+        coefficients are dropped, as by `add_row`."""
+        if not families:
+            return
+        width = max(len(terms) for _, terms, _, _ in families)
+        cols = np.zeros((n, len(families), width), dtype=np.int64)
+        vals = np.zeros((n, len(families), width))
+        senses = np.empty((n, len(families)), dtype=np.int8)
+        rhs = np.empty((n, len(families)))
+        for f, (prefix, terms, sense, b) in enumerate(families):
+            rows = [f"{prefix}_{t}" for t in range(n)]
+            senses[:, f], rhs[:, f] = _sense_code(rows[0], sense), b
+            for k, (names, coef) in enumerate(terms):
+                cols[:, f, k], vals[:, f, k] = self._ids(names, rows), coef
+        self._add_rows([f"{fam[0]}_{t}" for t in range(n) for fam in families],
+                       cols.reshape(-1, width), vals.reshape(-1, width),
+                       senses.ravel(), rhs.ravel())
 
     def add_row(self, name: str, coeffs: dict[str, float], sense: str,
                 rhs: float) -> None:
-        if name in self._row_names:
-            raise ValueError(f"row {name} declared twice")
-        coeffs = {v: c for v, c in coeffs.items() if c != 0.0}
-        if not coeffs:
-            raise ValueError(f"row {name} reduces to a constant")
-        self.rows.append(LinearRow(name, coeffs, sense, rhs))
-        self._row_names.add(name)
+        self.add_row_list([(name, coeffs, sense, rhs)])
+
+    def add_row_list(self, rows: Sequence[tuple[str, dict[str, float], str, float]]
+                     ) -> None:
+        """Add rows given one by one as (name, coeffs, sense, rhs), in one
+        call, with `add_row`'s checks."""
+        names = [row[0] for row in rows]
+        width = max((len(coeffs) for _, coeffs, _, _ in rows), default=0)
+        cols, vals = np.zeros((len(rows), width), np.int64), np.zeros((len(rows), width))
+        for i, (name, coeffs, _, _) in enumerate(rows):
+            cols[i, :len(coeffs)] = self._ids(list(coeffs), [name] * len(coeffs))
+            vals[i, :len(coeffs)] = list(coeffs.values())
+        self._add_rows(names, cols, vals,
+                       [_sense_code(name, sense) for name, _, sense, _ in rows],
+                       [row[3] for row in rows])
+
+    def _ids(self, names: list[str], rows: list[str]) -> list[int]:
+        """Columns of `names`; an undeclared one (-1) is kept as dangling."""
+        ids = [self._col.get(v, -1) for v in names]
+        if -1 in ids:
+            self._dangling += [(r, v) for r, v in zip(rows, names) if v not in self._col]
+        return ids
+
+    def _add_rows(self, names: list[str], cols: np.ndarray, vals: np.ndarray,
+                  senses, rhs) -> None:
+        """Append the rows `names`: row i has coefficients vals[i] on the
+        columns cols[i], zeros dropped, sense code senses[i] and rhs[i]."""
+        _refuse_duplicate("row", self._row_index, names)
+        keep = vals != 0.0
+        lengths = keep.sum(axis=1)
+        if not lengths.all():
+            raise ValueError(f"row {names[int(np.argmin(lengths))]} reduces to a constant")
+        start, m = len(self._row_index), len(names)
+        self._row_index.update(zip(names, range(start, start + m)))
+        self._sense = _append(self._sense, start, senses)
+        self._rhs = _append(self._rhs, start, rhs)
+        rows = np.repeat(np.arange(start, start + m), lengths)
+        self._coo_row = _append(self._coo_row, self._nnz, rows)
+        self._coo_col = _append(self._coo_col, self._nnz, cols[keep])
+        self._coo_val = _append(self._coo_val, self._nnz, vals[keep])
+        self._nnz += len(rows)
 
     def add_obj_linear(self, var: str, coef: float) -> None:
         self.obj_linear[var] = self.obj_linear.get(var, 0.0) + coef
@@ -192,63 +282,112 @@ class ModelIR:
     # -- queries ------------------------------------------------------
 
     @property
+    def variables(self) -> dict[str, Variable]:
+        """Every column's `Variable`, by name, in insertion order; built
+        on each access (`bounds` reads one column's)."""
+        return {name: Variable(name, *rest) for name, *rest in zip(
+            self._names, self._lb.tolist(), self._ub.tolist(), self._binary.tolist())}
+
+    def bounds(self, name: str) -> tuple[float, float]:
+        j = self._col[name]
+        return float(self._lb[j]), float(self._ub[j])
+
+    @property
+    def rows(self) -> list[LinearRow]:
+        """Every row, in insertion order, read back from the arrays."""
+        names, m, nnz = self._names, len(self._row_index), self._nnz
+        cols, vals = self._coo_col[:nnz].tolist(), self._coo_val[:nnz].tolist()
+        ptr = self._indptr().tolist()
+        return [LinearRow(r, {names[j]: v for j, v in zip(cols[s:e], vals[s:e])},
+                          SENSES[k], b)
+                for r, s, e, k, b in zip(self._row_index, ptr, ptr[1:],
+                                         self._sense[:m].tolist(), self._rhs[:m].tolist())]
+
+    @property
     def binary_names(self) -> list[str]:
-        return [v.name for v in self.variables.values() if v.binary]
+        return [n for n, b in zip(self._names, self._binary.tolist()) if b]
 
     def validate(self) -> None:
         """Reject dangling references; bounds are checked at declaration."""
-        for row in self.rows:
-            for var in row.coeffs:
-                if var not in self.variables:
-                    raise ValueError(f"row {row.name} references unknown variable {var}")
+        for row, var in self._dangling[:1]:
+            raise ValueError(f"row {row} references unknown variable {var}")
         for var in self.obj_linear:
-            if var not in self.variables:
+            if var not in self._col:
                 raise ValueError(f"objective references unknown variable {var}")
         for term in self.obj_quad:
-            if term.var not in self.variables:
+            if term.var not in self._col:
                 raise ValueError(f"quadratic term on unknown variable {term.var}")
         for term in self.obj_pwl:
-            if term.var not in self.variables:
+            if term.var not in self._col:
                 raise ValueError(f"PWL term on unknown variable {term.var}")
+
+    def _indptr(self) -> np.ndarray:
+        """Each row's first entry in the COO arrays, then their length."""
+        lengths = np.bincount(self._coo_row[:self._nnz], minlength=len(self._row_index))
+        return np.concatenate(([0], np.cumsum(lengths)))
 
     # -- lowering -----------------------------------------------------
 
     def lower_pwl(self) -> "ModelIR":
         """Expand PWL objective terms into incremental (delta) columns.
 
-        A term with breakpoints b_0 < ... < b_K and values f_k becomes K
-        columns `pwl_d_{idx}_{var}_{k}` in [0, b_{k+1} - b_k], each with
+        A term idx with breakpoints b_0 < ... < b_K and values f_k becomes
+        K columns `pwl_d_{idx}_{var}_{k}` in [0, b_{k+1} - b_k], each with
         the segment's slope as objective coefficient, one row
         `pwl_link_{idx}_{var}: sum_k d_k - var == -b_0`, and f_0 added to
-        `obj_const`. No binaries are needed to fill the segments in order
-        when each term's value sequence is concave for a max sense
-        (convex for min): the slopes then fall (rise) with k, so an
-        optimum never takes a later segment before an earlier one is
-        full. Violating terms raise, since silently lowering them would
-        change the model.
+        `obj_const`. The columns of all terms enter as one block, then
+        their rows. No binaries are needed to fill the segments in order
+        when each term's value sequence is concave for a max sense (convex
+        for min): the slopes then fall (rise) with k, so an optimum never
+        takes a later segment before an earlier one is full. Violating
+        terms raise, since silently lowering them would change the model.
         """
         if not self.obj_pwl:
             return self
-        out = ModelIR(self.name, self.sense)
-        out.variables = dict(self.variables)
-        out.rows = list(self.rows)
-        out._row_names = set(self._row_names)
-        out.obj_linear = dict(self.obj_linear)
-        out.obj_quad = list(self.obj_quad)
-        out.obj_const = self.obj_const
-        for idx, term in enumerate(self.obj_pwl):
-            _check_curvature(term, self.sense)
-            bps, vals = term.breakpoints, term.values
-            link = {}
-            for k in range(len(bps) - 1):
-                width = bps[k + 1] - bps[k]
-                d = out.add_variable(f"pwl_d_{idx}_{term.var}_{k}", 0.0, width)
-                out.add_obj_linear(d, (vals[k + 1] - vals[k]) / width)
-                link[d] = 1.0
-            link[term.var] = -1.0
-            out.add_row(f"pwl_link_{idx}_{term.var}", link, "==", -bps[0])
-            out.obj_const += vals[0]
-        out.validate()
+        self.validate()
+        terms = self.obj_pwl
+        counts = np.array([len(term.breakpoints) for term in terms])
+        bps = np.concatenate([term.breakpoints for term in terms])
+        vals = np.concatenate([term.values for term in terms])
+        firsts = np.cumsum(counts) - counts
+        owner = np.repeat(np.arange(len(terms)), counts - 1)  # each segment's term
+        within = np.ones(len(bps) - 1, dtype=bool)  # steps inside one term
+        within[firsts[1:] - 1] = False
+        widths = np.diff(bps)[within]
+        slopes = np.diff(vals)[within] / widths
+        # curvature, all terms at once: within a term the slopes must not
+        # rise (max) or fall (min), beyond 1e-9 of its largest |value|
+        turns = owner[1:] == owner[:-1]
+        rise = np.diff(slopes)[turns] * (1.0 if self.sense == "max" else -1.0)
+        scale = np.maximum(1.0, np.maximum.reduceat(np.abs(vals), firsts))
+        bad = owner[1:][turns]
+        bad = bad[rise > 1e-9 * scale[bad]]
+        if bad.size:
+            shape, goal = (("concave", "maximization") if self.sense == "max"
+                           else ("convex", "minimization"))
+            raise ValueError(f"PWL term on {terms[bad[0]].var} is not {shape}; "
+                             f"{goal} would need adjacency binaries")
+        out = copy.copy(self)
+        for attr, value in vars(self).items():
+            if hasattr(value, "copy"):  # lists, dicts and arrays; not strings or numbers
+                setattr(out, attr, value.copy())
+        out.obj_pwl = []
+        deltas = out.add_columns([f"pwl_d_{idx}_{term.var}_{k}"
+                                  for idx, term in enumerate(terms)
+                                  for k in range(len(term.breakpoints) - 1)],
+                                 0.0, widths)
+        out.obj_linear.update(zip(deltas, slopes.tolist()))
+        # link row idx: its segments' columns, then the variable, then padding
+        segs, pos = counts - 1, np.arange(counts.max())
+        seg_cols = len(out._names) - len(deltas) + firsts - np.arange(len(terms))
+        var_cols = np.array([out._col[term.var] for term in terms])
+        is_seg = pos < segs[:, None]
+        out._add_rows([f"pwl_link_{idx}_{term.var}" for idx, term in enumerate(terms)],
+                      np.where(is_seg, seg_cols[:, None] + pos, var_cols[:, None]),
+                      np.where(is_seg, 1.0, np.where(pos == segs[:, None], -1.0, 0.0)),
+                      np.full(len(terms), SENSES.index("==")), -bps[firsts])
+        for term in terms:
+            out.obj_const += term.values[0]
         return out
 
     def compile(self) -> CompiledModel:
@@ -256,7 +395,9 @@ class ModelIR:
 
         Quadratic objective terms are rejected: the MILP backend takes none.
         A model that `lower_pwl` rewrote was validated there; one without
-        PWL terms is validated here.
+        PWL terms is validated here. The CSR matrix takes the COO entries
+        as stored, so each row keeps the order its coefficients were given
+        in.
         """
         ir = self.lower_pwl()
         if ir.obj_quad:
@@ -264,46 +405,44 @@ class ModelIR:
                              "apply the PWL approximation first")
         if ir is self:
             ir.validate()
-        names = list(ir.variables)
-        index = {n: i for i, n in enumerate(names)}
-        obj_cols = tuple(index[v] for v in ir.obj_linear)
+        n, m = len(ir._names), len(ir._row_index)
+        obj_cols = tuple(ir._col[v] for v in ir.obj_linear)
         obj_coefs = tuple(ir.obj_linear.values())
-        c = np.zeros(len(names))
+        c = np.zeros(n)
         c[list(obj_cols)] = obj_coefs
-
-        indptr, indices, data = [0], [], []
-        lower, upper = [], []
-        for row in ir.rows:
-            indices.extend(index[v] for v in row.coeffs)
-            data.extend(row.coeffs.values())
-            indptr.append(len(indices))
-            lower.append(-math.inf if row.sense == "<=" else row.rhs)
-            upper.append(math.inf if row.sense == ">=" else row.rhs)
-        a = sparse.csr_matrix((data, indices, indptr),
-                              shape=(len(ir.rows), len(names)))
-        variables = ir.variables.values()
+        a = sparse.csr_matrix((ir._coo_val[:ir._nnz].copy(), ir._coo_col[:ir._nnz].copy(),
+                               ir._indptr()), shape=(m, n))
+        sense, rhs = ir._sense[:m], ir._rhs[:m]
         return CompiledModel(
-            name=ir.name, sense=ir.sense, var_names=names,
+            name=ir.name, sense=ir.sense, var_names=list(ir._names),
             c=_read_only(c), a=a,
-            row_lower=_read_only(np.array(lower, dtype=float)),
-            row_upper=_read_only(np.array(upper, dtype=float)),
-            col_lower=_read_only(np.array([v.lb for v in variables])),
-            col_upper=_read_only(np.array([v.ub for v in variables])),
-            integrality=_read_only(np.array([1 if v.binary else 0
-                                             for v in variables])),
-            row_index={row.name: r for r, row in enumerate(ir.rows)},
+            row_lower=_read_only(np.where(sense == SENSES.index("<="), -math.inf, rhs)),
+            row_upper=_read_only(np.where(sense == SENSES.index(">="), math.inf, rhs)),
+            col_lower=_read_only(ir._lb[:n].copy()),
+            col_upper=_read_only(ir._ub[:n].copy()),
+            integrality=_read_only(ir._binary[:n].astype(np.int64)),
+            row_index=dict(ir._row_index),
             obj_const=ir.obj_const, obj_cols=obj_cols, obj_coefs=obj_coefs)
 
 
-def _check_curvature(term: PwlObjTerm, sense: str) -> None:
-    vals = np.asarray(term.values)
-    bps = np.asarray(term.breakpoints)
-    slopes = np.diff(vals) / np.diff(bps)
-    second = np.diff(slopes)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if sense == "max" and np.any(second > 1e-9 * scale):
-        raise ValueError(f"PWL term on {term.var} is not concave; "
-                         "maximization would need adjacency binaries")
-    if sense == "min" and np.any(second < -1e-9 * scale):
-        raise ValueError(f"PWL term on {term.var} is not convex; "
-                         "minimization would need adjacency binaries")
+def _append(arr: np.ndarray, used: int, values) -> np.ndarray:
+    """`arr`, whose first `used` entries are set, with `values` written
+    after them; the storage doubles whenever it is full."""
+    end = used + len(values)
+    if end > len(arr):
+        arr = np.concatenate((arr[:used], np.empty(max(end, 2 * len(arr)) - used, arr.dtype)))
+    arr[used:end] = values
+    return arr
+
+
+def _refuse_duplicate(kind: str, known: dict[str, int], names: list[str]) -> None:
+    """Refuse the first of `names` already in `known` or earlier in `names`."""
+    if not known.keys().isdisjoint(names) or len(set(names)) < len(names):
+        dup = next(x for i, x in enumerate(names) if x in known or x in names[:i])
+        raise ValueError(f"{kind} {dup} declared twice")
+
+
+def _sense_code(row: str, sense: str) -> int:
+    if sense not in SENSES:
+        raise ValueError(f"row {row}: sense must be one of {SENSES}")
+    return SENSES.index(sense)

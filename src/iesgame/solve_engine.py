@@ -12,6 +12,9 @@ compiled model becomes a HiGHS model: `milp` solves it with a new HiGHS
 instance, without the feasibility-jump heuristic, and both equilibrium
 checks re-solve one warm-started LP relaxation per search
 (`_DispatchLp`): it gives every cut, and every cost of the relaxed one.
+A search takes the users' responses and bills to all its price pairs in
+one array pass, and the deviation check draws all its price vectors at
+once.
 """
 from __future__ import annotations
 
@@ -238,7 +241,9 @@ def _best_posted_price(cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
     profits the earliest index wins, as in a loop over every pair.
 
     A pair's profit is the users' bill (`gm.users_bill`) at their
-    closed-form best response, minus the operator's dispatch cost for
+    closed-form best response, both taken for every pair in one array
+    pass (the same floats as pair by pair), minus the operator's dispatch
+    cost for
     that response (under the scenario's expected output, reserve
     requirements and heat load) at zero prices, solved at most once per
     distinct response. The dispatch program is built, assembled and
@@ -271,12 +276,11 @@ def _best_posted_price(cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
     still wins ties. A solve without an optimum gives no cut, and in the
     relaxed search an infinite cost.
     """
-    responses = [gm.follower_best_response(m, g, cfg) for m, g in zip(mu, gamma)]
-    bills = np.array([gm.users_bill(cfg, m, g, *r)
-                      for m, g, r in zip(mu, gamma, responses)])
+    p_sl, h_cl = gm.follower_best_response(mu, gamma, cfg)
+    bills = gm.users_bill(cfg, mu, gamma, p_sl, h_cl)
     program = _dispatch_program(cfg, dhn_enabled, n_segments, relax_binaries,
-                                responses[0])
-    rows, rhs = _balance_rhs(program, cfg, responses)
+                                (p_sl[0], h_cl[0]))
+    rows, rhs = _balance_rhs(program, cfg, p_sl, h_cl)
     lp = _DispatchLp(program, rows)
     move = float(np.sum(rhs.max(axis=0) - rhs.min(axis=0)))
     scale = 1.0 + float(np.max(np.abs(bills))) + move
@@ -291,7 +295,7 @@ def _best_posted_price(cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
         if bound[i] < best_profit - CUT_TOL * (scale + largest_cost):
             break
         unsolved[i] = False
-        key = np.round(np.concatenate(responses[i]), 9).tobytes()
+        key = np.round(np.concatenate((p_sl[i], h_cl[i])), 9).tobytes()
         seen = key in costs
         if not seen:
             cut = lp.cut(rhs[i])
@@ -310,7 +314,7 @@ def _best_posted_price(cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
             cost, lam = cut
             floor = np.maximum(floor, cost + (rhs - rhs[i]) @ lam)
             largest_cost = max(largest_cost, abs(cost))
-    return best_i, best_profit, responses[best_i], len(costs)
+    return best_i, best_profit, (p_sl[best_i].copy(), h_cl[best_i].copy()), len(costs)
 
 
 def _dispatch_program(cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
@@ -325,18 +329,17 @@ def _dispatch_program(cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
     return model.relaxed() if relax_binaries else model
 
 
-def _balance_rhs(model: CompiledModel, cfg: ScenarioConfig,
-                 responses: list[tuple[np.ndarray, np.ndarray]]
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _balance_rhs(model: CompiledModel, cfg: ScenarioConfig, p_sl: np.ndarray,
+                 h_cl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The balance rows of a compiled dispatch program that users'
-    responses move, and one row of their right-hand sides per response.
+    responses (one row of `p_sl` and `h_cl` each) move, and one row of
+    their right-hand sides per response.
 
     A response enters the program only as the balances' right-hand sides
     (`gm.balance_rhs`; at zero prices the users' bill is zero). A balance
     the build dropped for want of contributing variables gets the
     build's check instead.
     """
-    p_sl, h_cl = (np.array(part) for part in zip(*responses))
     rhs = np.hstack(gm.balance_rhs(cfg, p_sl, h_cl))
     names = [f"bal_{kind}_{t}" for kind in "eh" for t in range(cfg.horizon)]
     kept = []
@@ -489,19 +492,32 @@ class DeviationCheck:
     n_dispatch_solves: int  # exact leader re-dispatches the search ran
 
 
-def _random_admissible_prices(lo: float, hi: float, avg: float, t_count: int,
-                              rng: np.random.Generator) -> np.ndarray:
+def _random_admissible_prices(lo, hi, avg, shape, rng: np.random.Generator
+                              ) -> np.ndarray:
+    """Random price vectors along the last axis of `shape`, in the band
+    [lo, hi] and averaging `avg`; lo, hi and avg are numbers or arrays
+    over the leading axes. The draws are uniform in the band, as
+    `rng.uniform` draws them in C order, then shifted toward the average
+    (each vector stops once its sum is within 1e-9 of the target, or
+    after 60 shifts), with any residual spread over its interior
+    coordinates."""
+    lo, hi, avg = (np.asarray(v, dtype=float)[..., None] for v in (lo, hi, avg))
+    prices = lo + (hi - lo) * rng.random(shape)
+    t_count = prices.shape[-1]
     target = t_count * avg
-    prices = rng.uniform(lo, hi, size=t_count)
+    moving = np.ones(prices.shape[:-1] + (1,), dtype=bool)
     for _ in range(60):
-        prices = np.clip(prices + (target - prices.sum()) / t_count, lo, hi)
-        if abs(prices.sum() - target) < 1e-9:
+        shifted = np.clip(prices + (target - prices.sum(-1, keepdims=True)) / t_count,
+                          lo, hi)
+        prices = np.where(moving, shifted, prices)
+        moving &= ~(np.abs(prices.sum(-1, keepdims=True) - target) < 1e-9)
+        if not moving.any():
             break
-    # distribute any residual over interior coordinates
-    resid = target - prices.sum()
+    resid = target - prices.sum(-1, keepdims=True)
     interior = (prices > lo + 1e-9) & (prices < hi - 1e-9)
-    if abs(resid) > 1e-9 and interior.any():
-        prices[interior] += resid / interior.sum()
+    count = interior.sum(-1, keepdims=True)
+    spread = interior & (np.abs(resid) > 1e-9)
+    prices = np.where(spread, prices + resid / np.maximum(count, 1), prices)
     return np.clip(prices, lo, hi)
 
 
@@ -533,14 +549,11 @@ def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
     worst_follower = f2_star - gm.follower_cost(cfg, sol.mu, sol.gamma, *best)
 
     p = cfg.prices
-    deviations = [(_random_admissible_prices(p.mu_min, p.mu_max, p.mu_av,
-                                             cfg.horizon, rng),
-                   _random_admissible_prices(p.gamma_min, p.gamma_max,
-                                             p.gamma_av, cfg.horizon, rng))
-                  for _ in range(n_deviations)]
+    mu, gamma = np.moveaxis(_random_admissible_prices(
+        (p.mu_min, p.gamma_min), (p.mu_max, p.gamma_max), (p.mu_av, p.gamma_av),
+        (n_deviations, 2, cfg.horizon), rng), 1, 0)
     worst_leader, n_solves = -math.inf, 0
-    if deviations:
-        mu, gamma = (np.array(prices) for prices in zip(*deviations))
+    if n_deviations:
         _, profit, _, n_solves = _best_posted_price(
             cfg, bundle.mode.dhn_enabled, bundle.n_segments, None, True,
             mu, gamma)

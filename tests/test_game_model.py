@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_follower_point, toy_dict
 from iesgame import game_model as gm
@@ -104,6 +106,111 @@ class TestDerivedProfileCache:
         # the cache takes no part in equality or hashing
         fresh = scenario_from_dict(toy_dict())
         assert fresh == toy_cfg and hash(fresh) == hash(toy_cfg)
+
+
+def loop_best_response(mu, gamma, cfg):
+    """The users' best response to one price pair, period by period: the
+    loop `follower_best_response` batches."""
+    h_cl = np.clip(gamma / (2.0 * cfg.idr.theta), 0.0, cfg.cut_upper())
+    lb, ub = cfg.shift_lower(), cfg.shift_upper()
+    p_sl = lb.copy()
+    remaining = cfg.shift_total() - float(lb.sum())
+    for t in np.lexsort((np.arange(cfg.horizon), mu)):
+        if remaining <= 1e-15:
+            break
+        add = min(float(ub[t] - lb[t]), remaining)
+        p_sl[t] += add
+        remaining -= add
+    return p_sl, h_cl
+
+
+@st.composite
+def price_rows(draw):
+    """A scenario of 1-5 periods, with a shift total that fills part or
+    none of its room (alpha 0 leaves nothing to place), and 1-12 price
+    rows drawn from few levels, so that periods tie."""
+    horizon = draw(st.integers(1, 5))
+    data = toy_dict()
+    data["horizon"] = horizon
+    data["fixed_load_mw"] = draw(st.lists(st.sampled_from([0.4, 1.4, 1.8]),
+                                          min_size=horizon, max_size=horizon))
+    data["outdoor_temp_c"] = [-8.0] * horizon
+    data["idr"]["alpha"] = draw(st.sampled_from([0.0, 0.05, 0.1, 0.3]))
+    data["idr"]["shift_max_frac"] = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    data["tp_units"][0]["p_max"] = 3.0
+    try:
+        cfg = scenario_from_dict(data)
+    except ConfigError:  # a shift total beyond the periods' room
+        assume(False)
+    n = draw(st.integers(1, 12))
+    levels = st.sampled_from([50.0, 61.0, 68.5, 68.5 + 1e-12, 87.0])
+    mu = np.array(draw(st.lists(st.lists(levels, min_size=horizon,
+                                         max_size=horizon),
+                                min_size=n, max_size=n)))
+    gamma = np.array(draw(st.lists(st.lists(st.sampled_from([20.0, 29.5, 39.0]),
+                                            min_size=horizon, max_size=horizon),
+                                   min_size=n, max_size=n)))
+    return cfg, mu, gamma
+
+
+class TestBatchedBestResponse:
+    @settings(max_examples=60, deadline=None)
+    @given(price_rows())
+    def test_rows_match_the_loop_bit_for_bit(self, case):
+        # ties go to the earliest period, and a row stops once no more
+        # than 1e-15 is left to place, in every row of a batch as alone
+        cfg, mu, gamma = case
+        p_sl, h_cl = gm.follower_best_response(mu, gamma, cfg)
+        assert p_sl.shape == h_cl.shape == mu.shape
+        for i in range(len(mu)):
+            row = gm.follower_best_response(mu[i], gamma[i], cfg)
+            want = loop_best_response(mu[i], gamma[i], cfg)
+            for got, alone, ref in zip((p_sl[i], h_cl[i]), row, want):
+                assert alone.shape == (cfg.horizon,)
+                assert got.tobytes() == alone.tobytes() == ref.tobytes()
+
+    def test_tied_prices_fill_the_earliest_period(self, toy_cfg):
+        mu = np.array([[68.5, 68.5, 68.5], [87.0, 50.0, 50.0]])
+        p_sl, _ = gm.follower_best_response(mu, np.full((2, 3), 29.5), toy_cfg)
+        room, total = toy_cfg.shift_upper(), toy_cfg.shift_total()
+        assert room[0] < total < room[1]
+        assert p_sl[0].tolist() == [room[0], total - room[0], 0.0]
+        assert p_sl[1].tolist() == [0.0, total, 0.0]
+
+    def test_stops_with_no_more_than_1e_15_left(self):
+        # the first two periods' room leaves 5.6e-17 of the shift total
+        # unplaced: the fill stops there, and the third period gets none
+        data = toy_dict()
+        data["fixed_load_mw"] = [0.3, 0.7, 1.1]
+        data["idr"].update(alpha=0.25, shift_max_frac=0.7)
+        cfg = scenario_from_dict(data)
+        room = cfg.shift_upper()
+        left = cfg.shift_total() - float(room[0]) - float(room[1])
+        assert 0.0 < left <= 1e-15
+        mu = np.array([[50.0, 61.0, 87.0], [61.0, 50.0, 87.0]])
+        p_sl, _ = gm.follower_best_response(mu, np.full((2, 3), 29.5), cfg)
+        assert p_sl[:, 2].tolist() == [0.0, 0.0]
+        assert p_sl[0].tobytes() == loop_best_response(mu[0], mu[0], cfg)[0].tobytes()
+
+    def test_one_row_out_of_band_refused(self, toy_cfg):
+        mu = np.full((4, 3), 68.5)
+        mu[2, 1] = 87.0 + 1e-6
+        with pytest.raises(ValueError, match="band"):
+            gm.follower_best_response(mu, np.full((4, 3), 29.5), toy_cfg)
+
+    def test_bills_match_one_row_at_a_time(self, toy_cfg, case2_path):
+        from iesgame.config import load_scenario
+        for cfg in (toy_cfg, load_scenario(case2_path)):
+            p = cfg.prices
+            mu, gamma = np.moveaxis(se._random_admissible_prices(
+                (p.mu_min, p.gamma_min), (p.mu_max, p.gamma_max),
+                (p.mu_av, p.gamma_av), (40, 2, cfg.horizon),
+                np.random.default_rng(5)), 1, 0)
+            p_sl, h_cl = gm.follower_best_response(mu, gamma, cfg)
+            bills = gm.users_bill(cfg, mu, gamma, p_sl, h_cl)
+            assert bills.tobytes() == np.array(
+                [gm.users_bill(cfg, *row)
+                 for row in zip(mu, gamma, p_sl, h_cl)]).tobytes()
 
 
 class TestFollowerBestResponse:
@@ -240,7 +347,8 @@ def with_indicator_reserve(bundle: gm.ModelBundle) -> ModelIR:
     coverage row sum_m p_m w_m >= confidence."""
     ir = bundle.ir
     out = ModelIR(ir.name + "_indicators", ir.sense)
-    out.variables = dict(ir.variables)
+    for var in ir.variables.values():
+        out.add_variable(*var)
     out.obj_linear = dict(ir.obj_linear)
     out.obj_quad = list(ir.obj_quad)
     out.obj_pwl = list(ir.obj_pwl)

@@ -66,7 +66,7 @@ class TestBigM:
             ir.add_variable("x", 0.0, 10.0)
             ir.add_variable("d", 0.0, 5.0)
             pair = kkt.ComplementarityPair("p0", {"x": 1.0}, 0.0, "d")
-            binary = kkt.big_m_linearize(ir, pair)
+            (binary,) = kkt.big_m_linearize(ir, [pair])
             assert (pair.big_m_primal, pair.big_m_dual) == (10.0, 5.0)
             ir.add_row("fix_pi", {binary: 1.0}, "==", fixed_pi)
             ir.add_obj_linear(free_var, 1.0)
@@ -85,7 +85,7 @@ class TestBigM:
         ir.add_variable("x", *x_bounds)
         ir.add_variable("d", 0.0, d_cap)
         pair = kkt.ComplementarityPair("p0", {"x": -1.0}, 10.0, "d")
-        assert kkt.big_m_linearize(ir, pair) is None
+        assert kkt.big_m_linearize(ir, [pair]) == [None]
         assert not ir.rows and not ir.binary_names
 
 

@@ -130,6 +130,6 @@ def test_dispatch_fingerprint(case, relax_binaries):
                  gm.follower_best_response(mu[::-1].copy(), gamma[::-1].copy(), cfg)]
     program = se._dispatch_program(cfg, bool(cfg.pipelines), 8, relax_binaries,
                                    responses[0])
-    rows, rhs = se._balance_rhs(program, cfg, responses)
+    rows, rhs = se._balance_rhs(program, cfg, *zip(*responses))
     text = "".join(write_lp(program.with_rhs(rows, b)) for b in rhs)
     assert _sha256(text) == DISPATCH_SHA256[case, relax_binaries]

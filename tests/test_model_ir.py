@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from iesgame.lp_io import write_lp
 from iesgame.model_ir import ModelIR, PwlObjTerm
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
@@ -78,6 +79,92 @@ class TestConstruction:
         ir = tiny_model()
         ir.obj_const = 3.0
         assert ir.compile().objective([2.0, 1.0]) == pytest.approx(3.0 + 2.0)
+
+
+def refusal(call) -> str:
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+class TestArrayFirst:
+    @pytest.mark.parametrize("block, single", [
+        # a family added with add_block, and its first bad column alone
+        (("a b", 2, 0.0, 1.0), ("a b_0", 0.0, 1.0)),
+        (("a\tb", 2, 0.0, 1.0), ("a\tb_0", 0.0, 1.0)),
+        (("x", 3, 0.0, [1.0, np.inf, 2.0]), ("x_1", 0.0, np.inf)),
+        (("x", 3, [0.0, np.nan, 0.0], 1.0), ("x_1", np.nan, 1.0)),
+        (("x", 3, [0.0, 2.0, 3.0], 1.0), ("x_1", 2.0, 1.0)),
+    ])
+    def test_block_refuses_as_add_variable(self, block, single):
+        ir = tiny_model()
+        message = refusal(lambda: ir.add_block(*block))
+        assert message == refusal(lambda: tiny_model().add_variable(*single))
+        assert list(ir.variables) == ["x", "b"]  # nothing added
+
+    def test_duplicates_refused_as_add_variable(self):
+        ir = tiny_model()
+        ir.add_variable("x_1", 0.0, 1.0)
+        message = refusal(lambda: ir.add_block("x", 3, 0.0, 1.0))
+        assert message == refusal(lambda: ir.add_variable("x_1", 0.0, 1.0))
+        assert message == "variable x_1 declared twice"
+        assert refusal(lambda: ir.add_columns(["u", "v", "u"], 0.0, 1.0)) \
+            == "variable u declared twice"
+        assert refusal(lambda: ir.add_columns([""], 0.0, 1.0)) \
+            == refusal(lambda: ir.add_variable("", 0.0, 1.0))
+        assert list(ir.variables) == ["x", "b", "x_1"]
+
+    def test_curvature_names_the_one_bad_term(self):
+        # 60 concave terms with 3 to 9 breakpoints and convex terms 37 and
+        # 50 among them: the batched check names the first one's variable
+        ir = ModelIR("many", "max")
+        for j in range(62):
+            var = ir.add_variable(f"v{j}", 0.0, 4.0)
+            bps = tuple(np.linspace(0.0, 4.0, 3 + j % 7))
+            sign = 1.0 if j in (37, 50) else -1.0
+            ir.add_obj_pwl(PwlObjTerm(var, bps, tuple(sign * b * b for b in bps)))
+        with pytest.raises(ValueError, match="PWL term on v37 is not concave"):
+            ir.lower_pwl()
+        del ir.obj_pwl[50], ir.obj_pwl[37]
+        assert len(ir.lower_pwl().rows) == 60
+
+    def test_row_keeps_its_column_order(self):
+        ir = ModelIR("order", "max")
+        ir.add_block("v", 4, 0.0, 1.0)
+        ir.add_row("r", {"v_2": 1.0, "v_0": 2.0, "v_3": 0.0, "v_1": 3.0}, "<=", 5.0)
+        ir.add_rows(2, [("f", [(["v_3", "v_1"], 1.0), (["v_0", "v_0"], [4.0, 0.0]),
+                               (["v_2", "v_2"], 5.0)], ">=", [1.0, 2.0])])
+        a = ir.compile().a
+        assert a.indices.tolist() == [2, 0, 1, 3, 0, 2, 1, 2]
+        assert a.data.tolist() == [1.0, 2.0, 3.0, 1.0, 4.0, 5.0, 1.0, 5.0]
+        assert a.indptr.tolist() == [0, 3, 6, 8]
+
+    def test_families_match_rows_added_one_by_one(self):
+        # rows of families added together interleave period by period,
+        # with add_row's zero dropping and refusals; add_row_list adds
+        # the same rows in one call
+        one, many = ModelIR("same", "max"), ModelIR("same", "max")
+        for ir in (one, many):
+            ir.add_block("p", 3, 0.0, 2.0)
+            ir.add_block("q", 3, -1.0, 1.0)
+        up = [0.5, 0.0, 1.5]
+        for t in range(3):
+            one.add_row(f"a_{t}", {f"p_{t}": 1.0, f"q_{t}": up[t]}, "<=", 2.0)
+            one.add_row(f"b_{t}", {f"q_{t}": -1.0}, "==", float(t))
+        many.add_rows(3, [("a", [(["p_0", "p_1", "p_2"], 1.0),
+                                 (["q_0", "q_1", "q_2"], up)], "<=", 2.0),
+                          ("b", [(["q_0", "q_1", "q_2"], -1.0)], "==", [0, 1, 2])])
+        listed = ModelIR("same", "max")
+        listed.add_block("p", 3, 0.0, 2.0)
+        listed.add_block("q", 3, -1.0, 1.0)
+        listed.add_row_list([(row.name, row.coeffs, row.sense, row.rhs)
+                             for row in one.rows])
+        assert write_lp(many) == write_lp(one) == write_lp(listed)
+        assert many.rows == one.rows == listed.rows
+        assert refusal(lambda: many.add_rows(1, [("z", [(["p_0"], 0.0)], "<=", 1.0)])) \
+            == refusal(lambda: one.add_row("z_0", {"p_0": 0.0}, "<=", 1.0))
+        assert refusal(lambda: many.add_rows(3, [("a", [(["p_0"] * 3, 1.0)], "<=", 1.0)])) \
+            == "row a_0 declared twice"
 
 
 class TestPwlLowering:

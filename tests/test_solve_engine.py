@@ -354,7 +354,7 @@ def random_prices(cfg, n, rng):
 
 def moved(program, cfg, response):
     """A compiled dispatch program moved to another users' response."""
-    rows, rhs = se._balance_rhs(program, cfg, [response])
+    rows, rhs = se._balance_rhs(program, cfg, *zip(response))
     return program.with_rhs(rows, rhs[0])
 
 
@@ -549,7 +549,7 @@ class TestPrunedSearch:
         responses = [random_follower_point(cfg, rng) for _ in range(6)]
         program = se._dispatch_program(cfg, True, 8, relax_binaries,
                                        responses[0])
-        rows, rhs = se._balance_rhs(program, cfg, responses)
+        rows, rhs = se._balance_rhs(program, cfg, *zip(*responses))
         costs = [-backend.solve(program.with_rhs(rows, b), 60.0, 1e-6).objective
                  for b in rhs]
         lp = se._DispatchLp(program, rows)
@@ -570,7 +570,7 @@ class TestPrunedSearch:
         responses = [random_follower_point(cfg, rng) for _ in range(6)]
         program = se._dispatch_program(cfg, bool(cfg.pipelines), 8, True,
                                        responses[0])
-        rows, rhs = se._balance_rhs(program, cfg, responses)
+        rows, rhs = se._balance_rhs(program, cfg, *zip(*responses))
         lp = se._DispatchLp(program, rows)
         for b in rhs:
             cut = lp.cut(b)
@@ -655,6 +655,83 @@ class TestCompiledDispatch:
             se._dispatch_program(*args, bad)
         with pytest.raises(gm.BuildError, match="row bal_h_0 demands -0.5"):
             moved(template, cfg, bad)
+
+
+def loop_deviations(cfg, n, rng):
+    """`n` deviations drawn one at a time, as `no_deviation_check` drew
+    them before the draws were batched: per deviation an electricity,
+    then a heat price vector, each from `rng.uniform` and shifted to its
+    average on its own."""
+    t_count = cfg.horizon
+
+    def one(lo, hi, avg):
+        target = t_count * avg
+        prices = rng.uniform(lo, hi, size=t_count)
+        for _ in range(60):
+            prices = np.clip(prices + (target - prices.sum()) / t_count, lo, hi)
+            if abs(prices.sum() - target) < 1e-9:
+                break
+        resid = target - prices.sum()
+        interior = (prices > lo + 1e-9) & (prices < hi - 1e-9)
+        if abs(resid) > 1e-9 and interior.any():
+            prices[interior] += resid / interior.sum()
+        return np.clip(prices, lo, hi)
+
+    p = cfg.prices
+    pairs = [(one(p.mu_min, p.mu_max, p.mu_av),
+              one(p.gamma_min, p.gamma_max, p.gamma_av)) for _ in range(n)]
+    return tuple(np.array([pair[k] for pair in pairs]).reshape(n, t_count)
+                 for k in (0, 1))
+
+
+@pytest.mark.parametrize("n", [0, 1, 40])
+@pytest.mark.parametrize("seed", [0, 3, 12, 2024])
+def test_batched_draws_match_one_at_a_time(toy_cfg, case2_path, n, seed):
+    for cfg in (toy_cfg, load_scenario(case2_path)):
+        p = cfg.prices
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = se._random_admissible_prices(
+            (p.mu_min, p.gamma_min), (p.mu_max, p.gamma_max),
+            (p.mu_av, p.gamma_av), (n, 2, cfg.horizon), rng)
+        mu, gamma = loop_deviations(cfg, n, ref_rng)
+        assert drawn[:, 0].tobytes() == mu.tobytes()
+        assert drawn[:, 1].tobytes() == gamma.tobytes()
+        assert rng.random() == ref_rng.random()  # as many draws taken
+
+
+# the case2 mode-3 deviation check (40 deviations, seed 12) and the toy3
+# oracle on its 9.25/4.75 grid as the search found them one price pair at
+# a time: floats by their hex, arrays by their bytes
+PINNED_DEVIATION_CHECK = {
+    "n_leader": 40,
+    "max_follower_improvement": float.fromhex("0x1.0000000000000p-40"),
+    "max_leader_improvement": float.fromhex("-0x1.3bc1ab9b2d2e0p+7"),
+    "follower_ok": True, "leader_ok": True, "n_dispatch_solves": 2}
+PINNED_ORACLE = {
+    "best_mu": "0000000000a04d400000000000c055400000000000a04d40",
+    "best_gamma": "000000000080434000000000000034400000000000803d40",
+    "best_response": ("e17a14ae47e1da3f00000000000000000c9d36d06903bd3f",
+                      "a4703d0ad7a3c03f111111111111b13f2cf9c5925f2cb93f"),
+    "profit": float.fromhex("0x1.4de78702a780ap+7"),
+    "grid_step": 9.25, "n_evaluations": 361, "n_dispatch_solves": 2}
+
+
+class TestPinnedSearch:
+    def test_case2_deviation_check(self, case2_path):
+        bundle = build_bundle(load_scenario(case2_path), 3)
+        out = se.solve(bundle)
+        check = se.no_deviation_check(bundle, out.solution, n_deviations=40,
+                                      seed=12)
+        assert vars(check) == PINNED_DEVIATION_CHECK
+
+    def test_toy_oracle(self, toy_cfg):
+        result = se.enumerate_oracle(toy_cfg, 9.25, gamma_grid_step=4.75)
+        got = dict(vars(result))
+        got["best_mu"] = result.best_mu.tobytes().hex()
+        got["best_gamma"] = result.best_gamma.tobytes().hex()
+        got["best_response"] = tuple(a.tobytes().hex()
+                                     for a in result.best_response)
+        assert got == PINNED_ORACLE
 
 
 class TestDeviationCheck:
