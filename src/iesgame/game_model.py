@@ -66,10 +66,11 @@ class ModeSettings:
 
 @dataclass
 class ModelBundle:
-    """A built program plus what extraction and verification need beyond
-    its scenario. Every scenario-derived value (expected renewables,
-    reserve requirements and confidence, heat loads, pipe delays) is read
-    from `cfg`, which memoizes them. `names` holds each variable family's
+    """A built program plus what extraction, the KKT checks and the
+    deviation search need beyond its scenario; verification needs none of
+    it. Every scenario-derived value (expected renewables, reserve
+    requirements and confidence, heat loads, pipe delays) is read from
+    `cfg`, which memoizes them. `names` holds each variable family's
     names; the users' `p_sl`/`h_cl` and the prices `mu`/`gamma` are
     variables only in mode 3, and otherwise the `fixed_*` constants."""
 
@@ -539,12 +540,11 @@ def extract_solution(bundle: ModelBundle, values: dict[str, float],
 # verification
 
 
-def verify_solution(sol: EquilibriumSolution, bundle: ModelBundle,
-                    milp_values: dict[str, float] | None = None) -> ValidationReport:
+def verify_solution(sol: EquilibriumSolution, cfg: ScenarioConfig,
+                    mode: ModeSettings, pwl_error_bound: float) -> ValidationReport:
     """Check every operating constraint, the follower's optimality, and the
-    recomputed objectives; violations become report entries."""
-    cfg = bundle.cfg
-    mode = bundle.mode
+    recomputed objectives (the MILP's within `pwl_error_bound` of the exact
+    profit); violations become report entries. No program is read."""
     rep = ValidationReport()
     t_count = cfg.horizon
     dt = cfg.dt_hours
@@ -673,7 +673,7 @@ def verify_solution(sol: EquilibriumSolution, bundle: ModelBundle,
         _check_comfort_window(rep, cfg, heat_load)
     else:
         rep.add("response_off", "p_sl",
-                float(np.abs(sol.p_sl - bundle.fixed_p_sl).max(initial=0.0)),
+                float(np.abs(sol.p_sl - cfg.baseline_shift()).max(initial=0.0)),
                 BALANCE_TOL)
         rep.add("response_off", "h_cl", float(np.abs(sol.h_cl).max(initial=0.0)),
                 BALANCE_TOL)
@@ -684,15 +684,8 @@ def verify_solution(sol: EquilibriumSolution, bundle: ModelBundle,
     scale1 = max(abs(f1), 1.0)
     rep.add("profit_recompute", "F1", abs(f1 - sol.f1) / scale1, 1e-4)
     rep.add("cost_recompute", "F2", abs(f2 - sol.f2) / max(abs(f2), 1.0), 1e-4)
-    if bundle.pwl_error_bound > 0:
-        rep.add("pwl_gap", "objective",
-                abs(sol.objective_milp - sol.f1),
-                bundle.pwl_error_bound + 1e-4 * scale1 + 1e-6)
-
-    # complementarity (single-level solutions only)
-    if milp_values is not None and bundle.kkt is not None:
-        _check_complementarity(rep, bundle, milp_values)
-
+    rep.add("pwl_gap", "objective", abs(sol.objective_milp - sol.f1),
+            pwl_error_bound + 1e-4 * scale1 + 1e-6)
     return rep
 
 
@@ -730,15 +723,3 @@ def _check_comfort_window(rep: ValidationReport, cfg: ScenarioConfig,
         bound = cfg.pmv.lower_bound(cfg.hour_of(t))
         rep.add("comfort_window", f"t={t}", abs(index) - bound, 1e-6)
 
-
-def _check_complementarity(rep: ValidationReport, bundle: ModelBundle,
-                           values: dict[str, float]) -> None:
-    block = bundle.kkt
-    for pair in block.pairs:
-        g_val = pair.primal_value(values)
-        d_val = values[pair.dual_var]
-        rep.add("complementarity", pair.name, g_val * d_val,
-                1e-6 * max(pair.big_m_primal, pair.big_m_dual, 1.0))
-        rep.add("kkt_signs", pair.name, max(-g_val, -d_val), BALANCE_TOL)
-    for name, residual in block.stationarity_residuals(values):
-        rep.add("kkt_stationarity", name, abs(residual), BALANCE_TOL)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game_model import ModelBundle
+from .game_model import BALANCE_TOL, ModelBundle, ValidationReport
 from .model_ir import ModelIR, PwlObjTerm
 
 N_SEGMENTS = 8  # chord segments per quadratic cost term, by default
@@ -83,6 +83,17 @@ class KktBlock:
         for name, coeffs, rhs in self.stationarity:
             out.append((name, sum(c * values[v] for v, c in coeffs.items()) - rhs))
         return out
+
+    def check(self, rep: ValidationReport, values: dict[str, float]) -> None:
+        """Check complementarity, signs and stationarity at the MILP's `values`."""
+        for pair in self.pairs:
+            g_val = pair.primal_value(values)
+            d_val = values[pair.dual_var]
+            rep.add("complementarity", pair.name, g_val * d_val,
+                    1e-6 * max(pair.big_m_primal, pair.big_m_dual, 1.0))
+            rep.add("kkt_signs", pair.name, max(-g_val, -d_val), BALANCE_TOL)
+        for name, residual in self.stationarity_residuals(values):
+            rep.add("kkt_stationarity", name, abs(residual), BALANCE_TOL)
 
 
 def emit_kkt(ir: ModelIR, bundle: ModelBundle) -> KktBlock:

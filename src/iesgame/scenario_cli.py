@@ -160,7 +160,7 @@ def run_pipeline(manifest: RunManifest) -> RunOutput:
     sol = outcome.solution
     report = outcome.report
     if manifest.run_validation:
-        mc = se.validate_reserve(sol, bundle, manifest.mc_samples, manifest.seed)
+        mc = se.validate_reserve(sol, cfg, manifest.mc_samples, manifest.seed)
         report.reserve_mc = mc.reserve_mc
 
     summary = {
@@ -374,14 +374,14 @@ def revalidate(scenario: str, run_dir: str, mc_samples: int,
                seed: int) -> tuple[gm.ValidationReport, dict]:
     """Reload a finished run from its output files and re-verify it.
 
-    The scenario is overridden with the run's effective theta and
-    confidence from `summary.json` (`ScenarioConfig.with_overrides`, as
-    `run_pipeline` applies them), and the program is rebuilt with the
-    recorded segment count; run directories written before those fields
-    existed fall back to the scenario file and the default segment count.
-    A sample count below the Monte Carlo floor is refused with ValueError
-    before anything is read, and so are a summary whose run found no
-    solution and a scenario file whose SHA-256 differs from the one the
+    No program is built: the checks take the scenario, overridden with
+    the run's effective theta and confidence from `summary.json` (as
+    `run_pipeline` applies them; older run directories fall back to the
+    scenario file), the mode and the recorded `pwl_error_bound`. A sample
+    count below the Monte Carlo floor is refused with ValueError before
+    anything is read, and so are a summary that is not a JSON object,
+    records no solution or a bound that is not a nonnegative finite
+    number, and a scenario file whose SHA-256 differs from the one the
     run recorded (run directories without `scenario_sha256` are not
     checked).
     """
@@ -389,22 +389,27 @@ def revalidate(scenario: str, run_dir: str, mc_samples: int,
         raise ValueError(_too_few_samples(mc_samples))
     run_path = Path(run_dir)
     summary = json.loads((run_path / "summary.json").read_text())
+    if not isinstance(summary, dict):
+        raise ValueError(f"{run_dir}/summary.json is not a JSON object")
     if summary.get("status") != se.OPTIMAL:
         raise ValueError(f"{run_dir} records no solution to revalidate "
                          f"(status {summary.get('status')})")
+    bound = summary.get("pwl_error_bound")
+    if type(bound) not in (int, float) or not 0 <= bound < math.inf:
+        raise ValueError(f"{run_dir}/summary.json: pwl_error_bound={bound!r} "
+                         "is not a nonnegative finite number")
     recorded = summary.get("scenario_sha256")
     if recorded is not None and recorded != _sha256(scenario):
         raise ValueError(f"{scenario} is not the scenario file the run was "
                          f"made from (sha256 {recorded})")
     cfg = _overridden(load_scenario(scenario), summary.get("theta"),
                       summary.get("confidence"))
-    bundle = build_bundle(cfg, int(summary["mode"]),
-                          int(summary.get("n_segments", N_SEGMENTS)))
+    mode = gm.ModeSettings.for_mode(int(summary["mode"]))
     with (run_path / "periods.csv").open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     sol = _solution_from_rows(cfg, rows, summary)
-    report = gm.verify_solution(sol, bundle)
-    mc = se.validate_reserve(sol, bundle, mc_samples, seed)
+    report = gm.verify_solution(sol, cfg, mode, float(bound))
+    mc = se.validate_reserve(sol, cfg, mc_samples, seed)
     report.reserve_mc = mc.reserve_mc
     return report, summary
 
@@ -433,7 +438,7 @@ def _solution_from_rows(cfg: ScenarioConfig, rows: list[dict],
             return np.zeros((0, t_count))
         return np.array([col(f"{prefix}_{i}") for i in range(n)])
 
-    sol = gm.EquilibriumSolution(
+    return gm.EquilibriumSolution(
         mu=col("mu"), gamma=col("gamma"), p_sl=col("shift_load"),
         h_cl=col("heat_cut"),
         p_tp=grid("p_tp", len(cfg.tp_units)), r_tp=grid("r_tp", len(cfg.tp_units)),
@@ -446,7 +451,6 @@ def _solution_from_rows(cfg: ScenarioConfig, rows: list[dict],
         h_src=grid("h_src", len(cfg.pipelines)),
         f1=float(summary["f1"]), f2=float(summary["f2"]),
         objective_milp=float(summary["objective"]))
-    return sol
 
 
 # ----------------------------------------------------------------------

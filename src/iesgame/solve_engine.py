@@ -187,7 +187,7 @@ class SolveOutcome:
 
 def solve(bundle: gm.ModelBundle, opts: SolveOptions | None = None,
           backend=None) -> SolveOutcome:
-    """Solve a finished bundle and verify the extracted solution.
+    """Solve a finished bundle; verify the solution and its KKT values.
 
     Infeasible outcomes are triaged by a re-solve with the reserve rows
     relaxed: if that is still infeasible the balances are to blame, else
@@ -203,7 +203,10 @@ def solve(bundle: gm.ModelBundle, opts: SolveOptions | None = None,
     if result.status != OPTIMAL:
         return SolveOutcome(None, result, None)
     solution = gm.extract_solution(bundle, result.values, result.objective)
-    report = gm.verify_solution(solution, bundle, milp_values=result.values)
+    report = gm.verify_solution(solution, bundle.cfg, bundle.mode,
+                                bundle.pwl_error_bound)
+    if bundle.kkt is not None:
+        bundle.kkt.check(report, result.values)
     return SolveOutcome(solution, result, report)
 
 
@@ -573,7 +576,7 @@ def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
 # Monte Carlo reserve validation
 
 
-def validate_reserve(sol: gm.EquilibriumSolution, bundle: gm.ModelBundle,
+def validate_reserve(sol: gm.EquilibriumSolution, cfg: ScenarioConfig,
                      n_samples: int = MC_SAMPLES,
                      seed: int = 0) -> gm.ValidationReport:
     """Per-period Monte Carlo satisfaction of the reserve chance rule.
@@ -583,7 +586,6 @@ def validate_reserve(sol: gm.EquilibriumSolution, bundle: gm.ModelBundle,
     satisfaction probability to reach the confidence level minus
     MC_ALLOWANCE (discretization plus sampling allowance).
     """
-    cfg = bundle.cfg
     periods = range(cfg.horizon)
     estimates = chance_satisfaction_mc(
         [cfg.pv_model_for(t) for t in periods],

@@ -173,7 +173,8 @@ def test_criterion_5_equilibrium_properties(which, toy_mode3, case2_mode3):
         comp_worst = max(comp_worst, g * d)
         assert g * d <= limit, pair.name
 
-    comfort = [v for v in gm.verify_solution(sol, bundle).violations
+    comfort = [v for v in gm.verify_solution(sol, cfg, bundle.mode,
+                                             bundle.pwl_error_bound).violations
                if v.check == "comfort_window"]
     assert comfort == []
 

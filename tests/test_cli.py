@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,10 @@ import pytest
 from scipy.optimize._highspy import _core as _highs
 
 from conftest import toy_dict
+from iesgame import game_model as gm
+from iesgame import kkt_reformulation as kkt
 from iesgame import scenario_cli as cli
+from iesgame import solve_engine as se
 
 
 def run_cli(argv):
@@ -331,7 +335,7 @@ class TestValidateVerb:
         assert payload["passed"] is True
 
     def test_sweep_output_round_trip(self, toy_path, tmp_path, capsys):
-        # theta 100 differs from the scenario file's 150, so the rebuild
+        # theta 100 differs from the scenario file's 150, so validate
         # must take theta from summary.json
         out_dir = tmp_path / "sw"
         code = run_cli(["sweep", "--scenario", str(toy_path),
@@ -370,8 +374,8 @@ class TestValidateVerb:
 
     def test_confidence_override_round_trip(self, toy_path, tmp_path,
                                             capsys):
-        # the run's 0.8 differs from the scenario file's 0.9, so the
-        # rebuild must take the confidence from summary.json
+        # the run's 0.8 differs from the scenario file's 0.9, so validate
+        # must take the confidence from summary.json
         out_dir = tmp_path / "run"
         code = run_cli(["run", "--scenario", str(toy_path), "--mode", "3",
                         "--confidence", "0.8", "--out", str(out_dir),
@@ -418,6 +422,76 @@ class TestValidateVerb:
              "reason": "infeasible at stage full_model"}))
         with pytest.raises(ValueError, match=r"status INFEASIBLE"):
             cli.revalidate(str(toy_path), str(toy_run), 20000, 0)
+
+    @pytest.mark.parametrize("text", ["[]", '"OPTIMAL"', "null", "3"])
+    def test_summary_not_an_object_refused(self, text, toy_path, toy_run,
+                                           capsys):
+        (toy_run / "summary.json").write_text(text)
+        code = run_cli(["validate", "--scenario", str(toy_path),
+                        "--run-dir", str(toy_run), "--mc-samples", "20000"])
+        assert code == cli.EXIT_SCHEMA
+        assert "summary.json is not a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", ["missing", None, math.nan, math.inf,
+                                       -1e-3, "0.1", True])
+    def test_unusable_pwl_error_bound_refused(self, bound, toy_path, toy_run,
+                                              capsys):
+        summary_path = toy_run / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        if bound == "missing":
+            del summary["pwl_error_bound"]
+        else:
+            summary["pwl_error_bound"] = bound
+        summary_path.write_text(json.dumps(summary))  # NaN and inf as such
+        code = run_cli(["validate", "--scenario", str(toy_path),
+                        "--run-dir", str(toy_run), "--mc-samples", "20000"])
+        assert code == cli.EXIT_SCHEMA
+        assert "pwl_error_bound=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("recorded_bound", ["kept", 0.0])
+    def test_objective_off_profit_flagged(self, recorded_bound, toy_path,
+                                          toy_run, capsys):
+        # the MILP objective may differ from the exact profit by the PWL
+        # bound plus tolerance; a recorded 0 tightens the check, never
+        # switches it off
+        summary_path = toy_run / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        if recorded_bound != "kept":
+            summary["pwl_error_bound"] = recorded_bound
+        summary["objective"] = (summary["f1"] + summary["pwl_error_bound"]
+                                + 1e-3 * max(abs(summary["f1"]), 1.0) + 1.0)
+        summary_path.write_text(json.dumps(summary))
+        code = run_cli(["validate", "--scenario", str(toy_path),
+                        "--run-dir", str(toy_run), "--mc-samples", "20000"])
+        assert code == cli.EXIT_VALIDATION
+        checks = [v["check"] for v in json.loads(capsys.readouterr().out)
+                  ["violations"]]
+        assert checks == ["pwl_gap"]
+
+    def test_revalidate_builds_no_program(self, toy_path, tmp_path,
+                                          monkeypatch):
+        # every mode re-verifies from its run files alone, to the same
+        # findings the run recorded
+        run_dirs = {}
+        for mode in cli.MODES:
+            run_dirs[mode] = tmp_path / f"mode{mode}"
+            out = cli.run_pipeline(cli.RunManifest(
+                scenario=str(toy_path), mode=mode, out_dir=str(run_dirs[mode]),
+                seed=4, mc_samples=20000))
+            assert out.exit_code == cli.EXIT_OK
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("revalidate built a program")
+
+        monkeypatch.setattr(gm, "build_leader", refuse)
+        for module in (kkt, cli, se):
+            monkeypatch.setattr(module, "assemble_single_level", refuse)
+        for mode, run_dir in run_dirs.items():
+            report, _ = cli.revalidate(str(toy_path), str(run_dir), 20000, 4)
+            recorded = json.loads((run_dir / "validation.json").read_text())
+            assert json.loads(cli._json_text({
+                "violations": [vars(v) for v in report.violations],
+                "reserve_mc": report.reserve_mc})) == recorded, mode
 
     def test_missing_run_dir(self, toy_path, tmp_path):
         code = run_cli(["validate", "--scenario", str(toy_path),

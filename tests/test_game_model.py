@@ -426,9 +426,8 @@ class TestPriceMonotonicity:
 def hand_built_mode2(cfg):
     """Feasible point for the three-period toy, mode 2, built from the
     physical formulas (delay on the single pipeline is 6 periods, which
-    wraps to the identity on a 3-period cycle)."""
-    bundle = gm.build_leader(cfg, gm.ModeSettings.for_mode(2))
-
+    wraps to the identity on a 3-period cycle); its MILP objective is its
+    exact profit, so it verifies under a PWL error bound of 0."""
     t_count = cfg.horizon
     pipe = cfg.pipelines[0]
     heat_base = cfg.heat_base_load()
@@ -459,31 +458,34 @@ def hand_built_mode2(cfg):
     sol.f1 = gm.leader_profit(cfg, sol)
     sol.f2 = gm.follower_cost(cfg, mu, gamma, sol.p_sl, sol.h_cl)
     sol.objective_milp = sol.f1
-    return bundle, sol
+    return sol
+
+
+MODE2 = gm.ModeSettings.for_mode(2)
 
 
 class TestVerifySolution:
     def test_hand_built_point_clean(self, toy_cfg):
-        bundle, sol = hand_built_mode2(toy_cfg)
-        report = gm.verify_solution(sol, bundle)
+        sol = hand_built_mode2(toy_cfg)
+        report = gm.verify_solution(sol, toy_cfg, MODE2, 0.0)
         assert report.violations == []
         assert report.passed
 
     def test_price_average_perturbation_flagged_alone(self, toy_cfg):
-        bundle, sol = hand_built_mode2(toy_cfg)
+        sol = hand_built_mode2(toy_cfg)
         sol.mu = sol.mu.copy()
         sol.mu[0] += 1.0
         sol.f1 = gm.leader_profit(toy_cfg, sol)
         sol.f2 = gm.follower_cost(toy_cfg, sol.mu, sol.gamma, sol.p_sl, sol.h_cl)
         sol.objective_milp = sol.f1
-        report = gm.verify_solution(sol, bundle)
+        report = gm.verify_solution(sol, toy_cfg, MODE2, 0.0)
         assert [v.check for v in report.violations] == ["price_average_mu"]
 
     def test_tampered_balance_flagged(self, toy_cfg):
-        bundle, sol = hand_built_mode2(toy_cfg)
+        sol = hand_built_mode2(toy_cfg)
         sol.p_tp = sol.p_tp.copy()
         sol.p_tp[0, 1] += 0.01
-        report = gm.verify_solution(sol, bundle)
+        report = gm.verify_solution(sol, toy_cfg, MODE2, 0.0)
         assert any(v.check == "electric_balance" for v in report.violations)
 
     def test_best_response_mismatch_flagged(self, toy_cfg):
@@ -492,7 +494,8 @@ class TestVerifySolution:
         sol = out.solution
         sol.h_cl = sol.h_cl.copy()
         sol.h_cl[0] += 0.02  # interior shift away from gamma/(2 theta)
-        report = gm.verify_solution(sol, bundle)
+        report = gm.verify_solution(sol, toy_cfg, bundle.mode,
+                                    bundle.pwl_error_bound)
         assert any(v.check == "best_response_heat" for v in report.violations)
 
     def test_modes_without_response_pin_baseline(self, toy_cfg):
@@ -502,3 +505,10 @@ class TestVerifySolution:
             assert out.report.passed
             assert out.solution.p_sl == pytest.approx(
                 toy_cfg.baseline_shift(), abs=1e-9)
+            # moving load between periods is a response these modes lack
+            sol = out.solution
+            sol.p_sl = sol.p_sl + np.array([0.05, -0.05, 0.0])
+            report = gm.verify_solution(sol, toy_cfg, bundle.mode,
+                                        bundle.pwl_error_bound)
+            assert ("response_off", "p_sl") in {(v.check, v.detail)
+                                                for v in report.violations}

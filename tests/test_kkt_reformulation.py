@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,35 @@ class TestAssemble:
             idx = np.abs(sol.mu - price) < 1e-9
             assert float(sol.p_sl[idx].sum()) == pytest.approx(
                 float(br_sl[idx].sum()), abs=1e-5)
+
+
+class _Replay:
+    """A backend that hands back one solved result, with `changes` made to
+    its variable values."""
+
+    def __init__(self, result: se.SolveResult, changes: dict[str, float]):
+        self.result, self.changes = result, changes
+
+    def solve(self, model, time_limit, gap_tolerance):
+        return dataclasses.replace(self.result,
+                                   values={**self.result.values, **self.changes})
+
+
+class TestKktChecks:
+    @pytest.mark.parametrize("check", ["complementarity", "kkt_signs",
+                                       "kkt_stationarity"])
+    def test_tampered_milp_values_flagged(self, solved_toy, check):
+        # the checks read the MILP's multipliers, which the extracted
+        # solution does not hold, so only the solve's report can show them
+        _, bundle, out = solved_toy
+        block, values = bundle.kkt, out.result.values
+        assert check not in {v.check for v in out.report.violations}
+        slack = max(block.pairs, key=lambda pair: pair.primal_value(values))
+        assert slack.primal_value(values) > 1e-3
+        changes = {
+            "complementarity": {slack.dual_var: values[slack.dual_var] + 1.0},
+            "kkt_signs": {slack.dual_var: -1.0},
+            "kkt_stationarity": {block.xi: values[block.xi] + 1.0},
+        }[check]
+        report = se.solve(bundle, backend=_Replay(out.result, changes)).report
+        assert check in {v.check for v in report.violations}

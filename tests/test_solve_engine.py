@@ -311,7 +311,7 @@ def solved():
 class TestReserveValidation:
     def test_minimum_reserve_passes(self, solved):
         bundle, sol = solved
-        report = se.validate_reserve(sol, bundle, n_samples=50_000, seed=1)
+        report = se.validate_reserve(sol, bundle.cfg, n_samples=50_000, seed=1)
         assert report.passed
         assert len(report.reserve_mc) == bundle.cfg.horizon
         for row in report.reserve_mc:
@@ -323,7 +323,7 @@ class TestReserveValidation:
         weak = copy.deepcopy(sol)
         weak.r_tp = weak.r_tp * 0.2
         weak.r_chp = weak.r_chp * 0.2
-        report = se.validate_reserve(weak, bundle, n_samples=50_000, seed=1)
+        report = se.validate_reserve(weak, bundle.cfg, n_samples=50_000, seed=1)
         assert not report.passed
 
     def test_confidence_ordering(self):
