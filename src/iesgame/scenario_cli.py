@@ -186,6 +186,7 @@ def run_pipeline(manifest: RunManifest) -> RunOutput:
         "gap": result.gap,
         "mip_dual_bound": result.bound,
         "mip_node_count": result.node_count,
+        "relaxation_exact": result.relaxation_exact,
         "pwl_error_bound": bundle.pwl_error_bound,
         "f1": sol.f1,
         "f2": sol.f2,

@@ -5,6 +5,14 @@ Monte Carlo reserve-adequacy validator.
 `ScipyMilpBackend` drives HiGHS in-process from the arrays of a
 `CompiledModel`; a `ModelIR` is compiled on entry. `solve` and
 `enumerate_oracle` take any object with its `solve` method as `backend`.
+The backend solves every model with integer columns relaxation first:
+when the LP relaxation's optimum rounds to a point that meets every row
+and column bound within the gap of the relaxation's objective, that
+point is a MILP optimum and no branch and bound runs; an infeasible
+relaxation proves the MILP infeasible. Only otherwise does HiGHS solve
+the MILP, in the time left. Every solve through the backend takes this
+route: `solve`, the infeasibility triage and the oracle's exact
+dispatch.
 
 Every solve reaches HiGHS through scipy's private binding
 (`scipy.optimize._highspy._core`), and `_highs_lp` is the one place a
@@ -39,6 +47,9 @@ ERROR = "ERROR"
 
 TRIAGE_STAGES = ("balance_with_relaxed_reserves", "full_model")
 
+# how far a relax-first point may break a row or column bound
+FEAS_TOL = 1e-6
+
 MC_SAMPLES = 100_000  # Monte Carlo draws per reserve validation, by default
 
 # the HiGHS library every solve runs on, as scipy's binding was built with
@@ -62,6 +73,9 @@ class SolveResult:
     runtime_s: float = 0.0
     infeasible_stage: str | None = None
     node_count: int | None = None  # branch-and-bound nodes, when reported
+    # True when the LP relaxation decided the result: its rounded optimum
+    # is a MILP optimum, or it is infeasible (`ScipyMilpBackend`)
+    relaxation_exact: bool = False
 
 
 # HiGHS's model statuses that the backend reports; any other is ERROR
@@ -121,11 +135,14 @@ def milp(model: CompiledModel, time_limit: float,
          gap_tolerance: float) -> MilpResult:
     """Solve a compiled model with a new HiGHS instance.
 
-    HiGHS's feasibility-jump heuristic is off: on the game's programs
-    every search closes at the root node, the heuristic never supplies
-    the incumbent and it costs about a third of each solve (README,
-    "Solver"). A pure LP gives its point only at an optimum, a MILP also
-    at a time or iteration limit when HiGHS holds a feasible point.
+    HiGHS's feasibility-jump heuristic is off. It was measured on the
+    game's programs solved as MILPs, before the backend solved their
+    relaxations first: every search closed at the root node, the
+    heuristic never supplied the incumbent and it cost about a third of
+    each solve (README, "Solver"). The MILPs the backend still runs, the
+    relaxations' misses, close at the root node too. A pure LP gives its
+    point only at an optimum, a MILP also at a time or iteration limit
+    when HiGHS holds a feasible point.
     """
     highs = _highs._Highs()
     for option, value in (("output_flag", False),
@@ -152,7 +169,16 @@ def milp(model: CompiledModel, time_limit: float,
 
 class ScipyMilpBackend:
     """In-process HiGHS backend through scipy's HiGHS binding (`milp`),
-    solving from the compiled model's arrays."""
+    solving from the compiled model's arrays, relaxation first.
+
+    A model with integer columns is first solved as its LP relaxation.
+    An infeasible relaxation proves the model infeasible. A relaxed
+    optimum whose binaries round (`_rounded_point`) to a point that meets
+    every row and column bound, at an objective within `gap_tolerance`
+    of the relaxation's (a valid bound), is returned as OPTIMAL with
+    `relaxation_exact` set and no branch-and-bound node. Otherwise the
+    MILP is solved in the time the relaxation left.
+    """
 
     name = "scipy"
 
@@ -160,6 +186,22 @@ class ScipyMilpBackend:
               gap_tolerance: float) -> SolveResult:
         started = time.perf_counter()
         m = as_compiled(model)
+        if m.integrality.any():
+            lp = milp(m.relaxed(), time_limit, gap_tolerance)
+            if lp.status == INFEASIBLE:
+                return SolveResult(INFEASIBLE, {}, math.nan, math.nan, math.inf,
+                                   time.perf_counter() - started, node_count=0,
+                                   relaxation_exact=True)
+            x = None if lp.x is None else _rounded_point(m, np.asarray(lp.x))
+            if x is not None:
+                objective, bound = m.objective(x.tolist()), m.objective(lp.x)
+                gap = _relative_gap(m, objective, bound)
+                if gap <= gap_tolerance:
+                    return SolveResult(OPTIMAL, dict(zip(m.var_names, x.tolist())),
+                                       objective, bound, gap,
+                                       time.perf_counter() - started,
+                                       node_count=0, relaxation_exact=True)
+            time_limit = max(0.0, time_limit - (time.perf_counter() - started))
         res = milp(m, time_limit, gap_tolerance)
         runtime = time.perf_counter() - started
 
@@ -176,6 +218,47 @@ class ScipyMilpBackend:
         return SolveResult(res.status, values, objective, bound,
                            res.mip_gap or 0.0, runtime,
                            node_count=res.mip_node_count)
+
+
+def _rounded_point(m: CompiledModel, x: np.ndarray) -> np.ndarray | None:
+    """The relaxed optimum `x` with its integer columns rounded, or None
+    when the rounded point breaks a row or column bound by more than
+    `FEAS_TOL`.
+
+    Each integer column takes 0 if every row it enters stays within its
+    bounds (to `FEAS_TOL`) with the other columns at their values in `x`,
+    else 1 on the same test; a column that passes neither fails the
+    rounding. The whole rounded point is then checked against every row
+    and column bound, so a point returned is feasible for the MILP.
+    """
+    cols = np.flatnonzero(m.integrality)
+    sub = m.a[:, cols].tocoo()
+    act = m.a @ x
+    rows, k = sub.row, sub.col
+    lower, upper = m.row_lower[rows] - FEAS_TOL, m.row_upper[rows] + FEAS_TOL
+    point, undecided = x.copy(), np.ones(len(cols), dtype=bool)
+    for value in (0.0, 1.0):
+        moved = act[rows] + sub.data * (value - x[cols[k]])
+        bad = np.bincount(k, (moved < lower) | (moved > upper),
+                          minlength=len(cols)) > 0
+        point[cols[undecided & ~bad]] = value
+        undecided &= bad
+    if undecided.any():
+        return None
+    act = m.a @ point
+    if ((act < m.row_lower - FEAS_TOL) | (act > m.row_upper + FEAS_TOL)).any() or (
+            (point < m.col_lower - FEAS_TOL) | (point > m.col_upper + FEAS_TOL)).any():
+        return None
+    return point
+
+
+def _relative_gap(m: CompiledModel, objective: float, bound: float) -> float:
+    """|bound - objective| relative to the objective as HiGHS sees it
+    (without the constant), as HiGHS measures its MIP gap."""
+    diff, size = abs(bound - objective), abs(objective - m.obj_const)
+    if diff == 0.0:
+        return 0.0
+    return diff / size if size > 0.0 else math.inf
 
 
 @dataclass
