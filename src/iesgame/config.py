@@ -172,6 +172,8 @@ class ScenarioConfig:
             raise ConfigError("fixed load must be nonnegative")
         if not self.tp_units and not self.chp_units:
             raise ConfigError("at least one generating unit is required")
+        if any(u.cost_a < 0 for u in (*self.tp_units, *self.chp_units)):
+            raise ConfigError("unit quadratic cost cost_a must be nonnegative")
         if not self.buildings:
             raise ConfigError("at least one building entry is required")
         tb = self.temperature_bounds

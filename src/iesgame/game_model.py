@@ -14,7 +14,6 @@ balances' right-hand sides, and with them the users' bill.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -164,7 +163,7 @@ def build_follower(cfg: ScenarioConfig, ir: ModelIR) -> tuple[list[str], list[st
     capped = cut_ub <= cfg.prices.gamma_min / (2.0 * cfg.idr.theta)
     p_sl = ir.add_block("p_sl", cfg.horizon, cfg.shift_lower(), cfg.shift_upper())
     h_cl = ir.add_block("h_cl", cfg.horizon, np.where(capped, cut_ub, 0.0), cut_ub)
-    ir.add_row("shift_total", dict.fromkeys(p_sl, 1.0), "==", cfg.shift_total())
+    ir.add_row_list([("shift_total", dict.fromkeys(p_sl, 1.0), "==", cfg.shift_total())])
     return p_sl, h_cl
 
 
@@ -222,9 +221,9 @@ def build_leader(cfg: ScenarioConfig,
         p = cfg.prices
         mu = ir.add_block("mu", t_count, p.mu_min, p.mu_max)
         gamma = ir.add_block("gamma", t_count, p.gamma_min, p.gamma_max)
-        ir.add_row("price_avg_mu", dict.fromkeys(mu, 1.0), "==", t_count * p.mu_av)
-        ir.add_row("price_avg_gamma", dict.fromkeys(gamma, 1.0), "==",
-                   t_count * p.gamma_av)
+        ir.add_row_list([("price_avg_mu", dict.fromkeys(mu, 1.0), "==", t_count * p.mu_av),
+                         ("price_avg_gamma", dict.fromkeys(gamma, 1.0), "==",
+                          t_count * p.gamma_av)])
         names.update(mu=mu, gamma=gamma, p_sl=p_sl_names, h_cl=h_cl_names)
         rhs_e, rhs_h = balance_rhs(cfg, 0.0, 0.0)
         for t in range(t_count):
@@ -285,7 +284,7 @@ def build_leader(cfg: ScenarioConfig,
              "<=", b.discharge_max),
             ("bess_res_energy", [(bess_r, 1.0), (bess_soc, -b.efficiency / dt)],
              "<=", -b.efficiency / dt * b.cap_min)])
-        ir.add_row("soc_cyclic", {bess_soc[-1]: 1.0}, "==", b.soc_start_mwh)
+        ir.add_row_list([("soc_cyclic", {bess_soc[-1]: 1.0}, "==", b.soc_start_mwh)])
 
     # renewables consumed, and the electric balance
     p_res = names["p_res"] = ir.add_block("p_res", t_count, 0.0,
@@ -304,9 +303,7 @@ def build_leader(cfg: ScenarioConfig,
         delivered = []
         for p_idx, pipe in enumerate(cfg.pipelines):
             _, steps = th.pipe_delay(pipe, dt)
-            hco = th.WATER_HEAT_CAPACITY_KJ * pipe.mass_flow_kg_s / 1000.0
-            lco = 2.0 * math.pi * pipe.length_km / (
-                pipe.thermal_resistance_km_c_per_kw * 1000.0)
+            hco, lco = pipe.heat_mw_per_c, pipe.loss_mw_per_c
             sw = unit("t_sw", p_idx, tb.supply_min, tb.supply_max)
             rw = unit("t_rw", p_idx, tb.return_min, tb.return_max)
             src_lo = (hco * (tb.supply_min - tb.return_max)
@@ -399,10 +396,10 @@ def _static_checks(cfg: ScenarioConfig, mode: ModeSettings) -> None:
                          f"{float(heat_min.max())}")
     if mode.dhn_enabled and cfg.pipelines:
         tb = cfg.temperature_bounds
-        deliver_min = sum(th.WATER_HEAT_CAPACITY_KJ * p.mass_flow_kg_s / 1000.0
-                          * (tb.supply_min - tb.return_max) for p in cfg.pipelines)
-        deliver_max = sum(th.WATER_HEAT_CAPACITY_KJ * p.mass_flow_kg_s / 1000.0
-                          * (tb.supply_max - tb.return_min) for p in cfg.pipelines)
+        deliver_min = sum(p.heat_mw_per_c * (tb.supply_min - tb.return_max)
+                          for p in cfg.pipelines)
+        deliver_max = sum(p.heat_mw_per_c * (tb.supply_max - tb.return_min)
+                          for p in cfg.pipelines)
         if deliver_max < float(heat_min.max()):
             raise BuildError("pipelines cannot deliver the comfort-floor heat load")
         if deliver_min > float(cfg.heat_base_load().min()):
@@ -498,10 +495,10 @@ def extract_solution(bundle: ModelBundle, values: dict[str, float],
     cfg = bundle.cfg
     t_count = cfg.horizon
 
-    def grid(family: str, n_rows: int) -> np.ndarray:
+    def grid(family: str, n_rows: int, fill: float = 0.0) -> np.ndarray:
         rows = bundle.names.get(family, [])
         if not rows:
-            return np.zeros((n_rows, t_count))
+            return np.full((n_rows, t_count), fill)
         return np.array([[values[name] for name in row] for row in rows])
 
     def series(family: str, fallback=None) -> np.ndarray:
@@ -513,14 +510,9 @@ def extract_solution(bundle: ModelBundle, values: dict[str, float],
     mu, gamma = series("mu", bundle.fixed_mu), series("gamma", bundle.fixed_gamma)
     p_sl, h_cl = series("p_sl", bundle.fixed_p_sl), series("h_cl", bundle.fixed_h_cl)
 
+    # the pipelines' columns exist only with transport on; NaN otherwise
     n_pipe = len(cfg.pipelines)
-    if bundle.mode.dhn_enabled and n_pipe:
-        t_sw, t_rw = grid("t_sw", n_pipe), grid("t_rw", n_pipe)
-        h_src = grid("h_src", n_pipe)
-    else:
-        t_sw = np.full((n_pipe, t_count), np.nan)
-        t_rw = np.full((n_pipe, t_count), np.nan)
-        h_src = np.full((n_pipe, t_count), np.nan)
+    t_sw, t_rw, h_src = (grid(key, n_pipe, np.nan) for key in ("t_sw", "t_rw", "h_src"))
 
     sol = EquilibriumSolution(
         mu=mu, gamma=gamma, p_sl=p_sl, h_cl=h_cl,

@@ -10,7 +10,7 @@ rewritten through the complementarity identities into expressions
 linear in the multipliers plus a quadratic-in-follower term whose
 curvature matches maximization. Quadratic cost terms are finally
 replaced by secant piecewise-linear approximations with an analytic
-error bound.
+error bound, emitted as bounded segment columns and linking rows.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game_model import BALANCE_TOL, ModelBundle, ValidationReport
-from .model_ir import ModelIR, PwlObjTerm
+from .model_ir import ModelIR
 
 N_SEGMENTS = 8  # chord segments per quadratic cost term, by default
 
@@ -39,9 +39,6 @@ def pwl_quadratic(coef: float, lo: float, hi: float, n_segments: int) -> PwlAppr
         raise ValueError("need at least one segment")
     if hi < lo:
         raise ValueError("empty range")
-    if coef == 0.0 or hi == lo:
-        bps = (lo, hi) if hi > lo else (lo, lo + 1.0)
-        return PwlApprox(bps, tuple(coef * x ** 2 for x in bps), 0.0)
     width = (hi - lo) / n_segments
     # the floats np.linspace(lo, hi, n_segments + 1) gives, without its overhead
     bps = tuple(k * width + lo for k in range(n_segments)) + (hi,)
@@ -140,7 +137,7 @@ def emit_kkt(ir: ModelIR, bundle: ModelBundle) -> KktBlock:
     caps = {"delta1": cap_e, "delta2": cap_e,
             "delta4": np.maximum(0.0, prices.gamma_max - 2.0 * theta * cut_ub)}
 
-    xi = ir.add_variable("xi", -prices.mu_max, -prices.mu_min)
+    (xi,) = ir.add_columns(["xi"], -prices.mu_max, -prices.mu_min)
     deltas = {family: ir.add_block(family, t_count, 0.0, cap)
               for family, cap in caps.items()}
     stat_e = [(mu_names, 1.0), (deltas["delta1"], -1.0), (deltas["delta2"], 1.0),
@@ -247,18 +244,48 @@ def apply_pwl(ir: ModelIR, n_segments: int) -> float:
     """Replace every diagonal quadratic objective term by its chord PWL.
 
     Returns the summed worst-case objective error. Terms on effectively
-    fixed variables fold into the objective constant exactly.
+    fixed variables fold into the objective constant exactly. Secant idx
+    on var, with breakpoints b_0 < ... < b_K and values f_k, enters in
+    incremental (delta) form: K columns `pwl_d_{idx}_{var}_{k}` in
+    [0, b_{k+1} - b_k], each priced at its segment's slope, one row
+    `pwl_link_{idx}_{var}: sum_k d_k - var == -b_0`, and f_0 in
+    `obj_const`. The columns of all secants enter as one block, then
+    their rows. No binaries are needed to fill the segments in order
+    because the secant of coef*x^2 is concave for coef <= 0 (convex for
+    coef >= 0): under a max (min) sense its slopes fall (rise) with k, so
+    an optimum never takes a later segment before an earlier one is
+    full. A term of the other sign would need adjacency binaries, so it
+    is refused.
     """
-    total_bound = 0.0
-    for term in ir.obj_quad:
-        lb, ub = ir.bounds(term.var)
+    sign = 1.0 if ir.sense == "max" else -1.0
+    bad = [var for var, coef in ir.obj_quad.items() if sign * coef > 0.0]
+    if bad:
+        shape = "concave" if ir.sense == "max" else "convex"
+        raise ValueError(f"quadratic term on {bad[0]} is not {shape}; a {ir.sense} "
+                         "sense would need adjacency binaries")
+    secants = []
+    for var, coef in ir.obj_quad.items():
+        lb, ub = ir.bounds(var)
         if ub - lb < 1e-12:
-            ir.obj_const += term.coef * lb ** 2
-            continue
-        approx = pwl_quadratic(term.coef, lb, ub, n_segments)
-        ir.add_obj_pwl(PwlObjTerm(term.var, approx.breakpoints, approx.values))
-        total_bound += approx.max_error
-    ir.obj_quad = []
+            ir.obj_const += coef * lb ** 2
+        else:
+            secants.append((var, pwl_quadratic(coef, lb, ub, n_segments)))
+    ir.obj_quad = {}
+    # every secant has n_segments + 1 breakpoints: one row of each array
+    bps = np.array([a.breakpoints for _, a in secants]).reshape(-1, n_segments + 1)
+    vals = np.array([a.values for _, a in secants]).reshape(-1, n_segments + 1)
+    widths = np.diff(bps, axis=1)
+    deltas = ir.add_columns([f"pwl_d_{idx}_{var}_{k}" for idx, (var, _) in enumerate(secants)
+                             for k in range(n_segments)], 0.0, widths.ravel())
+    ir.obj_linear.update(zip(deltas, (np.diff(vals, axis=1) / widths).ravel().tolist()))
+    segments = [deltas[i:i + n_segments] for i in range(0, len(deltas), n_segments)]
+    ir.add_row_list([(f"pwl_link_{idx}_{var}", {**dict.fromkeys(segs, 1.0), var: -1.0},
+                      "==", -a.breakpoints[0])
+                     for idx, (segs, (var, a)) in enumerate(zip(segments, secants))])
+    total_bound = 0.0
+    for _, a in secants:
+        ir.obj_const += a.values[0]
+        total_bound += a.max_error
     return total_bound
 
 

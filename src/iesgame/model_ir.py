@@ -3,20 +3,16 @@
 A model is held array-first: its columns as a name list, a name->index
 map and growing bound and binary arrays, its rows as COO triplets stored
 row by row, plus each row's name, sense and right-hand side. `add_block`
-adds a family of columns and `add_rows` families of rows, interleaved
-period by period, checking names and bounds once, as arrays;
-`add_row_list` adds rows given one by one, and `add_variable` and
-`add_row` add one, with the same checks. Columns, rows
-and each row's coefficients keep their insertion order, which makes
-serialized models byte-stable across runs. A row may name only variables
-declared before it; `validate` rejects any other name.
+and `add_columns` add columns, `add_rows` families of rows, interleaved
+period by period, and `add_row_list` rows given one by one, checking
+names and bounds once per call, as arrays. Columns, rows and each row's
+coefficients keep their insertion order, which makes serialized models
+byte-stable across runs. A row may name only variables declared before
+it; `validate` rejects any other name.
 
-The objective is linear plus diagonal quadratic plus piecewise-linear
-terms; `lower_pwl` rewrites all PWL terms, as one block, into the
-incremental (delta) form: one bounded column per segment, priced at the
-segment's slope, and one row per term tying their sum to the variable.
-It needs no binaries because every term's curvature matches the
-optimization sense, so the optimum fills the segments in order.
+The objective is linear plus diagonal quadratic terms. The MILP backend
+takes no quadratic terms: `kkt_reformulation.apply_pwl` replaces them by
+secant columns and rows before a model is compiled.
 
 `ModelIR.compile` is the one lowering from a model to arrays: the
 backend and the LP writer read the `CompiledModel` it returns. A
@@ -25,7 +21,6 @@ compiled model can be re-solved with other right-hand sides
 """
 from __future__ import annotations
 
-import copy
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -52,31 +47,8 @@ class LinearRow(NamedTuple):  # a row, as `ModelIR.rows` reads it
 
 
 @dataclass(frozen=True)
-class QuadObjTerm:
-    """Objective contribution coef * var^2."""
-
-    var: str
-    coef: float
-
-
-@dataclass(frozen=True)
-class PwlObjTerm:
-    """Objective contribution interpolating `values` at `breakpoints` of var."""
-
-    var: str
-    breakpoints: tuple[float, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.breakpoints) != len(self.values) or len(self.breakpoints) < 2:
-            raise ValueError("need matching breakpoints/values, at least two")
-        if any(b2 <= b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class CompiledModel:
-    """A PWL-lowered, linear-objective model as solver arrays.
+    """A linear-objective model as solver arrays.
 
     Columns follow the variables' and rows the rows' insertion order; the
     coefficients of each row of `a` keep the order they were given in, so
@@ -142,7 +114,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 class ModelIR:
-    """A named-variable LP/MILP with optional quadratic and PWL objective terms."""
+    """A named-variable LP/MILP with optional quadratic objective terms."""
 
     def __init__(self, name: str = "model", sense: str = "max"):
         if sense not in ("max", "min"):
@@ -162,8 +134,7 @@ class ModelIR:
         self._coo_val, self._nnz = np.empty(0), 0
         self._dangling: list[tuple[str, str]] = []  # (row, undeclared variable)
         self.obj_linear: dict[str, float] = {}
-        self.obj_quad: list[QuadObjTerm] = []
-        self.obj_pwl: list[PwlObjTerm] = []
+        self.obj_quad: dict[str, float] = {}  # coef per var of coef * var^2
         self.obj_const: float = 0.0
 
     # -- construction -------------------------------------------------
@@ -198,17 +169,13 @@ class ModelIR:
         self._binary = _append(self._binary, start, np.full(n, binary))
         return names
 
-    def add_variable(self, name: str, lb: float, ub: float,
-                     binary: bool = False) -> str:
-        return self.add_columns([name], lb, ub, binary)[0]
-
     def add_rows(self, n: int, families: Sequence[tuple[str, list, str, object]]) -> None:
         """Add `n` rows to each family `(prefix, terms, sense, rhs)`, period
         by period: row t of every family, in the order given, then row t+1.
         Row t of a family is `{prefix}_{t}`; each term `(names, coef)` gives
         it the coefficient coef (a number, or coef[t]) on names[t], in the
         order of the terms. `rhs` is a number or one per row. Zero
-        coefficients are dropped, as by `add_row`."""
+        coefficients are dropped, as by `add_row_list`."""
         if not families:
             return
         width = max(len(terms) for _, terms, _, _ in families)
@@ -225,20 +192,18 @@ class ModelIR:
                        cols.reshape(-1, width), vals.reshape(-1, width),
                        senses.ravel(), rhs.ravel())
 
-    def add_row(self, name: str, coeffs: dict[str, float], sense: str,
-                rhs: float) -> None:
-        self.add_row_list([(name, coeffs, sense, rhs)])
-
     def add_row_list(self, rows: Sequence[tuple[str, dict[str, float], str, float]]
                      ) -> None:
         """Add rows given one by one as (name, coeffs, sense, rhs), in one
-        call, with `add_row`'s checks."""
+        call: no name declared twice, every sense known, and no row left
+        without a nonzero coefficient (zeros are dropped)."""
         names = [row[0] for row in rows]
-        width = max((len(coeffs) for _, coeffs, _, _ in rows), default=0)
-        cols, vals = np.zeros((len(rows), width), np.int64), np.zeros((len(rows), width))
-        for i, (name, coeffs, _, _) in enumerate(rows):
-            cols[i, :len(coeffs)] = self._ids(list(coeffs), [name] * len(coeffs))
-            vals[i, :len(coeffs)] = list(coeffs.values())
+        lengths = np.array([len(coeffs) for _, coeffs, _, _ in rows], dtype=np.int64)
+        given = np.arange(lengths.max(initial=0)) < lengths[:, None]  # row-major
+        cols, vals = np.zeros(given.shape, np.int64), np.zeros(given.shape)
+        cols[given] = self._ids([v for _, coeffs, _, _ in rows for v in coeffs],
+                                [name for name, coeffs, _, _ in rows for _ in coeffs])
+        vals[given] = [c for _, coeffs, _, _ in rows for c in coeffs.values()]
         self._add_rows(names, cols, vals,
                        [_sense_code(name, sense) for name, _, sense, _ in rows],
                        [row[3] for row in rows])
@@ -274,10 +239,7 @@ class ModelIR:
 
     def add_obj_quad(self, var: str, coef: float) -> None:
         if coef != 0.0:
-            self.obj_quad.append(QuadObjTerm(var, coef))
-
-    def add_obj_pwl(self, term: PwlObjTerm) -> None:
-        self.obj_pwl.append(term)
+            self.obj_quad[var] = self.obj_quad.get(var, 0.0) + coef
 
     # -- queries ------------------------------------------------------
 
@@ -314,12 +276,9 @@ class ModelIR:
         for var in self.obj_linear:
             if var not in self._col:
                 raise ValueError(f"objective references unknown variable {var}")
-        for term in self.obj_quad:
-            if term.var not in self._col:
-                raise ValueError(f"quadratic term on unknown variable {term.var}")
-        for term in self.obj_pwl:
-            if term.var not in self._col:
-                raise ValueError(f"PWL term on unknown variable {term.var}")
+        for var in self.obj_quad:
+            if var not in self._col:
+                raise ValueError(f"quadratic term on unknown variable {var}")
 
     def _indptr(self) -> np.ndarray:
         """Each row's first entry in the COO arrays, then their length."""
@@ -329,100 +288,42 @@ class ModelIR:
     # -- lowering -----------------------------------------------------
 
     def lower_pwl(self) -> "ModelIR":
-        """Expand PWL objective terms into incremental (delta) columns.
-
-        A term idx with breakpoints b_0 < ... < b_K and values f_k becomes
-        K columns `pwl_d_{idx}_{var}_{k}` in [0, b_{k+1} - b_k], each with
-        the segment's slope as objective coefficient, one row
-        `pwl_link_{idx}_{var}: sum_k d_k - var == -b_0`, and f_0 added to
-        `obj_const`. The columns of all terms enter as one block, then
-        their rows. No binaries are needed to fill the segments in order
-        when each term's value sequence is concave for a max sense (convex
-        for min): the slopes then fall (rise) with k, so an optimum never
-        takes a later segment before an earlier one is full. Violating
-        terms raise, since silently lowering them would change the model.
-        """
-        if not self.obj_pwl:
-            return self
-        self.validate()
-        terms = self.obj_pwl
-        counts = np.array([len(term.breakpoints) for term in terms])
-        bps = np.concatenate([term.breakpoints for term in terms])
-        vals = np.concatenate([term.values for term in terms])
-        firsts = np.cumsum(counts) - counts
-        owner = np.repeat(np.arange(len(terms)), counts - 1)  # each segment's term
-        within = np.ones(len(bps) - 1, dtype=bool)  # steps inside one term
-        within[firsts[1:] - 1] = False
-        widths = np.diff(bps)[within]
-        slopes = np.diff(vals)[within] / widths
-        # curvature, all terms at once: within a term the slopes must not
-        # rise (max) or fall (min), beyond 1e-9 of its largest |value|
-        turns = owner[1:] == owner[:-1]
-        rise = np.diff(slopes)[turns] * (1.0 if self.sense == "max" else -1.0)
-        scale = np.maximum(1.0, np.maximum.reduceat(np.abs(vals), firsts))
-        bad = owner[1:][turns]
-        bad = bad[rise > 1e-9 * scale[bad]]
-        if bad.size:
-            shape, goal = (("concave", "maximization") if self.sense == "max"
-                           else ("convex", "minimization"))
-            raise ValueError(f"PWL term on {terms[bad[0]].var} is not {shape}; "
-                             f"{goal} would need adjacency binaries")
-        out = copy.copy(self)
-        for attr, value in vars(self).items():
-            if hasattr(value, "copy"):  # lists, dicts and arrays; not strings or numbers
-                setattr(out, attr, value.copy())
-        out.obj_pwl = []
-        deltas = out.add_columns([f"pwl_d_{idx}_{term.var}_{k}"
-                                  for idx, term in enumerate(terms)
-                                  for k in range(len(term.breakpoints) - 1)],
-                                 0.0, widths)
-        out.obj_linear.update(zip(deltas, slopes.tolist()))
-        # link row idx: its segments' columns, then the variable, then padding
-        segs, pos = counts - 1, np.arange(counts.max())
-        seg_cols = len(out._names) - len(deltas) + firsts - np.arange(len(terms))
-        var_cols = np.array([out._col[term.var] for term in terms])
-        is_seg = pos < segs[:, None]
-        out._add_rows([f"pwl_link_{idx}_{term.var}" for idx, term in enumerate(terms)],
-                      np.where(is_seg, seg_cols[:, None] + pos, var_cols[:, None]),
-                      np.where(is_seg, 1.0, np.where(pos == segs[:, None], -1.0, 0.0)),
-                      np.full(len(terms), SENSES.index("==")), -bps[firsts])
-        for term in terms:
-            out.obj_const += term.values[0]
-        return out
+        """The model itself. `kkt_reformulation.apply_pwl` emits the PWL
+        secants as columns and rows, so nothing is left to lower; this
+        stays only because the benchmark's size workload calls it and its
+        tracer times it, until the benchmark drops both."""
+        return self
 
     def compile(self) -> CompiledModel:
-        """Lower to solver arrays, expanding the PWL terms first.
+        """Validate and lower to solver arrays.
 
-        Quadratic objective terms are rejected: the MILP backend takes none.
-        A model that `lower_pwl` rewrote was validated there; one without
-        PWL terms is validated here. The CSR matrix takes the COO entries
-        as stored, so each row keeps the order its coefficients were given
-        in.
+        Quadratic objective terms are rejected: the MILP backend takes
+        none. The CSR matrix takes the COO entries as stored, so each row
+        keeps the order its coefficients were given in.
         """
-        ir = self.lower_pwl()
-        if ir.obj_quad:
+        if self.obj_quad:
             raise ValueError("compiled models take linear objectives only; "
                              "apply the PWL approximation first")
-        if ir is self:
-            ir.validate()
-        n, m = len(ir._names), len(ir._row_index)
-        obj_cols = tuple(ir._col[v] for v in ir.obj_linear)
-        obj_coefs = tuple(ir.obj_linear.values())
+        self.validate()
+        n, m = len(self._names), len(self._row_index)
+        obj_cols = tuple(self._col[v] for v in self.obj_linear)
+        obj_coefs = tuple(self.obj_linear.values())
         c = np.zeros(n)
         c[list(obj_cols)] = obj_coefs
-        a = sparse.csr_matrix((ir._coo_val[:ir._nnz].copy(), ir._coo_col[:ir._nnz].copy(),
-                               ir._indptr()), shape=(m, n))
-        sense, rhs = ir._sense[:m], ir._rhs[:m]
+        nnz = self._nnz
+        a = sparse.csr_matrix((self._coo_val[:nnz].copy(), self._coo_col[:nnz].copy(),
+                               self._indptr()), shape=(m, n))
+        sense, rhs = self._sense[:m], self._rhs[:m]
         return CompiledModel(
-            name=ir.name, sense=ir.sense, var_names=list(ir._names),
+            name=self.name, sense=self.sense, var_names=list(self._names),
             c=_read_only(c), a=a,
             row_lower=_read_only(np.where(sense == SENSES.index("<="), -math.inf, rhs)),
             row_upper=_read_only(np.where(sense == SENSES.index(">="), math.inf, rhs)),
-            col_lower=_read_only(ir._lb[:n].copy()),
-            col_upper=_read_only(ir._ub[:n].copy()),
-            integrality=_read_only(ir._binary[:n].astype(np.int64)),
-            row_index=dict(ir._row_index),
-            obj_const=ir.obj_const, obj_cols=obj_cols, obj_coefs=obj_coefs)
+            col_lower=_read_only(self._lb[:n].copy()),
+            col_upper=_read_only(self._ub[:n].copy()),
+            integrality=_read_only(self._binary[:n].astype(np.int64)),
+            row_index=dict(self._row_index),
+            obj_const=self.obj_const, obj_cols=obj_cols, obj_coefs=obj_coefs)
 
 
 def _append(arr: np.ndarray, used: int, values) -> np.ndarray:

@@ -29,6 +29,17 @@ class PipelineSpec:
                self.thermal_resistance_km_c_per_kw) <= 0:
             raise ValueError("pipeline dimensions, flow and resistance must be positive")
 
+    @property
+    def heat_mw_per_c(self) -> float:
+        """Heat carried per degC of supply-return difference, c_w*G, in MW."""
+        return WATER_HEAT_CAPACITY_KJ * self.mass_flow_kg_s / 1000.0
+
+    @property
+    def loss_mw_per_c(self) -> float:
+        """Heat lost per degC of supply over ambient, 2*pi*L/R_h, in MW."""
+        return 2.0 * math.pi * self.length_km / (
+            self.thermal_resistance_km_c_per_kw * 1000.0)
+
 
 @dataclass(frozen=True)
 class BuildingSpec:

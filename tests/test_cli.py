@@ -108,6 +108,21 @@ class TestRunVerb:
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert "capacity" in summary["reason"]
 
+    @pytest.mark.parametrize("units", ["tp_units", "chp_units"])
+    def test_negative_quadratic_cost_is_schema_error(self, units, tmp_path):
+        # a convex cost under maximization would need adjacency binaries
+        # in its PWL secant; the scenario check refuses it instead
+        data = toy_dict()
+        data[units][0]["cost_a"] = -0.01
+        path = tmp_path / "convex.json"
+        path.write_text(json.dumps(data))
+        code = run_cli(["run", "--scenario", str(path), "--mode", "3",
+                        "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_SCHEMA
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["status"] == "SCHEMA_ERROR"
+        assert "cost_a" in summary["reason"]
+
     def test_rerun_same_seed_byte_identical(self, toy_path, tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]
         for d in dirs:

@@ -348,28 +348,23 @@ def with_indicator_reserve(bundle: gm.ModelBundle) -> ModelIR:
     ir = bundle.ir
     out = ModelIR(ir.name + "_indicators", ir.sense)
     for var in ir.variables.values():
-        out.add_variable(*var)
+        out.add_columns([var.name], var.lb, var.ub, var.binary)
     out.obj_linear = dict(ir.obj_linear)
-    out.obj_quad = list(ir.obj_quad)
-    out.obj_pwl = list(ir.obj_pwl)
+    out.obj_quad = dict(ir.obj_quad)
     out.obj_const = ir.obj_const
-    reserve = {}
-    for row in ir.rows:
-        if row.name.startswith("res_min_"):
-            reserve[row.name] = row.coeffs
-        else:
-            out.add_row(row.name, dict(row.coeffs), row.sense, row.rhs)
+    rows = ir.rows
+    out.add_row_list([(row.name, dict(row.coeffs), row.sense, row.rhs)
+                      for row in rows if not row.name.startswith("res_min_")])
+    reserve = {row.name: row.coeffs for row in rows if row.name.startswith("res_min_")}
     for t, req in enumerate(bundle.cfg.reserve_requirements()):
         r_coeffs = reserve[f"res_min_{t}"]
         big_m = max(req.expected_output, 1e-9)  # no threshold exceeds E
-        w = [out.add_variable(f"w_res_{t}_{m}", 0.0, 1.0, binary=True)
-             for m in range(len(req.thresholds))]
-        for m, thr in enumerate(req.thresholds):
-            out.add_row(f"res_lvl_{t}_{m}", {**r_coeffs, w[m]: -big_m},
-                        ">=", float(thr) - big_m)
-        out.add_row(f"res_cov_{t}",
-                    {w_m: float(d) for w_m, d in zip(w, req.level_probs)},
-                    ">=", req.confidence)
+        w = out.add_block(f"w_res_{t}", len(req.thresholds), 0.0, 1.0, binary=True)
+        out.add_row_list(
+            [(f"res_lvl_{t}_{m}", {**r_coeffs, w[m]: -big_m}, ">=", float(thr) - big_m)
+             for m, thr in enumerate(req.thresholds)]
+            + [(f"res_cov_{t}", {w_m: float(d) for w_m, d in zip(w, req.level_probs)},
+                ">=", req.confidence)])
     return out
 
 
@@ -406,10 +401,10 @@ class TestPriceMonotonicity:
         loads = np.array([3.0, 1.0, 2.0, 4.0])
         lo, hi, avg = 40.0, 90.0, 65.0
         ir = ModelIR("prices_only", "max")
-        names = [ir.add_variable(f"mu_{t}", lo, hi) for t in range(4)]
+        names = ir.add_block("mu", 4, lo, hi)
         for t, name in enumerate(names):
             ir.add_obj_linear(name, float(loads[t]))
-        ir.add_row("avg", {n: 1.0 for n in names}, "==", 4 * avg)
+        ir.add_row_list([("avg", {n: 1.0 for n in names}, "==", 4 * avg)])
         res = se.ScipyMilpBackend().solve(ir, 10.0, 1e-9)
 
         budget = 4 * avg - 4 * lo

@@ -49,9 +49,10 @@ class TestPwlQuadratic:
 
     def test_apply_pwl_folds_fixed_variables(self):
         ir = ModelIR("f", "max")
-        ir.add_variable("x", 2.0, 2.0)
-        ir.add_variable("pad", 0.0, 1.0)
-        ir.add_obj_quad("x", -3.0)
+        ir.add_columns(["x", "pad"], [2.0, 0.0], [2.0, 1.0])
+        ir.add_obj_quad("x", -1.0)
+        ir.add_obj_quad("x", -2.0)  # terms on one variable add up
+        assert ir.obj_quad == {"x": -3.0}
         bound = kkt.apply_pwl(ir, 4)
         assert bound == 0.0
         assert ir.obj_const == pytest.approx(-12.0)
@@ -65,12 +66,12 @@ class TestBigM:
         backend = se.ScipyMilpBackend()
         for fixed_pi, free_var, forced_var in ((1.0, "x", "d"), (0.0, "d", "x")):
             ir = ModelIR("pair", "max")
-            ir.add_variable("x", 0.0, 10.0)
-            ir.add_variable("d", 0.0, 5.0)
+            ir.add_columns(["x"], 0.0, 10.0)
+            ir.add_columns(["d"], 0.0, 5.0)
             pair = kkt.ComplementarityPair("p0", {"x": 1.0}, 0.0, "d")
             (binary,) = kkt.big_m_linearize(ir, [pair])
             assert (pair.big_m_primal, pair.big_m_dual) == (10.0, 5.0)
-            ir.add_row("fix_pi", {binary: 1.0}, "==", fixed_pi)
+            ir.add_row_list([("fix_pi", {binary: 1.0}, "==", fixed_pi)])
             ir.add_obj_linear(free_var, 1.0)
             ir.add_obj_linear(forced_var, 1.0)
             res = backend.solve(ir, 10.0, 1e-9)
@@ -84,8 +85,8 @@ class TestBigM:
     def test_pair_decided_by_bounds_gets_no_binary(self, x_bounds, d_cap):
         # a fixed primal slack or a dual capped at zero already holds
         ir = ModelIR("pair", "max")
-        ir.add_variable("x", *x_bounds)
-        ir.add_variable("d", 0.0, d_cap)
+        ir.add_columns(["x"], *x_bounds)
+        ir.add_columns(["d"], 0.0, d_cap)
         pair = kkt.ComplementarityPair("p0", {"x": -1.0}, 10.0, "d")
         assert kkt.big_m_linearize(ir, [pair]) == [None]
         assert not ir.rows and not ir.binary_names
@@ -212,10 +213,10 @@ class TestAssemble:
         # the PWL pass always runs, so a quadratic term reaching the
         # backend is a caller error, never a convex-MIQP request
         ir = ModelIR("quad", "max")
-        ir.add_variable("x", 0.0, 2.0)
+        ir.add_columns(["x"], 0.0, 2.0)
         ir.add_obj_linear("x", 3.0)
         ir.add_obj_quad("x", -1.0)
-        ir.add_row("cap", {"x": 1.0}, "<=", 2.0)
+        ir.add_row_list([("cap", {"x": 1.0}, "<=", 2.0)])
         with pytest.raises(ValueError, match="PWL"):
             se.ScipyMilpBackend().solve(ir, 10.0, 1e-4)
 

@@ -7,21 +7,22 @@ import pytest
 from iesgame import game_model as gm
 from iesgame import solve_engine as se
 from iesgame.config import load_scenario
+from iesgame.kkt_reformulation import apply_pwl
 from iesgame.lp_io import write_lp
-from iesgame.model_ir import ModelIR, PwlObjTerm
+from iesgame.model_ir import ModelIR
 from iesgame.scenario_cli import build_bundle
 
 
 def sample_ir():
     ir = ModelIR("sample", "max")
-    ir.add_variable("x", 0.0, 4.0)
-    ir.add_variable("y", -1.5, 3.0)
-    ir.add_variable("b", 0.0, 1.0, binary=True)
+    ir.add_columns(["x"], 0.0, 4.0)
+    ir.add_columns(["y"], -1.5, 3.0)
+    ir.add_columns(["b"], 0.0, 1.0, binary=True)
     ir.add_obj_linear("x", 1.0)
     ir.add_obj_linear("y", -2.5)
-    ir.add_row("cap", {"x": 1.0, "y": 1.0}, "<=", 5.0)
-    ir.add_row("link", {"x": 1.0, "b": -4.0}, ">=", -2.0)
-    ir.add_row("fix", {"y": 2.0}, "==", 1.0)
+    ir.add_row_list([("cap", {"x": 1.0, "y": 1.0}, "<=", 5.0)])
+    ir.add_row_list([("link", {"x": 1.0, "b": -4.0}, ">=", -2.0)])
+    ir.add_row_list([("fix", {"y": 2.0}, "==", 1.0)])
     return ir
 
 
@@ -52,26 +53,31 @@ class TestWriter:
 
     def test_pwl_lowered_automatically(self):
         ir = sample_ir()
-        ir.add_obj_pwl(PwlObjTerm("x", (0.0, 2.0, 4.0), (0.0, -4.0, -16.0)))
+        ir.add_obj_quad("x", -1.0)
+        apply_pwl(ir, 2)
         text = write_lp(ir)
         assert " obj: 1 x - 2.5 y - 2 pwl_d_0_x_0 - 6 pwl_d_0_x_1\n" in text
         assert " pwl_link_0_x: 1 pwl_d_0_x_0 + 1 pwl_d_0_x_1 - 1 x = 0" in text
 
     def test_objective_constant_in_header(self):
-        # a PWL term whose first value is not zero leaves that value as a
-        # constant, which the header states because obj: cannot hold it
+        # a secant whose first value is not zero (y starts at -1.5) leaves
+        # that value as a constant, which the header states because obj:
+        # cannot hold it
         ir = sample_ir()
-        ir.add_obj_pwl(PwlObjTerm("x", (0.0, 2.0, 4.0), (-1.5, -5.5, -17.5)))
+        ir.add_obj_quad("y", -1.0)
+        apply_pwl(ir, 2)
         text = write_lp(ir)
-        assert text.startswith("\\ sample  (objective constant -1.5: the "
+        assert text.startswith("\\ sample  (objective constant -2.25: the "
                                "offset that obj: leaves out)\nMaximize\n")
-        assert " obj: 1 x - 2.5 y - 2 pwl_d_0_x_0 - 6 pwl_d_0_x_1\n" in text
+        assert " obj: 1 x - 2.5 y + 0.75 pwl_d_0_y_0 - 3.75 pwl_d_0_y_1\n" in text
+        assert " pwl_link_0_y: 1 pwl_d_0_y_0 + 1 pwl_d_0_y_1 - 1 y = 1.5" in text
+        assert " 0 <= pwl_d_0_y_1 <= 2.25" in text
 
     def test_min_sense(self):
         ir = ModelIR("m", "min")
-        ir.add_variable("x", 0.0, 1.0)
+        ir.add_columns(["x"], 0.0, 1.0)
         ir.add_obj_linear("x", 1.0)
-        ir.add_row("r", {"x": 1.0}, ">=", 0.5)
+        ir.add_row_list([("r", {"x": 1.0}, ">=", 0.5)])
         assert "Minimize" in write_lp(ir)
 
 

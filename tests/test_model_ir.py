@@ -3,18 +3,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from iesgame.kkt_reformulation import apply_pwl
 from iesgame.lp_io import write_lp
-from iesgame.model_ir import ModelIR, PwlObjTerm
+from iesgame.model_ir import ModelIR
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
 
 def tiny_model():
     ir = ModelIR("tiny", "max")
-    ir.add_variable("x", 0.0, 4.0)
-    ir.add_variable("b", 0.0, 1.0, binary=True)
+    ir.add_columns(["x"], 0.0, 4.0)
+    ir.add_columns(["b"], 0.0, 1.0, binary=True)
     ir.add_obj_linear("x", 1.0)
-    ir.add_row("cap", {"x": 1.0, "b": 2.0}, "<=", 5.0)
+    ir.add_row_list([("cap", {"x": 1.0, "b": 2.0}, "<=", 5.0)])
     return ir
 
 
@@ -22,37 +23,37 @@ class TestConstruction:
     def test_duplicate_variable(self):
         ir = tiny_model()
         with pytest.raises(ValueError):
-            ir.add_variable("x", 0.0, 1.0)
+            ir.add_columns(["x"], 0.0, 1.0)
 
     def test_duplicate_row(self):
         ir = tiny_model()
         with pytest.raises(ValueError):
-            ir.add_row("cap", {"x": 1.0}, "<=", 1.0)
+            ir.add_row_list([("cap", {"x": 1.0}, "<=", 1.0)])
 
     def test_infinite_bounds_rejected(self):
         ir = ModelIR()
         with pytest.raises(ValueError):
-            ir.add_variable("y", 0.0, float("inf"))
+            ir.add_columns(["y"], 0.0, float("inf"))
 
     def test_inverted_bounds_rejected(self):
         ir = ModelIR()
         with pytest.raises(ValueError):
-            ir.add_variable("y", 2.0, 1.0)
+            ir.add_columns(["y"], 2.0, 1.0)
 
     def test_unknown_reference_caught(self):
         ir = tiny_model()
-        ir.add_row("bad", {"ghost": 1.0}, "<=", 1.0)
+        ir.add_row_list([("bad", {"ghost": 1.0}, "<=", 1.0)])
         with pytest.raises(ValueError, match="ghost"):
             ir.validate()
 
     @pytest.mark.parametrize("with_pwl", [False, True], ids=["plain", "pwl"])
     def test_compile_validates_once(self, monkeypatch, with_pwl):
-        # `lower_pwl` validates the model it rewrites, so compiling walks
-        # the rows once either way, and still refuses a dangling reference
+        # compiling walks the rows once, with secant columns or without,
+        # and still refuses a dangling reference
         ir = tiny_model()
         if with_pwl:
-            ir.add_obj_pwl(PwlObjTerm("x", (0.0, 2.0, 4.0),
-                                      (0.0, -4.0, -16.0)))
+            ir.add_obj_quad("x", -1.0)
+            apply_pwl(ir, 2)
         calls = []
         validate = ModelIR.validate
 
@@ -63,17 +64,14 @@ class TestConstruction:
         monkeypatch.setattr(ModelIR, "validate", spy)
         ir.compile()
         assert len(calls) == 1
-        ir.add_row("bad", {"ghost": 1.0}, "<=", 1.0)
+        ir.add_row_list([("bad", {"ghost": 1.0}, "<=", 1.0)])
         with pytest.raises(ValueError, match="ghost"):
             ir.compile()
-        if with_pwl:
-            with pytest.raises(ValueError, match="ghost"):
-                ir.lower_pwl()
 
     def test_constant_row_rejected(self):
         ir = tiny_model()
         with pytest.raises(ValueError):
-            ir.add_row("const", {"x": 0.0}, "<=", 1.0)
+            ir.add_row_list([("const", {"x": 0.0}, "<=", 1.0)])
 
     def test_objective_evaluation(self):
         ir = tiny_model()
@@ -90,6 +88,7 @@ def refusal(call) -> str:
 class TestArrayFirst:
     @pytest.mark.parametrize("block, single", [
         # a family added with add_block, and its first bad column alone
+        # (name, lb, ub)
         (("a b", 2, 0.0, 1.0), ("a b_0", 0.0, 1.0)),
         (("a\tb", 2, 0.0, 1.0), ("a\tb_0", 0.0, 1.0)),
         (("x", 3, 0.0, [1.0, np.inf, 2.0]), ("x_1", 0.0, np.inf)),
@@ -99,39 +98,39 @@ class TestArrayFirst:
     def test_block_refuses_as_add_variable(self, block, single):
         ir = tiny_model()
         message = refusal(lambda: ir.add_block(*block))
-        assert message == refusal(lambda: tiny_model().add_variable(*single))
+        name, lb, ub = single
+        assert message == refusal(lambda: tiny_model().add_columns([name], lb, ub))
         assert list(ir.variables) == ["x", "b"]  # nothing added
 
     def test_duplicates_refused_as_add_variable(self):
         ir = tiny_model()
-        ir.add_variable("x_1", 0.0, 1.0)
+        ir.add_columns(["x_1"], 0.0, 1.0)
         message = refusal(lambda: ir.add_block("x", 3, 0.0, 1.0))
-        assert message == refusal(lambda: ir.add_variable("x_1", 0.0, 1.0))
+        assert message == refusal(lambda: ir.add_columns(["x_1"], 0.0, 1.0))
         assert message == "variable x_1 declared twice"
         assert refusal(lambda: ir.add_columns(["u", "v", "u"], 0.0, 1.0)) \
             == "variable u declared twice"
-        assert refusal(lambda: ir.add_columns([""], 0.0, 1.0)) \
-            == refusal(lambda: ir.add_variable("", 0.0, 1.0))
+        assert refusal(lambda: ir.add_columns([""], 0.0, 1.0)) == "bad variable name ''"
         assert list(ir.variables) == ["x", "b", "x_1"]
 
     def test_curvature_names_the_one_bad_term(self):
-        # 60 concave terms with 3 to 9 breakpoints and convex terms 37 and
-        # 50 among them: the batched check names the first one's variable
+        # 60 concave terms and convex terms 37 and 50 among them: the sign
+        # check names the first one's variable and adds nothing
         ir = ModelIR("many", "max")
+        ir.add_columns([f"v{j}" for j in range(62)], 0.0, 4.0)
         for j in range(62):
-            var = ir.add_variable(f"v{j}", 0.0, 4.0)
-            bps = tuple(np.linspace(0.0, 4.0, 3 + j % 7))
-            sign = 1.0 if j in (37, 50) else -1.0
-            ir.add_obj_pwl(PwlObjTerm(var, bps, tuple(sign * b * b for b in bps)))
-        with pytest.raises(ValueError, match="PWL term on v37 is not concave"):
-            ir.lower_pwl()
-        del ir.obj_pwl[50], ir.obj_pwl[37]
-        assert len(ir.lower_pwl().rows) == 60
+            ir.add_obj_quad(f"v{j}", 1.0 if j in (37, 50) else -1.0)
+        with pytest.raises(ValueError, match="quadratic term on v37 is not concave"):
+            apply_pwl(ir, 4)
+        assert len(ir.variables) == 62 and len(ir.obj_quad) == 62
+        del ir.obj_quad["v50"], ir.obj_quad["v37"]
+        apply_pwl(ir, 4)
+        assert len(ir.rows) == 60 and len(ir.variables) == 62 + 60 * 4
 
     def test_row_keeps_its_column_order(self):
         ir = ModelIR("order", "max")
         ir.add_block("v", 4, 0.0, 1.0)
-        ir.add_row("r", {"v_2": 1.0, "v_0": 2.0, "v_3": 0.0, "v_1": 3.0}, "<=", 5.0)
+        ir.add_row_list([("r", {"v_2": 1.0, "v_0": 2.0, "v_3": 0.0, "v_1": 3.0}, "<=", 5.0)])
         ir.add_rows(2, [("f", [(["v_3", "v_1"], 1.0), (["v_0", "v_0"], [4.0, 0.0]),
                                (["v_2", "v_2"], 5.0)], ">=", [1.0, 2.0])])
         a = ir.compile().a
@@ -141,16 +140,16 @@ class TestArrayFirst:
 
     def test_families_match_rows_added_one_by_one(self):
         # rows of families added together interleave period by period,
-        # with add_row's zero dropping and refusals; add_row_list adds
-        # the same rows in one call
+        # with add_row_list's zero dropping and refusals, whether it gets
+        # one row per call or all of them in one call
         one, many = ModelIR("same", "max"), ModelIR("same", "max")
         for ir in (one, many):
             ir.add_block("p", 3, 0.0, 2.0)
             ir.add_block("q", 3, -1.0, 1.0)
         up = [0.5, 0.0, 1.5]
         for t in range(3):
-            one.add_row(f"a_{t}", {f"p_{t}": 1.0, f"q_{t}": up[t]}, "<=", 2.0)
-            one.add_row(f"b_{t}", {f"q_{t}": -1.0}, "==", float(t))
+            one.add_row_list([(f"a_{t}", {f"p_{t}": 1.0, f"q_{t}": up[t]}, "<=", 2.0)])
+            one.add_row_list([(f"b_{t}", {f"q_{t}": -1.0}, "==", float(t))])
         many.add_rows(3, [("a", [(["p_0", "p_1", "p_2"], 1.0),
                                  (["q_0", "q_1", "q_2"], up)], "<=", 2.0),
                           ("b", [(["q_0", "q_1", "q_2"], -1.0)], "==", [0, 1, 2])])
@@ -162,51 +161,50 @@ class TestArrayFirst:
         assert write_lp(many) == write_lp(one) == write_lp(listed)
         assert many.rows == one.rows == listed.rows
         assert refusal(lambda: many.add_rows(1, [("z", [(["p_0"], 0.0)], "<=", 1.0)])) \
-            == refusal(lambda: one.add_row("z_0", {"p_0": 0.0}, "<=", 1.0))
+            == refusal(lambda: one.add_row_list([("z_0", {"p_0": 0.0}, "<=", 1.0)]))
         assert refusal(lambda: many.add_rows(3, [("a", [(["p_0"] * 3, 1.0)], "<=", 1.0)])) \
             == "row a_0 declared twice"
 
 
+def secant_model(sense: str, coef: float, lb: float = 0.0, ub: float = 4.0,
+                  n_segments: int = 2) -> ModelIR:
+    """A model of x in [lb, ub] whose objective is the `n_segments`-piece
+    secant of coef*x^2."""
+    ir = ModelIR("pwl", sense)
+    ir.add_columns(["x"], lb, ub)
+    ir.add_obj_quad("x", coef)
+    apply_pwl(ir, n_segments)
+    return ir
+
+
 class TestPwlLowering:
     def test_concave_term_lowers_for_max(self):
-        ir = ModelIR("pwl", "max")
-        ir.add_variable("x", 0.0, 4.0)
-        bps = (0.0, 2.0, 4.0)
-        ir.add_obj_pwl(PwlObjTerm("x", bps, tuple(-v * v for v in bps)))
-        low = ir.lower_pwl()
-        assert not low.obj_pwl
-        assert [n for n in low.variables if n != "x"] == ["pwl_d_0_x_0",
-                                                          "pwl_d_0_x_1"]
-        assert low.variables["pwl_d_0_x_1"].ub == 2.0
-        assert low.obj_linear == {"pwl_d_0_x_0": -2.0, "pwl_d_0_x_1": -6.0}
-        (link,) = low.rows
+        ir = secant_model("max", -1.0)
+        assert not ir.obj_quad
+        assert [n for n in ir.variables if n != "x"] == ["pwl_d_0_x_0",
+                                                         "pwl_d_0_x_1"]
+        assert ir.variables["pwl_d_0_x_1"].ub == 2.0
+        assert ir.obj_linear == {"pwl_d_0_x_0": -2.0, "pwl_d_0_x_1": -6.0}
+        (link,) = ir.rows
         assert link.name == "pwl_link_0_x" and link.rhs == 0.0
         assert link.coeffs == {"pwl_d_0_x_0": 1.0, "pwl_d_0_x_1": 1.0,
                                "x": -1.0}
 
     def test_convex_term_rejected_for_max(self):
-        ir = ModelIR("pwl", "max")
-        ir.add_variable("x", 0.0, 4.0)
-        bps = (0.0, 2.0, 4.0)
-        ir.add_obj_pwl(PwlObjTerm("x", bps, tuple(v * v for v in bps)))
         with pytest.raises(ValueError, match="concave"):
-            ir.lower_pwl()
+            secant_model("max", 1.0)
 
     def test_convex_term_lowers_for_min(self):
-        ir = ModelIR("pwl", "min")
-        ir.add_variable("x", 0.0, 4.0)
-        bps = (0.0, 2.0, 4.0)
-        ir.add_obj_pwl(PwlObjTerm("x", bps, tuple(v * v for v in bps)))
-        assert not ir.lower_pwl().obj_pwl
+        ir = secant_model("min", 1.0)
+        assert not ir.obj_quad
+        assert ir.obj_linear == {"pwl_d_0_x_0": 2.0, "pwl_d_0_x_1": 6.0}
+        with pytest.raises(ValueError, match="quadratic term on x is not convex"):
+            secant_model("min", -1.0)
 
     def test_interpolated_objective_matches(self):
-        ir = ModelIR("pwl", "max")
-        ir.add_variable("x", 0.0, 4.0)
-        bps = (0.0, 2.0, 4.0)
-        ir.add_obj_pwl(PwlObjTerm("x", bps, (0.0, -4.0, -16.0)))
+        compiled = secant_model("max", -1.0).compile()
         # x = 1 is halfway between the first two breakpoints; the chord
         # there gives -2 (not the exact -1)
-        compiled = ir.compile()
         assert compiled.var_names == ["x", "pwl_d_0_x_0", "pwl_d_0_x_1"]
         assert compiled.objective([1.0, 1.0, 0.0]) == pytest.approx(-2.0)
         # a full first segment plus half the second: chord value -10
@@ -215,27 +213,23 @@ class TestPwlLowering:
     @pytest.mark.parametrize("sense, sign, x_bounds", [
         ("max", -1.0, (-1.0, 6.0)),  # concave term under max
         ("min", 1.0, (-1.0, 6.0)),   # convex term under min
-        ("max", -1.0, (1.3, 4.2)),   # bounds inside the breakpoint range
+        ("max", -1.0, (1.3, 4.2)),   # bounds away from zero
     ])
     def test_lowering_is_exact_at_fixed_points(self, sense, sign, x_bounds):
-        """With x fixed, the lowered model's optimum is the chord value."""
+        """With x fixed, the optimum is the chord value of sign*x^2 there."""
         from iesgame.solve_engine import ScipyMilpBackend
-        bps = np.array([-1.0, 0.5, 1.0, 2.5, 4.0, 6.0])
-        vals = sign * (bps ** 2 - 3.0 * bps + 1.0)
+        bps = np.linspace(*x_bounds, 6)
         rng = np.random.default_rng(7)
         for x in rng.uniform(*x_bounds, size=6):
             ir = ModelIR("exact", sense)
-            ir.add_variable("x", *x_bounds)
-            ir.add_row("fix", {"x": 1.0}, "==", float(x))
-            ir.add_obj_pwl(PwlObjTerm("x", tuple(bps), tuple(vals)))
+            ir.add_columns(["x"], *x_bounds)
+            ir.add_row_list([("fix", {"x": 1.0}, "==", float(x))])
+            ir.add_obj_quad("x", sign)
+            apply_pwl(ir, 5)
             res = ScipyMilpBackend().solve(ir, 10.0, 1e-9)
             assert res.values["x"] == pytest.approx(x, abs=1e-12)
-            assert res.objective == pytest.approx(np.interp(x, bps, vals),
+            assert res.objective == pytest.approx(np.interp(x, bps, sign * bps ** 2),
                                                   abs=1e-9)
-
-    def test_breakpoints_must_increase(self):
-        with pytest.raises(ValueError):
-            PwlObjTerm("x", (0.0, 0.0, 1.0), (0.0, 0.0, 1.0))
 
 
 class TestLpRoundTrip:
@@ -243,12 +237,11 @@ class TestLpRoundTrip:
         # max 3x - x^2 on [0, 4]: true optimum 2.25 at x = 1.5
         from iesgame.solve_engine import ScipyMilpBackend
         ir = ModelIR("quad", "max")
-        ir.add_variable("x", 0.0, 4.0)
-        ir.add_variable("pad", 0.0, 1.0)
+        ir.add_columns(["x", "pad"], 0.0, [4.0, 1.0])
         ir.add_obj_linear("x", 3.0)
-        bps = tuple(np.linspace(0.0, 4.0, 9))
-        ir.add_obj_pwl(PwlObjTerm("x", bps, tuple(-v * v for v in bps)))
-        ir.add_row("pad_row", {"pad": 1.0}, "<=", 1.0)
+        ir.add_obj_quad("x", -1.0)
+        ir.add_row_list([("pad_row", {"pad": 1.0}, "<=", 1.0)])
+        apply_pwl(ir, 8)
         res = ScipyMilpBackend().solve(ir, 10.0, 1e-9)
         # chord error bound: w^2/4 with w = 0.5
         assert res.objective == pytest.approx(2.25, abs=0.5 ** 2 / 4 + 1e-9)

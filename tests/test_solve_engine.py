@@ -34,12 +34,12 @@ def flat_single_unit_dict():
 
 def small_milp():
     ir = ModelIR("small", "max")
-    ir.add_variable("x", 0.0, 2.0)
-    ir.add_variable("y", 0.0, 2.0, binary=False)
-    ir.add_variable("b", 0.0, 1.0, binary=True)
+    ir.add_columns(["x"], 0.0, 2.0)
+    ir.add_columns(["y"], 0.0, 2.0, binary=False)
+    ir.add_columns(["b"], 0.0, 1.0, binary=True)
     ir.add_obj_linear("x", 1.0)
     ir.add_obj_linear("b", 2.0)
-    ir.add_row("cap", {"x": 1.0, "b": 1.0}, "<=", 2.5)
+    ir.add_row_list([("cap", {"x": 1.0, "b": 1.0}, "<=", 2.5)])
     return ir
 
 
@@ -71,9 +71,9 @@ class TestBackend:
 
     def test_infeasible_status(self):
         ir = ModelIR("bad", "max")
-        ir.add_variable("x", 0.0, 1.0)
+        ir.add_columns(["x"], 0.0, 1.0)
         ir.add_obj_linear("x", 1.0)
-        ir.add_row("lo", {"x": 1.0}, ">=", 2.0)
+        ir.add_row_list([("lo", {"x": 1.0}, ">=", 2.0)])
         res = se.ScipyMilpBackend().solve(ir, 10.0, 1e-4)
         assert res.status == se.INFEASIBLE
 
@@ -93,9 +93,9 @@ class TestBackend:
 
     def test_gap_reported(self):
         ir = ModelIR("g", "max")
-        ir.add_variable("x", 0.0, 2.0)
+        ir.add_columns(["x"], 0.0, 2.0)
         ir.add_obj_linear("x", 1.0)
-        ir.add_row("cap", {"x": 1.0}, "<=", 1.5)
+        ir.add_row_list([("cap", {"x": 1.0}, "<=", 1.5)])
         res = se.ScipyMilpBackend().solve(ir, 10.0, 1e-9)
         assert res.gap <= 1e-9
         assert res.bound == pytest.approx(res.objective, abs=1e-6)
@@ -135,15 +135,15 @@ def fractional_milp():
     binary alone rounds to 0 within every row it enters, but both at 0
     break `need`; its MILP is infeasible."""
     ir = ModelIR("fractional", "max")
-    ir.add_variable("y", 0.0, 1.0)
-    ir.add_variable("b1", 0.0, 1.0, binary=True)
-    ir.add_variable("b2", 0.0, 1.0, binary=True)
+    ir.add_columns(["y"], 0.0, 1.0)
+    ir.add_columns(["b1"], 0.0, 1.0, binary=True)
+    ir.add_columns(["b2"], 0.0, 1.0, binary=True)
     ir.add_obj_linear("y", 1.0)
     ir.add_obj_linear("b1", 1e-6)
     ir.add_obj_linear("b2", 1e-6)
-    ir.add_row("cap1", {"b1": 1.0}, "<=", 0.5)
-    ir.add_row("cap2", {"b2": 1.0}, "<=", 0.5)
-    ir.add_row("need", {"b1": 1.0, "b2": 1.0}, ">=", 0.5)
+    ir.add_row_list([("cap1", {"b1": 1.0}, "<=", 0.5)])
+    ir.add_row_list([("cap2", {"b2": 1.0}, "<=", 0.5)])
+    ir.add_row_list([("need", {"b1": 1.0, "b2": 1.0}, ">=", 0.5)])
     return ir.compile()
 
 
@@ -210,10 +210,10 @@ class TestRelaxFirst:
 
     def test_infeasible_relaxation_skips_the_milp(self, monkeypatch):
         ir = ModelIR("binaries", "max")
-        ir.add_variable("b1", 0.0, 1.0, binary=True)
-        ir.add_variable("b2", 0.0, 1.0, binary=True)
+        ir.add_columns(["b1"], 0.0, 1.0, binary=True)
+        ir.add_columns(["b2"], 0.0, 1.0, binary=True)
         ir.add_obj_linear("b1", 1.0)
-        ir.add_row("lo", {"b1": 1.0, "b2": 1.0}, ">=", 3.0)
+        ir.add_row_list([("lo", {"b1": 1.0, "b2": 1.0}, ">=", 3.0)])
         calls = counting_milp(monkeypatch)
         res = se.ScipyMilpBackend().solve(ir, 10.0, 1e-4)
         assert calls == [(False, 10.0)]
