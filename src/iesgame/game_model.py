@@ -15,16 +15,12 @@ balances' right-hand sides, and with them the users' bill.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import thermal_side as th
 from .config import ScenarioConfig
 from .model_ir import ModelIR
-
-if TYPE_CHECKING:  # kkt_reformulation imports this module
-    from .kkt_reformulation import KktBlock
 
 BALANCE_TOL = 1e-6
 RESPONSE_TOL = 1e-5
@@ -71,7 +67,9 @@ class ModelBundle:
     requirements and confidence, heat loads, pipe delays) is read from
     `cfg`, which memoizes them. `names` holds each variable family's
     names; the users' `p_sl`/`h_cl` and the prices `mu`/`gamma` are
-    variables only in mode 3, and otherwise the `fixed_*` constants."""
+    variables only in mode 3, and otherwise the `fixed_*` constants. In
+    mode 3 `emit_kkt` adds the multipliers: `xi` (one column), `delta1`,
+    `delta2` and `delta4`."""
 
     ir: ModelIR
     cfg: ScenarioConfig
@@ -84,7 +82,6 @@ class ModelBundle:
     # set by `assemble_single_level`
     pwl_error_bound: float = 0.0
     n_segments: int = 0
-    kkt: KktBlock | None = None
 
 
 @dataclass
@@ -141,7 +138,8 @@ class ValidationReport:
         return not self.violations and all(r["passed"] for r in self.reserve_mc)
 
     def add(self, check: str, detail: str, magnitude: float, limit: float) -> None:
-        if magnitude > limit:
+        """Record a violation unless `magnitude <= limit`: a NaN is one."""
+        if not magnitude <= limit:
             self.violations.append(Violation(check, detail, magnitude, limit))
 
 
@@ -469,14 +467,12 @@ def leader_profit(cfg: ScenarioConfig, sol: "EquilibriumSolution") -> float:
     dt = cfg.dt_hours
     revenue = users_bill(cfg, sol.mu, sol.gamma, sol.p_sl, sol.h_cl)
     cost = 0.0
-    for i, u in enumerate(cfg.tp_units):
-        p = sol.p_tp[i]
-        cost += float(np.sum(u.cost_a * p ** 2 + u.cost_b * p + u.cost_c)) * dt
-        cost += u.reserve_cost * float(np.sum(sol.r_tp[i])) * dt
-    for i, u in enumerate(cfg.chp_units):
-        y = sol.p_chp[i] + u.c_v * sol.h_chp[i]
+    # a unit's cost is on its output: p for TP units, y = p + c_v h for CHP
+    for u, y, r in ([*zip(cfg.tp_units, sol.p_tp, sol.r_tp)]
+                    + [(u, p + u.c_v * h, r) for u, p, h, r
+                       in zip(cfg.chp_units, sol.p_chp, sol.h_chp, sol.r_chp)]):
         cost += float(np.sum(u.cost_a * y ** 2 + u.cost_b * y + u.cost_c)) * dt
-        cost += u.reserve_cost * float(np.sum(sol.r_chp[i])) * dt
+        cost += u.reserve_cost * float(np.sum(r)) * dt
     if cfg.bess is not None:
         b = cfg.bess
         cost += float(b.discharge_cost * np.sum(sol.p_dh)
@@ -542,39 +538,37 @@ def verify_solution(sol: EquilibriumSolution, cfg: ScenarioConfig,
     dt = cfg.dt_hours
     load, heat_load = balance_rhs(cfg, sol.p_sl, sol.h_cl)
 
+    # every entry finite; the pipelines' columns hold NaN without transport
+    transport = mode.dhn_enabled and cfg.pipelines
+    for key, value in vars(sol).items():
+        if transport or key not in ("t_sw", "t_rw", "h_src"):
+            for index in np.argwhere(~np.isfinite(value)).tolist():
+                rep.add("finite", f"{key}{index or ''}", 1.0, 0.0)
+
     # electric balance
     gen = sol.p_tp.sum(axis=0) + sol.p_chp.sum(axis=0) + sol.p_res
     gen = gen + sol.p_dh - sol.p_ch
     for t in range(t_count):
         rep.add("electric_balance", f"t={t}", abs(gen[t] - load[t]), BALANCE_TOL)
 
-    # unit limits, ramps, reserves
-    for i, u in enumerate(cfg.tp_units):
-        p, r = sol.p_tp[i], sol.r_tp[i]
-        for t in range(t_count):
-            rep.add("tp_bounds", f"unit={i} t={t}",
-                    max(u.p_min - p[t], p[t] - u.p_max), BALANCE_TOL)
-            rep.add("tp_reserve", f"unit={i} t={t}",
-                    max(-r[t], r[t] - u.ramp_up * dt, p[t] + r[t] - u.p_max),
-                    BALANCE_TOL)
-            prev = p[(t - 1) % t_count]
-            rep.add("tp_ramp", f"unit={i} t={t}",
-                    max(p[t] - prev - u.ramp_up * dt, prev - p[t] - u.ramp_down * dt),
-                    BALANCE_TOL)
-    for i, u in enumerate(cfg.chp_units):
-        p, h, r = sol.p_chp[i], sol.h_chp[i], sol.r_chp[i]
-        y = p + u.c_v * h
-        for t in range(t_count):
-            rep.add("chp_region", f"unit={i} t={t}",
-                    max(u.p_min - y[t], y[t] - u.p_max, -h[t], h[t] - u.h_max,
-                        u.c_m * h[t] - p[t]), BALANCE_TOL)
-            rep.add("chp_reserve", f"unit={i} t={t}",
-                    max(-r[t], r[t] - u.ramp_up * dt, p[t] + r[t] - u.p_max),
-                    BALANCE_TOL)
-            prev = p[(t - 1) % t_count]
-            rep.add("chp_ramp", f"unit={i} t={t}",
-                    max(p[t] - prev - u.ramp_up * dt, prev - p[t] - u.ramp_down * dt),
-                    BALANCE_TOL)
+    # unit limits, reserves, ramps: a TP unit's window is on its output p,
+    # a CHP unit's region on y = p + c_v h, its heat and the back-pressure line
+    units = {"tp": [(u, p, r, [u.p_min - p, p - u.p_max])
+                    for u, p, r in zip(cfg.tp_units, sol.p_tp, sol.r_tp)],
+             "chp": [(u, p, r, [u.p_min - y, y - u.p_max, -h, h - u.h_max, u.c_m * h - p])
+                     for u, p, h, r in zip(cfg.chp_units, sol.p_chp, sol.h_chp, sol.r_chp)
+                     for y in [p + u.c_v * h]]}
+    for kind, window_check in (("tp", "tp_bounds"), ("chp", "chp_region")):
+        for i, (u, p, r, window) in enumerate(units[kind]):
+            prev = np.roll(p, 1)
+            checks = ((window_check, np.max(window, axis=0)),
+                      (f"{kind}_reserve",
+                       np.max([-r, r - u.ramp_up * dt, p + r - u.p_max], axis=0)),
+                      (f"{kind}_ramp", np.maximum(p - prev - u.ramp_up * dt,
+                                                  prev - p - u.ramp_down * dt)))
+            for t in range(t_count):
+                for check, magnitude in checks:
+                    rep.add(check, f"unit={i} t={t}", magnitude[t], BALANCE_TOL)
 
     # storage
     if cfg.bess is not None:
@@ -597,7 +591,7 @@ def verify_solution(sol: EquilibriumSolution, cfg: ScenarioConfig,
         rep.add("soc_cyclic", "end", abs(sol.soc[-1] - b.soc_start_mwh), BALANCE_TOL)
 
     # heat side
-    if mode.dhn_enabled and cfg.pipelines:
+    if transport:
         delivered = np.zeros(t_count)
         for p_idx, pipe in enumerate(cfg.pipelines):
             _, steps = th.pipe_delay(pipe, dt)

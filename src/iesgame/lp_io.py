@@ -34,7 +34,7 @@ def write_lp(model: ModelIR | CompiledModel) -> str:
     m = as_compiled(model)
     names = m.var_names
     lines = [f"\\ {m.name}"]
-    lines.append("Maximize" if m.sense == "max" else "Minimize")
+    lines.append("Maximize")
     obj = [(names[j], c) for j, c in zip(m.obj_cols, m.obj_coefs) if c != 0.0]
     lines.append(" obj: " + (_expr(obj) if obj else "0 " + names[0]))
     if m.obj_const:

@@ -10,9 +10,10 @@ coefficients keep their insertion order, which makes serialized models
 byte-stable across runs. A row may name only variables declared before
 it; `validate` rejects any other name.
 
-The objective is linear plus diagonal quadratic terms. The MILP backend
-takes no quadratic terms: `kkt_reformulation.apply_pwl` replaces them by
-secant columns and rows before a model is compiled.
+Every model is a maximization. The objective is linear plus diagonal
+quadratic terms. The MILP backend takes no quadratic terms:
+`kkt_reformulation.apply_pwl` replaces them by secant columns and rows
+before a model is compiled.
 
 `ModelIR.compile` is the one lowering from a model to arrays: the
 backend and the LP writer read the `CompiledModel` it returns. A
@@ -53,13 +54,12 @@ class CompiledModel:
     Columns follow the variables' and rows the rows' insertion order; the
     coefficients of each row of `a` keep the order they were given in, so
     the LP writer renders the same text as from the model. `c` is the
-    objective in the model's own sense. The dense arrays are read-only:
+    objective to maximize. The dense arrays are read-only:
     copies made by `with_rhs`, `without_lower` and `relaxed` share every
     array they do not change.
     """
 
     name: str
-    sense: str
     var_names: list[str]
     c: np.ndarray
     a: sparse.csr_matrix
@@ -114,13 +114,11 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 class ModelIR:
-    """A named-variable LP/MILP with optional quadratic objective terms."""
+    """A named-variable LP/MILP, maximized, with optional quadratic
+    objective terms."""
 
-    def __init__(self, name: str = "model", sense: str = "max"):
-        if sense not in ("max", "min"):
-            raise ValueError("sense must be 'max' or 'min'")
+    def __init__(self, name: str = "model"):
         self.name = name
-        self.sense = sense
         # columns: names, index by name, bound and binary arrays whose first
         # len(_names) entries are set; rows: index by name, sense (index into
         # SENSES) and rhs arrays, and the first _nnz entries of the COO
@@ -246,13 +244,14 @@ class ModelIR:
     @property
     def variables(self) -> dict[str, Variable]:
         """Every column's `Variable`, by name, in insertion order; built
-        on each access (`bounds` reads one column's)."""
+        on each access (`bounds` reads some columns' bounds as arrays)."""
         return {name: Variable(name, *rest) for name, *rest in zip(
             self._names, self._lb.tolist(), self._ub.tolist(), self._binary.tolist())}
 
-    def bounds(self, name: str) -> tuple[float, float]:
-        j = self._col[name]
-        return float(self._lb[j]), float(self._ub[j])
+    def bounds(self, names: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The lower and upper bounds of the columns `names`."""
+        cols = [self._col[name] for name in names]
+        return self._lb[cols], self._ub[cols]
 
     @property
     def rows(self) -> list[LinearRow]:
@@ -315,7 +314,7 @@ class ModelIR:
                                self._indptr()), shape=(m, n))
         sense, rhs = self._sense[:m], self._rhs[:m]
         return CompiledModel(
-            name=self.name, sense=self.sense, var_names=list(self._names),
+            name=self.name, var_names=list(self._names),
             c=_read_only(c), a=a,
             row_lower=_read_only(np.where(sense == SENSES.index("<="), -math.inf, rhs)),
             row_upper=_read_only(np.where(sense == SENSES.index(">="), math.inf, rhs)),

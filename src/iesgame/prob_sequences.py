@@ -49,9 +49,6 @@ class ProbSequence:
         if abs(total - 1.0) > 1e-6:
             raise ValueError(f"probabilities sum to {total}, expected 1")
 
-    def __len__(self) -> int:
-        return int(self.probs.size)
-
     def levels(self) -> np.ndarray:
         return np.arange(self.probs.size) * self.q
 

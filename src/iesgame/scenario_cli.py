@@ -381,10 +381,11 @@ def revalidate(scenario: str, run_dir: str, mc_samples: int,
     scenario file), the mode and the recorded `pwl_error_bound`. A sample
     count below the Monte Carlo floor is refused with ValueError before
     anything is read, and so are a summary that is not a JSON object,
-    records no solution or a bound that is not a nonnegative finite
-    number, and a scenario file whose SHA-256 differs from the one the
-    run recorded (run directories without `scenario_sha256` are not
-    checked).
+    records no solution, a bound that is not a nonnegative finite number,
+    objectives (`f1`, `f2`, `objective`) that are not finite numbers or a
+    mode that is not an integer, and a scenario file whose SHA-256
+    differs from the one the run recorded (run directories without
+    `scenario_sha256` are not checked).
     """
     if mc_samples < MIN_MC_SAMPLES:
         raise ValueError(_too_few_samples(mc_samples))
@@ -399,13 +400,21 @@ def revalidate(scenario: str, run_dir: str, mc_samples: int,
     if type(bound) not in (int, float) or not 0 <= bound < math.inf:
         raise ValueError(f"{run_dir}/summary.json: pwl_error_bound={bound!r} "
                          "is not a nonnegative finite number")
+    for key in ("f1", "f2", "objective"):
+        value = summary.get(key)
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ValueError(f"{run_dir}/summary.json: {key}={value!r} "
+                             "is not a finite number")
+    if type(summary.get("mode")) is not int:
+        raise ValueError(f"{run_dir}/summary.json: mode={summary.get('mode')!r} "
+                         "is not an integer")
     recorded = summary.get("scenario_sha256")
     if recorded is not None and recorded != _sha256(scenario):
         raise ValueError(f"{scenario} is not the scenario file the run was "
                          f"made from (sha256 {recorded})")
     cfg = _overridden(load_scenario(scenario), summary.get("theta"),
                       summary.get("confidence"))
-    mode = gm.ModeSettings.for_mode(int(summary["mode"]))
+    mode = gm.ModeSettings.for_mode(summary["mode"])
     with (run_path / "periods.csv").open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     sol = _solution_from_rows(cfg, rows, summary)

@@ -35,7 +35,7 @@ from scipy.optimize._highspy import _core as _highs
 
 from . import game_model as gm
 from .config import ScenarioConfig
-from .kkt_reformulation import N_SEGMENTS, assemble_single_level
+from .kkt_reformulation import N_SEGMENTS, assemble_single_level, check_kkt
 from .model_ir import CompiledModel, ModelIR, as_compiled
 from .prob_sequences import MC_ALLOWANCE, chance_satisfaction_mc
 
@@ -89,8 +89,8 @@ _VAR_TYPE = (_highs.HighsVarType.kContinuous, _highs.HighsVarType.kInteger)
 
 def _highs_lp(model: CompiledModel, integral: bool) -> _highs.HighsLp:
     """A compiled model as a HiGHS LP: its matrix column-wise, its costs
-    in minimize sense (negated for a maximization; the constant left
-    out), its bounds and, if `integral`, its integrality.
+    negated (HiGHS minimizes; the constant left out), its bounds and, if
+    `integral`, its integrality.
 
     Refuses with ValueError a non-finite cost or matrix entry and a NaN
     bound: HiGHS would solve the first two as given and refuse the last
@@ -110,7 +110,7 @@ def _highs_lp(model: CompiledModel, integral: bool) -> _highs.HighsLp:
     lp.a_matrix_.start_ = a.indptr
     lp.a_matrix_.index_ = a.indices
     lp.a_matrix_.value_ = a.data
-    lp.col_cost_ = -model.c if model.sense == "max" else model.c
+    lp.col_cost_ = -model.c
     lp.col_lower_, lp.col_upper_ = model.col_lower, model.col_upper
     lp.row_lower_, lp.row_upper_ = model.row_lower, model.row_upper
     if integral:
@@ -210,11 +210,8 @@ class ScipyMilpBackend:
                                runtime)
         values = dict(zip(m.var_names, res.x))
         objective = m.objective(res.x)
-        if res.mip_dual_bound is None:
-            bound = objective
-        else:
-            bound = m.obj_const + (-res.mip_dual_bound if m.sense == "max"
-                                   else res.mip_dual_bound)
+        bound = (objective if res.mip_dual_bound is None
+                 else m.obj_const - res.mip_dual_bound)
         return SolveResult(res.status, values, objective, bound,
                            res.mip_gap or 0.0, runtime,
                            node_count=res.mip_node_count)
@@ -270,7 +267,8 @@ class SolveOutcome:
 
 def solve(bundle: gm.ModelBundle, opts: SolveOptions | None = None,
           backend=None) -> SolveOutcome:
-    """Solve a finished bundle; verify the solution and its KKT values.
+    """Solve a finished bundle; verify the solution and, with optimized
+    prices, its KKT values (`check_kkt`).
 
     Infeasible outcomes are triaged by a re-solve with the reserve rows
     relaxed: if that is still infeasible the balances are to blame, else
@@ -288,8 +286,8 @@ def solve(bundle: gm.ModelBundle, opts: SolveOptions | None = None,
     solution = gm.extract_solution(bundle, result.values, result.objective)
     report = gm.verify_solution(solution, bundle.cfg, bundle.mode,
                                 bundle.pwl_error_bound)
-    if bundle.kkt is not None:
-        bundle.kkt.check(report, result.values)
+    if bundle.mode.optimize_prices:
+        check_kkt(report, bundle, result.values)
     return SolveOutcome(solution, result, report)
 
 

@@ -104,16 +104,14 @@ def pipe_heat(pipe: PipelineSpec, t_sw: float, t_rw: float) -> float:
     """Thermal power c_w*G*(t_sw - t_rw) carried by the pipeline, in MW."""
     if t_sw <= t_rw:
         raise ValueError(f"supply temperature {t_sw} must exceed return {t_rw}")
-    return WATER_HEAT_CAPACITY_KJ * pipe.mass_flow_kg_s * (t_sw - t_rw) / 1000.0
+    return pipe.heat_mw_per_c * (t_sw - t_rw)
 
 
 def pipe_loss(pipe: PipelineSpec, t_sw: float) -> float:
     """Steady-state heat loss 2*pi*(t_sw - T_e)/R_h * L, in MW."""
     if t_sw < pipe.ambient_temp_c:
         raise ValueError("supply temperature below ambient")
-    loss_kw = (2.0 * math.pi * (t_sw - pipe.ambient_temp_c)
-               / pipe.thermal_resistance_km_c_per_kw * pipe.length_km)
-    return loss_kw / 1000.0
+    return pipe.loss_mw_per_c * (t_sw - pipe.ambient_temp_c)
 
 
 def pipe_flow_time_h(pipe: PipelineSpec) -> float:

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import toy_dict
 from iesgame import game_model as gm
+from iesgame import kkt_reformulation as kkt
 from iesgame import prob_sequences as ps
 from iesgame import solve_engine as se
 from iesgame import thermal_side as th
@@ -164,14 +165,17 @@ def test_criterion_5_equilibrium_properties(which, toy_mode3, case2_mode3):
     gamma_gap = abs(float(sol.gamma.sum()) - cfg.horizon * p.gamma_av)
     assert mu_gap <= 1e-6 and gamma_gap <= 1e-6
 
-    block = bundle.kkt
+    values = out.result.values
     comp_worst = 0.0
-    for pair in block.pairs:
-        g = pair.primal_value(out.result.values)
-        d = out.result.values[pair.dual_var]
-        limit = 1e-6 * max(pair.big_m_primal, pair.big_m_dual, 1.0)
-        comp_worst = max(comp_worst, g * d)
-        assert g * d <= limit, pair.name
+    for family in kkt.complementarity(bundle):
+        prefix, primal, sign, const, duals = family
+        m_primal, m_dual = kkt.big_m(bundle.ir, family)
+        for t in range(cfg.horizon):
+            g = const[t] + sign * values[primal[t]]
+            d = values[duals[t]]
+            limit = 1e-6 * max(m_primal[t], m_dual[t], 1.0)
+            comp_worst = max(comp_worst, g * d)
+            assert g * d <= limit, f"{prefix}_{t}"
 
     comfort = [v for v in gm.verify_solution(sol, cfg, bundle.mode,
                                              bundle.pwl_error_bound).violations

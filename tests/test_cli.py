@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -464,6 +465,42 @@ class TestValidateVerb:
                         "--run-dir", str(toy_run), "--mc-samples", "20000"])
         assert code == cli.EXIT_SCHEMA
         assert "pwl_error_bound=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["mode", "f1", "f2", "objective"])
+    @pytest.mark.parametrize("value", [None, "3", True, math.inf])
+    def test_unusable_summary_field_refused(self, field, value, toy_path,
+                                            toy_run, capsys):
+        # a non-finite float is written as null; neither it nor a string
+        # or a boolean reaches the checks
+        summary_path = toy_run / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        summary[field] = value
+        summary_path.write_text(json.dumps(summary))  # inf as such
+        code = run_cli(["validate", "--scenario", str(toy_path),
+                        "--run-dir", str(toy_run), "--mc-samples", "20000"])
+        assert code == cli.EXIT_SCHEMA
+        assert f"{field}=" in capsys.readouterr().err
+
+    def test_non_finite_cell_flagged(self, toy_path, toy_run, capsys):
+        # every p_tp_0 cell NaN: each is flagged, and so is every check it
+        # enters, however it is combined; the NaN pipe columns of a run
+        # without transport stay unflagged
+        table = toy_run / "periods.csv"
+        with table.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(row["t_sw_0"] == "nan" for row in rows)
+        with table.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=rows[0].keys())
+            writer.writeheader()
+            writer.writerows({**row, "p_tp_0": "nan"} for row in rows)
+        code = run_cli(["validate", "--scenario", str(toy_path),
+                        "--run-dir", str(toy_run), "--mc-samples", "20000"])
+        assert code == cli.EXIT_VALIDATION
+        violations = json.loads(capsys.readouterr().out)["violations"]
+        assert [v["detail"] for v in violations if v["check"] == "finite"] \
+            == ["p_tp[0, 0]", "p_tp[0, 1]", "p_tp[0, 2]"]
+        flagged = {v["check"] for v in violations}
+        assert {"tp_bounds", "tp_reserve", "tp_ramp", "electric_balance"} <= flagged
 
     @pytest.mark.parametrize("recorded_bound", ["kept", 0.0])
     def test_objective_off_profit_flagged(self, recorded_bound, toy_path,

@@ -346,7 +346,7 @@ def with_indicator_reserve(bundle: gm.ModelBundle) -> ModelIR:
     a binary w_m per output level, r >= thr_m - M (1 - w_m), and the
     coverage row sum_m p_m w_m >= confidence."""
     ir = bundle.ir
-    out = ModelIR(ir.name + "_indicators", ir.sense)
+    out = ModelIR(ir.name + "_indicators")
     for var in ir.variables.values():
         out.add_columns([var.name], var.lb, var.ub, var.binary)
     out.obj_linear = dict(ir.obj_linear)
@@ -400,7 +400,7 @@ class TestPriceMonotonicity:
         # top prices go to the heaviest loads
         loads = np.array([3.0, 1.0, 2.0, 4.0])
         lo, hi, avg = 40.0, 90.0, 65.0
-        ir = ModelIR("prices_only", "max")
+        ir = ModelIR("prices_only")
         names = ir.add_block("mu", 4, lo, hi)
         for t, name in enumerate(names):
             ir.add_obj_linear(name, float(loads[t]))

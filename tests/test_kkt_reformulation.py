@@ -21,34 +21,52 @@ def solved_toy():
     return cfg, bundle, out
 
 
+def secant(coef: float, lo: float, hi: float, n_segments: int):
+    """The `n_segments`-piece secant of coef*x^2 on [lo, hi], as
+    `apply_pwl` emits it: its breakpoints, its values there and its error
+    bound."""
+    ir = ModelIR("secant")
+    ir.add_columns(["x"], lo, hi)
+    ir.obj_quad["x"] = coef  # as given: `add_obj_quad` stores no zero
+    bound = kkt.apply_pwl(ir, n_segments)
+    widths = ir.bounds([f"pwl_d_0_x_{k}" for k in range(n_segments)])[1]
+    breakpoints = lo + np.concatenate(([0.0], np.cumsum(widths)))
+    slopes = [ir.obj_linear[f"pwl_d_0_x_{k}"] for k in range(n_segments)]
+    values = ir.obj_const + np.concatenate(([0.0], np.cumsum(slopes * widths)))
+    return breakpoints, values, bound
+
+
 class TestPwlQuadratic:
     def test_zero_coefficient(self):
-        approx = kkt.pwl_quadratic(0.0, 0.0, 4.0, 8)
-        assert approx.max_error == 0.0
+        _, values, bound = secant(0.0, 0.0, 4.0, 8)
+        assert bound == 0.0 and not values.any()
 
     def test_two_segment_error_bound(self):
-        # chord over parabola: worst gap w^2/4 at segment midpoints
-        approx = kkt.pwl_quadratic(1.0, 0.0, 4.0, 2)
-        assert approx.max_error == pytest.approx(1.0)
+        # chord under parabola: worst gap w^2/4 at segment midpoints
+        breakpoints, values, bound = secant(-1.0, 0.0, 4.0, 2)
+        assert bound == pytest.approx(1.0)
         xs = np.linspace(0.0, 4.0, 1001)
-        interp = np.interp(xs, approx.breakpoints, approx.values)
-        gap = np.max(np.abs(interp - xs ** 2))
+        interp = np.interp(xs, breakpoints, values)
+        gap = np.max(np.abs(interp + xs ** 2))
         assert gap == pytest.approx(1.0, abs=1e-6)
 
     def test_unit_scale_error(self):
         # published small-unit quadratic coefficient over its 0.45 MW range
-        approx = kkt.pwl_quadratic(12.0, 0.0, 0.45, 8)
-        assert approx.max_error == pytest.approx(12.0 * (0.45 / 8) ** 2 / 4)
-        assert approx.max_error == pytest.approx(0.0095, abs=2e-4)
+        _, _, bound = secant(-12.0, 0.0, 0.45, 8)
+        assert bound == pytest.approx(12.0 * (0.45 / 8) ** 2 / 4)
+        assert bound == pytest.approx(0.0095, abs=2e-4)
 
     def test_slopes_increase_for_convex(self):
-        approx = kkt.pwl_quadratic(2.0, -1.0, 3.0, 6)
-        slopes = np.diff(approx.values) / np.diff(approx.breakpoints)
+        # the secant of -2x^2 is the negated secant of the convex 2x^2
+        breakpoints, values, _ = secant(-2.0, -1.0, 3.0, 6)
+        assert breakpoints == pytest.approx(np.linspace(-1.0, 3.0, 7))
+        assert values == pytest.approx(-2.0 * breakpoints ** 2)
+        slopes = -np.diff(values) / np.diff(breakpoints)
         assert len(slopes) == 6
         assert all(s2 > s1 for s1, s2 in zip(slopes, slopes[1:]))
 
     def test_apply_pwl_folds_fixed_variables(self):
-        ir = ModelIR("f", "max")
+        ir = ModelIR("f")
         ir.add_columns(["x", "pad"], [2.0, 0.0], [2.0, 1.0])
         ir.add_obj_quad("x", -1.0)
         ir.add_obj_quad("x", -2.0)  # terms on one variable add up
@@ -65,12 +83,13 @@ class TestBigM:
         # exactly {primal = 0} and {dual = 0}
         backend = se.ScipyMilpBackend()
         for fixed_pi, free_var, forced_var in ((1.0, "x", "d"), (0.0, "d", "x")):
-            ir = ModelIR("pair", "max")
+            ir = ModelIR("pair")
             ir.add_columns(["x"], 0.0, 10.0)
             ir.add_columns(["d"], 0.0, 5.0)
-            pair = kkt.ComplementarityPair("p0", {"x": 1.0}, 0.0, "d")
-            (binary,) = kkt.big_m_linearize(ir, [pair])
-            assert (pair.big_m_primal, pair.big_m_dual) == (10.0, 5.0)
+            family = ("p", ["x"], 1.0, np.zeros(1), ["d"])
+            assert [m.tolist() for m in kkt.big_m(ir, family)] == [[10.0], [5.0]]
+            (binary,) = kkt.big_m_linearize(ir, [family])
+            assert binary == "pi_p_0"
             ir.add_row_list([("fix_pi", {binary: 1.0}, "==", fixed_pi)])
             ir.add_obj_linear(free_var, 1.0)
             ir.add_obj_linear(forced_var, 1.0)
@@ -84,12 +103,49 @@ class TestBigM:
                                                  ((0.0, 10.0), 0.0)])
     def test_pair_decided_by_bounds_gets_no_binary(self, x_bounds, d_cap):
         # a fixed primal slack or a dual capped at zero already holds
-        ir = ModelIR("pair", "max")
+        ir = ModelIR("pair")
         ir.add_columns(["x"], *x_bounds)
         ir.add_columns(["d"], 0.0, d_cap)
-        pair = kkt.ComplementarityPair("p0", {"x": -1.0}, 10.0, "d")
-        assert kkt.big_m_linearize(ir, [pair]) == [None]
+        family = ("p", ["x"], -1.0, np.full(1, 10.0), ["d"])
+        assert kkt.big_m_linearize(ir, [family]) == [None]
         assert not ir.rows and not ir.binary_names
+
+    def test_pairs_interleave_period_by_period(self):
+        # two families over two periods: pair t of every family, then t+1;
+        # a pair its bounds decide is skipped in the names and rows
+        ir = ModelIR("pairs")
+        ir.add_columns(["x_0", "x_1", "d_0", "d_1", "e_0", "e_1"], 0.0,
+                       [1.0, 1.0, 2.0, 0.0, 3.0, 3.0])
+        families = [("a", ["x_0", "x_1"], 1.0, np.zeros(2), ["d_0", "d_1"]),
+                    ("b", ["x_0", "x_1"], -1.0, np.ones(2), ["e_0", "e_1"])]
+        assert kkt.big_m_linearize(ir, families) == ["pi_a_0", "pi_b_0", None,
+                                                     "pi_b_1"]
+        assert [row.name for row in ir.rows] == [
+            "bigm_g_a_0", "bigm_d_a_0", "bigm_g_b_0", "bigm_d_b_0",
+            "bigm_g_b_1", "bigm_d_b_1"]
+        assert ir.rows[2].coeffs == {"x_0": -1.0, "pi_b_0": -1.0}
+        assert ir.rows[2].rhs == -1.0
+        assert ir.rows[3].coeffs == {"e_0": 1.0, "pi_b_0": 3.0}
+
+
+def pair_values(bundle, values):
+    """Each complementarity pair's name, primal value at `values`, dual
+    variable and big-M constants."""
+    out = []
+    for family in kkt.complementarity(bundle):
+        prefix, primal, sign, const, duals = family
+        m_primal, m_dual = kkt.big_m(bundle.ir, family)
+        for t in range(bundle.cfg.horizon):
+            out.append((f"{prefix}_{t}", const[t] + sign * values[primal[t]],
+                        duals[t], m_primal[t], m_dual[t]))
+    return out
+
+
+def stationarity_residuals(bundle, values):
+    """Each stationarity row's name and residual at `values`."""
+    return [(f"{prefix}_{t}", sum(c * values[v[t]] for v, c in terms) - rhs)
+            for prefix, terms, _, rhs in kkt.stationarity(bundle)
+            for t in range(bundle.cfg.horizon)]
 
 
 def greedy_multipliers(cfg, mu, gamma):
@@ -142,11 +198,10 @@ class TestEmitKkt:
                 for name, value in values.items():
                     spec = variables[name]
                     assert spec.lb - 1e-9 <= value <= spec.ub + 1e-9, (cfg.name, name)
-                for name, residual in bundle.kkt.stationarity_residuals(values):
+                for name, residual in stationarity_residuals(bundle, values):
                     assert abs(residual) < 1e-9, (cfg.name, name)
-                for pair in bundle.kkt.pairs:
-                    g = pair.primal_value(values)
-                    d = values[pair.dual_var]
+                for _, g, dual, _, _ in pair_values(bundle, values):
+                    d = values[dual]
                     assert g >= -1e-9 and d >= -1e-9
                     assert g * d == pytest.approx(0.0, abs=1e-9)
 
@@ -162,8 +217,10 @@ class TestEmitKkt:
 
     def test_dual_bounds_finite(self, solved_toy):
         _, bundle, _ = solved_toy
-        block = bundle.kkt
-        for var in [block.xi] + [v for vs in block.deltas.values() for v in vs]:
+        multipliers = [v for family in ("xi", "delta1", "delta2", "delta4")
+                       for v in bundle.names[family]]
+        assert len(multipliers) == 1 + 3 * bundle.cfg.horizon
+        for var in multipliers:
             spec = bundle.ir.variables[var]
             assert np.isfinite(spec.lb) and np.isfinite(spec.ub)
 
@@ -171,20 +228,18 @@ class TestEmitKkt:
 class TestEliminateBilinear:
     def test_identity_at_optimum(self, solved_toy):
         _, bundle, out = solved_toy
-        block = bundle.kkt
-        residuals = kkt.bilinear_identity_residuals(bundle, block,
-                                                    out.result.values)
+        residuals = kkt.bilinear_identity_residuals(bundle, out.result.values)
         assert residuals, "expected substituted revenue terms"
         for name, residual in residuals:
             assert abs(residual) < 1e-8, name
 
     def test_complementarity_products_at_optimum(self, solved_toy):
         _, bundle, out = solved_toy
-        block = bundle.kkt
-        for pair in block.pairs:
-            g = pair.primal_value(out.result.values)
-            d = out.result.values[pair.dual_var]
-            assert g * d <= 1e-6 * max(pair.big_m_primal, pair.big_m_dual, 1.0)
+        values = out.result.values
+        pairs = pair_values(bundle, values)
+        assert len(pairs) == 3 * bundle.cfg.horizon
+        for name, g, dual, m_primal, m_dual in pairs:
+            assert g * values[dual] <= 1e-6 * max(m_primal, m_dual, 1.0), name
 
 
 class TestAssemble:
@@ -199,7 +254,7 @@ class TestAssemble:
     def test_mode_without_response_emits_no_kkt(self, solved_toy):
         cfg, _, _ = solved_toy
         bundle = build_bundle(cfg, 1)
-        assert bundle.kkt is None
+        assert not {"xi", "delta1", "delta2", "delta4"} & bundle.names.keys()
         assert not any(r.name.startswith("kkt_") for r in bundle.ir.rows)
         assert not any(n.startswith("pi_") for n in bundle.ir.variables)
 
@@ -212,7 +267,7 @@ class TestAssemble:
     def test_backend_rejects_quadratic_objective(self):
         # the PWL pass always runs, so a quadratic term reaching the
         # backend is a caller error, never a convex-MIQP request
-        ir = ModelIR("quad", "max")
+        ir = ModelIR("quad")
         ir.add_columns(["x"], 0.0, 2.0)
         ir.add_obj_linear("x", 3.0)
         ir.add_obj_quad("x", -1.0)
@@ -252,14 +307,16 @@ class TestKktChecks:
         # the checks read the MILP's multipliers, which the extracted
         # solution does not hold, so only the solve's report can show them
         _, bundle, out = solved_toy
-        block, values = bundle.kkt, out.result.values
+        values = out.result.values
         assert check not in {v.check for v in out.report.violations}
-        slack = max(block.pairs, key=lambda pair: pair.primal_value(values))
-        assert slack.primal_value(values) > 1e-3
+        # the dual of the pair with the most primal slack
+        _, g, dual, _, _ = max(pair_values(bundle, values), key=lambda pair: pair[1])
+        assert g > 1e-3
+        xi = bundle.names["xi"][0]
         changes = {
-            "complementarity": {slack.dual_var: values[slack.dual_var] + 1.0},
-            "kkt_signs": {slack.dual_var: -1.0},
-            "kkt_stationarity": {block.xi: values[block.xi] + 1.0},
+            "complementarity": {dual: values[dual] + 1.0},
+            "kkt_signs": {dual: -1.0},
+            "kkt_stationarity": {xi: values[xi] + 1.0},
         }[check]
         report = se.solve(bundle, backend=_Replay(out.result, changes)).report
         assert check in {v.check for v in report.violations}

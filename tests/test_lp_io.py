@@ -14,7 +14,7 @@ from iesgame.scenario_cli import build_bundle
 
 
 def sample_ir():
-    ir = ModelIR("sample", "max")
+    ir = ModelIR("sample")
     ir.add_columns(["x"], 0.0, 4.0)
     ir.add_columns(["y"], -1.5, 3.0)
     ir.add_columns(["b"], 0.0, 1.0, binary=True)
@@ -72,13 +72,6 @@ class TestWriter:
         assert " obj: 1 x - 2.5 y + 0.75 pwl_d_0_y_0 - 3.75 pwl_d_0_y_1\n" in text
         assert " pwl_link_0_y: 1 pwl_d_0_y_0 + 1 pwl_d_0_y_1 - 1 y = 1.5" in text
         assert " 0 <= pwl_d_0_y_1 <= 2.25" in text
-
-    def test_min_sense(self):
-        ir = ModelIR("m", "min")
-        ir.add_columns(["x"], 0.0, 1.0)
-        ir.add_obj_linear("x", 1.0)
-        ir.add_row_list([("r", {"x": 1.0}, ">=", 0.5)])
-        assert "Minimize" in write_lp(ir)
 
 
 

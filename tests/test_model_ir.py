@@ -11,7 +11,7 @@ BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
 
 def tiny_model():
-    ir = ModelIR("tiny", "max")
+    ir = ModelIR("tiny")
     ir.add_columns(["x"], 0.0, 4.0)
     ir.add_columns(["b"], 0.0, 1.0, binary=True)
     ir.add_obj_linear("x", 1.0)
@@ -116,7 +116,7 @@ class TestArrayFirst:
     def test_curvature_names_the_one_bad_term(self):
         # 60 concave terms and convex terms 37 and 50 among them: the sign
         # check names the first one's variable and adds nothing
-        ir = ModelIR("many", "max")
+        ir = ModelIR("many")
         ir.add_columns([f"v{j}" for j in range(62)], 0.0, 4.0)
         for j in range(62):
             ir.add_obj_quad(f"v{j}", 1.0 if j in (37, 50) else -1.0)
@@ -128,7 +128,7 @@ class TestArrayFirst:
         assert len(ir.rows) == 60 and len(ir.variables) == 62 + 60 * 4
 
     def test_row_keeps_its_column_order(self):
-        ir = ModelIR("order", "max")
+        ir = ModelIR("order")
         ir.add_block("v", 4, 0.0, 1.0)
         ir.add_row_list([("r", {"v_2": 1.0, "v_0": 2.0, "v_3": 0.0, "v_1": 3.0}, "<=", 5.0)])
         ir.add_rows(2, [("f", [(["v_3", "v_1"], 1.0), (["v_0", "v_0"], [4.0, 0.0]),
@@ -142,7 +142,7 @@ class TestArrayFirst:
         # rows of families added together interleave period by period,
         # with add_row_list's zero dropping and refusals, whether it gets
         # one row per call or all of them in one call
-        one, many = ModelIR("same", "max"), ModelIR("same", "max")
+        one, many = ModelIR("same"), ModelIR("same")
         for ir in (one, many):
             ir.add_block("p", 3, 0.0, 2.0)
             ir.add_block("q", 3, -1.0, 1.0)
@@ -153,7 +153,7 @@ class TestArrayFirst:
         many.add_rows(3, [("a", [(["p_0", "p_1", "p_2"], 1.0),
                                  (["q_0", "q_1", "q_2"], up)], "<=", 2.0),
                           ("b", [(["q_0", "q_1", "q_2"], -1.0)], "==", [0, 1, 2])])
-        listed = ModelIR("same", "max")
+        listed = ModelIR("same")
         listed.add_block("p", 3, 0.0, 2.0)
         listed.add_block("q", 3, -1.0, 1.0)
         listed.add_row_list([(row.name, row.coeffs, row.sense, row.rhs)
@@ -166,11 +166,11 @@ class TestArrayFirst:
             == "row a_0 declared twice"
 
 
-def secant_model(sense: str, coef: float, lb: float = 0.0, ub: float = 4.0,
-                  n_segments: int = 2) -> ModelIR:
+def secant_model(coef: float, lb: float = 0.0, ub: float = 4.0,
+                 n_segments: int = 2) -> ModelIR:
     """A model of x in [lb, ub] whose objective is the `n_segments`-piece
     secant of coef*x^2."""
-    ir = ModelIR("pwl", sense)
+    ir = ModelIR("pwl")
     ir.add_columns(["x"], lb, ub)
     ir.add_obj_quad("x", coef)
     apply_pwl(ir, n_segments)
@@ -179,7 +179,7 @@ def secant_model(sense: str, coef: float, lb: float = 0.0, ub: float = 4.0,
 
 class TestPwlLowering:
     def test_concave_term_lowers_for_max(self):
-        ir = secant_model("max", -1.0)
+        ir = secant_model(-1.0)
         assert not ir.obj_quad
         assert [n for n in ir.variables if n != "x"] == ["pwl_d_0_x_0",
                                                          "pwl_d_0_x_1"]
@@ -192,17 +192,10 @@ class TestPwlLowering:
 
     def test_convex_term_rejected_for_max(self):
         with pytest.raises(ValueError, match="concave"):
-            secant_model("max", 1.0)
-
-    def test_convex_term_lowers_for_min(self):
-        ir = secant_model("min", 1.0)
-        assert not ir.obj_quad
-        assert ir.obj_linear == {"pwl_d_0_x_0": 2.0, "pwl_d_0_x_1": 6.0}
-        with pytest.raises(ValueError, match="quadratic term on x is not convex"):
-            secant_model("min", -1.0)
+            secant_model(1.0)
 
     def test_interpolated_objective_matches(self):
-        compiled = secant_model("max", -1.0).compile()
+        compiled = secant_model(-1.0).compile()
         # x = 1 is halfway between the first two breakpoints; the chord
         # there gives -2 (not the exact -1)
         assert compiled.var_names == ["x", "pwl_d_0_x_0", "pwl_d_0_x_1"]
@@ -210,25 +203,21 @@ class TestPwlLowering:
         # a full first segment plus half the second: chord value -10
         assert compiled.objective([3.0, 2.0, 1.0]) == pytest.approx(-10.0)
 
-    @pytest.mark.parametrize("sense, sign, x_bounds", [
-        ("max", -1.0, (-1.0, 6.0)),  # concave term under max
-        ("min", 1.0, (-1.0, 6.0)),   # convex term under min
-        ("max", -1.0, (1.3, 4.2)),   # bounds away from zero
-    ])
-    def test_lowering_is_exact_at_fixed_points(self, sense, sign, x_bounds):
-        """With x fixed, the optimum is the chord value of sign*x^2 there."""
+    @pytest.mark.parametrize("x_bounds", [(-1.0, 6.0), (1.3, 4.2)])
+    def test_lowering_is_exact_at_fixed_points(self, x_bounds):
+        """With x fixed, the optimum is the chord value of -x^2 there."""
         from iesgame.solve_engine import ScipyMilpBackend
         bps = np.linspace(*x_bounds, 6)
         rng = np.random.default_rng(7)
         for x in rng.uniform(*x_bounds, size=6):
-            ir = ModelIR("exact", sense)
+            ir = ModelIR("exact")
             ir.add_columns(["x"], *x_bounds)
             ir.add_row_list([("fix", {"x": 1.0}, "==", float(x))])
-            ir.add_obj_quad("x", sign)
+            ir.add_obj_quad("x", -1.0)
             apply_pwl(ir, 5)
             res = ScipyMilpBackend().solve(ir, 10.0, 1e-9)
             assert res.values["x"] == pytest.approx(x, abs=1e-12)
-            assert res.objective == pytest.approx(np.interp(x, bps, sign * bps ** 2),
+            assert res.objective == pytest.approx(np.interp(x, bps, -bps ** 2),
                                                   abs=1e-9)
 
 
@@ -236,7 +225,7 @@ class TestLpRoundTrip:
     def test_pwl_model_solves_to_quadratic_optimum(self):
         # max 3x - x^2 on [0, 4]: true optimum 2.25 at x = 1.5
         from iesgame.solve_engine import ScipyMilpBackend
-        ir = ModelIR("quad", "max")
+        ir = ModelIR("quad")
         ir.add_columns(["x", "pad"], 0.0, [4.0, 1.0])
         ir.add_obj_linear("x", 3.0)
         ir.add_obj_quad("x", -1.0)

@@ -93,7 +93,7 @@ class TestDiscretize:
 
     def test_length_covers_support(self):
         seq = ps.discretize(uniform_dist(5.1), 2.5)
-        assert len(seq) == 4  # ceil(5.1/2.5) + 1
+        assert seq.probs.size == 4  # ceil(5.1/2.5) + 1
 
 
 class TestConvolve:

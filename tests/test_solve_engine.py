@@ -33,7 +33,7 @@ def flat_single_unit_dict():
 
 
 def small_milp():
-    ir = ModelIR("small", "max")
+    ir = ModelIR("small")
     ir.add_columns(["x"], 0.0, 2.0)
     ir.add_columns(["y"], 0.0, 2.0, binary=False)
     ir.add_columns(["b"], 0.0, 1.0, binary=True)
@@ -70,7 +70,7 @@ class TestBackend:
         assert res.values["b"] == pytest.approx(1.0)
 
     def test_infeasible_status(self):
-        ir = ModelIR("bad", "max")
+        ir = ModelIR("bad")
         ir.add_columns(["x"], 0.0, 1.0)
         ir.add_obj_linear("x", 1.0)
         ir.add_row_list([("lo", {"x": 1.0}, ">=", 2.0)])
@@ -92,7 +92,7 @@ class TestBackend:
         assert res.values == {}
 
     def test_gap_reported(self):
-        ir = ModelIR("g", "max")
+        ir = ModelIR("g")
         ir.add_columns(["x"], 0.0, 2.0)
         ir.add_obj_linear("x", 1.0)
         ir.add_row_list([("cap", {"x": 1.0}, "<=", 1.5)])
@@ -134,7 +134,7 @@ def fractional_milp():
     """A model whose LP relaxation sits at b1 = b2 = 0.5, where each
     binary alone rounds to 0 within every row it enters, but both at 0
     break `need`; its MILP is infeasible."""
-    ir = ModelIR("fractional", "max")
+    ir = ModelIR("fractional")
     ir.add_columns(["y"], 0.0, 1.0)
     ir.add_columns(["b1"], 0.0, 1.0, binary=True)
     ir.add_columns(["b2"], 0.0, 1.0, binary=True)
@@ -209,7 +209,7 @@ class TestRelaxFirst:
         assert calls[1] == (True, 0.0)
 
     def test_infeasible_relaxation_skips_the_milp(self, monkeypatch):
-        ir = ModelIR("binaries", "max")
+        ir = ModelIR("binaries")
         ir.add_columns(["b1"], 0.0, 1.0, binary=True)
         ir.add_columns(["b2"], 0.0, 1.0, binary=True)
         ir.add_obj_linear("b1", 1.0)
@@ -706,7 +706,7 @@ class TestPrunedSearch:
         model = build_bundle(cfg, mode).ir.compile()
         gap = 1e-4
         got = se.milp(model, 60.0, gap)
-        want = milp(-model.c if model.sense == "max" else model.c,
+        want = milp(-model.c,
                     constraints=LinearConstraint(model.a, model.row_lower,
                                                  model.row_upper),
                     bounds=Bounds(model.col_lower, model.col_upper),
