@@ -17,6 +17,7 @@ with no binaries.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,9 @@ MIN_MC_SAMPLES = 10_000  # floor on chance_satisfaction_mc's n_samples
 # A period passes the Monte Carlo check at confidence - MC_ALLOWANCE: the
 # allowance covers the q-grid discretization and the sampling error.
 MC_ALLOWANCE = 0.02
+# chance_satisfaction_mc draws each PV shape's fractions in chunks of this
+# many samples and counts one chunk while it draws the next
+MC_CHUNK = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,9 @@ def discretize(dist: OutputDistribution, q: float) -> ProbSequence:
 
     Cell 0 integrates [0, q/2); interior cell i integrates
     [iq - q/2, iq + q/2); the last cell absorbs the remaining upper tail.
-    Point masses land in the cell whose center is nearest (half-up).
+    Point masses land in the cell whose center is nearest (half-up). The
+    continuous part's cdf is called once, on the array of the upper and
+    then the lower edges of every cell inside the support.
     """
     if q <= 0:
         raise ValueError("step q must be positive")
@@ -71,11 +77,15 @@ def discretize(dist: OutputDistribution, q: float) -> ProbSequence:
             f"step q={q} >= support maximum {level_max}: sequence would "
             "collapse to a single cell; choose a smaller q")
     n = math.ceil(level_max / q)
+    centers = np.arange(n + 1) * q
+    lo = np.maximum(centers - q / 2, 0.0)
+    hi = np.minimum(centers + q / 2, level_max)
     probs = np.zeros(n + 1)
-    for i in range(n + 1):
-        lo = 0.0 if i == 0 else i * q - q / 2
-        hi = i * q + q / 2 if i < n else level_max
-        probs[i] = dist.cont_mass(lo, hi)
+    inside = hi > lo  # a cell past the support holds no mass
+    if dist.cont_cdf is not None:
+        upper, lower = np.split(
+            dist.cont_cdf(np.concatenate([hi[inside], lo[inside]])), 2)
+        probs[inside] = upper - lower
     for loc, mass in dist.point_masses:
         cell = min(n, int(math.floor(loc / q + 0.5)))
         probs[cell] += mass
@@ -148,6 +158,22 @@ def reserve_rows(joint: ProbSequence, confidence: float) -> ReserveRequirementRo
     )
 
 
+def _hits(periods, speeds, lo, hi, fractions=None) -> list[int]:
+    """How many of samples lo..hi-1 reach each (pv, wt, need) period's need:
+    its wind output from the unit-scale `speeds`, plus its PV output from
+    `fractions`, the Beta fractions of those samples, when it has PV."""
+    counts = []
+    for pv, wt, need in periods:
+        if wt is None:
+            joint = fractions * pv.p_max
+        else:
+            joint = wt_power_curve(wt, speeds[wt.u][lo:hi] * wt.z)
+            if pv is not None:
+                joint += fractions * pv.p_max
+        counts.append(int(np.count_nonzero(joint >= need)))
+    return counts
+
+
 def chance_satisfaction_mc(pv_models, wt_models, expected_outputs,
                            reserves, n_samples: int,
                            rng: np.random.Generator) -> list[tuple[float, float]]:
@@ -168,33 +194,57 @@ def chance_satisfaction_mc(pv_models, wt_models, expected_outputs,
     need = expected_output - reserve - 1e-12. A period with need <= 0 is
     hit by every sample, because no unit has a negative output: its
     estimate is exactly 1.0, and only periods with need > 0 ask for draws.
-    All speeds are drawn before any fraction, so with one shape of each a
-    period's estimate equals, at an equal seed, the one from `sample_wt(n)`
-    then `sample_pv(n)` on a fresh generator.
+    All speeds are drawn first, per Weibull shape in order of first use,
+    then the fractions per PV shape, so with one shape of each a period's
+    estimate equals, at an equal seed, the one from `sample_wt(n)` then
+    `sample_pv(n)` on a fresh generator.
+
+    The fractions are drawn in chunks of MC_CHUNK samples, which continue
+    one stream: the chunks concatenate to the single draw of n. One helper
+    thread, which lives only for the call, counts the hits: those of the
+    periods without PV as soon as the speeds exist, and those of one chunk
+    of a PV shape's periods while this thread draws the next chunk. Hits
+    are summed per period as integers, so the estimates and the
+    generator's final state do not depend on the chunking.
     """
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
     periods = [(pv, wt, e - r - 1e-12) for pv, wt, e, r
                in zip(pv_models, wt_models, expected_outputs, reserves)]
-    sampled = [(pv, wt) for pv, wt, need in periods if need > 0]
-    speeds = {wt.u: None for _, wt in sampled if wt is not None}
-    fractions = {(pv.lambda1, pv.lambda2): None
-                 for pv, _ in sampled if pv is not None}
-    for u in speeds:
-        speeds[u] = rng.weibull(u, n_samples)
-    for l1, l2 in fractions:
-        fractions[l1, l2] = rng.beta(l1, l2, n_samples)
+    speeds, pv_shapes, wind_only = {}, {}, []
+    for t, (pv, wt, need) in enumerate(periods):
+        if need <= 0:
+            continue
+        if wt is not None:
+            speeds.setdefault(wt.u)
+        if pv is not None:
+            pv_shapes.setdefault((pv.lambda1, pv.lambda2), []).append(t)
+        elif wt is not None:
+            wind_only.append(t)
+        # a period without units misses every positive need
+
+    hits = [0 if need > 0 else n_samples for _, _, need in periods]
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for u in speeds:
+            speeds[u] = rng.weibull(u, n_samples)
+        counting = []
+        if wind_only:
+            counting.append((wind_only, helper.submit(
+                _hits, [periods[t] for t in wind_only], speeds, 0, n_samples)))
+        for (l1, l2), shape_periods in pv_shapes.items():
+            group = [periods[t] for t in shape_periods]
+            for lo in range(0, n_samples, MC_CHUNK):
+                hi = min(lo + MC_CHUNK, n_samples)
+                counting.append((shape_periods, helper.submit(
+                    _hits, group, speeds, lo, hi, rng.beta(l1, l2, hi - lo))))
+        for counted, job in counting:
+            for t, count in zip(counted, job.result()):
+                hits[t] += count
 
     out = []
-    for pv, wt, need in periods:
-        if need <= 0:
-            hits = 1.0
-        else:
-            joint = np.zeros(n_samples) if wt is None else wt_power_curve(
-                wt, speeds[wt.u] * wt.z)
-            if pv is not None:
-                joint += fractions[pv.lambda1, pv.lambda2] * pv.p_max
-            hits = int(np.count_nonzero(joint >= need)) / n_samples
-        half_width = 1.96 * math.sqrt(max(hits * (1 - hits), 1e-12) / n_samples)
-        out.append((hits, half_width))
+    for count in hits:
+        estimate = count / n_samples
+        half_width = 1.96 * math.sqrt(
+            max(estimate * (1 - estimate), 1e-12) / n_samples)
+        out.append((estimate, half_width))
     return out

@@ -106,10 +106,17 @@ def build_bundle(cfg: ScenarioConfig, mode_number: int,
 
 
 def _overridden(cfg: ScenarioConfig, theta, confidence) -> ScenarioConfig:
-    """`cfg` with a run's theta and confidence overrides, where given."""
-    overrides = {k: float(v) for k, v in (("theta", theta),
-                                          ("confidence", confidence))
-                 if v is not None}
+    """`cfg` with a run's theta and confidence overrides, where given. An
+    override that is a bool, or not a finite int or float, is refused
+    with ValueError."""
+    overrides = {}
+    for k, v in (("theta", theta), ("confidence", confidence)):
+        if v is None:
+            continue
+        if isinstance(v, bool) or not isinstance(v, (int, float)) \
+                or not math.isfinite(v):
+            raise ValueError(f"{k}={v!r} is not a finite number")
+        overrides[k] = float(v)
     return cfg.with_overrides(**overrides) if overrides else cfg
 
 
@@ -382,10 +389,10 @@ def revalidate(scenario: str, run_dir: str, mc_samples: int,
     count below the Monte Carlo floor is refused with ValueError before
     anything is read, and so are a summary that is not a JSON object,
     records no solution, a bound that is not a nonnegative finite number,
-    objectives (`f1`, `f2`, `objective`) that are not finite numbers or a
-    mode that is not an integer, and a scenario file whose SHA-256
-    differs from the one the run recorded (run directories without
-    `scenario_sha256` are not checked).
+    objectives (`f1`, `f2`, `objective`), a theta or a confidence that
+    are not finite numbers, a mode that is not an integer, and a
+    scenario file whose SHA-256 differs from the one the run recorded
+    (run directories without `scenario_sha256` are not checked).
     """
     if mc_samples < MIN_MC_SAMPLES:
         raise ValueError(_too_few_samples(mc_samples))

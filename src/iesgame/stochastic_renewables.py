@@ -78,7 +78,8 @@ def wt_power_curve(model: WeibullWtModel, v):
 
     Takes a scalar (returns a float) or an array (returns an array). The
     ramp is computed in place: the Monte Carlo check applies the curve to
-    every period's 1e5 samples.
+    every sampled period's speeds, in chunks of
+    `prob_sequences.MC_CHUNK` samples where the period has PV.
     """
     scalar = np.ndim(v) == 0
     v = np.atleast_1d(np.asarray(v, dtype=float))
@@ -99,33 +100,34 @@ class OutputDistribution:
     point_masses: (level MW, probability) atoms.
     cont_cdf: cumulative mass of the continuous part on [0, support_max]
     (not conditioned; cont_cdf(support_max) equals the continuous weight).
+    It maps a 1-D float array of levels inside [0, support_max] to the
+    array of their cumulative masses, so `discretize` makes one call per
+    law. Each entry must equal the float of the scalar formula, so the
+    laws below use numpy only for the exactly rounded + - * / min max,
+    and libm (Python's math module and `**`) for the rest: numpy's
+    vectorized expm1 and power differ from libm in the last bit, which
+    would move the discretized sequences.
     """
 
     support_max: float
     point_masses: tuple[tuple[float, float], ...]
-    cont_cdf: Callable[[float], float] | None
+    cont_cdf: Callable[[np.ndarray], np.ndarray] | None
 
-    def cont_mass(self, lo: float, hi: float) -> float:
-        """Continuous-part mass on [lo, hi]."""
+    def _cont(self, x: float) -> float:
+        """Continuous-part mass on [0, x] for one level x."""
         if self.cont_cdf is None:
             return 0.0
-        lo = max(lo, 0.0)
-        hi = min(hi, self.support_max)
-        if hi <= lo:
-            return 0.0
-        return self.cont_cdf(hi) - self.cont_cdf(lo)
+        return float(self.cont_cdf(np.array([x]))[0])
 
     def total_mass(self) -> float:
         mass = sum(p for _, p in self.point_masses)
-        if self.cont_cdf is not None:
-            mass += self.cont_cdf(self.support_max)
-        return mass
+        return mass + self._cont(self.support_max)
 
     def cdf(self, x: float) -> float:
         """Pr[X <= x] including atoms (right-continuous)."""
         mass = sum(p for loc, p in self.point_masses if loc <= x)
-        if self.cont_cdf is not None and x > 0:
-            mass += self.cont_cdf(min(x, self.support_max))
+        if x > 0:
+            mass += self._cont(min(x, self.support_max))
         return mass
 
 
@@ -149,7 +151,7 @@ def pv_output_distribution(model: BetaPvModel) -> OutputDistribution:
     return OutputDistribution(
         support_max=p_max,
         point_masses=(),
-        cont_cdf=lambda x: float(betainc(l1, l2, x / p_max)),
+        cont_cdf=lambda x: betainc(l1, l2, x / p_max),
     )
 
 
@@ -167,10 +169,12 @@ def wt_output_distribution(model: WeibullWtModel) -> OutputDistribution:
     mass_rated = f_out - f_e
     ramp = model.v_e - model.v_in
 
-    def cont_cdf(x: float) -> float:
-        x = min(max(x, 0.0), model.p_e)
+    def cont_cdf(x: np.ndarray) -> np.ndarray:
+        # numpy for the exactly rounded steps, speed_cdf's libm calls for
+        # each element
+        x = np.minimum(np.maximum(x, 0.0), model.p_e)
         v = model.v_in + (x / model.p_e) * ramp
-        return model.speed_cdf(v) - f_in
+        return np.array([model.speed_cdf(s) for s in v.tolist()]) - f_in
 
     return OutputDistribution(
         support_max=model.p_e,

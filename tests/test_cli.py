@@ -481,6 +481,40 @@ class TestValidateVerb:
         assert code == cli.EXIT_SCHEMA
         assert f"{field}=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["theta", "confidence"])
+    @pytest.mark.parametrize("value", [[1.0], True, "0.9", math.inf])
+    def test_unusable_override_refused(self, field, value, toy_path, toy_run,
+                                       capsys):
+        # the run's theta and confidence override the scenario file's; a
+        # list, a boolean, a string or an infinity is refused, not read as
+        # a number
+        summary_path = toy_run / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        summary[field] = value
+        summary_path.write_text(json.dumps(summary))  # inf as such
+        code = run_cli(["validate", "--scenario", str(toy_path),
+                        "--run-dir", str(toy_run), "--mc-samples", "20000"])
+        assert code == cli.EXIT_SCHEMA
+        assert f"{field}={value!r} is not a finite number" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["theta", "confidence"])
+    @pytest.mark.parametrize("value", [None, "missing"])
+    def test_absent_override_falls_back_to_scenario(self, field, value,
+                                                    toy_path, toy_run):
+        # the toy run used the scenario file's values, so falling back to
+        # them re-validates it
+        summary_path = toy_run / "summary.json"
+        summary = json.loads(summary_path.read_text())
+        if value == "missing":
+            del summary[field]
+        else:
+            summary[field] = value
+        summary_path.write_text(json.dumps(summary))
+        code = run_cli(["validate", "--scenario", str(toy_path),
+                        "--run-dir", str(toy_run), "--mc-samples", "20000"])
+        assert code == cli.EXIT_OK
+
     def test_non_finite_cell_flagged(self, toy_path, toy_run, capsys):
         # every p_tp_0 cell NaN: each is flagged, and so is every check it
         # enters, however it is combined; the NaN pipe columns of a run

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,34 @@ def full_draw_reference(pv, wt, expected_output, reserve, n, rng):
     return hits, 1.96 * math.sqrt(max(hits * (1 - hits), 1e-12) / n)
 
 
+def serial_reference(pvs, wts, expected_outputs, reserves, n, rng):
+    """chance_satisfaction_mc on one thread from single draws of n: the
+    speeds per Weibull shape in order of first use, then the fractions per
+    PV shape, and every period counted over all n samples at once."""
+    periods = [(pv, wt, e - r - 1e-12) for pv, wt, e, r
+               in zip(pvs, wts, expected_outputs, reserves)]
+    sampled = [(pv, wt) for pv, wt, need in periods if need > 0]
+    speeds = {wt.u: None for _, wt in sampled if wt is not None}
+    fractions = {(pv.lambda1, pv.lambda2): None
+                 for pv, _ in sampled if pv is not None}
+    for u in speeds:
+        speeds[u] = rng.weibull(u, n)
+    for l1, l2 in fractions:
+        fractions[l1, l2] = rng.beta(l1, l2, n)
+    out = []
+    for pv, wt, need in periods:
+        if need <= 0:
+            hits = 1.0
+        else:
+            joint = np.zeros(n) if wt is None else sr.wt_power_curve(
+                wt, speeds[wt.u] * wt.z)
+            if pv is not None:
+                joint += fractions[pv.lambda1, pv.lambda2] * pv.p_max
+            hits = int(np.count_nonzero(joint >= need)) / n
+        out.append((hits, 1.96 * math.sqrt(max(hits * (1 - hits), 1e-12) / n)))
+    return out
+
+
 def one_period_mc(pv, wt, expected_output, reserve, n, rng):
     """chance_satisfaction_mc on a day of one period."""
     [got] = ps.chance_satisfaction_mc([pv], [wt], [expected_output],
@@ -49,9 +79,28 @@ def day_args(cfg):
             [reqs[t].min_reserve() for t in periods])
 
 
+def scalar_discretize(dist: OutputDistribution, q: float) -> np.ndarray:
+    """discretize as a loop over the cells, taking the continuous mass of
+    each from two scalar calls of its cdf, clamped to the support."""
+    def cdf(x):
+        return float(dist.cont_cdf(np.array([x]))[0])
+
+    n = math.ceil(dist.support_max / q)
+    probs = np.zeros(n + 1)
+    for i in range(n + 1):
+        lo = max(0.0 if i == 0 else i * q - q / 2, 0.0)
+        hi = min(i * q + q / 2 if i < n else dist.support_max,
+                 dist.support_max)
+        if dist.cont_cdf is not None and hi > lo:
+            probs[i] = cdf(hi) - cdf(lo)
+    for loc, mass in dist.point_masses:
+        probs[min(n, int(math.floor(loc / q + 0.5)))] += mass
+    return probs
+
+
 def uniform_dist(hi: float) -> OutputDistribution:
     return OutputDistribution(support_max=hi, point_masses=(),
-                              cont_cdf=lambda x: min(max(x, 0.0), hi) / hi)
+                              cont_cdf=lambda x: np.clip(x, 0.0, hi) / hi)
 
 
 @st.composite
@@ -94,6 +143,23 @@ class TestDiscretize:
     def test_length_covers_support(self):
         seq = ps.discretize(uniform_dist(5.1), 2.5)
         assert seq.probs.size == 4  # ceil(5.1/2.5) + 1
+
+    @pytest.mark.parametrize("case", ["case1_like", "case2_real", "toy3"])
+    def test_equals_scalar_cell_loop(self, case):
+        # one cdf call on the array of edges gives the floats of one
+        # scalar call per edge, cell by cell, on every period's laws
+        cfg = load_scenario(BENCH_INPUTS / f"{case}.json")
+        q = cfg.seq_step_mw
+        checked = 0
+        for t in range(cfg.horizon):
+            pv, wt = cfg.pv_model_for(t), cfg.wt_model_for(t)
+            dists = ([] if pv is None else [pv_output_distribution(pv)]) + \
+                ([] if wt is None else [wt_output_distribution(wt)])
+            for dist in dists:
+                assert np.array_equal(ps.discretize(dist, q).probs,
+                                      scalar_discretize(dist, q))
+                checked += 1
+        assert checked >= cfg.horizon
 
 
 class TestConvolve:
@@ -204,6 +270,19 @@ class TestChanceSatisfactionMc:
     PV = BetaPvModel(2.0, 2.0, 1.0)
     WT = WeibullWtModel(8.0, 2.2, 3.0, 12.0, 25.0, 0.3)
     GUSTY = WeibullWtModel(20.0, 2.0, 3.0, 12.0, 25.0, 0.3)  # 21% cut-out
+    CALM = WeibullWtModel(8.0, 3.0, 3.0, 12.0, 25.0, 0.3)
+    HAZY = BetaPvModel(1.5, 3.0, 0.8)
+
+    def mixed_day(self):
+        """Two PV and two Weibull shapes over wind-only, PV-only and mixed
+        periods, a covered period (need <= 0) and one without units."""
+        pvs = [None, self.PV, self.HAZY, self.PV.scaled(0.5), None,
+               self.HAZY.scaled(1.5), self.PV, None, None]
+        wts = [self.CALM, self.WT, None, self.CALM.scaled(1.2), self.WT,
+               self.WT, None, self.WT, None]
+        es = [0.2, 0.6, 0.4, 0.5, 0.25, 0.9, 0.5, 0.6, 0.0]
+        rs = [0.05, 0.2, 0.1, 0.15, 0.1, 0.2, 0.1, 3.0, -0.1]
+        return pvs, wts, es, rs
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
@@ -329,6 +408,71 @@ class TestChanceSatisfactionMc:
                 wt, speeds[wt.u] * wt.z)
             pv_out = 0.0 if pv is None else fractions * pv.p_max
             assert est == float(np.mean(wind + pv_out >= 0.4 - 1e-12))
+
+    @pytest.mark.parametrize("n", [10_000, ps.MC_CHUNK, ps.MC_CHUNK + 1,
+                                   100_003])
+    def test_chunked_day_equals_serial_draws(self, n):
+        # fractions drawn and counted chunk by chunk, on the helper thread,
+        # give every estimate and the final state of single draws of n
+        rng, ref = np.random.default_rng(10), np.random.default_rng(10)
+        got = ps.chance_satisfaction_mc(*self.mixed_day(), n, rng)
+        assert got == serial_reference(*self.mixed_day(), n, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        estimates = [est for est, _ in got]
+        assert estimates[7:] == [1.0, 0.0]  # covered, then without units
+        assert all(0 < est < 1 for est in estimates[:7])
+
+    def test_no_thread_outlives_a_call(self):
+        before = threading.active_count()
+        ps.chance_satisfaction_mc(*self.mixed_day(), 50_000,
+                                  np.random.default_rng(11))
+        assert threading.active_count() == before
+
+    def test_hits_counted_off_the_calling_thread(self, monkeypatch):
+        callers = set()
+
+        def recording_curve(model, v):
+            callers.add(threading.get_ident())
+            return sr.wt_power_curve(model, v)
+        monkeypatch.setattr(ps, "wt_power_curve", recording_curve)
+        ps.chance_satisfaction_mc(*self.mixed_day(), 50_000,
+                                  np.random.default_rng(12))
+        assert callers and threading.get_ident() not in callers
+
+    def test_concurrent_calls_keep_their_own_counts(self):
+        # four callers at once, each with its helper, switching threads
+        # every microsecond: no count or draw leaks into another call
+        n, seeds = 40_000, range(20, 24)
+        got = {}
+
+        def call(seed):
+            got[seed] = ps.chance_satisfaction_mc(
+                *self.mixed_day(), n, np.random.default_rng(seed))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(s,))
+                       for s in seeds]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for s in seeds:
+            assert got[s] == serial_reference(*self.mixed_day(), n,
+                                              np.random.default_rng(s))
+
+    def test_helper_error_propagates(self, monkeypatch):
+        def broken_curve(model, v):
+            raise RuntimeError("power curve failed")
+        monkeypatch.setattr(ps, "wt_power_curve", broken_curve)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="power curve failed"):
+            ps.chance_satisfaction_mc(*self.mixed_day(), 50_000,
+                                      np.random.default_rng(13))
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("pv, wt, e, r, out_of_reach", [
         (PV, WT, 1.0, 0.5, False),            # need > p_e

@@ -180,8 +180,33 @@ def test_pv_cdf_equals_frozen_beta_on_discretize_edges(case):
             return cdf(x)
         ps.discretize(OutputDistribution(dist.support_max, (), recording_cdf),
                       cfg.seq_step_mw)
+        [edges] = edges  # one call per law
         frozen = stats.beta(model.lambda1, model.lambda2)
-        for x in edges:
-            assert dist.cont_cdf(x) == float(frozen.cdf(x / model.p_max))
-        checked += len(edges)
+        assert np.array_equal(dist.cont_cdf(edges),
+                              frozen.cdf(edges / model.p_max))
+        checked += edges.size
     assert (checked > 0) == (case != "toy3")  # toy3 has no PV unit
+
+
+@pytest.mark.parametrize("case", ["case1_like", "case2_real", "toy3"])
+def test_wt_cdf_equals_scalar_speed_cdf(case):
+    # each entry of the array law is speed_cdf(v) - f_in at the ramp's
+    # speed, clamped to [0, p_e]: the floats the scalar formula gives
+    cfg = load_scenario(BENCH_INPUTS / f"{case}.json")
+    checked = 0
+    for t in range(cfg.horizon):
+        model = cfg.wt_model_for(t)
+        if model is None:
+            continue
+        f_in = model.speed_cdf(model.v_in)
+        ramp = model.v_e - model.v_in
+        q = cfg.seq_step_mw
+        centers = np.arange(math.ceil(model.p_e / q) + 1) * q
+        x = np.concatenate([centers - q / 2, centers + q / 2,
+                            np.linspace(-0.1, 1.1, 1201) * model.p_e])
+        expected = [model.speed_cdf(
+            model.v_in + (min(max(v, 0.0), model.p_e) / model.p_e) * ramp)
+            - f_in for v in x.tolist()]
+        assert wt_output_distribution(model).cont_cdf(x).tolist() == expected
+        checked += x.size
+    assert checked > 0
