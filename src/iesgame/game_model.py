@@ -67,7 +67,7 @@ class ModelBundle:
     requirements and confidence, heat loads, pipe delays) is read from
     `cfg`, which memoizes them. `names` holds each variable family's
     names; the users' `p_sl`/`h_cl` and the prices `mu`/`gamma` are
-    variables only in mode 3, and otherwise the `fixed_*` constants. In
+    variables only in mode 3, and otherwise constants in `fixed`. In
     mode 3 `emit_kkt` adds the multipliers: `xi` (one column), `delta1`,
     `delta2` and `delta4`."""
 
@@ -75,10 +75,7 @@ class ModelBundle:
     cfg: ScenarioConfig
     mode: ModeSettings
     names: dict[str, object]
-    fixed_mu: np.ndarray | None
-    fixed_gamma: np.ndarray | None
-    fixed_p_sl: np.ndarray | None
-    fixed_h_cl: np.ndarray | None
+    fixed: dict[str, np.ndarray]
     # set by `assemble_single_level`
     pwl_error_bound: float = 0.0
     n_segments: int = 0
@@ -118,6 +115,29 @@ class EquilibriumSolution:
         return self.r_tp.sum(axis=0) + self.r_chp.sum(axis=0) + self.r_bess
 
 
+# EquilibriumSolution's arrays: the per-period ones under None, the
+# per-unit ones (one row per entry) under the scenario list they follow
+SOLUTION_FIELDS = {
+    None: ("mu", "gamma", "p_sl", "h_cl", "p_ch", "p_dh", "soc", "r_bess", "p_res"),
+    "tp_units": ("p_tp", "r_tp"),
+    "chp_units": ("p_chp", "h_chp", "r_chp"),
+    "pipelines": ("t_sw", "t_rw", "h_src"),
+}
+
+
+def solution_from(cfg: ScenarioConfig, column, f1: float, f2: float,
+                  objective: float) -> EquilibriumSolution:
+    """The solution whose field `key` reads `column(key, None)` per period,
+    or `column(key, i)` for entry i of its scenario list (`SOLUTION_FIELDS`)."""
+    fields = {}
+    for group, keys in SOLUTION_FIELDS.items():
+        for key in keys:
+            fields[key] = column(key, None) if group is None else np.array(
+                [column(key, i) for i in range(len(getattr(cfg, group)))]
+            ).reshape(-1, cfg.horizon)
+    return EquilibriumSolution(**fields, f1=f1, f2=f2, objective_milp=objective)
+
+
 @dataclass
 class Violation:
     check: str
@@ -137,10 +157,19 @@ class ValidationReport:
     def passed(self) -> bool:
         return not self.violations and all(r["passed"] for r in self.reserve_mc)
 
-    def add(self, check: str, detail: str, magnitude: float, limit: float) -> None:
-        """Record a violation unless `magnitude <= limit`: a NaN is one."""
-        if not magnitude <= limit:
-            self.violations.append(Violation(check, detail, magnitude, limit))
+    def add(self, check: str, detail: str, magnitude, limit) -> None:
+        """Record a violation unless `magnitude <= limit`: a NaN is one.
+
+        An array `magnitude` records, in index order, each entry that is
+        not at most its limit (`limit` a number or one per entry), with
+        `detail` formatted with the entry's index."""
+        within = magnitude <= limit
+        if np.all(within):
+            return
+        magnitude, limit = np.broadcast_arrays(magnitude, limit)
+        for index in map(tuple, np.argwhere(np.logical_not(within))):
+            self.violations.append(Violation(check, detail.format(*index),
+                                             float(magnitude[index]), float(limit[index])))
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +257,7 @@ def build_leader(cfg: ScenarioConfig,
             ir.add_obj_linear(mu[t], float(rhs_e[t]) * dt)
             ir.add_obj_linear(gamma[t], float(rhs_h[t]) * dt)
         users = {"e": [(p_sl_names, -1.0)], "h": [(h_cl_names, 1.0)]}
-        fixed_mu = fixed_gamma = p_sl = h_cl = None
+        fixed = {}
     else:
         if dispatch_response is not None:
             fixed_mu = fixed_gamma = np.zeros(t_count)
@@ -241,6 +270,7 @@ def build_leader(cfg: ScenarioConfig,
         rhs_e, rhs_h = balance_rhs(cfg, p_sl, h_cl)
         ir.obj_const += users_bill(cfg, fixed_mu, fixed_gamma, p_sl, h_cl)
         users = {"e": [], "h": []}
+        fixed = {"mu": fixed_mu, "gamma": fixed_gamma, "p_sl": p_sl, "h_cl": h_cl}
 
     # units; the rows of families added together interleave period by period
     for i, u in enumerate(cfg.tp_units):
@@ -350,10 +380,7 @@ def build_leader(cfg: ScenarioConfig,
             ir.add_obj_linear(bess_ch[t], -b.charge_cost * dt)
             ir.add_obj_linear(bess_r[t], -b.reserve_cost * dt)
 
-    return ModelBundle(
-        ir=ir, cfg=cfg, mode=mode, names=names,
-        fixed_mu=fixed_mu, fixed_gamma=fixed_gamma,
-        fixed_p_sl=p_sl, fixed_h_cl=h_cl)
+    return ModelBundle(ir=ir, cfg=cfg, mode=mode, names=names, fixed=fixed)
 
 
 def _ramp_rows(ir: ModelIR, tag: str, prow: list[str], up: float, down: float) -> None:
@@ -411,7 +438,8 @@ def _static_checks(cfg: ScenarioConfig, mode: ModeSettings) -> None:
 def follower_best_response(mu: np.ndarray, gamma: np.ndarray,
                            cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """Users' cost-minimizing response to posted prices, per period, or
-    one row per price pair for (n, T) price arrays.
+    one row per price pair for (n, T) price arrays. Prices outside the
+    configured bands are refused with ValueError; `_response` takes any.
 
     Heat cut is the per-period closed form gamma/(2 theta) clamped to its
     bounds. The shiftable total is allocated greedily by ascending
@@ -424,7 +452,11 @@ def follower_best_response(mu: np.ndarray, gamma: np.ndarray,
     if (np.any(mu < p.mu_min - 1e-9) or np.any(mu > p.mu_max + 1e-9)
             or np.any(gamma < p.gamma_min - 1e-9) or np.any(gamma > p.gamma_max + 1e-9)):
         raise ValueError("prices outside the configured bands")
+    return _response(mu, gamma, cfg)
 
+
+def _response(mu: np.ndarray, gamma: np.ndarray,
+              cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     h_cl = np.clip(gamma / (2.0 * cfg.idr.theta), 0.0, cfg.cut_upper())
 
     lb, ub = cfg.shift_lower(), cfg.shift_upper()
@@ -487,40 +519,24 @@ def leader_profit(cfg: ScenarioConfig, sol: "EquilibriumSolution") -> float:
 
 def extract_solution(bundle: ModelBundle, values: dict[str, float],
                      objective: float) -> EquilibriumSolution:
-    """Assemble an EquilibriumSolution from raw variable values."""
+    """Assemble an EquilibriumSolution from raw variable values. A family
+    the program lacks reads the bundle's `fixed` value, else NaN for the
+    pipelines' fields (transport off), else 0."""
     cfg = bundle.cfg
-    t_count = cfg.horizon
 
-    def grid(family: str, n_rows: int, fill: float = 0.0) -> np.ndarray:
-        rows = bundle.names.get(family, [])
-        if not rows:
-            return np.full((n_rows, t_count), fill)
-        return np.array([[values[name] for name in row] for row in rows])
+    def column(key: str, i: int | None) -> np.ndarray:
+        names = bundle.names.get(key)
+        if names and i is not None:
+            names = names[i]
+        if names:
+            return np.array([values[name] for name in names])
+        if key in bundle.fixed:
+            return np.array(bundle.fixed[key])
+        return np.full(cfg.horizon, np.nan if key in SOLUTION_FIELDS["pipelines"] else 0.0)
 
-    def series(family: str, fallback=None) -> np.ndarray:
-        row = bundle.names.get(family)
-        if row is None:
-            return np.zeros(t_count) if fallback is None else np.array(fallback)
-        return np.array([values[name] for name in row])
-
-    mu, gamma = series("mu", bundle.fixed_mu), series("gamma", bundle.fixed_gamma)
-    p_sl, h_cl = series("p_sl", bundle.fixed_p_sl), series("h_cl", bundle.fixed_h_cl)
-
-    # the pipelines' columns exist only with transport on; NaN otherwise
-    n_pipe = len(cfg.pipelines)
-    t_sw, t_rw, h_src = (grid(key, n_pipe, np.nan) for key in ("t_sw", "t_rw", "h_src"))
-
-    sol = EquilibriumSolution(
-        mu=mu, gamma=gamma, p_sl=p_sl, h_cl=h_cl,
-        p_tp=grid("p_tp", len(cfg.tp_units)), r_tp=grid("r_tp", len(cfg.tp_units)),
-        p_chp=grid("p_chp", len(cfg.chp_units)), h_chp=grid("h_chp", len(cfg.chp_units)),
-        r_chp=grid("r_chp", len(cfg.chp_units)),
-        p_ch=series("p_ch"), p_dh=series("p_dh"), soc=series("soc"),
-        r_bess=series("r_bess"), p_res=series("p_res"),
-        t_sw=t_sw, t_rw=t_rw, h_src=h_src,
-        f1=0.0, f2=0.0, objective_milp=objective)
+    sol = solution_from(cfg, column, 0.0, 0.0, objective)
     sol.f1 = leader_profit(cfg, sol)
-    sol.f2 = follower_cost(cfg, mu, gamma, p_sl, h_cl)
+    sol.f2 = follower_cost(cfg, sol.mu, sol.gamma, sol.p_sl, sol.h_cl)
     return sol
 
 
@@ -532,127 +548,104 @@ def verify_solution(sol: EquilibriumSolution, cfg: ScenarioConfig,
                     mode: ModeSettings, pwl_error_bound: float) -> ValidationReport:
     """Check every operating constraint, the follower's optimality, and the
     recomputed objectives (the MILP's within `pwl_error_bound` of the exact
-    profit); violations become report entries. No program is read."""
+    profit); violations become report entries, check by check, each over
+    all its periods (or units x periods). No program is read."""
     rep = ValidationReport()
-    t_count = cfg.horizon
     dt = cfg.dt_hours
     load, heat_load = balance_rhs(cfg, sol.p_sl, sol.h_cl)
+
+    def param(units, key: str) -> np.ndarray:  # a column, one row per unit
+        return np.array([getattr(u, key) for u in units]).reshape(-1, 1)
 
     # every entry finite; the pipelines' columns hold NaN without transport
     transport = mode.dhn_enabled and cfg.pipelines
     for key, value in vars(sol).items():
-        if transport or key not in ("t_sw", "t_rw", "h_src"):
+        if transport or key not in SOLUTION_FIELDS["pipelines"]:
             for index in np.argwhere(~np.isfinite(value)).tolist():
                 rep.add("finite", f"{key}{index or ''}", 1.0, 0.0)
 
     # electric balance
     gen = sol.p_tp.sum(axis=0) + sol.p_chp.sum(axis=0) + sol.p_res
     gen = gen + sol.p_dh - sol.p_ch
-    for t in range(t_count):
-        rep.add("electric_balance", f"t={t}", abs(gen[t] - load[t]), BALANCE_TOL)
+    rep.add("electric_balance", "t={}", np.abs(gen - load), BALANCE_TOL)
 
     # unit limits, reserves, ramps: a TP unit's window is on its output p,
     # a CHP unit's region on y = p + c_v h, its heat and the back-pressure line
-    units = {"tp": [(u, p, r, [u.p_min - p, p - u.p_max])
-                    for u, p, r in zip(cfg.tp_units, sol.p_tp, sol.r_tp)],
-             "chp": [(u, p, r, [u.p_min - y, y - u.p_max, -h, h - u.h_max, u.c_m * h - p])
-                     for u, p, h, r in zip(cfg.chp_units, sol.p_chp, sol.h_chp, sol.r_chp)
-                     for y in [p + u.c_v * h]]}
-    for kind, window_check in (("tp", "tp_bounds"), ("chp", "chp_region")):
-        for i, (u, p, r, window) in enumerate(units[kind]):
-            prev = np.roll(p, 1)
-            checks = ((window_check, np.max(window, axis=0)),
-                      (f"{kind}_reserve",
-                       np.max([-r, r - u.ramp_up * dt, p + r - u.p_max], axis=0)),
-                      (f"{kind}_ramp", np.maximum(p - prev - u.ramp_up * dt,
-                                                  prev - p - u.ramp_down * dt)))
-            for t in range(t_count):
-                for check, magnitude in checks:
-                    rep.add(check, f"unit={i} t={t}", magnitude[t], BALANCE_TOL)
+    tp, chp, h = cfg.tp_units, cfg.chp_units, sol.h_chp
+    y = sol.p_chp + param(chp, "c_v") * h
+    for kind, units, p, r, window_check, window in (
+            ("tp", tp, sol.p_tp, sol.r_tp, "tp_bounds",
+             [param(tp, "p_min") - sol.p_tp, sol.p_tp - param(tp, "p_max")]),
+            ("chp", chp, sol.p_chp, sol.r_chp, "chp_region",
+             [param(chp, "p_min") - y, y - param(chp, "p_max"), -h,
+              h - param(chp, "h_max"), param(chp, "c_m") * h - sol.p_chp])):
+        up, down = param(units, "ramp_up") * dt, param(units, "ramp_down") * dt
+        prev = np.roll(p, 1, axis=1)
+        rep.add(window_check, "unit={} t={}", np.max(window, axis=0), BALANCE_TOL)
+        rep.add(f"{kind}_reserve", "unit={} t={}",
+                np.max([-r, r - up, p + r - param(units, "p_max")], axis=0), BALANCE_TOL)
+        rep.add(f"{kind}_ramp", "unit={} t={}",
+                np.maximum(p - prev - up, prev - p - down), BALANCE_TOL)
 
     # storage
     if cfg.bess is not None:
         b = cfg.bess
-        prev_soc = b.soc_start_mwh
-        for t in range(t_count):
-            expect = prev_soc + b.efficiency * sol.p_ch[t] * dt - sol.p_dh[t] * dt / b.efficiency
-            rep.add("soc_recursion", f"t={t}", abs(sol.soc[t] - expect), BALANCE_TOL)
-            rep.add("soc_bounds", f"t={t}",
-                    max(b.cap_min - sol.soc[t], sol.soc[t] - b.cap_max), BALANCE_TOL)
-            rep.add("bess_mutex", f"t={t}",
-                    sol.p_ch[t] * sol.p_dh[t],
-                    BALANCE_TOL * max(b.charge_max, 1.0))
-            rep.add("bess_reserve", f"t={t}",
-                    max(-sol.r_bess[t],
-                        sol.r_bess[t] + sol.p_dh[t] - sol.p_ch[t] - b.discharge_max,
-                        sol.r_bess[t] - b.efficiency * (sol.soc[t] - b.cap_min) / dt),
-                    BALANCE_TOL)
-            prev_soc = sol.soc[t]
+        prev_soc = np.concatenate(([b.soc_start_mwh], sol.soc[:-1]))
+        expect = prev_soc + b.efficiency * sol.p_ch * dt - sol.p_dh * dt / b.efficiency
+        rep.add("soc_recursion", "t={}", np.abs(sol.soc - expect), BALANCE_TOL)
+        rep.add("soc_bounds", "t={}",
+                np.maximum(b.cap_min - sol.soc, sol.soc - b.cap_max), BALANCE_TOL)
+        rep.add("bess_mutex", "t={}", sol.p_ch * sol.p_dh,
+                BALANCE_TOL * max(b.charge_max, 1.0))
+        rep.add("bess_reserve", "t={}", np.max([
+            -sol.r_bess, sol.r_bess + sol.p_dh - sol.p_ch - b.discharge_max,
+            sol.r_bess - b.efficiency * (sol.soc - b.cap_min) / dt], axis=0), BALANCE_TOL)
         rep.add("soc_cyclic", "end", abs(sol.soc[-1] - b.soc_start_mwh), BALANCE_TOL)
 
-    # heat side
+    # heat side: a pipeline carries c_w G (t_sw - t_rw) and loses 2 pi L/R_h
+    # (t_sw - T_e); its source feeds both one delay later, wrapped daily
     if transport:
-        delivered = np.zeros(t_count)
-        for p_idx, pipe in enumerate(cfg.pipelines):
-            _, steps = th.pipe_delay(pipe, dt)
-            for t in range(t_count):
-                sw, rw = sol.t_sw[p_idx, t], sol.t_rw[p_idx, t]
-                tb = cfg.temperature_bounds
-                rep.add("temp_bounds", f"pipe={p_idx} t={t}",
-                        max(tb.supply_min - sw, sw - tb.supply_max,
-                            tb.return_min - rw, rw - tb.return_max), BALANCE_TOL)
-                delivered[t] += th.pipe_heat(pipe, sw, rw)
-                ta = (t + steps) % t_count
-                expect_src = (th.pipe_heat(pipe, sol.t_sw[p_idx, ta], sol.t_rw[p_idx, ta])
-                              + th.pipe_loss(pipe, sol.t_sw[p_idx, ta]))
-                rep.add("pipe_source", f"pipe={p_idx} t={t}",
-                        abs(sol.h_src[p_idx, t] - expect_src), BALANCE_TOL)
-        src_total = np.nansum(sol.h_src, axis=0)
-        chp_total = sol.h_chp.sum(axis=0)
-        for t in range(t_count):
-            rep.add("heat_balance", f"t={t}", abs(delivered[t] - heat_load[t]),
-                    BALANCE_TOL)
-            rep.add("heat_source", f"t={t}", abs(src_total[t] - chp_total[t]),
-                    BALANCE_TOL)
+        tb, pipes = cfg.temperature_bounds, cfg.pipelines
+        sw, rw = sol.t_sw, sol.t_rw
+        rep.add("temp_bounds", "pipe={} t={}", np.max([
+            tb.supply_min - sw, sw - tb.supply_max,
+            tb.return_min - rw, rw - tb.return_max], axis=0), BALANCE_TOL)
+        heat = param(pipes, "heat_mw_per_c") * (sw - rw)
+        loss = param(pipes, "loss_mw_per_c") * (sw - param(pipes, "ambient_temp_c"))
+        source = [np.roll(fed, -th.pipe_delay(pipe, dt)[1])  # fed[t + delay]
+                  for fed, pipe in zip(heat + loss, pipes)]
+        rep.add("pipe_source", "pipe={} t={}", np.abs(sol.h_src - source), BALANCE_TOL)
+        rep.add("heat_balance", "t={}", np.abs(heat.sum(axis=0) - heat_load), BALANCE_TOL)
+        rep.add("heat_source", "t={}",
+                np.abs(np.nansum(sol.h_src, axis=0) - h.sum(axis=0)), BALANCE_TOL)
     else:
-        chp_total = sol.h_chp.sum(axis=0)
-        for t in range(t_count):
-            rep.add("heat_balance", f"t={t}", abs(chp_total[t] - heat_load[t]),
-                    BALANCE_TOL)
+        rep.add("heat_balance", "t={}", np.abs(h.sum(axis=0) - heat_load), BALANCE_TOL)
 
     # prices
     p = cfg.prices
-    for t in range(t_count):
-        rep.add("price_bounds", f"t={t}",
-                max(p.mu_min - sol.mu[t], sol.mu[t] - p.mu_max,
-                    p.gamma_min - sol.gamma[t], sol.gamma[t] - p.gamma_max),
-                BALANCE_TOL)
+    rep.add("price_bounds", "t={}", np.max([
+        p.mu_min - sol.mu, sol.mu - p.mu_max,
+        p.gamma_min - sol.gamma, sol.gamma - p.gamma_max], axis=0), BALANCE_TOL)
     rep.add("price_average_mu", "sum",
-            abs(float(sol.mu.sum()) - t_count * p.mu_av), BALANCE_TOL)
+            abs(float(sol.mu.sum()) - cfg.horizon * p.mu_av), BALANCE_TOL)
     rep.add("price_average_gamma", "sum",
-            abs(float(sol.gamma.sum()) - t_count * p.gamma_av), BALANCE_TOL)
+            abs(float(sol.gamma.sum()) - cfg.horizon * p.gamma_av), BALANCE_TOL)
 
     # renewables
-    expected = cfg.expected_renewables()
-    for t in range(t_count):
-        rep.add("renewable_cap", f"t={t}",
-                max(-sol.p_res[t], sol.p_res[t] - expected[t]), BALANCE_TOL)
+    rep.add("renewable_cap", "t={}",
+            np.maximum(-sol.p_res, sol.p_res - cfg.expected_renewables()), BALANCE_TOL)
 
     # reserve coverage: exact deterministic-equivalent satisfaction
-    r_tot = sol.reserve_total
-    for t, req in enumerate(cfg.reserve_requirements()):
-        covered = float(np.sum(req.level_probs[req.thresholds <= r_tot[t] + 1e-9]))
-        rep.add("reserve_coverage", f"t={t}", cfg.confidence - covered, 1e-9)
+    covered = np.array([np.sum(req.level_probs[req.thresholds <= r + 1e-9]) for req, r
+                        in zip(cfg.reserve_requirements(), sol.reserve_total.tolist())])
+    rep.add("reserve_coverage", "t={}", cfg.confidence - covered, 1e-9)
 
     # follower block
     if mode.idr_enabled:
-        sl_lb, sl_ub = cfg.shift_lower(), cfg.shift_upper()
-        cut_ub = cfg.cut_upper()
-        for t in range(t_count):
-            rep.add("shift_bounds", f"t={t}",
-                    max(sl_lb[t] - sol.p_sl[t], sol.p_sl[t] - sl_ub[t]), BALANCE_TOL)
-            rep.add("cut_bounds", f"t={t}",
-                    max(-sol.h_cl[t], sol.h_cl[t] - cut_ub[t]), BALANCE_TOL)
+        rep.add("shift_bounds", "t={}", np.maximum(
+            cfg.shift_lower() - sol.p_sl, sol.p_sl - cfg.shift_upper()), BALANCE_TOL)
+        rep.add("cut_bounds", "t={}",
+                np.maximum(-sol.h_cl, sol.h_cl - cfg.cut_upper()), BALANCE_TOL)
         rep.add("shift_total", "sum",
                 abs(float(sol.p_sl.sum()) - cfg.shift_total()), BALANCE_TOL)
         _check_best_response(rep, sol, cfg)
@@ -677,20 +670,17 @@ def verify_solution(sol: EquilibriumSolution, cfg: ScenarioConfig,
 
 def _check_best_response(rep: ValidationReport, sol: EquilibriumSolution,
                          cfg: ScenarioConfig) -> None:
-    br_sl, br_cl = follower_best_response(sol.mu, sol.gamma, cfg)
-    for t in range(cfg.horizon):
-        rep.add("best_response_heat", f"t={t}",
-                abs(sol.h_cl[t] - br_cl[t]), RESPONSE_TOL)
+    # the response to the posted prices, in their bands or not (price_bounds)
+    br_sl, br_cl = _response(sol.mu, sol.gamma, cfg)
+    rep.add("best_response_heat", "t={}", np.abs(sol.h_cl - br_cl), RESPONSE_TOL)
     # price ties leave the split across tied periods follower-indifferent,
     # so compare totals within each equal-price group
     groups: dict[float, list[int]] = {}
-    for t in range(cfg.horizon):
-        key = round(float(sol.mu[t]), 9)
-        groups.setdefault(key, []).append(t)
+    for t, price in enumerate(sol.mu.tolist()):
+        groups.setdefault(round(price, 9), []).append(t)
     for key, idx in groups.items():
-        got = float(np.sum(sol.p_sl[idx]))
-        want = float(np.sum(br_sl[idx]))
-        rep.add("best_response_shift", f"mu={key}", abs(got - want),
+        rep.add("best_response_shift", f"mu={key}",
+                abs(float(np.sum(sol.p_sl[idx])) - float(np.sum(br_sl[idx]))),
                 RESPONSE_TOL * max(1, len(idx)))
     rep.add("best_response_bill", "electric",
             abs(float(np.dot(sol.mu, sol.p_sl)) - float(np.dot(sol.mu, br_sl))),
@@ -699,13 +689,10 @@ def _check_best_response(rep: ValidationReport, sol: EquilibriumSolution,
 
 def _check_comfort_window(rep: ValidationReport, cfg: ScenarioConfig,
                           heat_load: np.ndarray) -> None:
-    kf = cfg.kf_total()
-    for t in range(cfg.horizon):
-        t_in = cfg.outdoor_temp[t] + heat_load[t] * 1000.0 / kf
-        if t_in >= cfg.pmv.skin_temp_c:
-            rep.add("comfort_window", f"t={t} overheated", 1.0, 0.0)
-            continue
-        index = th.pmv(cfg.pmv, t_in)
-        bound = cfg.pmv.lower_bound(cfg.hour_of(t))
-        rep.add("comfort_window", f"t={t}", abs(index) - bound, 1e-6)
-
+    spec = cfg.pmv
+    t_in = np.asarray(cfg.outdoor_temp) + heat_load * 1000.0 / cfg.kf_total()
+    overheated = t_in >= spec.skin_temp_c
+    rep.add("comfort_window", "t={} overheated", overheated * 1.0, 0.0)
+    rep.add("comfort_window", "t={}", np.array([
+        0.0 if hot else abs(th.pmv(spec, x)) - spec.lower_bound(cfg.hour_of(t))
+        for t, (x, hot) in enumerate(zip(t_in.tolist(), overheated.tolist()))]), 1e-6)

@@ -137,23 +137,24 @@ def big_m_linearize(ir: ModelIR, families: list[tuple]) -> list[str | None]:
 
 def check_kkt(rep: ValidationReport, bundle: ModelBundle,
               values: dict[str, float]) -> None:
-    """Check complementarity and signs at the MILP's `values`, pair by
-    pair in `big_m_linearize`'s order, then stationarity, row by row."""
-    families, t_count = complementarity(bundle), bundle.cfg.horizon
-    constants = [big_m(bundle.ir, family) for family in families]
-    for t in range(t_count):
-        for (prefix, primal, sign, const, duals), (m_primal, m_dual) in zip(
-                families, constants):
-            g_val = float(const[t]) + sign * values[primal[t]]
-            d_val = values[duals[t]]
-            rep.add("complementarity", f"{prefix}_{t}", g_val * d_val,
-                    1e-6 * max(float(m_primal[t]), float(m_dual[t]), 1.0))
-            rep.add("kkt_signs", f"{prefix}_{t}", max(-g_val, -d_val), BALANCE_TOL)
-    rows = stationarity(bundle)
-    for t in range(t_count):
-        for prefix, terms, _, rhs in rows:
-            residual = sum(c * values[v[t]] for v, c in terms) - rhs
-            rep.add("kkt_stationarity", f"{prefix}_{t}", abs(residual), BALANCE_TOL)
+    """Check complementarity, then signs, at the MILP's `values`, one pair
+    family at a time over its periods, then stationarity by row family."""
+    def at(names: list[str]) -> np.ndarray:
+        return np.array([values[name] for name in names])
+
+    pairs = []
+    for family in complementarity(bundle):
+        prefix, primal, sign, const, duals = family
+        pairs.append((f"{prefix}_{{}}", const + sign * at(primal), at(duals),
+                      big_m(bundle.ir, family)))
+    for detail, g_val, d_val, (m_primal, m_dual) in pairs:
+        rep.add("complementarity", detail, g_val * d_val,
+                1e-6 * np.maximum(np.maximum(m_primal, m_dual), 1.0))
+    for detail, g_val, d_val, _ in pairs:
+        rep.add("kkt_signs", detail, np.maximum(-g_val, -d_val), BALANCE_TOL)
+    for prefix, terms, _, rhs in stationarity(bundle):
+        rep.add("kkt_stationarity", f"{prefix}_{{}}",
+                np.abs(sum(c * at(v) for v, c in terms) - rhs), BALANCE_TOL)
 
 
 def eliminate_bilinear(ir: ModelIR, bundle: ModelBundle) -> None:

@@ -167,8 +167,8 @@ def run_pipeline(manifest: RunManifest) -> RunOutput:
     sol = outcome.solution
     report = outcome.report
     if manifest.run_validation:
-        mc = se.validate_reserve(sol, cfg, manifest.mc_samples, manifest.seed)
-        report.reserve_mc = mc.reserve_mc
+        report.reserve_mc = se.validate_reserve(sol, cfg, manifest.mc_samples,
+                                                manifest.seed)
 
     summary = {
         "schema_version": CSV_SCHEMA_VERSION,
@@ -235,6 +235,7 @@ def _period_table(cfg: ScenarioConfig,
     heat_base = cfg.heat_base_load()
     expected = cfg.expected_renewables()
     r_req = [req.min_reserve() for req in cfg.reserve_requirements()]
+    r_total = sol.reserve_total
     rows = []
     for t in range(cfg.horizon):
         row = {
@@ -255,20 +256,13 @@ def _period_table(cfg: ScenarioConfig,
             "p_dh": sol.p_dh[t],
             "soc": sol.soc[t],
             "r_bess": sol.r_bess[t],
-            "reserve_total": sol.reserve_total[t],
+            "reserve_total": r_total[t],
             "reserve_required": r_req[t],
         }
-        for i in range(len(cfg.tp_units)):
-            row[f"p_tp_{i}"] = sol.p_tp[i, t]
-            row[f"r_tp_{i}"] = sol.r_tp[i, t]
-        for i in range(len(cfg.chp_units)):
-            row[f"p_chp_{i}"] = sol.p_chp[i, t]
-            row[f"h_chp_{i}"] = sol.h_chp[i, t]
-            row[f"r_chp_{i}"] = sol.r_chp[i, t]
-        for p in range(len(cfg.pipelines)):
-            row[f"t_sw_{p}"] = sol.t_sw[p, t]
-            row[f"t_rw_{p}"] = sol.t_rw[p, t]
-            row[f"h_src_{p}"] = sol.h_src[p, t]
+        for group, keys in gm.SOLUTION_FIELDS.items():
+            if group is not None:
+                for i in range(len(getattr(cfg, group))):
+                    row.update((f"{key}_{i}", getattr(sol, key)[i, t]) for key in keys)
         rows.append(row)
     return rows
 
@@ -426,8 +420,7 @@ def revalidate(scenario: str, run_dir: str, mc_samples: int,
         rows = list(csv.DictReader(fh))
     sol = _solution_from_rows(cfg, rows, summary)
     report = gm.verify_solution(sol, cfg, mode, float(bound))
-    mc = se.validate_reserve(sol, cfg, mc_samples, seed)
-    report.reserve_mc = mc.reserve_mc
+    report.reserve_mc = se.validate_reserve(sol, cfg, mc_samples, seed)
     return report, summary
 
 
@@ -442,32 +435,22 @@ def _too_few_samples(n: int) -> str:
 
 def _solution_from_rows(cfg: ScenarioConfig, rows: list[dict],
                         summary: dict) -> gm.EquilibriumSolution:
-    t_count = cfg.horizon
-    if len(rows) != t_count:
+    """The solution `_period_table` wrote as `rows`; a table with the wrong
+    row count or a row without a cell is refused with ValueError."""
+    if len(rows) != cfg.horizon:
         raise ValueError(f"periods.csv has {len(rows)} rows for a "
-                         f"{t_count}-period horizon")
+                         f"{cfg.horizon}-period horizon")
 
-    def col(name: str) -> np.ndarray:
-        return np.array([float(r[name]) for r in rows])
+    def column(key: str, i: int | None) -> np.ndarray:
+        name = {"p_sl": "shift_load", "h_cl": "heat_cut"}.get(key, key) \
+            if i is None else f"{key}_{i}"
+        cells = [r[name] for r in rows]
+        if None in cells:
+            raise ValueError(f"periods.csv row {cells.index(None)} has no {name} cell")
+        return np.array([float(c) for c in cells])
 
-    def grid(prefix: str, n: int) -> np.ndarray:
-        if n == 0:
-            return np.zeros((0, t_count))
-        return np.array([col(f"{prefix}_{i}") for i in range(n)])
-
-    return gm.EquilibriumSolution(
-        mu=col("mu"), gamma=col("gamma"), p_sl=col("shift_load"),
-        h_cl=col("heat_cut"),
-        p_tp=grid("p_tp", len(cfg.tp_units)), r_tp=grid("r_tp", len(cfg.tp_units)),
-        p_chp=grid("p_chp", len(cfg.chp_units)),
-        h_chp=grid("h_chp", len(cfg.chp_units)),
-        r_chp=grid("r_chp", len(cfg.chp_units)),
-        p_ch=col("p_ch"), p_dh=col("p_dh"), soc=col("soc"), r_bess=col("r_bess"),
-        p_res=col("p_res"),
-        t_sw=grid("t_sw", len(cfg.pipelines)), t_rw=grid("t_rw", len(cfg.pipelines)),
-        h_src=grid("h_src", len(cfg.pipelines)),
-        f1=float(summary["f1"]), f2=float(summary["f2"]),
-        objective_milp=float(summary["objective"]))
+    return gm.solution_from(cfg, column, float(summary["f1"]),
+                            float(summary["f2"]), float(summary["objective"]))
 
 
 # ----------------------------------------------------------------------

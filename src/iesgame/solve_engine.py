@@ -659,8 +659,9 @@ def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
 
 def validate_reserve(sol: gm.EquilibriumSolution, cfg: ScenarioConfig,
                      n_samples: int = MC_SAMPLES,
-                     seed: int = 0) -> gm.ValidationReport:
-    """Per-period Monte Carlo satisfaction of the reserve chance rule.
+                     seed: int = 0) -> list[dict]:
+    """Per-period Monte Carlo satisfaction of the reserve chance rule, as
+    `ValidationReport.reserve_mc` rows.
 
     One `chance_satisfaction_mc` call estimates every period from one set
     of n_samples draws. PASS requires every period's estimated
@@ -675,13 +676,6 @@ def validate_reserve(sol: gm.EquilibriumSolution, cfg: ScenarioConfig,
         sol.reserve_total.tolist(),
         n_samples, np.random.default_rng(seed))
     required = cfg.confidence - MC_ALLOWANCE
-    report = gm.ValidationReport()
-    for t, (estimate, half_width) in enumerate(estimates):
-        report.reserve_mc.append({
-            "period": t,
-            "estimate": estimate,
-            "half_width": half_width,
-            "required": required,
-            "passed": bool(estimate >= required),
-        })
-    return report
+    return [{"period": t, "estimate": estimate, "half_width": half_width,
+             "required": required, "passed": bool(estimate >= required)}
+            for t, (estimate, half_width) in enumerate(estimates)]

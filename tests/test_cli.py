@@ -586,6 +586,46 @@ class TestValidateVerb:
                         "--run-dir", str(tmp_path / "nowhere")])
         assert code == cli.EXIT_SCHEMA
 
+    @pytest.mark.parametrize("mode, column, check, detail", [
+        (2, "t_sw_0", "temp_bounds", "pipe=0 t=0"),
+        (4, "mu", "price_bounds", "t=0")])
+    def test_wrong_schedule_reported(self, mode, column, check, detail,
+                                     case2_path, tmp_path, capsys):
+        # a supply temperature at the return temperature, or a price above
+        # its band, is a wrong schedule: reported as one, not refused as an
+        # unreadable run
+        run_dir = tmp_path / "run"
+        out = cli.run_pipeline(cli.RunManifest(
+            scenario=str(case2_path), mode=mode, out_dir=str(run_dir),
+            mc_samples=20000))
+        assert out.exit_code == cli.EXIT_OK
+        table = run_dir / "periods.csv"
+        with table.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        mu_max = json.loads(case2_path.read_text())["prices"]["mu_max"]
+        rows[0][column] = rows[0]["t_rw_0"] if column == "t_sw_0" else repr(mu_max + 1.0)
+        with table.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=rows[0].keys())
+            writer.writeheader()
+            writer.writerows(rows)
+        code = run_cli(["validate", "--scenario", str(case2_path),
+                        "--run-dir", str(run_dir), "--mc-samples", "20000"])
+        assert code == cli.EXIT_VALIDATION
+        violations = json.loads(capsys.readouterr().out)["violations"]
+        assert (check, detail) in {(v["check"], v["detail"]) for v in violations}
+
+    def test_short_row_refused(self, toy_path, toy_run, capsys):
+        # a row cut to its first 5 cells is refused, naming the first
+        # cell it lacks, rather than failing on the missing values
+        table = toy_run / "periods.csv"
+        lines = table.read_text().splitlines(keepends=True)
+        lines[-1] = ",".join(lines[-1].split(",")[:5]) + "\n"
+        table.write_text("".join(lines))
+        code = run_cli(["validate", "--scenario", str(toy_path),
+                        "--run-dir", str(toy_run), "--mc-samples", "20000"])
+        assert code == cli.EXIT_SCHEMA
+        assert "periods.csv row 2 has no shift_load cell" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kept", [1, 0])
     def test_short_period_table_refused(self, kept, toy_path, toy_run,
                                         capsys):

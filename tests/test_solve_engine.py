@@ -419,7 +419,8 @@ def solved():
 class TestReserveValidation:
     def test_minimum_reserve_passes(self, solved):
         bundle, sol = solved
-        report = se.validate_reserve(sol, bundle.cfg, n_samples=50_000, seed=1)
+        report = gm.ValidationReport(reserve_mc=se.validate_reserve(
+            sol, bundle.cfg, n_samples=50_000, seed=1))
         assert report.passed
         assert len(report.reserve_mc) == bundle.cfg.horizon
         for row in report.reserve_mc:
@@ -431,7 +432,8 @@ class TestReserveValidation:
         weak = copy.deepcopy(sol)
         weak.r_tp = weak.r_tp * 0.2
         weak.r_chp = weak.r_chp * 0.2
-        report = se.validate_reserve(weak, bundle.cfg, n_samples=50_000, seed=1)
+        report = gm.ValidationReport(reserve_mc=se.validate_reserve(
+            weak, bundle.cfg, n_samples=50_000, seed=1))
         assert not report.passed
 
     def test_confidence_ordering(self):
@@ -491,8 +493,8 @@ class TestPostedPriceProfit:
             toy_cfg, se.ScipyMilpBackend(), relax_binaries, [mu], [gamma])
         assert (index, n_solves) == (0, 1)
         assert profit == pytest.approx(out.result.objective, rel=1e-6)
-        assert response[0] == pytest.approx(bundle.fixed_p_sl)
-        assert response[1] == pytest.approx(bundle.fixed_h_cl)
+        assert response[0] == pytest.approx(bundle.fixed["p_sl"])
+        assert response[1] == pytest.approx(bundle.fixed["h_cl"])
 
     def test_cache_counts_solves(self, toy_cfg):
         # within one search each distinct response is solved at most
