@@ -17,7 +17,6 @@ with no binaries.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +28,7 @@ MIN_MC_SAMPLES = 10_000  # floor on chance_satisfaction_mc's n_samples
 # A period passes the Monte Carlo check at confidence - MC_ALLOWANCE: the
 # allowance covers the q-grid discretization and the sampling error.
 MC_ALLOWANCE = 0.02
-# chance_satisfaction_mc draws each PV shape's fractions in chunks of this
-# many samples and counts one chunk while it draws the next
+# chance_satisfaction_mc counts the hits in chunks of this many samples
 MC_CHUNK = 2 ** 15
 
 
@@ -158,25 +156,27 @@ def reserve_rows(joint: ProbSequence, confidence: float) -> ReserveRequirementRo
     )
 
 
-def _hits(periods, speeds, lo, hi, fractions=None) -> list[int]:
-    """How many of samples lo..hi-1 reach each (pv, wt, need) period's need:
-    its wind output from the unit-scale `speeds`, plus its PV output from
-    `fractions`, the Beta fractions of those samples, when it has PV."""
-    counts = []
-    for pv, wt, need in periods:
-        if wt is None:
-            joint = fractions * pv.p_max
-        else:
-            joint = wt_power_curve(wt, speeds[wt.u][lo:hi] * wt.z)
-            if pv is not None:
-                joint += fractions * pv.p_max
-        counts.append(int(np.count_nonzero(joint >= need)))
-    return counts
+def _shapes(pv_models, wt_models) -> tuple[list, list]:
+    """The Weibull shapes and the Beta shape pairs of the present models,
+    each in order of first use."""
+    return (list(dict.fromkeys(wt.u for wt in wt_models if wt is not None)),
+            list(dict.fromkeys((pv.lambda1, pv.lambda2)
+                               for pv in pv_models if pv is not None)))
+
+
+def mc_draws(pv_models, wt_models, n_samples: int,
+             rng: np.random.Generator) -> tuple[dict, dict]:
+    """The draws `chance_satisfaction_mc` makes for these models: n
+    unit-scale wind speeds per Weibull shape, in order of first use, then
+    n Beta fractions per PV shape, as ({u: ...}, {(lambda1, lambda2): ...})."""
+    us, betas = _shapes(pv_models, wt_models)
+    return ({u: rng.weibull(u, n_samples) for u in us},
+            {key: rng.beta(*key, n_samples) for key in betas})
 
 
 def chance_satisfaction_mc(pv_models, wt_models, expected_outputs,
-                           reserves, n_samples: int,
-                           rng: np.random.Generator) -> list[tuple[float, float]]:
+                           reserves, n_samples: int, rng: np.random.Generator,
+                           drawn=None) -> list[tuple[float, float]]:
     """Monte Carlo estimates of Pr[reserve >= expected_output - joint output].
 
     The four sequences hold one entry per period; either model may be None
@@ -194,52 +194,51 @@ def chance_satisfaction_mc(pv_models, wt_models, expected_outputs,
     need = expected_output - reserve - 1e-12. A period with need <= 0 is
     hit by every sample, because no unit has a negative output: its
     estimate is exactly 1.0, and only periods with need > 0 ask for draws.
-    All speeds are drawn first, per Weibull shape in order of first use,
-    then the fractions per PV shape, so with one shape of each a period's
-    estimate equals, at an equal seed, the one from `sample_wt(n)` then
-    `sample_pv(n)` on a fresh generator.
+    They are `mc_draws` of those periods' models from `rng`, so with one
+    shape of each a period's estimate equals, at an equal seed, the one
+    from `sample_wt(n)` then `sample_pv(n)` on a fresh generator. `drawn`,
+    draws made ahead (`mc_draws` of n samples from the same seed), is used
+    instead when it holds exactly those shapes, in that order; otherwise
+    the call draws from `rng` itself.
 
-    The fractions are drawn in chunks of MC_CHUNK samples, which continue
-    one stream: the chunks concatenate to the single draw of n. One helper
-    thread, which lives only for the call, counts the hits: those of the
-    periods without PV as soon as the speeds exist, and those of one chunk
-    of a PV shape's periods while this thread draws the next chunk. Hits
-    are summed per period as integers, so the estimates and the
-    generator's final state do not depend on the chunking.
+    The hits are counted on the calling thread, in chunks of MC_CHUNK
+    samples through preallocated buffers, and summed per period as
+    integers, so the estimates do not depend on the chunking.
     """
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
     periods = [(pv, wt, e - r - 1e-12) for pv, wt, e, r
                in zip(pv_models, wt_models, expected_outputs, reserves)]
-    speeds, pv_shapes, wind_only = {}, {}, []
-    for t, (pv, wt, need) in enumerate(periods):
-        if need <= 0:
-            continue
-        if wt is not None:
-            speeds.setdefault(wt.u)
-        if pv is not None:
-            pv_shapes.setdefault((pv.lambda1, pv.lambda2), []).append(t)
-        elif wt is not None:
-            wind_only.append(t)
-        # a period without units misses every positive need
+    # a period without units misses every positive need
+    sampled = [t for t, (pv, wt, need) in enumerate(periods)
+               if need > 0 and (pv is not None or wt is not None)]
+    pvs = [periods[t][0] for t in sampled]
+    wts = [periods[t][1] for t in sampled]
+    speeds, fractions = drawn or ({}, {})
+    if (list(speeds), list(fractions)) != _shapes(pvs, wts) or any(
+            a.size != n_samples for a in [*speeds.values(),
+                                          *fractions.values()]):
+        speeds, fractions = mc_draws(pvs, wts, n_samples, rng)
 
     hits = [0 if need > 0 else n_samples for _, _, need in periods]
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        for u in speeds:
-            speeds[u] = rng.weibull(u, n_samples)
-        counting = []
-        if wind_only:
-            counting.append((wind_only, helper.submit(
-                _hits, [periods[t] for t in wind_only], speeds, 0, n_samples)))
-        for (l1, l2), shape_periods in pv_shapes.items():
-            group = [periods[t] for t in shape_periods]
-            for lo in range(0, n_samples, MC_CHUNK):
-                hi = min(lo + MC_CHUNK, n_samples)
-                counting.append((shape_periods, helper.submit(
-                    _hits, group, speeds, lo, hi, rng.beta(l1, l2, hi - lo))))
-        for counted, job in counting:
-            for t, count in zip(counted, job.result()):
-                hits[t] += count
+    wind, solar = np.empty(MC_CHUNK), np.empty(MC_CHUNK)
+    reached = np.empty(MC_CHUNK, dtype=bool)
+    for lo in range(0, n_samples, MC_CHUNK):
+        hi = min(lo + MC_CHUNK, n_samples)
+        m = hi - lo
+        for t in sampled:
+            pv, wt, need = periods[t]
+            joint = None
+            if wt is not None:
+                v = np.multiply(speeds[wt.u][lo:hi], wt.z, out=wind[:m])
+                joint = wt_power_curve(wt, v, out=v)
+            if pv is not None:
+                share = np.multiply(fractions[pv.lambda1, pv.lambda2][lo:hi],
+                                    pv.p_max, out=solar[:m])
+                joint = share if joint is None else np.add(joint, share,
+                                                           out=joint)
+            hits[t] += int(np.count_nonzero(
+                np.greater_equal(joint, need, out=reached[:m])))
 
     out = []
     for count in hits:

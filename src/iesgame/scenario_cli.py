@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -144,76 +145,82 @@ def run_pipeline(manifest: RunManifest) -> RunOutput:
     refused = _refused_settings(manifest)
     if refused:
         return fail(EXIT_SCHEMA, "SCHEMA_ERROR", refused)
-    try:
-        cfg = _overridden(load_scenario(manifest.scenario),
-                          manifest.theta, manifest.confidence)
-        bundle = build_bundle(cfg, manifest.mode, manifest.n_segments)
-    except (ConfigError, gm.BuildError, ValueError) as exc:
-        return fail(EXIT_SCHEMA, "SCHEMA_ERROR", str(exc))
+    # the Monte Carlo draws depend only on the scenario and the seed: a
+    # helper thread makes them while this one builds, solves and verifies
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        try:
+            cfg = _overridden(load_scenario(manifest.scenario),
+                              manifest.theta, manifest.confidence)
+            drawn = (helper.submit(se.reserve_draws, cfg, manifest.mc_samples,
+                                   manifest.seed)
+                     if manifest.run_validation else None)
+            bundle = build_bundle(cfg, manifest.mode, manifest.n_segments)
+        except (ConfigError, gm.BuildError, ValueError) as exc:
+            return fail(EXIT_SCHEMA, "SCHEMA_ERROR", str(exc))
 
-    opts = se.SolveOptions(time_limit=manifest.time_limit,
-                           gap_tolerance=manifest.gap)
-    outcome = se.solve(bundle, opts)
-    result = outcome.result
-    if result.status == se.INFEASIBLE:
-        return fail(EXIT_INFEASIBLE, result.status,
-                    f"infeasible at stage {result.infeasible_stage}")
-    if result.status == se.TIME_LIMIT:
-        return fail(EXIT_TIME_LIMIT, result.status,
-                    f"no proven optimum within {manifest.time_limit}s")
-    if result.status != se.OPTIMAL:
-        return fail(EXIT_ERROR, result.status, "backend failure")
+        opts = se.SolveOptions(time_limit=manifest.time_limit,
+                               gap_tolerance=manifest.gap)
+        outcome = se.solve(bundle, opts)
+        result = outcome.result
+        if result.status == se.INFEASIBLE:
+            return fail(EXIT_INFEASIBLE, result.status,
+                        f"infeasible at stage {result.infeasible_stage}")
+        if result.status == se.TIME_LIMIT:
+            return fail(EXIT_TIME_LIMIT, result.status,
+                        f"no proven optimum within {manifest.time_limit}s")
+        if result.status != se.OPTIMAL:
+            return fail(EXIT_ERROR, result.status, "backend failure")
 
-    sol = outcome.solution
-    report = outcome.report
-    if manifest.run_validation:
-        report.reserve_mc = se.validate_reserve(sol, cfg, manifest.mc_samples,
-                                                manifest.seed)
+        sol = outcome.solution
+        report = outcome.report
+        if manifest.run_validation:
+            report.reserve_mc = se.validate_reserve(
+                sol, cfg, manifest.mc_samples, manifest.seed, drawn.result())
 
-    summary = {
-        "schema_version": CSV_SCHEMA_VERSION,
-        "scenario": manifest.scenario,
-        "scenario_name": cfg.name,
-        "mode": manifest.mode,
-        "seed": manifest.seed,
-        "backend": se.ScipyMilpBackend.name,
-        "confidence": cfg.confidence,
-        "theta": cfg.idr.theta,
-        "n_segments": manifest.n_segments,
-        "gap_tolerance": manifest.gap,
-        "time_limit": manifest.time_limit,
-        "mc_samples": manifest.mc_samples if manifest.run_validation else None,
-        "scenario_sha256": _sha256(manifest.scenario),
-        "versions": {"iesgame": __version__,
-                     "python": sys.version.split()[0],
-                     "numpy": np.__version__, "scipy": scipy.__version__,
-                     "highs": se.HIGHS_VERSION},
-        "status": result.status,
-        "objective": result.objective,
-        "gap": result.gap,
-        "mip_dual_bound": result.bound,
-        "mip_node_count": result.node_count,
-        "relaxation_exact": result.relaxation_exact,
-        "pwl_error_bound": bundle.pwl_error_bound,
-        "f1": sol.f1,
-        "f2": sol.f2,
-        "absorbed_renewables": sol.absorbed,
-        "expected_renewables": float(np.sum(cfg.expected_renewables())),
-        "solve_runtime_s": result.runtime_s,
-        "runtime_s": time.perf_counter() - started,
-        "validation_passed": report.passed,
-    }
-    _write_csv(out_dir / "periods.csv", _period_table(cfg, sol))
-    _write_json(out_dir / "summary.json", summary)
-    _write_json(out_dir / "validation.json", {
-        "violations": [vars(v) for v in report.violations],
-        "reserve_mc": report.reserve_mc,
-    })
-    if not report.passed:
-        worst = report.violations[0].check if report.violations else "reserve_mc"
-        return RunOutput(EXIT_VALIDATION, "VALIDATION_FAILED",
-                         f"first failing check: {worst}", summary, sol)
-    return RunOutput(EXIT_OK, "OPTIMAL", "", summary, sol)
+        summary = {
+            "schema_version": CSV_SCHEMA_VERSION,
+            "scenario": manifest.scenario,
+            "scenario_name": cfg.name,
+            "mode": manifest.mode,
+            "seed": manifest.seed,
+            "backend": se.ScipyMilpBackend.name,
+            "confidence": cfg.confidence,
+            "theta": cfg.idr.theta,
+            "n_segments": manifest.n_segments,
+            "gap_tolerance": manifest.gap,
+            "time_limit": manifest.time_limit,
+            "mc_samples": manifest.mc_samples if manifest.run_validation else None,
+            "scenario_sha256": _sha256(manifest.scenario),
+            "versions": {"iesgame": __version__,
+                         "python": sys.version.split()[0],
+                         "numpy": np.__version__, "scipy": scipy.__version__,
+                         "highs": se.HIGHS_VERSION},
+            "status": result.status,
+            "objective": result.objective,
+            "gap": result.gap,
+            "mip_dual_bound": result.bound,
+            "mip_node_count": result.node_count,
+            "relaxation_exact": result.relaxation_exact,
+            "pwl_error_bound": bundle.pwl_error_bound,
+            "f1": sol.f1,
+            "f2": sol.f2,
+            "absorbed_renewables": sol.absorbed,
+            "expected_renewables": float(np.sum(cfg.expected_renewables())),
+            "solve_runtime_s": result.runtime_s,
+            "runtime_s": time.perf_counter() - started,
+            "validation_passed": report.passed,
+        }
+        _write_csv(out_dir / "periods.csv", _period_table(cfg, sol))
+        _write_json(out_dir / "summary.json", summary)
+        _write_json(out_dir / "validation.json", {
+            "violations": [vars(v) for v in report.violations],
+            "reserve_mc": report.reserve_mc,
+        })
+        if not report.passed:
+            worst = report.violations[0].check if report.violations else "reserve_mc"
+            return RunOutput(EXIT_VALIDATION, "VALIDATION_FAILED",
+                             f"first failing check: {worst}", summary, sol)
+        return RunOutput(EXIT_OK, "OPTIMAL", "", summary, sol)
 
 
 def _refused_settings(manifest: RunManifest) -> str | None:
@@ -415,12 +422,16 @@ def revalidate(scenario: str, run_dir: str, mc_samples: int,
                          f"made from (sha256 {recorded})")
     cfg = _overridden(load_scenario(scenario), summary.get("theta"),
                       summary.get("confidence"))
-    mode = gm.ModeSettings.for_mode(summary["mode"])
-    with (run_path / "periods.csv").open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    sol = _solution_from_rows(cfg, rows, summary)
-    report = gm.verify_solution(sol, cfg, mode, float(bound))
-    report.reserve_mc = se.validate_reserve(sol, cfg, mc_samples, seed)
+    # as in run_pipeline, a helper thread draws while this one verifies
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        drawn = helper.submit(se.reserve_draws, cfg, mc_samples, seed)
+        mode = gm.ModeSettings.for_mode(summary["mode"])
+        with (run_path / "periods.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        sol = _solution_from_rows(cfg, rows, summary)
+        report = gm.verify_solution(sol, cfg, mode, float(bound))
+        report.reserve_mc = se.validate_reserve(sol, cfg, mc_samples, seed,
+                                                drawn.result())
     return report, summary
 
 

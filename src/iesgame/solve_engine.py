@@ -37,7 +37,7 @@ from . import game_model as gm
 from .config import ScenarioConfig
 from .kkt_reformulation import N_SEGMENTS, assemble_single_level, check_kkt
 from .model_ir import CompiledModel, ModelIR, as_compiled
-from .prob_sequences import MC_ALLOWANCE, chance_satisfaction_mc
+from .prob_sequences import MC_ALLOWANCE, chance_satisfaction_mc, mc_draws
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
@@ -657,16 +657,26 @@ def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
 # Monte Carlo reserve validation
 
 
+def reserve_draws(cfg: ScenarioConfig, n_samples: int = MC_SAMPLES,
+                  seed: int = 0) -> tuple[dict, dict]:
+    """`validate_reserve`'s draws at this seed, from every period's models;
+    it calls nothing `bench/tracer.py` wraps, so a helper thread may."""
+    periods = range(cfg.horizon)
+    return mc_draws([cfg.pv_model_for(t) for t in periods],
+                    [cfg.wt_model_for(t) for t in periods],
+                    n_samples, np.random.default_rng(seed))
+
+
 def validate_reserve(sol: gm.EquilibriumSolution, cfg: ScenarioConfig,
-                     n_samples: int = MC_SAMPLES,
-                     seed: int = 0) -> list[dict]:
+                     n_samples: int = MC_SAMPLES, seed: int = 0,
+                     drawn: tuple[dict, dict] | None = None) -> list[dict]:
     """Per-period Monte Carlo satisfaction of the reserve chance rule, as
     `ValidationReport.reserve_mc` rows.
 
     One `chance_satisfaction_mc` call estimates every period from one set
-    of n_samples draws. PASS requires every period's estimated
-    satisfaction probability to reach the confidence level minus
-    MC_ALLOWANCE (discretization plus sampling allowance).
+    of n_samples draws, `drawn` when it fits. PASS requires every period's
+    estimated satisfaction probability to reach the confidence level
+    minus MC_ALLOWANCE (discretization plus sampling allowance).
     """
     periods = range(cfg.horizon)
     estimates = chance_satisfaction_mc(
@@ -674,7 +684,7 @@ def validate_reserve(sol: gm.EquilibriumSolution, cfg: ScenarioConfig,
         [cfg.wt_model_for(t) for t in periods],
         cfg.expected_renewables().tolist(),
         sol.reserve_total.tolist(),
-        n_samples, np.random.default_rng(seed))
+        n_samples, np.random.default_rng(seed), drawn)
     required = cfg.confidence - MC_ALLOWANCE
     return [{"period": t, "estimate": estimate, "half_width": half_width,
              "required": required, "passed": bool(estimate >= required)}

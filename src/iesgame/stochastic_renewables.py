@@ -72,24 +72,24 @@ class WeibullWtModel:
                               self.v_e, self.v_out, self.p_e)
 
 
-def wt_power_curve(model: WeibullWtModel, v):
+def wt_power_curve(model: WeibullWtModel, v, out=None):
     """Turbine output (MW) at wind speed(s) v (m/s): zero below cut-in and
     from cut-out on, the linear ramp up to rated speed, rated power above.
 
-    Takes a scalar (returns a float) or an array (returns an array). The
-    ramp is computed in place: the Monte Carlo check applies the curve to
-    every sampled period's speeds, in chunks of
-    `prob_sequences.MC_CHUNK` samples where the period has PV.
+    Takes a scalar (returns a float) or an array (returns an array).
+    `out`, an array of v's shape that may be v itself, receives the
+    output: the Monte Carlo check passes its chunk buffers.
     """
     scalar = np.ndim(v) == 0
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if np.any(v < 0):
         raise ValueError("wind speed must be nonnegative")
-    out = v - model.v_in
+    cut_out = v >= model.v_out
+    out = np.subtract(v, model.v_in, out=out)
     out /= model.v_e - model.v_in
     np.clip(out, 0.0, 1.0, out=out)
     out *= model.p_e
-    out[v >= model.v_out] = 0.0
+    out[cut_out] = 0.0
     return float(out[0]) if scalar else out
 
 

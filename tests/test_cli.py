@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from scipy.optimize._highspy import _core as _highs
 from conftest import toy_dict
 from iesgame import game_model as gm
 from iesgame import kkt_reformulation as kkt
+from iesgame import prob_sequences as ps
 from iesgame import scenario_cli as cli
 from iesgame import solve_engine as se
 
@@ -692,6 +694,109 @@ class TestValidateVerb:
         code = run_cli(["validate", "--scenario", str(toy_path),
                         "--run-dir", str(toy_run), "--mc-samples", "20000"])
         assert code == cli.EXIT_OK
+
+
+class TestDrawsAhead:
+    """`run_pipeline` and `revalidate` make the Monte Carlo draws on a
+    helper thread that lives only for the call, on every path out."""
+
+    @pytest.fixture
+    def helpers(self, monkeypatch):
+        threads = []
+        reserve_draws = se.reserve_draws
+
+        def recorded(*args):
+            threads.append(threading.get_ident())
+            return reserve_draws(*args)
+        monkeypatch.setattr(se, "reserve_draws", recorded)
+        return threads
+
+    @pytest.mark.parametrize("fixed_load, code, drawn", [
+        ([1.4, 1.8, 1.6], cli.EXIT_OK, 1),
+        ([1.4, 3.0, 1.6], cli.EXIT_SCHEMA, 1),  # refused while building
+        ([1.45, 2.2, 1.6], cli.EXIT_INFEASIBLE, 1),
+        (None, cli.EXIT_SCHEMA, 0),  # a scenario file that is no JSON
+    ], ids=["ok", "build_error", "infeasible", "unreadable"])
+    def test_run_joins_its_helper(self, fixed_load, code, drawn, tmp_path,
+                                  helpers):
+        data = toy_dict()
+        data["fixed_load_mw"] = fixed_load
+        path = tmp_path / "toy.json"
+        path.write_text(json.dumps(data) if fixed_load else "{ not json")
+        before = threading.active_count()
+        out = cli.run_pipeline(cli.RunManifest(
+            scenario=str(path), mode=2, out_dir=str(tmp_path / "o"),
+            mc_samples=20_000))
+        assert out.exit_code == code
+        assert threading.active_count() == before
+        assert len(helpers) == drawn
+        assert threading.get_ident() not in helpers
+
+    @pytest.mark.parametrize("short_row", [False, True])
+    def test_validate_joins_its_helper(self, short_row, toy_path, tmp_path,
+                                       helpers):
+        out_dir = tmp_path / "run"
+        assert cli.run_pipeline(cli.RunManifest(
+            scenario=str(toy_path), mode=1, out_dir=str(out_dir),
+            run_validation=False)).exit_code == cli.EXIT_OK
+        if short_row:
+            table = out_dir / "periods.csv"
+            lines = table.read_text().splitlines(keepends=True)
+            lines[-1] = ",".join(lines[-1].split(",")[:5]) + "\n"
+            table.write_text("".join(lines))
+        before = threading.active_count()
+        code = run_cli(["validate", "--scenario", str(toy_path),
+                        "--run-dir", str(out_dir), "--mc-samples", "20000"])
+        assert code == (cli.EXIT_SCHEMA if short_row else cli.EXIT_OK)
+        assert threading.active_count() == before
+        assert len(helpers) == 1 and helpers[0] != threading.get_ident()
+
+    def test_concurrent_validations_keep_their_own_draws(self, case2_path,
+                                                         tmp_path):
+        # four callers at once, each with its helper, switching threads
+        # every microsecond: every report equals the one made alone
+        out_dir = tmp_path / "run"
+        assert cli.run_pipeline(cli.RunManifest(
+            scenario=str(case2_path), mode=3, out_dir=str(out_dir),
+            run_validation=False)).exit_code == cli.EXIT_OK
+        seeds, got = range(30, 34), {}
+
+        def call(seed):
+            got[seed] = cli.revalidate(str(case2_path), str(out_dir), 20_000,
+                                       seed)[0].reserve_mc
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(s,))
+                       for s in seeds]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for s in seeds:
+            alone = cli.revalidate(str(case2_path), str(out_dir), 20_000, s)
+            assert got[s] == alone[0].reserve_mc
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_nothing_drawn_without_validation(self, validate, case2_path,
+                                              tmp_path, monkeypatch):
+        draws = []
+
+        def counted(*args):
+            draws.append(len(args[0]))
+            return mc_draws(*args)
+        mc_draws = ps.mc_draws
+        monkeypatch.setattr(ps, "mc_draws", counted)
+        monkeypatch.setattr(se, "mc_draws", counted)
+        out = cli.run_pipeline(cli.RunManifest(
+            scenario=str(case2_path), mode=1, out_dir=str(tmp_path),
+            run_validation=validate))
+        assert out.exit_code == cli.EXIT_OK
+        # with validation, one draw of the whole day, made ahead
+        assert draws == ([24] if validate else [])
 
 
 class TestOracleVerb:

@@ -428,20 +428,58 @@ class TestChanceSatisfactionMc:
                                   np.random.default_rng(11))
         assert threading.active_count() == before
 
-    def test_hits_counted_off_the_calling_thread(self, monkeypatch):
-        callers = set()
+    def test_hits_counted_on_the_calling_thread(self, monkeypatch):
+        # every chunk of every wind period is counted by the caller, which
+        # starts no thread of its own
+        callers = []
 
-        def recording_curve(model, v):
-            callers.add(threading.get_ident())
-            return sr.wt_power_curve(model, v)
+        def recording_curve(model, v, out=None):
+            callers.append(threading.get_ident())
+            return sr.wt_power_curve(model, v, out)
         monkeypatch.setattr(ps, "wt_power_curve", recording_curve)
-        ps.chance_satisfaction_mc(*self.mixed_day(), 50_000,
-                                  np.random.default_rng(12))
-        assert callers and threading.get_ident() not in callers
+        before = threading.active_count()
+        n = 50_000
+        got = ps.chance_satisfaction_mc(*self.mixed_day(), n,
+                                        np.random.default_rng(12))
+        assert got == serial_reference(*self.mixed_day(), n,
+                                       np.random.default_rng(12))
+        wind_periods = 5  # periods 0, 1, 3, 4 and 5; 7 is covered
+        assert callers == [threading.get_ident()] * (
+            wind_periods * math.ceil(n / ps.MC_CHUNK))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n", [10_000, ps.MC_CHUNK + 1, 100_003])
+    def test_prefetched_draws_equal_in_call_draws(self, n):
+        # every shape of the day is one that a sampled period needs, so
+        # draws made ahead from an equal seed stand in for the call's own
+        pvs, wts, es, rs = self.mixed_day()
+        drawn = ps.mc_draws(pvs, wts, n, np.random.default_rng(14))
+        rng = np.random.default_rng(15)
+        before = rng.bit_generator.state
+        got = ps.chance_satisfaction_mc(pvs, wts, es, rs, n, rng, drawn)
+        assert got == serial_reference(pvs, wts, es, rs, n,
+                                       np.random.default_rng(14))
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("misfit", ["shape", "size"])
+    def test_prefetched_draws_that_misfit_fall_back(self, misfit):
+        # draws made ahead with a wind shape only a covered period uses, or
+        # of another size, are not the call's: it draws from its own
+        # generator, exactly as without them
+        pvs, wts, es, rs = self.mixed_day()
+        n = 50_000
+        if misfit == "shape":
+            wts[7] = self.GUSTY  # period 7 is covered
+        drawn = ps.mc_draws(pvs, wts, n if misfit == "shape" else n - 1,
+                            np.random.default_rng(16))
+        rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+        got = ps.chance_satisfaction_mc(pvs, wts, es, rs, n, rng, drawn)
+        assert got == serial_reference(pvs, wts, es, rs, n, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_concurrent_calls_keep_their_own_counts(self):
-        # four callers at once, each with its helper, switching threads
-        # every microsecond: no count or draw leaks into another call
+        # four callers at once, switching threads every microsecond: no
+        # count or draw leaks into another call
         n, seeds = 40_000, range(20, 24)
         got = {}
 
@@ -465,7 +503,7 @@ class TestChanceSatisfactionMc:
                                               np.random.default_rng(s))
 
     def test_helper_error_propagates(self, monkeypatch):
-        def broken_curve(model, v):
+        def broken_curve(model, v, out=None):
             raise RuntimeError("power curve failed")
         monkeypatch.setattr(ps, "wt_power_curve", broken_curve)
         before = threading.active_count()

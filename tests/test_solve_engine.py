@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +13,15 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from conftest import random_follower_point, toy_dict
 from iesgame import game_model as gm
 from iesgame import kkt_reformulation as kkt
+from iesgame import prob_sequences as ps
 from iesgame import solve_engine as se
 from iesgame.config import load_scenario, scenario_from_dict
 from iesgame.lp_io import write_lp
 from iesgame.model_ir import ModelIR
 from iesgame.scenario_cli import build_bundle
+
+
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
 
 def flat_single_unit_dict():
@@ -435,6 +440,29 @@ class TestReserveValidation:
         report = gm.ValidationReport(reserve_mc=se.validate_reserve(
             weak, bundle.cfg, n_samples=50_000, seed=1))
         assert not report.passed
+
+    @pytest.mark.parametrize("case", ["case1_like", "case2_real", "toy3"])
+    def test_draws_made_ahead_give_equal_rows(self, case, monkeypatch):
+        # the draws run_pipeline and revalidate make ahead on a helper
+        # thread stand in for the check's own; toy3's reserves cover every
+        # period, so the check needs no draw and sets the day's aside
+        cfg = load_scenario(BENCH_INPUTS / f"{case}.json")
+        sol = se.solve(build_bundle(cfg, 3)).solution
+        in_call = []
+
+        def counted_draws(pvs, wts, n, rng):
+            in_call.append(len(pvs))
+            return mc_draws(pvs, wts, n, rng)
+        mc_draws = ps.mc_draws
+        for seed in (1, 7, 2024):
+            drawn = se.reserve_draws(cfg, 20_000, seed)
+            rows = se.validate_reserve(sol, cfg, 20_000, seed)
+            monkeypatch.setattr(ps, "mc_draws", counted_draws)
+            assert se.validate_reserve(sol, cfg, 20_000, seed, drawn) == rows
+            monkeypatch.undo()
+            sampled = [row for row in rows if 0 < row["estimate"] < 1]
+            assert bool(sampled) == (case != "toy3")
+        assert in_call == ([0] * 3 if case == "toy3" else [])
 
     def test_confidence_ordering(self):
         cfg = scenario_from_dict(toy_dict())

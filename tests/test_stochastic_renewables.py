@@ -56,6 +56,27 @@ class TestPowerCurve:
         lo, hi = sorted((v1, v2))
         assert wt_power_curve(WT, lo) <= wt_power_curve(WT, hi) + 1e-12
 
+    def test_into_callers_buffer(self):
+        # a caller's buffer, or the speeds themselves, receive the bits of
+        # the allocating call; scalars and the negative-speed refusal stay
+        speeds = np.random.default_rng(24).weibull(WT.u, 10_000) * WT.z
+        speeds[:6] = [0.0, WT.v_in, 7.5, WT.v_e, WT.v_out, 30.0]
+        want = wt_power_curve(WT, speeds)
+        out = np.full_like(speeds, np.nan)
+        assert wt_power_curve(WT, speeds, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        v = speeds.copy()
+        assert wt_power_curve(WT, v, out=v) is v
+        assert v.tobytes() == want.tobytes()
+        for speed in speeds[:6].tolist():
+            got = wt_power_curve(WT, speed)
+            assert type(got) is float and got == reference_wt_power(WT, speed)
+        for bad in (-0.5, np.array([1.0, -0.5])):
+            with pytest.raises(ValueError, match="nonnegative"):
+                wt_power_curve(WT, bad, out=np.empty(np.size(bad)))
+            with pytest.raises(ValueError, match="nonnegative"):
+                wt_power_curve(WT, bad)
+
     def test_speed_ordering_enforced(self):
         with pytest.raises(ValueError):
             WeibullWtModel(8.0, 2.0, 12.0, 3.0, 25.0, 2.0)
