@@ -181,27 +181,6 @@ def eliminate_bilinear(ir: ModelIR, bundle: ModelBundle) -> None:
     ir.add_obj_linear(names["xi"][0], -dt * cfg.shift_total())
 
 
-def bilinear_identity_residuals(bundle: ModelBundle, values: dict[str, float]
-                                ) -> list[tuple[str, float]]:
-    """Per-period gap between price*quantity and its substituted expression."""
-    cfg, names = bundle.cfg, bundle.names
-    sl_lb, sl_ub, cut_ub = cfg.shift_lower(), cfg.shift_upper(), cfg.cut_upper()
-    xi = values[names["xi"][0]]
-    out = []
-    for t in range(cfg.horizon):
-        psl = values[names["p_sl"][t]]
-        lhs = values[names["mu"][t]] * psl
-        rhs = (values[names["delta1"][t]] * float(sl_lb[t])
-               - values[names["delta2"][t]] * float(sl_ub[t]) - xi * psl)
-        out.append((f"elec_{t}", lhs - rhs))
-        hcl = values[names["h_cl"][t]]
-        lhs = values[names["gamma"][t]] * hcl
-        rhs = (2.0 * cfg.idr.theta * hcl ** 2
-               + values[names["delta4"][t]] * float(cut_ub[t]))
-        out.append((f"heat_{t}", lhs - rhs))
-    return out
-
-
 def apply_pwl(ir: ModelIR, n_segments: int) -> float:
     """Replace every quadratic objective term coef*x^2 by its chord PWL.
 

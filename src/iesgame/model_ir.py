@@ -6,9 +6,9 @@ row by row, plus each row's name, sense and right-hand side. `add_block`
 and `add_columns` add columns, `add_rows` families of rows, interleaved
 period by period, and `add_row_list` rows given one by one, checking
 names and bounds once per call, as arrays. Columns, rows and each row's
-coefficients keep their insertion order, which makes serialized models
-byte-stable across runs. A row may name only variables declared before
-it; `validate` rejects any other name.
+coefficients keep their insertion order, which makes compiled models
+equal, array for array, across runs. A row may name only variables
+declared before it; `validate` rejects any other name.
 
 Every model is a maximization. The objective is linear plus diagonal
 quadratic terms. The MILP backend takes no quadratic terms:
@@ -16,9 +16,9 @@ quadratic terms. The MILP backend takes no quadratic terms:
 before a model is compiled.
 
 `ModelIR.compile` is the one lowering from a model to arrays: the
-backend and the LP writer read the `CompiledModel` it returns. A
-compiled model can be re-solved with other right-hand sides
-(`CompiledModel.with_rhs`) without building the model again.
+backend reads the `CompiledModel` it returns. A compiled model can be
+re-solved with other right-hand sides (`CompiledModel.with_rhs`) without
+building the model again.
 """
 from __future__ import annotations
 
@@ -52,9 +52,8 @@ class CompiledModel:
     """A linear-objective model as solver arrays.
 
     Columns follow the variables' and rows the rows' insertion order; the
-    coefficients of each row of `a` keep the order they were given in, so
-    the LP writer renders the same text as from the model. `c` is the
-    objective to maximize. The dense arrays are read-only:
+    coefficients of each row of `a` keep the order they were given in.
+    `c` is the objective to maximize. The dense arrays are read-only:
     copies made by `with_rhs`, `without_lower` and `relaxed` share every
     array they do not change.
     """
@@ -102,10 +101,6 @@ class CompiledModel:
         """Copy with every integrality requirement dropped."""
         return replace(self, integrality=_read_only(
             np.zeros_like(self.integrality)))
-
-
-def as_compiled(model: "ModelIR | CompiledModel") -> CompiledModel:
-    return model if isinstance(model, CompiledModel) else model.compile()
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -106,9 +106,10 @@ def expectation(s: ProbSequence) -> float:
 class ReserveRequirementRows:
     """Data for the deterministic-equivalent reserve row of one period.
 
-    thresholds[m] = expected_output - m*q is the reserve that covers a
-    shortfall at output level m. The paper's sequence-operation form
-    gives each level a binary w_m with
+    thresholds[m] = E - m*q, for the expected output E and the step q of
+    the joint sequence, is the reserve that covers a shortfall at output
+    level m; level 0 is 0 MW, so thresholds[0] is E. The paper's
+    sequence-operation form gives each level a binary w_m with
         total_reserve >= thresholds[m] - M * (1 - w_m)
     and adds the coverage row  sum_m level_probs[m] * w_m >= confidence.
     The thresholds strictly decrease, so a reserve covers a level only
@@ -117,8 +118,6 @@ class ReserveRequirementRows:
     MILP emits only that row.
     """
 
-    expected_output: float
-    q: float
     thresholds: np.ndarray
     level_probs: np.ndarray
     confidence: float
@@ -145,61 +144,50 @@ class ReserveRequirementRows:
 
 def reserve_rows(joint: ProbSequence, confidence: float) -> ReserveRequirementRows:
     """Deterministic-equivalent reserve data for one period's joint sequence."""
-    e = expectation(joint)
-    thresholds = e - joint.levels()
     return ReserveRequirementRows(
-        expected_output=e,
-        q=joint.q,
-        thresholds=thresholds,
+        thresholds=expectation(joint) - joint.levels(),
         level_probs=joint.probs.copy(),
         confidence=confidence,
     )
 
 
-def _shapes(pv_models, wt_models) -> tuple[list, list]:
-    """The Weibull shapes and the Beta shape pairs of the present models,
-    each in order of first use."""
-    return (list(dict.fromkeys(wt.u for wt in wt_models if wt is not None)),
-            list(dict.fromkeys((pv.lambda1, pv.lambda2)
-                               for pv in pv_models if pv is not None)))
-
-
 def mc_draws(pv_models, wt_models, n_samples: int,
              rng: np.random.Generator) -> tuple[dict, dict]:
-    """The draws `chance_satisfaction_mc` makes for these models: n
+    """The draws `chance_satisfaction_mc` counts for these models: n
     unit-scale wind speeds per Weibull shape, in order of first use, then
     n Beta fractions per PV shape, as ({u: ...}, {(lambda1, lambda2): ...})."""
-    us, betas = _shapes(pv_models, wt_models)
+    us = dict.fromkeys(wt.u for wt in wt_models if wt is not None)
+    betas = dict.fromkeys((pv.lambda1, pv.lambda2)
+                          for pv in pv_models if pv is not None)
     return ({u: rng.weibull(u, n_samples) for u in us},
             {key: rng.beta(*key, n_samples) for key in betas})
 
 
 def chance_satisfaction_mc(pv_models, wt_models, expected_outputs,
-                           reserves, n_samples: int, rng: np.random.Generator,
-                           drawn=None) -> list[tuple[float, float]]:
+                           reserves, n_samples: int,
+                           drawn: tuple[dict, dict]) -> list[tuple[float, float]]:
     """Monte Carlo estimates of Pr[reserve >= expected_output - joint output].
 
     The four sequences hold one entry per period; either model may be None
     (unit absent that period). Returns one (estimate, 95% binomial
     half-width) per period. Requires n_samples >= 1e4.
 
-    The periods share one set of draws (common random numbers). A period's
-    models differ from the others' only in the wind scale z and the PV
-    capacity p_max, so n unit-scale wind speeds per Weibull shape and n
-    Beta fractions per PV shape serve every period, as z * speed and
-    p_max * fraction. Each estimate keeps the law and the half-width of n
-    draws of its own; only the estimates of different periods correlate.
+    The periods share one set of draws (common random numbers), `drawn`,
+    as `mc_draws` makes them. A period's models differ from the others'
+    only in the wind scale z and the PV capacity p_max, so n unit-scale
+    wind speeds per Weibull shape and n Beta fractions per PV shape serve
+    every period, as z * speed and p_max * fraction. Each estimate keeps
+    the law and the half-width of n draws of its own; only the estimates
+    of different periods correlate. With one shape of each, a period's
+    estimate equals, at an equal seed, the one from `sample_wt(n)` then
+    `sample_pv(n)` on a fresh generator.
 
     A sample hits when its joint output reaches
     need = expected_output - reserve - 1e-12. A period with need <= 0 is
     hit by every sample, because no unit has a negative output: its
-    estimate is exactly 1.0, and only periods with need > 0 ask for draws.
-    They are `mc_draws` of those periods' models from `rng`, so with one
-    shape of each a period's estimate equals, at an equal seed, the one
-    from `sample_wt(n)` then `sample_pv(n)` on a fresh generator. `drawn`,
-    draws made ahead (`mc_draws` of n samples from the same seed), is used
-    instead when it holds exactly those shapes, in that order; otherwise
-    the call draws from `rng` itself.
+    estimate is exactly 1.0, and only periods with need > 0 read draws.
+    Draws that lack a shape such a period uses, or that hold other than
+    n samples, are refused with ValueError; the call itself never draws.
 
     The hits are counted on the calling thread, in chunks of MC_CHUNK
     samples through preallocated buffers, and summed per period as
@@ -212,13 +200,14 @@ def chance_satisfaction_mc(pv_models, wt_models, expected_outputs,
     # a period without units misses every positive need
     sampled = [t for t, (pv, wt, need) in enumerate(periods)
                if need > 0 and (pv is not None or wt is not None)]
-    pvs = [periods[t][0] for t in sampled]
-    wts = [periods[t][1] for t in sampled]
-    speeds, fractions = drawn or ({}, {})
-    if (list(speeds), list(fractions)) != _shapes(pvs, wts) or any(
-            a.size != n_samples for a in [*speeds.values(),
-                                          *fractions.values()]):
-        speeds, fractions = mc_draws(pvs, wts, n_samples, rng)
+    speeds, fractions = drawn
+    for t in sampled:
+        pv, wt, _ = periods[t]
+        if (wt is not None and wt.u not in speeds) or (
+                pv is not None and (pv.lambda1, pv.lambda2) not in fractions):
+            raise ValueError(f"the draws lack a shape that period {t} uses")
+    if any(a.size != n_samples for a in [*speeds.values(), *fractions.values()]):
+        raise ValueError(f"the draws must hold {n_samples} samples per shape")
 
     hits = [0 if need > 0 else n_samples for _, _, need in periods]
     wind, solar = np.empty(MC_CHUNK), np.empty(MC_CHUNK)

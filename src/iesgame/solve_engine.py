@@ -36,7 +36,7 @@ from scipy.optimize._highspy import _core as _highs
 from . import game_model as gm
 from .config import ScenarioConfig
 from .kkt_reformulation import N_SEGMENTS, assemble_single_level, check_kkt
-from .model_ir import CompiledModel, ModelIR, as_compiled
+from .model_ir import CompiledModel, ModelIR
 from .prob_sequences import MC_ALLOWANCE, chance_satisfaction_mc, mc_draws
 
 OPTIMAL = "OPTIMAL"
@@ -185,7 +185,7 @@ class ScipyMilpBackend:
     def solve(self, model: ModelIR | CompiledModel, time_limit: float,
               gap_tolerance: float) -> SolveResult:
         started = time.perf_counter()
-        m = as_compiled(model)
+        m = model if isinstance(model, CompiledModel) else model.compile()
         if m.integrality.any():
             lp = milp(m.relaxed(), time_limit, gap_tolerance)
             if lp.status == INFEASIBLE:
@@ -674,9 +674,10 @@ def validate_reserve(sol: gm.EquilibriumSolution, cfg: ScenarioConfig,
     `ValidationReport.reserve_mc` rows.
 
     One `chance_satisfaction_mc` call estimates every period from one set
-    of n_samples draws, `drawn` when it fits. PASS requires every period's
-    estimated satisfaction probability to reach the confidence level
-    minus MC_ALLOWANCE (discretization plus sampling allowance).
+    of n_samples draws: `drawn`, or `reserve_draws` at this seed when
+    none are given. PASS requires every period's estimated satisfaction
+    probability to reach the confidence level minus MC_ALLOWANCE
+    (discretization plus sampling allowance).
     """
     periods = range(cfg.horizon)
     estimates = chance_satisfaction_mc(
@@ -684,7 +685,7 @@ def validate_reserve(sol: gm.EquilibriumSolution, cfg: ScenarioConfig,
         [cfg.wt_model_for(t) for t in periods],
         cfg.expected_renewables().tolist(),
         sol.reserve_total.tolist(),
-        n_samples, np.random.default_rng(seed), drawn)
+        n_samples, drawn or reserve_draws(cfg, n_samples, seed))
     required = cfg.confidence - MC_ALLOWANCE
     return [{"period": t, "estimate": estimate, "half_width": half_width,
              "required": required, "passed": bool(estimate >= required)}

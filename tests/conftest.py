@@ -1,7 +1,9 @@
 import copy
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from iesgame.config import scenario_from_dict
@@ -44,6 +46,25 @@ TOY3 = {
 
 def toy_dict():
     return copy.deepcopy(TOY3)
+
+
+def model_digest(*models) -> str:
+    """One sha256 over compiled models, in order: the names of the model,
+    its columns and its rows, the matrix as CSR arrays, the column and row
+    bounds, `c`, the integrality flags and the objective's terms and
+    constant. Equal digests mean the solver is handed the same problem."""
+    h = hashlib.sha256()
+    for m in models:
+        h.update(json.dumps([m.name, m.var_names, list(m.row_index)]).encode())
+        for arr, dtype in [(m.a.indptr, np.int64), (m.a.indices, np.int64),
+                           (m.a.data, float), (m.col_lower, float),
+                           (m.col_upper, float), (m.row_lower, float),
+                           (m.row_upper, float), (m.c, float),
+                           (m.integrality, np.int64), (m.obj_cols, np.int64),
+                           (m.obj_coefs, float), ([m.obj_const], float)]:
+            arr = np.asarray(arr, dtype)
+            h.update(np.int64(arr.size).tobytes() + arr.tobytes())
+    return h.hexdigest()
 
 
 def random_follower_point(cfg, rng):

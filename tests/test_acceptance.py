@@ -104,8 +104,9 @@ def test_criterion_3_sot_reserve_correctness(case2_cfg):
         reqs = [ps.reserve_rows(joint, conf) for joint in joints]
         totals.append(sum(r.min_reserve() for r in reqs))
         estimates = ps.chance_satisfaction_mc(
-            pv_models, wt_models, [req.expected_output for req in reqs],
-            [req.min_reserve() for req in reqs], 100_000, rng)
+            pv_models, wt_models, [req.thresholds[0] for req in reqs],
+            [req.min_reserve() for req in reqs], 100_000,
+            ps.mc_draws(pv_models, wt_models, 100_000, rng))
         for t, (estimate, _) in enumerate(estimates):
             worst_margin = min(worst_margin,
                                estimate - (conf - ps.MC_ALLOWANCE))

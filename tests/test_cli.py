@@ -17,6 +17,7 @@ from iesgame import kkt_reformulation as kkt
 from iesgame import prob_sequences as ps
 from iesgame import scenario_cli as cli
 from iesgame import solve_engine as se
+from iesgame.config import load_scenario
 
 
 def run_cli(argv):
@@ -779,6 +780,27 @@ class TestDrawsAhead:
         for s in seeds:
             alone = cli.revalidate(str(case2_path), str(out_dir), 20_000, s)
             assert got[s] == alone[0].reserve_mc
+
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_run_and_validate_agree_on_a_covered_day(self, mode, toy_path,
+                                                     tmp_path, capsys):
+        # every toy3 period has the one Weibull shape and is covered: the
+        # day's draws hold a shape that no sampled period uses, and both
+        # commands count them to the same rows
+        cfg = load_scenario(str(toy_path))
+        assert all(cfg.wt_model_for(t) is not None for t in range(cfg.horizon))
+        assert len(se.reserve_draws(cfg, 20_000, 1)[0]) == 1
+        out_dir = tmp_path / "run"
+        samples = ["--seed", "1", "--mc-samples", "20000"]
+        assert run_cli(["run", "--scenario", str(toy_path), "--mode", str(mode),
+                        "--out", str(out_dir), *samples]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert run_cli(["validate", "--scenario", str(toy_path),
+                        "--run-dir", str(out_dir), *samples]) == cli.EXIT_OK
+        validated = json.loads(capsys.readouterr().out)["reserve_mc"]
+        recorded = json.loads((out_dir / "validation.json").read_text())
+        assert validated == recorded["reserve_mc"]
+        assert [row["estimate"] for row in validated] == [1.0] * cfg.horizon
 
     @pytest.mark.parametrize("validate", [False, True])
     def test_nothing_drawn_without_validation(self, validate, case2_path,

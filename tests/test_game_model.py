@@ -358,7 +358,7 @@ def with_indicator_reserve(bundle: gm.ModelBundle) -> ModelIR:
     reserve = {row.name: row.coeffs for row in rows if row.name.startswith("res_min_")}
     for t, req in enumerate(bundle.cfg.reserve_requirements()):
         r_coeffs = reserve[f"res_min_{t}"]
-        big_m = max(req.expected_output, 1e-9)  # no threshold exceeds E
+        big_m = max(req.thresholds[0], 1e-9)  # no threshold exceeds E
         w = out.add_block(f"w_res_{t}", len(req.thresholds), 0.0, 1.0, binary=True)
         out.add_row_list(
             [(f"res_lvl_{t}_{m}", {**r_coeffs, w[m]: -big_m}, ">=", float(thr) - big_m)

@@ -227,11 +227,23 @@ class TestEmitKkt:
 
 class TestEliminateBilinear:
     def test_identity_at_optimum(self, solved_toy):
-        _, bundle, out = solved_toy
-        residuals = kkt.bilinear_identity_residuals(bundle, out.result.values)
-        assert residuals, "expected substituted revenue terms"
-        for name, residual in residuals:
-            assert abs(residual) < 1e-8, name
+        # the substituted revenue terms equal price * quantity per period:
+        #   mu*p_sl = delta1*lb - delta2*ub - xi*p_sl
+        #   gamma*h_cl = 2*theta*h_cl^2 + delta4*cut_ub
+        cfg, bundle, out = solved_toy
+        v, names = out.result.values, bundle.names
+        sl_lb, sl_ub, cut_ub = cfg.shift_lower(), cfg.shift_upper(), cfg.cut_upper()
+        xi = v[names["xi"][0]]
+        for t in range(cfg.horizon):
+            psl, hcl = v[names["p_sl"][t]], v[names["h_cl"][t]]
+            elec = v[names["mu"][t]] * psl - (
+                v[names["delta1"][t]] * float(sl_lb[t])
+                - v[names["delta2"][t]] * float(sl_ub[t]) - xi * psl)
+            heat = v[names["gamma"][t]] * hcl - (
+                2.0 * cfg.idr.theta * hcl ** 2
+                + v[names["delta4"][t]] * float(cut_ub[t]))
+            assert abs(elec) < 1e-8, f"elec_{t}"
+            assert abs(heat) < 1e-8, f"heat_{t}"
 
     def test_complementarity_products_at_optimum(self, solved_toy):
         _, bundle, out = solved_toy

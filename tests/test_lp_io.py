@@ -1,14 +1,22 @@
-import hashlib
+"""Digests of the linear programs handed to the solver.
+
+`conftest.model_digest` hashes a compiled model's names, matrix, bounds,
+objective and integrality flags. The pins below hold the digests of the
+bench programs: a change to any program, or to its build order, shows
+here; a change that alters a program on purpose updates its digest and
+says why.
+"""
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import model_digest
 from iesgame import game_model as gm
 from iesgame import solve_engine as se
 from iesgame.config import load_scenario
-from iesgame.kkt_reformulation import apply_pwl
-from iesgame.lp_io import write_lp
 from iesgame.model_ir import ModelIR
 from iesgame.scenario_cli import build_bundle
 
@@ -26,98 +34,70 @@ def sample_ir():
     return ir
 
 
-class TestWriter:
-    def test_structure(self):
-        text = write_lp(sample_ir())
-        assert text.startswith("\\ sample\nMaximize\n obj: 1 x - 2.5 y\n")
-        assert " cap: 1 x + 1 y <= 5" in text
-        assert " link: 1 x - 4 b >= -2" in text
-        assert " fix: 2 y = 1" in text
-        assert " -1.5 <= y <= 3" in text
-        assert "Binaries\n b\nEnd" in text
+def _set(arr, index, value):
+    arr = arr.copy()
+    arr[index] = value
+    return arr
 
-    def test_row_without_bounds_omitted(self):
-        # the infeasibility triage frees the reserve rows this way
+
+class TestDigest:
+    def test_equal_across_builds(self):
+        assert model_digest(sample_ir().compile()) == model_digest(
+            sample_ir().compile())
+
+    @pytest.mark.parametrize("edit", ["coefficient", "column bound",
+                                      "row bound", "objective constant",
+                                      "column name", "integrality"])
+    def test_changes_with_any_one_entry(self, edit):
         m = sample_ir().compile()
-        text = write_lp(m.without_lower([m.row_index["link"]]))
-        assert "link" not in text and " cap: 1 x + 1 y <= 5" in text
-
-    def test_byte_identical_across_builds(self):
-        assert write_lp(sample_ir()) == write_lp(sample_ir())
-
-    def test_quadratic_rejected(self):
-        ir = sample_ir()
-        ir.add_obj_quad("x", -1.0)
-        with pytest.raises(ValueError, match="PWL"):
-            write_lp(ir)
-
-    def test_pwl_lowered_automatically(self):
-        ir = sample_ir()
-        ir.add_obj_quad("x", -1.0)
-        apply_pwl(ir, 2)
-        text = write_lp(ir)
-        assert " obj: 1 x - 2.5 y - 2 pwl_d_0_x_0 - 6 pwl_d_0_x_1\n" in text
-        assert " pwl_link_0_x: 1 pwl_d_0_x_0 + 1 pwl_d_0_x_1 - 1 x = 0" in text
-
-    def test_objective_constant_in_header(self):
-        # a secant whose first value is not zero (y starts at -1.5) leaves
-        # that value as a constant, which the header states because obj:
-        # cannot hold it
-        ir = sample_ir()
-        ir.add_obj_quad("y", -1.0)
-        apply_pwl(ir, 2)
-        text = write_lp(ir)
-        assert text.startswith("\\ sample  (objective constant -2.25: the "
-                               "offset that obj: leaves out)\nMaximize\n")
-        assert " obj: 1 x - 2.5 y + 0.75 pwl_d_0_y_0 - 3.75 pwl_d_0_y_1\n" in text
-        assert " pwl_link_0_y: 1 pwl_d_0_y_0 + 1 pwl_d_0_y_1 - 1 y = 1.5" in text
-        assert " 0 <= pwl_d_0_y_1 <= 2.25" in text
+        a = m.a.copy()
+        a.data[2] = math.nextafter(a.data[2], math.inf)  # one ulp
+        other = {
+            "coefficient": replace(m, a=a),
+            "column bound": replace(m, col_upper=_set(m.col_upper, 1, 3.5)),
+            "row bound": replace(m, row_upper=_set(m.row_upper, 0, 6.0)),
+            "objective constant": replace(m, obj_const=1.0),
+            "column name": replace(m, var_names=["x", "z", "b"]),
+            "integrality": m.relaxed(),
+        }[edit]
+        assert model_digest(other) != model_digest(m)
 
 
-
-# sha256 of the LP text of the bench programs. A change to any program,
-# to its build order or to the writer shows here; a change that alters a
-# program on purpose updates its hash and says why.
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
-CASES = ("toy3", "case1_like", "case2_real")
 
 PROGRAM_SHA256 = {
-    ("toy3", 1): "2d9d30828ac56f3b27eb49c764dd2ffcef00fbe3ccff5b00f1f1a16fa6043088",
-    ("toy3", 2): "060b481c8102898540ded6acf6db11515f4ed9630d6b480e163664ca9097014e",
-    ("toy3", 3): "df8753384d273e04008ed5e1c696c36deeed112d3e34c79ea20532be7482c057",
-    ("toy3", 4): "d678078a33e430f8213996817fb698402dcd988b3aeabb626eb25ea791ce5d04",
-    ("case1_like", 1): "4ba862e179a21d634feb1a411eff5c719dbf0a9415d0a206eda25d055f0c4520",
-    ("case1_like", 2): "dc79d089105a6b17cc24d17072c378027bc2027c0696d3cd76e50d9e19658a33",
-    ("case1_like", 3): "d1b7e3b73ee0658f621e1d6ff0e4a8c6b68d500bdd6f56b839e94c9740064963",
-    ("case1_like", 4): "9cbb76c3e043fc96665a7aef719b6fb208d8def9c8728d32337197c06539c666",
-    ("case2_real", 1): "a7754b8fde29f6c8772b81f174f6ba1fd0d43cbf91dfc0497ffe5bb61334c6ca",
-    ("case2_real", 2): "2a720d3654f683548abf32402b6f468b777b0be30e50f1ee201c0990be2faab1",
-    ("case2_real", 3): "7f516120ca6242d90a0bb6ca650345053ff64b0af72d12c76ed502fa587cf6d3",
-    ("case2_real", 4): "1b33d3798563eac85333b8121693134629c42f53981c9bc5b56573b12b2007a7",
+    ("toy3", 1): "baa4efc0f6a2f4def34af36c4301a98e1519168d94f98a7f7cd16e61ef17a1a3",
+    ("toy3", 2): "e1b3260a145c80ab76c4237534e656cfe134cf5fa7f8d048a2aa12fb70e7efe8",
+    ("toy3", 3): "44d9f9a6f38b1fe77ddcb3f4dfbaed4cc282469702b1a9abf5f689084f6b16bf",
+    ("toy3", 4): "776d280dc82c1f0553da3302ce1e0e411fb46b02e929379ab2b330b212b45e9c",
+    ("case1_like", 1): "9abc779e9050622e473d50f805744162e94a8688d9570b4bbc09d1f16756a4a8",
+    ("case1_like", 2): "25be8254cdea0f2f58cd956cf08300676128c147ea7b26789cf1dfe3a56bc13d",
+    ("case1_like", 3): "e0ad2131e996b2fac6536aa7a9e321f8eb0840085d3059590d110b02f940714c",
+    ("case1_like", 4): "db760eadd5e4fcdebcc1d5f8fb15ea94b6d8fd98b8a329aac45ee5d8833ef07b",
+    ("case2_real", 1): "409b558ed74e36bb027d8e420c98cf977f7cd5bd8286c5314a81e335a794536b",
+    ("case2_real", 2): "57233082d9fcc799f4877317034e8108a4896c6840b4e5fafaff58d4309e9017",
+    ("case2_real", 3): "6ca86621f49732253b326a09b561620c3eaf59e2c503f507e76511f5fd38aa73",
+    ("case2_real", 4): "b2f8fe1b8a56cb9d8dcc9b9ebda14e2e76f943412bf19bf77051b1d03d092eaa",
 }
 
 # the zero-price dispatch program (`_dispatch_program`), built at the
 # first of three users' responses and moved to each (`_balance_rhs`);
 # toy3 has no storage, so relaxing its binaries changes nothing
 DISPATCH_SHA256 = {
-    ("toy3", False): "9a9521461701815ce633971a49615033563e1da95280685cc3f84e267f8bbe98",
-    ("toy3", True): "9a9521461701815ce633971a49615033563e1da95280685cc3f84e267f8bbe98",
-    ("case1_like", False): "a43738b2f3d2ed1a579b538e068bf60cb4033b2457b908276651906c063b2cab",
-    ("case1_like", True): "80343e10efe97974c4506915787ea6c863d9113662eb1d00e8e66474b8d4c44e",
-    ("case2_real", False): "60821336398786f6f8e40c3a2a7e56de195205b2d163b638480392307ca87cf8",
-    ("case2_real", True): "c72b76a41f266566c59e2c02327b0b5c1ad4d4ffc97452acf2d4bfb88aef471f",
+    ("toy3", False): "2409548d1278f9da16ceb273d9d91339064f5f2e6a2edea254f8c9c653a385d7",
+    ("toy3", True): "2409548d1278f9da16ceb273d9d91339064f5f2e6a2edea254f8c9c653a385d7",
+    ("case1_like", False): "e8c5d796db9060863e1a93fce779524404d2e90c67b501f32281dc2300757c29",
+    ("case1_like", True): "277498070ca3c26ae1bde14d9e25a866818f7fb4b66b199ec6a06de6270d9d90",
+    ("case2_real", False): "18e4453c57803695913f455f0bb9ae2d3aba6dde3da0097b4a2e905a9e171ad6",
+    ("case2_real", True): "7144031f284565f97aa86a4c577948c4845533396f355738e2b76c14852a5c9e",
 }
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("case, mode", list(PROGRAM_SHA256))
 def test_program_fingerprint(case, mode):
     cfg = load_scenario(BENCH_INPUTS / f"{case}.json")
-    text = write_lp(build_bundle(cfg, mode).ir)
-    assert _sha256(text) == PROGRAM_SHA256[case, mode]
+    digest = model_digest(build_bundle(cfg, mode).ir.compile())
+    assert digest == PROGRAM_SHA256[case, mode]
 
 
 @pytest.mark.parametrize("case, relax_binaries", list(DISPATCH_SHA256))
@@ -130,5 +110,5 @@ def test_dispatch_fingerprint(case, relax_binaries):
     program = se._dispatch_program(cfg, bool(cfg.pipelines), 8, relax_binaries,
                                    responses[0])
     rows, rhs = se._balance_rhs(program, cfg, *zip(*responses))
-    text = "".join(write_lp(program.with_rhs(rows, b)) for b in rhs)
-    assert _sha256(text) == DISPATCH_SHA256[case, relax_binaries]
+    digest = model_digest(*(program.with_rhs(rows, b) for b in rhs))
+    assert digest == DISPATCH_SHA256[case, relax_binaries]

@@ -62,10 +62,16 @@ def serial_reference(pvs, wts, expected_outputs, reserves, n, rng):
     return out
 
 
+def day_mc(pvs, wts, expected_outputs, reserves, n, rng):
+    """chance_satisfaction_mc on the draws `mc_draws` makes from `rng` for
+    every period's models, as `solve_engine.reserve_draws` makes them."""
+    return ps.chance_satisfaction_mc(pvs, wts, expected_outputs, reserves, n,
+                                     ps.mc_draws(pvs, wts, n, rng))
+
+
 def one_period_mc(pv, wt, expected_output, reserve, n, rng):
     """chance_satisfaction_mc on a day of one period."""
-    [got] = ps.chance_satisfaction_mc([pv], [wt], [expected_output],
-                                      [reserve], n, rng)
+    [got] = day_mc([pv], [wt], [expected_output], [reserve], n, rng)
     return got
 
 
@@ -75,7 +81,7 @@ def day_args(cfg):
     reqs = cfg.reserve_requirements()
     return ([cfg.pv_model_for(t) for t in periods],
             [cfg.wt_model_for(t) for t in periods],
-            [reqs[t].expected_output for t in periods],
+            [reqs[t].thresholds[0] for t in periods],
             [reqs[t].min_reserve() for t in periods])
 
 
@@ -244,7 +250,7 @@ class TestReserveRows:
 
     def test_full_confidence_covers_expectation(self):
         req = ps.reserve_rows(self.JOINT, 1.0 - 1e-12)
-        assert req.min_reserve() == pytest.approx(req.expected_output)
+        assert req.min_reserve() == pytest.approx(req.thresholds[0])
 
     def test_thresholds_strictly_decreasing(self):
         req = ps.reserve_rows(self.JOINT, 0.9)
@@ -315,18 +321,17 @@ class TestChanceSatisfactionMc:
             ps.discretize(wt_output_distribution(self.WT), q))
         req = ps.reserve_rows(joint, conf)
         est, _ = one_period_mc(
-            self.PV.scaled(0.3), self.WT, req.expected_output,
+            self.PV.scaled(0.3), self.WT, req.thresholds[0],
             req.min_reserve(), 100_000, np.random.default_rng(4))
         assert est >= conf - ps.MC_ALLOWANCE
 
     @pytest.mark.parametrize("reserve", [0.6, 0.6 + 1e-13, 3.0])
     def test_covered_period_draws_nothing(self, reserve):
-        rng = np.random.default_rng(5)
-        before = rng.bit_generator.state
+        # a covered period reads no draw, so none need be given
         n = 20_000
-        est, hw = one_period_mc(self.PV, self.WT, 0.6, reserve, n, rng)
-        assert (est, hw) == (1.0, 1.96 * math.sqrt(1e-12 / n))
-        assert rng.bit_generator.state == before
+        [got] = ps.chance_satisfaction_mc([self.PV], [self.WT], [0.6],
+                                          [reserve], n, ({}, {}))
+        assert got == (1.0, 1.96 * math.sqrt(1e-12 / n))
 
     def test_barely_short_reserve_is_sampled(self):
         # a reserve 1e-9 short of the expectation fails exactly the samples
@@ -344,23 +349,17 @@ class TestChanceSatisfactionMc:
         pvs, wts, es, rs = day_args(cfg)
         night = [t for t in range(cfg.horizon) if pvs[t] is None]
         assert 0 in night
-        rng = np.random.default_rng(1)
-        before = rng.bit_generator.state
         got = ps.chance_satisfaction_mc(
             [None] * len(night), [wts[t] for t in night],
-            [es[t] for t in night], [rs[t] for t in night], 50_000, rng)
+            [es[t] for t in night], [rs[t] for t in night], 50_000, ({}, {}))
         assert [est for est, _ in got] == [1.0] * len(night)
-        assert rng.bit_generator.state == before
 
     def test_covered_day_draws_nothing(self):
         cfg = load_scenario(BENCH_INPUTS / "case2_real.json")
         pvs, wts, es, _ = day_args(cfg)
-        rng = np.random.default_rng(1)
-        before = rng.bit_generator.state
         got = ps.chance_satisfaction_mc(pvs, wts, es, [10.0 * e for e in es],
-                                        50_000, rng)
+                                        50_000, ({}, {}))
         assert [est for est, _ in got] == [1.0] * cfg.horizon
-        assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("case", ["case1_like", "case2_real"])
     @pytest.mark.parametrize("seed", [3, 17, 2024])
@@ -370,8 +369,7 @@ class TestChanceSatisfactionMc:
         cfg = load_scenario(BENCH_INPUTS / f"{case}.json")
         pvs, wts, es, rs = day_args(cfg)
         n = 100_000
-        got = ps.chance_satisfaction_mc(pvs, wts, es, rs, n,
-                                        np.random.default_rng(seed))
+        got = day_mc(pvs, wts, es, rs, n, np.random.default_rng(seed))
         assert len(got) == cfg.horizon
         for t in range(7, 18):
             ref = full_draw_reference(pvs[t], wts[t], es[t], rs[t], n,
@@ -385,7 +383,7 @@ class TestChanceSatisfactionMc:
         cfg = load_scenario(BENCH_INPUTS / f"{case}.json")
         n = 20_000
         rng, ref = np.random.default_rng(8), np.random.default_rng(8)
-        ps.chance_satisfaction_mc(*day_args(cfg), n, rng)
+        day_mc(*day_args(cfg), n, rng)
         pv = cfg.pv.model
         ref.weibull(cfg.wt.model.u, n)
         ref.beta(pv.lambda1, pv.lambda2, n)
@@ -398,8 +396,7 @@ class TestChanceSatisfactionMc:
         pvs = [self.PV, self.PV.scaled(0.5), None, self.PV]
         n = 20_000
         rng, ref = np.random.default_rng(9), np.random.default_rng(9)
-        got = ps.chance_satisfaction_mc(pvs, wts, [0.6] * 4, [0.2] * 4, n,
-                                        rng)
+        got = day_mc(pvs, wts, [0.6] * 4, [0.2] * 4, n, rng)
         speeds = {u: ref.weibull(u, n) for u in (self.WT.u, calm.u)}
         fractions = ref.beta(self.PV.lambda1, self.PV.lambda2, n)
         assert rng.bit_generator.state == ref.bit_generator.state
@@ -412,10 +409,10 @@ class TestChanceSatisfactionMc:
     @pytest.mark.parametrize("n", [10_000, ps.MC_CHUNK, ps.MC_CHUNK + 1,
                                    100_003])
     def test_chunked_day_equals_serial_draws(self, n):
-        # fractions drawn and counted chunk by chunk, on the helper thread,
-        # give every estimate and the final state of single draws of n
+        # hits counted chunk by chunk give every estimate, and the draws
+        # the final state, of single draws of n counted at once
         rng, ref = np.random.default_rng(10), np.random.default_rng(10)
-        got = ps.chance_satisfaction_mc(*self.mixed_day(), n, rng)
+        got = day_mc(*self.mixed_day(), n, rng)
         assert got == serial_reference(*self.mixed_day(), n, ref)
         assert rng.bit_generator.state == ref.bit_generator.state
         estimates = [est for est, _ in got]
@@ -424,8 +421,7 @@ class TestChanceSatisfactionMc:
 
     def test_no_thread_outlives_a_call(self):
         before = threading.active_count()
-        ps.chance_satisfaction_mc(*self.mixed_day(), 50_000,
-                                  np.random.default_rng(11))
+        day_mc(*self.mixed_day(), 50_000, np.random.default_rng(11))
         assert threading.active_count() == before
 
     def test_hits_counted_on_the_calling_thread(self, monkeypatch):
@@ -439,8 +435,7 @@ class TestChanceSatisfactionMc:
         monkeypatch.setattr(ps, "wt_power_curve", recording_curve)
         before = threading.active_count()
         n = 50_000
-        got = ps.chance_satisfaction_mc(*self.mixed_day(), n,
-                                        np.random.default_rng(12))
+        got = day_mc(*self.mixed_day(), n, np.random.default_rng(12))
         assert got == serial_reference(*self.mixed_day(), n,
                                        np.random.default_rng(12))
         wind_periods = 5  # periods 0, 1, 3, 4 and 5; 7 is covered
@@ -451,31 +446,39 @@ class TestChanceSatisfactionMc:
     @pytest.mark.parametrize("n", [10_000, ps.MC_CHUNK + 1, 100_003])
     def test_prefetched_draws_equal_in_call_draws(self, n):
         # every shape of the day is one that a sampled period needs, so
-        # draws made ahead from an equal seed stand in for the call's own
+        # draws made ahead from an equal seed equal the reference's own
         pvs, wts, es, rs = self.mixed_day()
         drawn = ps.mc_draws(pvs, wts, n, np.random.default_rng(14))
-        rng = np.random.default_rng(15)
-        before = rng.bit_generator.state
-        got = ps.chance_satisfaction_mc(pvs, wts, es, rs, n, rng, drawn)
+        got = ps.chance_satisfaction_mc(pvs, wts, es, rs, n, drawn)
         assert got == serial_reference(pvs, wts, es, rs, n,
                                        np.random.default_rng(14))
-        assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("misfit", ["shape", "size"])
-    def test_prefetched_draws_that_misfit_fall_back(self, misfit):
-        # draws made ahead with a wind shape only a covered period uses, or
-        # of another size, are not the call's: it draws from its own
-        # generator, exactly as without them
+    def test_draws_that_misfit_are_refused(self, misfit):
+        # draws without a shape that a sampled period uses, or of another
+        # size, are refused: the call never draws in their place
         pvs, wts, es, rs = self.mixed_day()
         n = 50_000
-        if misfit == "shape":
-            wts[7] = self.GUSTY  # period 7 is covered
         drawn = ps.mc_draws(pvs, wts, n if misfit == "shape" else n - 1,
                             np.random.default_rng(16))
-        rng, ref = np.random.default_rng(17), np.random.default_rng(17)
-        got = ps.chance_satisfaction_mc(pvs, wts, es, rs, n, rng, drawn)
-        assert got == serial_reference(pvs, wts, es, rs, n, ref)
-        assert rng.bit_generator.state == ref.bit_generator.state
+        if misfit == "shape":
+            del drawn[0][self.CALM.u]  # periods 0 and 3 are sampled
+        message = "lack a shape" if misfit == "shape" else "50000 samples"
+        with pytest.raises(ValueError, match=message):
+            ps.chance_satisfaction_mc(pvs, wts, es, rs, n, drawn)
+
+    def test_extra_shapes_are_read_past(self):
+        # a wind shape that only a covered period uses is drawn with the
+        # day's, as `reserve_draws` draws every period's shapes, and is
+        # accepted but read by no period
+        pvs, wts, es, rs = self.mixed_day()
+        wts[7] = self.GUSTY  # period 7 is covered
+        n = 50_000
+        drawn = ps.mc_draws(pvs, wts, n, np.random.default_rng(17))
+        got = ps.chance_satisfaction_mc(pvs, wts, es, rs, n, drawn)
+        del drawn[0][self.GUSTY.u]
+        assert got == ps.chance_satisfaction_mc(pvs, wts, es, rs, n, drawn)
+        assert got[7][0] == 1.0
 
     def test_concurrent_calls_keep_their_own_counts(self):
         # four callers at once, switching threads every microsecond: no
@@ -484,8 +487,8 @@ class TestChanceSatisfactionMc:
         got = {}
 
         def call(seed):
-            got[seed] = ps.chance_satisfaction_mc(
-                *self.mixed_day(), n, np.random.default_rng(seed))
+            got[seed] = day_mc(*self.mixed_day(), n,
+                               np.random.default_rng(seed))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -508,8 +511,7 @@ class TestChanceSatisfactionMc:
         monkeypatch.setattr(ps, "wt_power_curve", broken_curve)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="power curve failed"):
-            ps.chance_satisfaction_mc(*self.mixed_day(), 50_000,
-                                      np.random.default_rng(13))
+            day_mc(*self.mixed_day(), 50_000, np.random.default_rng(13))
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("pv, wt, e, r, out_of_reach", [
@@ -540,7 +542,7 @@ class TestChanceSatisfactionMc:
         t, n, seeds = 12, 100_000, 20
         pv, wt = cfg.pv_model_for(t), cfg.wt_model_for(t)
         req = cfg.reserve_requirements()[t]
-        e, r = req.expected_output, req.min_reserve()
+        e, r = req.thresholds[0], req.min_reserve()
 
         def full_draw(rng):
             joint = sr.sample_pv(pv, rng, size=n) + sr.sample_wt(wt, rng, size=n)
