@@ -362,13 +362,17 @@ def _unit_list(entries, cls, where: str):
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Load and validate a scenario JSON file."""
+    """Load and validate a scenario JSON file, refusing NaN and Infinity."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(path.read_text(), parse_constant=_non_finite)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from None
     return scenario_from_dict(data, where=str(path))
+
+
+def _non_finite(name: str):
+    raise ValueError(f"{name} is not a finite number")
 
 
 def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:

@@ -15,10 +15,10 @@ quadratic terms. The MILP backend takes no quadratic terms:
 `kkt_reformulation.apply_pwl` replaces them by secant columns and rows
 before a model is compiled.
 
-`ModelIR.compile` is the one lowering from a model to arrays: the
-backend reads the `CompiledModel` it returns. A compiled model can be
-re-solved with other right-hand sides (`CompiledModel.with_rhs`) without
-building the model again.
+`ModelIR.compile` is the one lowering from a model to arrays:
+`solve_engine.HighsProgram` passes the `CompiledModel` it returns to
+HiGHS, integrality kept. A compiled model can be re-solved with other
+right-hand sides (`CompiledModel.with_rhs`) without building it again.
 """
 from __future__ import annotations
 
@@ -54,8 +54,8 @@ class CompiledModel:
     Columns follow the variables' and rows the rows' insertion order; the
     coefficients of each row of `a` keep the order they were given in.
     `c` is the objective to maximize. The dense arrays are read-only:
-    copies made by `with_rhs`, `without_lower` and `relaxed` share every
-    array they do not change.
+    copies made by `with_rhs` and `without_lower` share every array they
+    do not change.
     """
 
     name: str
@@ -96,11 +96,6 @@ class CompiledModel:
         lower = self.row_lower.copy()
         lower[rows] = -math.inf
         return replace(self, row_lower=_read_only(lower))
-
-    def relaxed(self) -> "CompiledModel":
-        """Copy with every integrality requirement dropped."""
-        return replace(self, integrality=_read_only(
-            np.zeros_like(self.integrality)))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

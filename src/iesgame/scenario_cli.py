@@ -322,27 +322,20 @@ def _atomic_write(path: Path, text: str) -> None:
 
 def compare_modes(manifest: RunManifest, modes: list[int]) -> list[dict]:
     """Aligned profit/cost/absorption table across modes; failures keep
-    their row with a marker instead of aborting the table."""
+    their row with a marker instead of aborting the table. A row's status
+    is its run's: OPTIMAL exactly when the run exits 0."""
     table = []
     for mode in modes:
         out = run_pipeline(replace(
             manifest, mode=mode,
             out_dir=str(Path(manifest.out_dir) / f"mode{mode}")))
-        res = out.summary
-        if out.exit_code in (EXIT_OK, EXIT_VALIDATION):
-            table.append({
-                "mode": mode, "status": res["status"],
-                "f1": res["f1"], "f2": res["f2"],
-                "absorbed_renewables": res["absorbed_renewables"],
-                "expected_renewables": res["expected_renewables"],
-                "runtime_s": res["solve_runtime_s"],
-            })
-        else:
-            table.append({"mode": mode, "status": res["status"],
-                          "f1": "FAILED", "f2": "FAILED",
-                          "absorbed_renewables": "FAILED",
-                          "expected_renewables": "FAILED",
-                          "runtime_s": res.get("runtime_s", 0.0)})
+        res, solved = out.summary, out.exit_code in (EXIT_OK, EXIT_VALIDATION)
+        row = {"mode": mode, "status": out.status}
+        for key in ("f1", "f2", "absorbed_renewables", "expected_renewables"):
+            row[key] = res[key] if solved else "FAILED"
+        row["runtime_s"] = (res["solve_runtime_s"] if solved
+                            else res.get("runtime_s", 0.0))
+        table.append(row)
     return table
 
 
@@ -573,7 +566,7 @@ def main(argv: list[str] | None = None) -> int:
         table = compare_modes(_manifest_from_args(args, mode=modes[0]), modes)
         _write_csv(table_path, table)
         _print_table(table)
-        failed = any(r["f1"] == "FAILED" for r in table)
+        failed = any(r["status"] != se.OPTIMAL for r in table)
         return EXIT_ERROR if failed else EXIT_OK
 
     if args.verb == "sweep":

@@ -15,11 +15,11 @@ route: `solve`, the infeasibility triage and the oracle's exact
 dispatch.
 
 Every solve reaches HiGHS through scipy's private binding
-(`scipy.optimize._highspy._core`), and `_highs_lp` is the one place a
-compiled model becomes a HiGHS model: `milp` solves it with a new HiGHS
-instance, without the feasibility-jump heuristic, and both equilibrium
-checks re-solve one warm-started LP relaxation per search
-(`_DispatchLp`): it gives every cut, and every cost of the relaxed one.
+(`scipy.optimize._highspy._core`) and one `HighsProgram` per program,
+which `milp` runs as a MILP or as its LP relaxation: the backend runs
+the relaxation and, on a miss, the MILP on one instance, and each
+equilibrium search re-solves one dispatch program's relaxation from the
+last basis: it gives every cut, and every cost of the relaxed search.
 A search takes the users' responses and bills to all its price pairs in
 one array pass, and the deviation check draws all its price vectors at
 once.
@@ -87,10 +87,10 @@ _STATUS = {_highs.HighsModelStatus.kOptimal: OPTIMAL,
 _VAR_TYPE = (_highs.HighsVarType.kContinuous, _highs.HighsVarType.kInteger)
 
 
-def _highs_lp(model: CompiledModel, integral: bool) -> _highs.HighsLp:
+def _highs_lp(model: CompiledModel) -> _highs.HighsLp:
     """A compiled model as a HiGHS LP: its matrix column-wise, its costs
-    negated (HiGHS minimizes; the constant left out), its bounds and, if
-    `integral`, its integrality.
+    negated (HiGHS minimizes; the constant left out), its bounds and its
+    integrality, when it has integer columns.
 
     Refuses with ValueError a non-finite cost or matrix entry and a NaN
     bound: HiGHS would solve the first two as given and refuse the last
@@ -113,63 +113,99 @@ def _highs_lp(model: CompiledModel, integral: bool) -> _highs.HighsLp:
     lp.col_cost_ = -model.c
     lp.col_lower_, lp.col_upper_ = model.col_lower, model.col_upper
     lp.row_lower_, lp.row_upper_ = model.row_lower, model.row_upper
-    if integral:
+    if model.integrality.any():
         lp.integrality_ = [_VAR_TYPE[i] for i in model.integrality.tolist()]
     return lp
 
 
-@dataclass
-class MilpResult:
-    """What one HiGHS run reports: the backend's status, the primal
-    point when HiGHS has a feasible one, and for a model with integer
-    columns the dual bound (minimize sense, without the constant), the
-    relative gap and the branch-and-bound node count."""
-    status: str
-    x: list[float] | None = None
-    mip_dual_bound: float | None = None
-    mip_gap: float | None = None
-    mip_node_count: int | None = None
+def _set_option(highs: _highs._Highs, option: str, value) -> None:
+    if highs.setOptionValue(option, value) != _highs.HighsStatus.kOk:
+        raise ValueError(f"HiGHS refused {option}={value}")
 
 
-def milp(model: CompiledModel, time_limit: float,
-         gap_tolerance: float) -> MilpResult:
-    """Solve a compiled model with a new HiGHS instance.
+class HighsProgram:
+    """A compiled model passed once (`_highs_lp`) to one HiGHS instance,
+    which `milp` runs as often as asked; `set_rhs` moves right-hand sides.
 
     HiGHS's feasibility-jump heuristic is off. It was measured on the
     game's programs solved as MILPs, before the backend solved their
     relaxations first: every search closed at the root node, the
     heuristic never supplied the incumbent and it cost about a third of
-    each solve (README, "Solver"). The MILPs the backend still runs, the
-    relaxations' misses, close at the root node too. A pure LP gives its
-    point only at an optimum, a MILP also at a time or iteration limit
-    when HiGHS holds a feasible point.
+    each solve (README, "Solver"). The relaxations' misses, the MILPs the
+    backend still runs, close at the root node too.
     """
-    highs = _highs._Highs()
-    for option, value in (("output_flag", False),
-                          ("time_limit", float(time_limit)),
-                          ("mip_rel_gap", float(gap_tolerance)),
-                          ("mip_heuristic_run_feasibility_jump", False)):
-        if highs.setOptionValue(option, value) != _highs.HighsStatus.kOk:
-            raise ValueError(f"HiGHS refused {option}={value}")
-    mip = bool(model.integrality.any())
-    if highs.passModel(_highs_lp(model, mip)) == _highs.HighsStatus.kError:
+
+    def __init__(self, model: CompiledModel, gap_tolerance: float):
+        self.model, self.highs = model, _highs._Highs()
+        for option, value in (("output_flag", False),
+                              ("mip_rel_gap", float(gap_tolerance)),
+                              ("mip_heuristic_run_feasibility_jump", False)):
+            _set_option(self.highs, option, value)
+        # every run of a model HiGHS refuses is an ERROR
+        self.passed = (self.highs.passModel(_highs_lp(model))
+                       != _highs.HighsStatus.kError)
+
+    def set_rhs(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Fix the rows `rows` (indices) at the right-hand sides `values`."""
+        for row, value in zip(rows.tolist(), values.tolist()):
+            self.highs.changeRowBounds(row, value, value)
+
+
+@dataclass
+class MilpResult:
+    """One HiGHS run: the backend's status; the primal point and HiGHS's
+    objective there, when HiGHS has a feasible point; the row duals, when
+    valid (an LP at its optimum); and for a run with integer columns the
+    dual bound, the relative gap and the node count. Objective and bound
+    are in minimize sense, without the constant."""
+    status: str
+    x: list[float] | None = None
+    objective: float | None = None
+    row_dual: list[float] | None = None
+    mip_dual_bound: float | None = None
+    mip_gap: float | None = None
+    mip_node_count: int | None = None
+
+
+def milp(program: HighsProgram, time_limit: float,
+         relaxation: bool = False) -> MilpResult:
+    """Run a program on its HiGHS instance: its LP relaxation with
+    `relaxation` (HiGHS's `solve_relaxation`), else the model as passed.
+
+    A run with integer columns starts cold (`clearSolver`), as on a new
+    instance: from a relaxation's basis, branch and bound reached other
+    optima, more slowly. Any other run starts from the last run's basis.
+    HiGHS counts its time limit over every run of the instance, so the
+    limit is set `time_limit` past the time run so far. A pure LP gives
+    its point only at an optimum, a MILP also at a time or iteration
+    limit when HiGHS holds a feasible point.
+    """
+    if not program.passed:
         return MilpResult(ERROR)
+    highs = program.highs
+    mip = not relaxation and bool(program.model.integrality.any())
+    if mip:
+        highs.clearSolver()
+    _set_option(highs, "solve_relaxation", relaxation)
+    _set_option(highs, "time_limit", highs.getRunTime() + float(time_limit))
     highs.run()
     status = _STATUS.get(highs.getModelStatus(), ERROR)
-    info = highs.getInfo()
+    info, solution = highs.getInfo(), highs.getSolution()
     feasible = status == OPTIMAL or (
         mip and status == TIME_LIMIT and info.primal_solution_status
         == _highs.SolutionStatus.kSolutionStatusFeasible)
-    x = highs.getSolution().col_value if feasible else None
-    if not mip:
-        return MilpResult(status, x)
-    return MilpResult(status, x, info.mip_dual_bound, info.mip_gap,
-                      info.mip_node_count)
+    res = MilpResult(status, solution.col_value if feasible else None,
+                     info.objective_function_value if feasible else None,
+                     solution.row_dual if solution.dual_valid else None)
+    if mip:
+        res.mip_dual_bound, res.mip_gap = info.mip_dual_bound, info.mip_gap
+        res.mip_node_count = info.mip_node_count
+    return res
 
 
 class ScipyMilpBackend:
-    """In-process HiGHS backend through scipy's HiGHS binding (`milp`),
-    solving from the compiled model's arrays, relaxation first.
+    """In-process HiGHS backend through scipy's HiGHS binding, solving
+    the compiled model's arrays, relaxation first, on one `HighsProgram`.
 
     A model with integer columns is first solved as its LP relaxation.
     An infeasible relaxation proves the model infeasible. A relaxed
@@ -177,7 +213,7 @@ class ScipyMilpBackend:
     every row and column bound, at an objective within `gap_tolerance`
     of the relaxation's (a valid bound), is returned as OPTIMAL with
     `relaxation_exact` set and no branch-and-bound node. Otherwise the
-    MILP is solved in the time the relaxation left.
+    MILP is solved on the same instance, in the time the relaxation left.
     """
 
     name = "scipy"
@@ -186,8 +222,9 @@ class ScipyMilpBackend:
               gap_tolerance: float) -> SolveResult:
         started = time.perf_counter()
         m = model if isinstance(model, CompiledModel) else model.compile()
+        program = HighsProgram(m, gap_tolerance)
         if m.integrality.any():
-            lp = milp(m.relaxed(), time_limit, gap_tolerance)
+            lp = milp(program, time_limit, relaxation=True)
             if lp.status == INFEASIBLE:
                 return SolveResult(INFEASIBLE, {}, math.nan, math.nan, math.inf,
                                    time.perf_counter() - started, node_count=0,
@@ -202,9 +239,8 @@ class ScipyMilpBackend:
                                        time.perf_counter() - started,
                                        node_count=0, relaxation_exact=True)
             time_limit = max(0.0, time_limit - (time.perf_counter() - started))
-        res = milp(m, time_limit, gap_tolerance)
+        res = milp(program, time_limit)
         runtime = time.perf_counter() - started
-
         if res.x is None:
             return SolveResult(res.status, {}, math.nan, math.nan, math.inf,
                                runtime)
@@ -327,16 +363,16 @@ def _best_posted_price(cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
     A pair's profit is the users' bill (`gm.users_bill`) at their
     closed-form best response, both taken for every pair in one array
     pass (the same floats as pair by pair), minus the operator's dispatch
-    cost for
-    that response (under the scenario's expected output, reserve
-    requirements and heat load) at zero prices, solved at most once per
-    distinct response. The dispatch program is built, assembled and
+    cost for that response (under the scenario's expected output,
+    reserve requirements and heat load) at zero prices, solved at most
+    once per distinct response. The dispatch program is built, assembled and
     compiled once, at the first response (so the build's own checks see
     only responses asked about); every other response only moves the
-    right-hand sides of the balance rows (`_balance_rhs`). Its LP
-    relaxation, one warm-started `_DispatchLp`, gives each cut below;
-    with `relax_binaries` the program is that LP, so the same solve gives
-    the exact cost, else `backend` solves it with the binaries kept.
+    right-hand sides of the balance rows (`_balance_rhs`). The program is
+    held on one `HighsProgram`, whose LP relaxation, re-solved from the
+    previous basis, gives each cut below; with `relax_binaries` that
+    relaxation's cost is the exact cost, else `backend` solves the
+    program with the binaries kept.
 
     With b the balance right-hand sides a response sets, the dispatch
     cost C(b) is at least the cost of the program's LP relaxation, the
@@ -362,10 +398,9 @@ def _best_posted_price(cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
     """
     p_sl, h_cl = gm.follower_best_response(mu, gamma, cfg)
     bills = gm.users_bill(cfg, mu, gamma, p_sl, h_cl)
-    program = _dispatch_program(cfg, dhn_enabled, n_segments, relax_binaries,
-                                (p_sl[0], h_cl[0]))
+    program = _dispatch_program(cfg, dhn_enabled, n_segments, (p_sl[0], h_cl[0]))
     rows, rhs = _balance_rhs(program, cfg, p_sl, h_cl)
-    lp = _DispatchLp(program, rows)
+    held = HighsProgram(program, 1e-6)
     move = float(np.sum(rhs.max(axis=0) - rhs.min(axis=0)))
     scale = 1.0 + float(np.max(np.abs(bills))) + move
     largest_cost = 0.0
@@ -382,7 +417,10 @@ def _best_posted_price(cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
         key = np.round(np.concatenate((p_sl[i], h_cl[i])), 9).tobytes()
         seen = key in costs
         if not seen:
-            cut = lp.cut(rhs[i])
+            held.set_rhs(rows, rhs[i])
+            lp = milp(held, 60.0, relaxation=True)
+            cut = None if lp.status != OPTIMAL else (
+                lp.objective - program.obj_const, np.asarray(lp.row_dual)[rows])
             if relax_binaries:
                 costs[key] = math.inf if cut is None else cut[0]
             else:
@@ -402,15 +440,13 @@ def _best_posted_price(cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
 
 
 def _dispatch_program(cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
-                      relax_binaries: bool,
                       response: tuple[np.ndarray, np.ndarray]) -> CompiledModel:
     """The operator's zero-price dispatch for a fixed users' response,
     compiled; its optimum is minus the dispatch cost."""
     bundle = gm.build_leader(cfg, gm.ModeSettings(4, dhn_enabled, True, False),
                              dispatch_response=response)
     assemble_single_level(bundle, n_segments=n_segments)
-    model = bundle.ir.compile()
-    return model.relaxed() if relax_binaries else model
+    return bundle.ir.compile()
 
 
 def _balance_rhs(model: CompiledModel, cfg: ScenarioConfig, p_sl: np.ndarray,
@@ -434,37 +470,6 @@ def _balance_rhs(model: CompiledModel, cfg: ScenarioConfig, p_sl: np.ndarray,
             for value in rhs[:, j]:
                 gm.check_empty_row(name, float(value))
     return np.array([model.row_index[names[j]] for j in kept]), rhs[:, kept]
-
-
-class _DispatchLp:
-    """The LP relaxation of a compiled (maximizing) dispatch program,
-    passed to HiGHS once (built by `_highs_lp`, as every MILP is) and
-    re-solved from the previous basis at new right-hand sides of its
-    balance rows `rows`."""
-
-    def __init__(self, model: CompiledModel, rows: np.ndarray):
-        lp = _highs_lp(model, False)
-        self._highs = _highs._Highs()
-        self._highs.setOptionValue("output_flag", False)
-        if self._highs.passModel(lp) == _highs.HighsStatus.kError:
-            raise RuntimeError(f"HiGHS refused the LP relaxation of {model.name}")
-        self._rows = rows
-        self._obj_const = model.obj_const
-
-    def cut(self, b: np.ndarray) -> tuple[float, np.ndarray] | None:
-        """The relaxed dispatch cost at balance right-hand sides `b` and,
-        as the balance rows' duals, its slopes in them; None when the
-        relaxation has no optimum."""
-        highs = self._highs
-        for row, value in zip(self._rows.tolist(), b.tolist()):
-            highs.changeRowBounds(row, value, value)
-        # HiGHS counts its time limit over every run of the object
-        highs.setOptionValue("time_limit", highs.getRunTime() + 60.0)
-        highs.run()
-        if highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
-            return None
-        cost = highs.getInfo().objective_function_value - self._obj_const
-        return cost, np.asarray(highs.getSolution().row_dual)[self._rows]
 
 
 # ----------------------------------------------------------------------
@@ -619,8 +624,8 @@ def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
     beat the solution's profit by more than the PWL error allowance. The
     search relaxes the unit binaries here: that can only overstate a
     deviation's profit, a conservative direction for a no-improvement
-    test, and it makes every re-dispatch an LP, solved exactly in the
-    search's own HiGHS LP with no backend call. It solves only the
+    test, and it makes every re-dispatch an LP, solved exactly on the
+    search's own `HighsProgram` with no backend call. It solves only the
     deviations whose cut bound could still be the best, so
     `max_leader_improvement` is the exact maximum over all of them and
     `n_dispatch_solves` counts the solves.

@@ -60,6 +60,25 @@ class TestRunVerb:
         assert summary["status"] == "SCHEMA_ERROR"
         assert summary["reason"]
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_is_schema_error(self, constant, toy_path,
+                                                 tmp_path):
+        # Python's json reads these; the run refuses them before building,
+        # writes its summary and drops an older run's table
+        out_dir = tmp_path / "out"
+        assert run_cli(["run", "--scenario", str(toy_path), "--out",
+                        str(out_dir), "--no-validate"]) == cli.EXIT_OK
+        text = json.dumps(toy_dict()).replace('"cost_b": 17.82',
+                                              f'"cost_b": {constant}')
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = run_cli(["run", "--scenario", str(path), "--out", str(out_dir)])
+        assert code == cli.EXIT_SCHEMA
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["status"] == "SCHEMA_ERROR"
+        assert f"{constant} is not a finite number" in summary["reason"]
+        assert not (out_dir / "periods.csv").exists()
+
     def test_missing_field_exit_code(self, tmp_path):
         data = toy_dict()
         del data["confidence"]
@@ -233,6 +252,26 @@ class TestCompareVerb:
         assert code == cli.EXIT_ERROR
         text = (out_dir / "comparison.csv").read_text()
         assert text.count("SCHEMA_ERROR") == 2
+
+    def test_validation_failure_shows_in_rows_and_exit(self, toy_path,
+                                                        tmp_path, monkeypatch):
+        # a run that solves but fails validation exits 5: its row says so
+        # and keeps its numbers, and the table exits nonzero
+        real = se.validate_reserve
+
+        def failing(*args, **kwargs):
+            return [dict(row, passed=False) for row in real(*args, **kwargs)]
+
+        monkeypatch.setattr(se, "validate_reserve", failing)
+        out_dir = tmp_path / "cmp"
+        code = run_cli(["compare", "--scenario", str(toy_path),
+                        "--modes", "1,3", "--out", str(out_dir),
+                        "--mc-samples", "20000"])
+        assert code == cli.EXIT_ERROR
+        with (out_dir / "comparison.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == ["VALIDATION_FAILED"] * 2
+        assert all(math.isfinite(float(r["f1"])) for r in rows)
 
     def test_single_mode_degenerate_table(self, toy_path, tmp_path):
         out_dir = tmp_path / "cmp1"

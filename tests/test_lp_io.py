@@ -58,7 +58,7 @@ class TestDigest:
             "row bound": replace(m, row_upper=_set(m.row_upper, 0, 6.0)),
             "objective constant": replace(m, obj_const=1.0),
             "column name": replace(m, var_names=["x", "z", "b"]),
-            "integrality": m.relaxed(),
+            "integrality": replace(m, integrality=_set(m.integrality, 2, 0)),
         }[edit]
         assert model_digest(other) != model_digest(m)
 
@@ -81,15 +81,11 @@ PROGRAM_SHA256 = {
 }
 
 # the zero-price dispatch program (`_dispatch_program`), built at the
-# first of three users' responses and moved to each (`_balance_rhs`);
-# toy3 has no storage, so relaxing its binaries changes nothing
+# first of three users' responses and moved to each (`_balance_rhs`)
 DISPATCH_SHA256 = {
-    ("toy3", False): "2409548d1278f9da16ceb273d9d91339064f5f2e6a2edea254f8c9c653a385d7",
-    ("toy3", True): "2409548d1278f9da16ceb273d9d91339064f5f2e6a2edea254f8c9c653a385d7",
-    ("case1_like", False): "e8c5d796db9060863e1a93fce779524404d2e90c67b501f32281dc2300757c29",
-    ("case1_like", True): "277498070ca3c26ae1bde14d9e25a866818f7fb4b66b199ec6a06de6270d9d90",
-    ("case2_real", False): "18e4453c57803695913f455f0bb9ae2d3aba6dde3da0097b4a2e905a9e171ad6",
-    ("case2_real", True): "7144031f284565f97aa86a4c577948c4845533396f355738e2b76c14852a5c9e",
+    "toy3": "2409548d1278f9da16ceb273d9d91339064f5f2e6a2edea254f8c9c653a385d7",
+    "case1_like": "e8c5d796db9060863e1a93fce779524404d2e90c67b501f32281dc2300757c29",
+    "case2_real": "18e4453c57803695913f455f0bb9ae2d3aba6dde3da0097b4a2e905a9e171ad6",
 }
 
 
@@ -100,15 +96,14 @@ def test_program_fingerprint(case, mode):
     assert digest == PROGRAM_SHA256[case, mode]
 
 
-@pytest.mark.parametrize("case, relax_binaries", list(DISPATCH_SHA256))
-def test_dispatch_fingerprint(case, relax_binaries):
+@pytest.mark.parametrize("case", list(DISPATCH_SHA256))
+def test_dispatch_fingerprint(case):
     cfg = load_scenario(BENCH_INPUTS / f"{case}.json")
     mu, gamma = cfg.proportional_prices()
     responses = [gm.follower_best_response(mu, gamma, cfg),
                  (cfg.baseline_shift(), np.zeros(cfg.horizon)),
                  gm.follower_best_response(mu[::-1].copy(), gamma[::-1].copy(), cfg)]
-    program = se._dispatch_program(cfg, bool(cfg.pipelines), 8, relax_binaries,
-                                   responses[0])
+    program = se._dispatch_program(cfg, bool(cfg.pipelines), 8, responses[0])
     rows, rhs = se._balance_rhs(program, cfg, *zip(*responses))
     digest = model_digest(*(program.with_rhs(rows, b) for b in rhs))
-    assert digest == DISPATCH_SHA256[case, relax_binaries]
+    assert digest == DISPATCH_SHA256[case]

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import time
@@ -21,6 +22,7 @@ from iesgame.scenario_cli import build_bundle
 
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def flat_single_unit_dict():
@@ -117,16 +119,27 @@ class TestBackend:
         assert values[0] == values[1]
 
 
+def fresh_milp(model, time_limit, gap_tolerance, relaxation=False):
+    """One `se.milp` run of `model` on a new HiGHS instance."""
+    return se.milp(se.HighsProgram(model, gap_tolerance), time_limit, relaxation)
+
+
+def relaxed(model):
+    """`model` with every integrality requirement dropped."""
+    return dataclasses.replace(model, integrality=np.zeros_like(model.integrality))
+
+
 def counting_milp(monkeypatch, delay=0.0):
-    """Patch `se.milp` to record, per call, whether the model it got has
-    integer columns and the time limit it got, and to sleep `delay`
-    seconds after each call."""
+    """Patch `se.milp` to record, per run, whether it solves integer
+    columns (a MILP run of a model that has them) and the time limit it
+    got, and to sleep `delay` seconds after each run."""
     calls = []
     real = se.milp
 
-    def spy(model, time_limit, gap_tolerance):
-        calls.append((bool(model.integrality.any()), time_limit))
-        res = real(model, time_limit, gap_tolerance)
+    def spy(program, time_limit, relaxation=False):
+        calls.append((not relaxation and bool(program.model.integrality.any()),
+                      time_limit))
+        res = real(program, time_limit, relaxation)
         time.sleep(delay)
         return res
 
@@ -173,7 +186,7 @@ class TestRelaxFirst:
         assert np.all(np.abs(x[integral] - np.round(x[integral])) <= tol)
         assert res.objective == pytest.approx(model.objective(x.tolist()),
                                               rel=1e-12)
-        want = model.objective(se.milp(model, 60.0, gap).x)
+        want = model.objective(fresh_milp(model, 60.0, gap).x)
         assert res.objective >= want - gap * abs(want)
         if mip:
             # a maximization's relaxation bounds it from above
@@ -187,7 +200,7 @@ class TestRelaxFirst:
         cfg = load_scenario(case1_path)
         model = build_bundle(cfg.with_overrides(theta=2 * cfg.idr.theta),
                              3).ir.compile()
-        want = se.milp(model, 60.0, 1e-4)
+        want = fresh_milp(model, 60.0, 1e-4)
         calls = counting_milp(monkeypatch)
         res = se.ScipyMilpBackend().solve(model, 60.0, 1e-4)
         assert [mip for mip, _ in calls] == [False, True]
@@ -222,6 +235,60 @@ class TestRelaxFirst:
         res = se.ScipyMilpBackend().solve(ir, 10.0, 1e-4)
         assert calls == [(False, 10.0)]
         assert res.status == se.INFEASIBLE and res.relaxation_exact
+
+
+class TestHeldProgram:
+    @pytest.mark.parametrize("case", ["case1_miss", "case2_dispatch"])
+    def test_runs_equal_new_instances(self, case1_path, case2_path, case):
+        # one held program runs its relaxation, its MILP, then its
+        # relaxation at new right-hand sides; each run must equal the same
+        # run on a new instance bit for bit. This pins the
+        # `solve_relaxation` toggle, the MILP's cold start (`clearSolver`)
+        # and the time limit counted over the instance's runs
+        if case == "case1_miss":
+            # case1 mode 3 at twice its theta: the relaxation misses
+            cfg = load_scenario(case1_path)
+            model = build_bundle(cfg.with_overrides(theta=2 * cfg.idr.theta),
+                                 3).ir.compile()
+            rows = np.array([model.row_index["bal_e_0"]])
+            b0 = model.row_lower[rows]
+            rhs = (b0, b0 + 0.01)
+        else:
+            cfg = load_scenario(case2_path)
+            rng = np.random.default_rng(5)
+            responses = [random_follower_point(cfg, rng) for _ in range(2)]
+            model = se._dispatch_program(cfg, True, 8, responses[0])
+            rows, rhs = se._balance_rhs(model, cfg, *zip(*responses))
+        assert model.integrality.any()
+        held = se.HighsProgram(model, 1e-4)
+        runs = ((rhs[0], True), (rhs[0], False), (rhs[1], True))
+        for step, (b, relaxation) in enumerate(runs):
+            if step != 1:  # the MILP starts where the relaxation left off
+                held.set_rhs(rows, b)
+            before = held.highs.getRunTime()
+            got = se.milp(held, 60.0, relaxation)
+            assert held.highs.getOptionValue("time_limit")[1] == before + 60.0
+            want = fresh_milp(model.with_rhs(rows, b), 60.0, 1e-4, relaxation)
+            assert got.status == want.status == se.OPTIMAL
+            assert got.x == want.x and got.objective == want.objective
+            assert got.row_dual == want.row_dual
+            assert got.mip_node_count == want.mip_node_count
+            assert (got.mip_node_count is None) == relaxation
+
+
+def test_src_builds_one_highs_instance():
+    # every HiGHS run goes through one `HighsProgram`: the package builds
+    # one HiGHS instance and passes one model to it, each in one place
+    calls = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                assert "_Highs" not in [a.name for a in node.names], path
+            if isinstance(node, ast.Call):
+                func = node.func
+                calls.append(getattr(func, "attr", getattr(func, "id", None)))
+    assert calls.count("_Highs") == 1
+    assert calls.count("passModel") == 1
 
 
 class TestSolvePipeline:
@@ -545,8 +612,9 @@ def exhaustive_profits(cfg, backend, relax_binaries, mu, gamma):
     """Every pair's profit and users' response, from solving the dispatch
     of every pair, with no cuts."""
     responses = [gm.follower_best_response(m, g, cfg) for m, g in zip(mu, gamma)]
-    program = se._dispatch_program(cfg, bool(cfg.pipelines), 8, relax_binaries,
-                                   responses[0])
+    program = se._dispatch_program(cfg, bool(cfg.pipelines), 8, responses[0])
+    if relax_binaries:
+        program = relaxed(program)
     results = [backend.solve(moved(program, cfg, r), 60.0, 1e-6)
                for r in responses]
     costs = [-res.objective if res.status == se.OPTIMAL else np.inf
@@ -572,13 +640,30 @@ class Undercut(se.ScipyMilpBackend):
         return res
 
 
-class UndercutLp(se._DispatchLp):
-    """The search's own LP with every relaxed dispatch cost, and so the
-    intercept of its cut, 1e-9 relative below its optimum."""
+def undercut_relaxations(monkeypatch):
+    """Patch `se.milp` so that every relaxed dispatch cost, and so the
+    intercept of the search's cut, is 1e-9 relative below its optimum."""
+    real = se.milp
 
-    def cut(self, b):
-        cost, lam = super().cut(b)
-        return cost - 1e-9 * abs(cost), lam
+    def undercut(program, time_limit, relaxation=False):
+        res = real(program, time_limit, relaxation)
+        if relaxation and res.objective is not None:
+            res.objective -= 1e-9 * abs(res.objective - program.model.obj_const)
+        return res
+
+    monkeypatch.setattr(se, "milp", undercut)
+
+
+def held_cuts(program, rows, rhs):
+    """The search's cut at each row of `rhs`, in order: the relaxed cost
+    and its slopes in the balance rows `rows`, from one held program
+    re-solved from the previous basis; None without an optimum."""
+    held = se.HighsProgram(program, 1e-6)
+    for b in rhs:
+        held.set_rhs(rows, b)
+        res = se.milp(held, 60.0, relaxation=True)
+        yield None if res.status != se.OPTIMAL else (
+            res.objective - program.obj_const, np.asarray(res.row_dual)[rows])
 
 
 def fresh_cut(model, rows):
@@ -600,8 +685,8 @@ def fresh_cut(model, rows):
     return res.fun - model.obj_const, res.eqlin.marginals[np.cumsum(eq)[rows] - 1]
 
 
-# relaxed searches price through their own LP, the reference through the
-# backend's `milp`: both are HiGHS at optimality, so the profits agree to
+# relaxed searches price through their own held program, the reference
+# through the backend: both are HiGHS at optimality, so the profits agree to
 # rounding (9.1e-13 apart on case2's ~2.1e3 was the largest seen)
 RELAXED_PROFIT_RTOL = 1e-12
 
@@ -652,7 +737,7 @@ class TestPrunedSearch:
         # first, then the best pair, judged only by the cut at its own
         # response; with costs just below the LP optimum that cut alone
         # would rule it out. The relaxed search takes its costs from its
-        # own LP, so there the LP's costs are undercut
+        # own relaxation runs, so there those costs are undercut
         twin = mu[top] * (1.0 - 1e-15)
         mu_list = np.vstack([twin, mu])
         gamma_list = np.vstack([gamma[top], gamma])
@@ -660,23 +745,17 @@ class TestPrunedSearch:
                                              mu_list, gamma_list)[0])
         assert want[0] == top + 1
         if relax_binaries:
-            monkeypatch.setattr(se, "_DispatchLp", UndercutLp)
+            undercut_relaxations(monkeypatch)
         got = best_posted_price(cfg, Undercut(), relax_binaries, mu_list,
                                 gamma_list)
         assert_same_best(got[:2], want, relax_binaries)
 
     def test_one_cut_per_exact_solve(self, toy_cfg, monkeypatch):
-        cuts = []
-        cut = se._DispatchLp.cut
-
-        def spy(*args):
-            cuts.append(args)
-            return cut(*args)
-
-        monkeypatch.setattr(se._DispatchLp, "cut", spy)
+        # every HiGHS run of the relaxed search gives one cut
+        calls = counting_milp(monkeypatch)
         mu, gamma = random_prices(toy_cfg, 50, np.random.default_rng(4))
         n_solves = best_posted_price(toy_cfg, None, True, mu, gamma)[3]
-        assert 1 <= len(cuts) == n_solves < 50
+        assert 1 <= len(calls) == n_solves < 50
 
     @pytest.mark.parametrize("relax_binaries", [False, True])
     def test_cut_under_estimates_cost(self, toy_cfg, relax_binaries):
@@ -685,33 +764,28 @@ class TestPrunedSearch:
         backend = se.ScipyMilpBackend()
         rng = np.random.default_rng(8)
         responses = [random_follower_point(cfg, rng) for _ in range(6)]
-        program = se._dispatch_program(cfg, True, 8, relax_binaries,
-                                       responses[0])
+        program = se._dispatch_program(cfg, True, 8, responses[0])
         rows, rhs = se._balance_rhs(program, cfg, *zip(*responses))
-        costs = [-backend.solve(program.with_rhs(rows, b), 60.0, 1e-6).objective
+        exact = relaxed(program) if relax_binaries else program
+        costs = [-backend.solve(exact.with_rhs(rows, b), 60.0, 1e-6).objective
                  for b in rhs]
-        lp = se._DispatchLp(program, rows)
-        for b0 in rhs:
-            c0, lam = lp.cut(b0)
+        for b0, (c0, lam) in zip(rhs, held_cuts(program, rows, rhs)):
             for b, cost in zip(rhs, costs):
                 assert c0 + lam @ (b - b0) <= cost + 1e-6 * abs(cost)
 
     @pytest.mark.parametrize("case", ["toy", "case2"])
     def test_lp_matches_fresh_linprog(self, toy_cfg, case2_path, case):
-        # the persistent LP, re-solved from the previous basis at each
-        # response, against a cold `linprog` of each moved program: this
-        # pins scipy's private HiGHS binding the search is built on. On
+        # the held program's relaxation, re-solved from the previous basis
+        # at each response, against a cold `linprog` of each moved program:
+        # this pins scipy's private HiGHS binding the search is built on. On
         # toy3 the third response leaves the dispatch infeasible, and the
         # solves after it start from that basis
         cfg = toy_cfg if case == "toy" else load_scenario(case2_path)
         rng = np.random.default_rng(6)
         responses = [random_follower_point(cfg, rng) for _ in range(6)]
-        program = se._dispatch_program(cfg, bool(cfg.pipelines), 8, True,
-                                       responses[0])
+        program = se._dispatch_program(cfg, bool(cfg.pipelines), 8, responses[0])
         rows, rhs = se._balance_rhs(program, cfg, *zip(*responses))
-        lp = se._DispatchLp(program, rows)
-        for b in rhs:
-            cut = lp.cut(b)
+        for b, cut in zip(rhs, held_cuts(program, rows, rhs)):
             want = fresh_cut(program.with_rhs(rows, b), rows)
             assert (cut is None) == (want is None)
             if cut is None:
@@ -735,7 +809,7 @@ class TestPrunedSearch:
         cfg = toy_cfg if case == "toy" else load_scenario(paths[case])
         model = build_bundle(cfg, mode).ir.compile()
         gap = 1e-4
-        got = se.milp(model, 60.0, gap)
+        got = fresh_milp(model, 60.0, gap)
         want = milp(-model.c,
                     constraints=LinearConstraint(model.a, model.row_lower,
                                                  model.row_upper),
@@ -751,24 +825,43 @@ COMPILED_ARRAYS = ("c", "row_lower", "row_upper", "col_lower", "col_upper",
                    "integrality")
 
 
+HIGHS_ARRAYS = ("col_cost_", "col_lower_", "col_upper_", "row_lower_",
+                "row_upper_", "integrality_")
+
+
 class TestCompiledDispatch:
-    @pytest.mark.parametrize("relax_binaries", [False, True])
+    @pytest.mark.parametrize("held", [False, True])
     @pytest.mark.parametrize("case, dhn_enabled", [
         ("toy", True), ("toy", False), ("case2", True)])
     def test_patched_equals_rebuilt(self, toy_cfg, case2_path, case,
-                                    dhn_enabled, relax_binaries):
+                                    dhn_enabled, held):
         # the once-compiled program moved to a response must equal the
         # program built for that response: a response-dependent entry the
-        # patch misses shows up here
+        # patch misses shows up here. With `held`, the search's HiGHS
+        # instance moved by `set_rhs` must hold what a new instance of
+        # the rebuilt program holds
         cfg = toy_cfg if case == "toy" else load_scenario(case2_path)
         rng = np.random.default_rng(17)
-        args = (cfg, dhn_enabled, 8, relax_binaries)
+        args = (cfg, dhn_enabled, 8)
         template = se._dispatch_program(
             *args, random_follower_point(cfg, rng))
+        program = se.HighsProgram(template, 1e-6)
         for _ in range(3):
             response = random_follower_point(cfg, rng)
-            patched = moved(template, cfg, response)
             fresh = se._dispatch_program(*args, response)
+            if held:
+                rows, rhs = se._balance_rhs(template, cfg, *zip(response))
+                program.set_rhs(rows, rhs[0])
+                got = program.highs.getLp()
+                want = se.HighsProgram(fresh, 1e-6).highs.getLp()
+                for name in HIGHS_ARRAYS:
+                    np.testing.assert_array_equal(getattr(got, name),
+                                                  getattr(want, name))
+                for name in ("start_", "index_", "value_"):
+                    np.testing.assert_array_equal(getattr(got.a_matrix_, name),
+                                                  getattr(want.a_matrix_, name))
+                continue
+            patched = moved(template, cfg, response)
             for name in COMPILED_ARRAYS:
                 np.testing.assert_array_equal(getattr(patched, name),
                                               getattr(fresh, name))
@@ -784,7 +877,7 @@ class TestCompiledDispatch:
         # variables, so a response that leaves heat unserved is refused
         # by the patch exactly as by the build
         cfg = scenario_from_dict(flat_single_unit_dict())
-        args = (cfg, False, 8, True)
+        args = (cfg, False, 8)
         zero = np.zeros(cfg.horizon)
         template = se._dispatch_program(*args, (zero, zero))
         assert not any(n.startswith("bal_h_") for n in template.row_index)
@@ -875,18 +968,25 @@ class TestPinnedSearch:
 
 class TestDeviationCheck:
     def test_relaxed_search_calls_no_backend(self, toy_cfg, monkeypatch):
-        # every re-dispatch of the relaxed search is solved in its own LP
+        # every re-dispatch of the relaxed search is one relaxation run of
+        # its own held program: no backend call and no MILP run
         bundle = build_bundle(toy_cfg, 3)
         out = se.solve(bundle, se.SolveOptions(time_limit=60))
 
         def refuse(*args, **kwargs):
             raise AssertionError("the relaxed search called a backend")
 
+        runs, real = [], se.milp
+
+        def spy(program, time_limit, relaxation=False):
+            runs.append(relaxation)
+            return real(program, time_limit, relaxation)
+
         monkeypatch.setattr(se.ScipyMilpBackend, "solve", refuse)
-        monkeypatch.setattr(se, "milp", refuse)
+        monkeypatch.setattr(se, "milp", spy)
         check = se.no_deviation_check(bundle, out.solution, n_deviations=40,
                                       seed=3)
-        assert check.n_dispatch_solves >= 1
+        assert check.n_dispatch_solves == len(runs) >= 1 and all(runs)
         assert check.leader_ok
 
     def test_fields_are_plain_python(self, toy_cfg):
