@@ -17,8 +17,8 @@ before a model is compiled.
 
 `ModelIR.compile` is the one lowering from a model to arrays:
 `solve_engine.HighsProgram` passes the `CompiledModel` it returns to
-HiGHS, integrality kept. A compiled model can be re-solved with other
-right-hand sides (`CompiledModel.with_rhs`) without building it again.
+HiGHS, integrality kept, and moves right-hand sides on the held
+instance without building the model again.
 """
 from __future__ import annotations
 
@@ -54,8 +54,7 @@ class CompiledModel:
     Columns follow the variables' and rows the rows' insertion order; the
     coefficients of each row of `a` keep the order they were given in.
     `c` is the objective to maximize. The dense arrays are read-only:
-    copies made by `with_rhs` and `without_lower` share every array they
-    do not change.
+    copies made by `without_lower` share every array they do not change.
     """
 
     name: str
@@ -79,17 +78,6 @@ class CompiledModel:
         total = self.obj_const
         total += sum(c * x[j] for j, c in zip(self.obj_cols, self.obj_coefs))
         return total
-
-    def with_rhs(self, rows: np.ndarray, rhs: np.ndarray) -> "CompiledModel":
-        """Copy whose equality rows `rows` (indices) have right-hand
-        sides `rhs`."""
-        if np.any(self.row_lower[rows] != self.row_upper[rows]):
-            raise ValueError("only equality rows can take a new right-hand side")
-        lower, upper = self.row_lower.copy(), self.row_upper.copy()
-        lower[rows] = rhs
-        upper[rows] = rhs
-        return replace(self, row_lower=_read_only(lower),
-                       row_upper=_read_only(upper))
 
     def without_lower(self, rows: list[int]) -> "CompiledModel":
         """Copy whose rows `rows` (indices) have no lower bound."""

@@ -378,15 +378,14 @@ def revalidate(scenario: str, run_dir: str, mc_samples: int,
 
     No program is built: the checks take the scenario, overridden with
     the run's effective theta and confidence from `summary.json` (as
-    `run_pipeline` applies them; older run directories fall back to the
-    scenario file), the mode and the recorded `pwl_error_bound`. A sample
-    count below the Monte Carlo floor is refused with ValueError before
-    anything is read, and so are a summary that is not a JSON object,
-    records no solution, a bound that is not a nonnegative finite number,
-    objectives (`f1`, `f2`, `objective`), a theta or a confidence that
-    are not finite numbers, a mode that is not an integer, and a
-    scenario file whose SHA-256 differs from the one the run recorded
-    (run directories without `scenario_sha256` are not checked).
+    `run_pipeline` applies them), the mode and the recorded
+    `pwl_error_bound`. A sample count below the Monte Carlo floor is
+    refused with ValueError before anything is read, and so are a summary
+    that is not a JSON object, records no solution, a bound that is not a
+    nonnegative finite number, objectives (`f1`, `f2`, `objective`), a
+    theta or a confidence that are missing or not finite numbers, a mode
+    that is not an integer, and a missing `scenario_sha256` or a scenario
+    file whose SHA-256 differs from it.
     """
     if mc_samples < MIN_MC_SAMPLES:
         raise ValueError(_too_few_samples(mc_samples))
@@ -401,7 +400,7 @@ def revalidate(scenario: str, run_dir: str, mc_samples: int,
     if type(bound) not in (int, float) or not 0 <= bound < math.inf:
         raise ValueError(f"{run_dir}/summary.json: pwl_error_bound={bound!r} "
                          "is not a nonnegative finite number")
-    for key in ("f1", "f2", "objective"):
+    for key in ("f1", "f2", "objective", "theta", "confidence"):
         value = summary.get(key)
         if type(value) not in (int, float) or not math.isfinite(value):
             raise ValueError(f"{run_dir}/summary.json: {key}={value!r} "
@@ -410,11 +409,11 @@ def revalidate(scenario: str, run_dir: str, mc_samples: int,
         raise ValueError(f"{run_dir}/summary.json: mode={summary.get('mode')!r} "
                          "is not an integer")
     recorded = summary.get("scenario_sha256")
-    if recorded is not None and recorded != _sha256(scenario):
-        raise ValueError(f"{scenario} is not the scenario file the run was "
-                         f"made from (sha256 {recorded})")
-    cfg = _overridden(load_scenario(scenario), summary.get("theta"),
-                      summary.get("confidence"))
+    if recorded != _sha256(scenario):
+        raise ValueError(f"{run_dir}/summary.json: scenario_sha256={recorded!r}"
+                         f" is not the hash of {scenario}")
+    cfg = _overridden(load_scenario(scenario), summary["theta"],
+                      summary["confidence"])
     # as in run_pipeline, a helper thread draws while this one verifies
     with ThreadPoolExecutor(max_workers=1) as helper:
         drawn = helper.submit(se.reserve_draws, cfg, mc_samples, seed)

@@ -3,26 +3,18 @@ oracles: exhaustive price-grid enumeration for tiny instances and the
 Monte Carlo reserve-adequacy validator.
 
 `ScipyMilpBackend` drives HiGHS in-process from the arrays of a
-`CompiledModel`; a `ModelIR` is compiled on entry. `solve` and
-`enumerate_oracle` take any object with its `solve` method as `backend`.
-The backend solves every model with integer columns relaxation first:
-when the LP relaxation's optimum rounds to a point that meets every row
-and column bound within the gap of the relaxation's objective, that
-point is a MILP optimum and no branch and bound runs; an infeasible
-relaxation proves the MILP infeasible. Only otherwise does HiGHS solve
-the MILP, in the time left. Every solve through the backend takes this
-route: `solve`, the infeasibility triage and the oracle's exact
-dispatch.
+`CompiledModel`; `solve` compiles a bundle's model once and takes any
+object with the backend's `solve` method as `backend`. The backend and
+the enumeration oracle's exact dispatch both solve relaxation first
+(`_relax_first`): a relaxed optimum that rounds to a feasible point
+within the gap is a MILP optimum, an infeasible relaxation proves the
+MILP infeasible, and only otherwise does HiGHS solve the MILP.
 
-Every solve reaches HiGHS through scipy's private binding
-(`scipy.optimize._highspy._core`) and one `HighsProgram` per program,
-which `milp` runs as a MILP or as its LP relaxation: the backend runs
-the relaxation and, on a miss, the MILP on one instance, and each
-equilibrium search re-solves one dispatch program's relaxation from the
-last basis: it gives every cut, and every cost of the relaxed search.
-A search takes the users' responses and bills to all its price pairs in
-one array pass, and the deviation check draws all its price vectors at
-once.
+Every HiGHS run goes through scipy's private binding
+(`scipy.optimize._highspy._core`) on one `HighsProgram` per program,
+run by `milp` as a MILP or as its LP relaxation. Each equilibrium
+search holds one dispatch program and re-solves it from the last basis
+at each response it prices.
 """
 from __future__ import annotations
 
@@ -36,7 +28,7 @@ from scipy.optimize._highspy import _core as _highs
 from . import game_model as gm
 from .config import ScenarioConfig
 from .kkt_reformulation import N_SEGMENTS, assemble_single_level, check_kkt
-from .model_ir import CompiledModel, ModelIR
+from .model_ir import CompiledModel
 from .prob_sequences import MC_ALLOWANCE, chance_satisfaction_mc, mc_draws
 
 OPTIMAL = "OPTIMAL"
@@ -74,7 +66,7 @@ class SolveResult:
     infeasible_stage: str | None = None
     node_count: int | None = None  # branch-and-bound nodes, when reported
     # True when the LP relaxation decided the result: its rounded optimum
-    # is a MILP optimum, or it is infeasible (`ScipyMilpBackend`)
+    # is a MILP optimum, or it is infeasible (`_relax_first`)
     relaxation_exact: bool = False
 
 
@@ -136,7 +128,8 @@ class HighsProgram:
     """
 
     def __init__(self, model: CompiledModel, gap_tolerance: float):
-        self.model, self.highs = model, _highs._Highs()
+        self.model, self.gap_tolerance = model, gap_tolerance
+        self.highs = _highs._Highs()
         for option, value in (("output_flag", False),
                               ("mip_rel_gap", float(gap_tolerance)),
                               ("mip_heuristic_run_feasibility_jump", False)):
@@ -204,53 +197,56 @@ def milp(program: HighsProgram, time_limit: float,
 
 
 class ScipyMilpBackend:
-    """In-process HiGHS backend through scipy's HiGHS binding, solving
-    the compiled model's arrays, relaxation first, on one `HighsProgram`.
-
-    A model with integer columns is first solved as its LP relaxation.
-    An infeasible relaxation proves the model infeasible. A relaxed
-    optimum whose binaries round (`_rounded_point`) to a point that meets
-    every row and column bound, at an objective within `gap_tolerance`
-    of the relaxation's (a valid bound), is returned as OPTIMAL with
-    `relaxation_exact` set and no branch-and-bound node. Otherwise the
-    MILP is solved on the same instance, in the time the relaxation left.
-    """
+    """In-process HiGHS backend through scipy's HiGHS binding: one
+    `HighsProgram` per compiled model, solved by `_relax_first`."""
 
     name = "scipy"
 
-    def solve(self, model: ModelIR | CompiledModel, time_limit: float,
+    def solve(self, model: CompiledModel, time_limit: float,
               gap_tolerance: float) -> SolveResult:
-        started = time.perf_counter()
-        m = model if isinstance(model, CompiledModel) else model.compile()
-        program = HighsProgram(m, gap_tolerance)
-        if m.integrality.any():
-            lp = milp(program, time_limit, relaxation=True)
-            if lp.status == INFEASIBLE:
-                return SolveResult(INFEASIBLE, {}, math.nan, math.nan, math.inf,
-                                   time.perf_counter() - started, node_count=0,
-                                   relaxation_exact=True)
-            x = None if lp.x is None else _rounded_point(m, np.asarray(lp.x))
-            if x is not None:
-                objective, bound = m.objective(x.tolist()), m.objective(lp.x)
-                gap = _relative_gap(m, objective, bound)
-                if gap <= gap_tolerance:
-                    return SolveResult(OPTIMAL, dict(zip(m.var_names, x.tolist())),
-                                       objective, bound, gap,
-                                       time.perf_counter() - started,
-                                       node_count=0, relaxation_exact=True)
-            time_limit = max(0.0, time_limit - (time.perf_counter() - started))
-        res = milp(program, time_limit)
-        runtime = time.perf_counter() - started
-        if res.x is None:
-            return SolveResult(res.status, {}, math.nan, math.nan, math.inf,
-                               runtime)
-        values = dict(zip(m.var_names, res.x))
-        objective = m.objective(res.x)
-        bound = (objective if res.mip_dual_bound is None
-                 else m.obj_const - res.mip_dual_bound)
-        return SolveResult(res.status, values, objective, bound,
-                           res.mip_gap or 0.0, runtime,
-                           node_count=res.mip_node_count)
+        return _relax_first(HighsProgram(model, gap_tolerance), time_limit)[0]
+
+
+def _relax_first(program: HighsProgram, time_limit: float
+                 ) -> tuple[SolveResult, MilpResult]:
+    """Solve a held program relaxation first: the result, and the first
+    run (the LP relaxation, or the LP itself), whose duals a caller reads.
+
+    An infeasible relaxation proves the model infeasible. A relaxed
+    optimum whose binaries round (`_rounded_point`) to a point that meets
+    every row and column bound, within the program's gap tolerance of the
+    relaxation's objective (a valid bound), is OPTIMAL with
+    `relaxation_exact` set and no branch-and-bound node. Otherwise the
+    MILP runs on the same instance, in the time the relaxation left.
+    """
+    started = time.perf_counter()
+    m = program.model
+    first = res = milp(program, time_limit, relaxation=True)
+    if m.integrality.any():
+        if first.status == INFEASIBLE:
+            return SolveResult(INFEASIBLE, {}, math.nan, math.nan, math.inf,
+                               time.perf_counter() - started, node_count=0,
+                               relaxation_exact=True), first
+        x = None if first.x is None else _rounded_point(m, np.asarray(first.x))
+        if x is not None:
+            objective, bound = m.objective(x.tolist()), m.objective(first.x)
+            gap = _relative_gap(m, objective, bound)
+            if gap <= program.gap_tolerance:
+                return SolveResult(OPTIMAL, dict(zip(m.var_names, x.tolist())),
+                                   objective, bound, gap,
+                                   time.perf_counter() - started,
+                                   node_count=0, relaxation_exact=True), first
+        res = milp(program, max(0.0, time_limit - (time.perf_counter() - started)))
+    runtime = time.perf_counter() - started
+    if res.x is None:
+        return SolveResult(res.status, {}, math.nan, math.nan, math.inf,
+                           runtime), first
+    objective = m.objective(res.x)
+    bound = (objective if res.mip_dual_bound is None
+             else m.obj_const - res.mip_dual_bound)
+    return SolveResult(res.status, dict(zip(m.var_names, res.x)), objective,
+                       bound, res.mip_gap or 0.0, runtime,
+                       node_count=res.mip_node_count), first
 
 
 def _rounded_point(m: CompiledModel, x: np.ndarray) -> np.ndarray | None:
@@ -313,10 +309,10 @@ def solve(bundle: gm.ModelBundle, opts: SolveOptions | None = None,
     """
     opts = opts or SolveOptions()
     backend = backend or ScipyMilpBackend()
-    result = backend.solve(bundle.ir, opts.time_limit, opts.gap_tolerance)
+    model = bundle.ir.compile()
+    result = backend.solve(model, opts.time_limit, opts.gap_tolerance)
     if result.status == INFEASIBLE:
-        result.infeasible_stage = _triage_infeasibility(bundle, opts, backend)
-        return SolveOutcome(None, result, None)
+        result.infeasible_stage = _triage_infeasibility(model, opts, backend)
     if result.status != OPTIMAL:
         return SolveOutcome(None, result, None)
     solution = gm.extract_solution(bundle, result.values, result.objective)
@@ -327,15 +323,12 @@ def solve(bundle: gm.ModelBundle, opts: SolveOptions | None = None,
     return SolveOutcome(solution, result, report)
 
 
-def _triage_infeasibility(bundle: gm.ModelBundle, opts: SolveOptions,
+def _triage_infeasibility(model: CompiledModel, opts: SolveOptions,
                           backend) -> str:
-    model = bundle.ir.compile()
     relaxed = model.without_lower([r for name, r in model.row_index.items()
                                    if name.startswith("res_min_")])
     res = backend.solve(relaxed, opts.time_limit, opts.gap_tolerance)
-    if res.status == INFEASIBLE:
-        return TRIAGE_STAGES[0]
-    return TRIAGE_STAGES[1]
+    return TRIAGE_STAGES[0] if res.status == INFEASIBLE else TRIAGE_STAGES[1]
 
 
 # ----------------------------------------------------------------------
@@ -350,8 +343,7 @@ CUT_TOL = 1e-6
 
 
 def _best_posted_price(cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
-                       backend, relax_binaries: bool, mu: np.ndarray,
-                       gamma: np.ndarray
+                       relax_binaries: bool, mu: np.ndarray, gamma: np.ndarray
                        ) -> tuple[int, float, tuple[np.ndarray, np.ndarray], int]:
     """The best of the price pairs (mu[i], gamma[i]) for the operator,
     posted to responding users of scenario `cfg`.
@@ -369,10 +361,9 @@ def _best_posted_price(cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
     compiled once, at the first response (so the build's own checks see
     only responses asked about); every other response only moves the
     right-hand sides of the balance rows (`_balance_rhs`). The program is
-    held on one `HighsProgram`, whose LP relaxation, re-solved from the
-    previous basis, gives each cut below; with `relax_binaries` that
-    relaxation's cost is the exact cost, else `backend` solves the
-    program with the binaries kept.
+    held on one `HighsProgram`. Each solve runs its LP relaxation from the
+    previous basis, which gives the cut below and, with `relax_binaries`,
+    the exact cost; else `_relax_first` goes on to the binaries there.
 
     With b the balance right-hand sides a response sets, the dispatch
     cost C(b) is at least the cost of the program's LP relaxation, the
@@ -418,13 +409,15 @@ def _best_posted_price(cfg: ScenarioConfig, dhn_enabled: bool, n_segments: int,
         seen = key in costs
         if not seen:
             held.set_rhs(rows, rhs[i])
-            lp = milp(held, 60.0, relaxation=True)
+            if relax_binaries:
+                lp = milp(held, 60.0, relaxation=True)
+            else:
+                res, lp = _relax_first(held, 60.0)
             cut = None if lp.status != OPTIMAL else (
                 lp.objective - program.obj_const, np.asarray(lp.row_dual)[rows])
             if relax_binaries:
                 costs[key] = math.inf if cut is None else cut[0]
             else:
-                res = backend.solve(program.with_rhs(rows, rhs[i]), 60.0, 1e-6)
                 costs[key] = -res.objective if res.status == OPTIMAL else math.inf
         profit = float(bills[i]) - costs[key]
         if best_i < 0 or profit > best_profit or (
@@ -491,44 +484,67 @@ class OracleResult:
     n_dispatch_solves: int
 
 
+def _grid_steps(lo: float, hi: float, target_sum: float, periods: int,
+                step: float) -> tuple[int, int]:
+    """The number n of grid levels lo + i * step up to hi (to 1e-6), and
+    the steps k above lo that every admissible vector adds up to (-1: none)."""
+    if step <= 1e-6:  # sums met to 1e-6 would not tell the levels apart
+        raise OracleSizeError(f"grid step {step} is not above 1e-6")
+    n = math.floor((hi - lo + 1e-6) / step) + 1
+    k = round((target_sum - periods * lo) / step)
+    on_grid = abs(periods * lo + k * step - target_sum) < 1e-6
+    return n, (k if on_grid and 0 <= k <= periods * (n - 1) else -1)
+
+
+def _grid_count(lo: float, hi: float, target_sum: float, periods: int,
+                step: float) -> int:
+    """How many vectors `_admissible_grids` gives, counted, not built: the
+    ways to split k steps over `periods` slots of 0 to n - 1 steps each."""
+    n, k = _grid_steps(lo, hi, target_sum, periods, step)
+    return sum((-1) ** j * math.comb(periods, j)
+               * math.comb(k - j * n + periods - 1, periods - 1)
+               for j in range(periods + 1) if k - j * n >= 0)
+
+
 def _admissible_grids(lo: float, hi: float, target_sum: float, periods: int,
                       step: float) -> list[tuple[float, ...]]:
-    """All grid vectors in [lo, hi]^periods whose entries sum to target_sum."""
-    levels = np.arange(lo, hi + step / 2, step)
-    out: list[tuple[float, ...]] = []
+    """All grid vectors in [lo, hi]^periods whose entries sum to
+    target_sum (within 1e-6), in lexicographic order; each slot takes only
+    the levels that leave the slots after it a reachable sum."""
+    n, k = _grid_steps(lo, hi, target_sum, periods, step)
+    levels = np.arange(lo, hi + step / 2, step)[:n].tolist()
 
-    def recurse(prefix: list[float], remaining: float, slots: int) -> None:
-        if slots == 0:
-            if abs(remaining) < 1e-6:
-                out.append(tuple(prefix))
-            return
-        if remaining < slots * lo - 1e-6 or remaining > slots * hi + 1e-6:
-            return
-        for v in levels:
-            recurse(prefix + [float(v)], remaining - float(v), slots - 1)
+    def vectors(remaining: int, slots: int) -> list[tuple[float, ...]]:
+        if slots == 1:
+            return [(levels[remaining],)]
+        return [(levels[i],) + rest
+                for i in range(max(0, remaining - (slots - 1) * (n - 1)),
+                               min(n - 1, remaining) + 1)
+                for rest in vectors(remaining - i, slots - 1)]
 
-    recurse([], target_sum, periods)
-    return out
+    return vectors(k, periods) if k >= 0 else []
 
 
 def enumerate_oracle(cfg: ScenarioConfig, price_grid_step: float,
                      gamma_grid_step: float | None = None,
-                     n_segments: int = N_SEGMENTS, backend=None,
+                     n_segments: int = N_SEGMENTS,
                      max_points: int = 10_000_000) -> OracleResult:
     """Exhaustive check of the equilibrium on a price grid.
 
     Every admissible price vector (grid points satisfying both the band
     and the average-price rows) is a candidate, and the pruned search
     `_best_posted_price` returns the best profit over all of them, with
-    the unit binaries kept, so each dispatch it solves through `backend`
-    is exact; on equal profits the earliest grid point wins. Its
-    LP-relaxation cuts under-estimate the MILP dispatch cost, so the grid
-    points it does not solve provably cannot win. `n_dispatch_solves`
-    counts the exact
-    dispatch solves, at most one per distinct users' response. Only meant
-    for horizons up to 4. The thermal grid may use its own step since its
-    band rarely shares divisors with the electric one; a step that is not
-    a positive finite number is refused with ValueError.
+    the unit binaries kept, so each dispatch it solves (relaxation first,
+    on its one held program) is exact; on equal profits the earliest grid
+    point wins. Its LP-relaxation cuts under-estimate the MILP dispatch
+    cost, so the grid points it does not solve provably cannot win.
+    `n_dispatch_solves` counts the exact dispatch solves, at most one per
+    distinct users' response. Only meant for horizons up to 4. The
+    thermal grid may use its own step since its band rarely shares
+    divisors with the electric one; a step that is not a positive finite
+    number is refused with ValueError; one not above 1e-6, or more than
+    `max_points` grid points (counted), with OracleSizeError before any
+    point is built.
     """
     if gamma_grid_step is None:
         gamma_grid_step = price_grid_step
@@ -539,14 +555,10 @@ def enumerate_oracle(cfg: ScenarioConfig, price_grid_step: float,
                              f"got {step}")
     if cfg.horizon > 4:
         raise OracleSizeError("enumeration oracle is limited to horizons <= 4")
-    backend = backend or ScipyMilpBackend()
-    p = cfg.prices
-    mu_grid = _admissible_grids(p.mu_min, p.mu_max, cfg.horizon * p.mu_av,
-                                cfg.horizon, price_grid_step)
-    gamma_grid = _admissible_grids(p.gamma_min, p.gamma_max,
-                                   cfg.horizon * p.gamma_av,
-                                   cfg.horizon, gamma_grid_step)
-    total = len(mu_grid) * len(gamma_grid)
+    p, t = cfg.prices, cfg.horizon
+    grids = ((p.mu_min, p.mu_max, t * p.mu_av, t, price_grid_step),
+             (p.gamma_min, p.gamma_max, t * p.gamma_av, t, gamma_grid_step))
+    total = _grid_count(*grids[0]) * _grid_count(*grids[1])
     if total > max_points:
         raise OracleSizeError(
             f"{total} grid points exceed the {max_points} cap; raise "
@@ -555,10 +567,11 @@ def enumerate_oracle(cfg: ScenarioConfig, price_grid_step: float,
         raise OracleSizeError("no admissible grid points; the step does not "
                               "reach the average-price plane")
 
+    mu_grid, gamma_grid = (_admissible_grids(*grid) for grid in grids)
     mu_all = np.array([mu for mu in mu_grid for _ in gamma_grid])
     gamma_all = np.array([gamma for _ in mu_grid for gamma in gamma_grid])
     i, profit, response, n_solves = _best_posted_price(
-        cfg, bool(cfg.pipelines), n_segments, backend, False, mu_all, gamma_all)
+        cfg, bool(cfg.pipelines), n_segments, False, mu_all, gamma_all)
     return OracleResult(mu_all[i], gamma_all[i], response, profit,
                         price_grid_step, total, n_solves)
 
@@ -644,8 +657,7 @@ def no_deviation_check(bundle: gm.ModelBundle, sol: gm.EquilibriumSolution,
     worst_leader, n_solves = -math.inf, 0
     if n_deviations:
         _, profit, _, n_solves = _best_posted_price(
-            cfg, bundle.mode.dhn_enabled, bundle.n_segments, None, True,
-            mu, gamma)
+            cfg, bundle.mode.dhn_enabled, bundle.n_segments, True, mu, gamma)
         worst_leader = profit - sol.f1
 
     leader_margin = bundle.pwl_error_bound + 1e-4 * max(abs(sol.f1), 1.0)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -65,6 +66,14 @@ def model_digest(*models) -> str:
             arr = np.asarray(arr, dtype)
             h.update(np.int64(arr.size).tobytes() + arr.tobytes())
     return h.hexdigest()
+
+
+def with_rhs(model, rows, rhs):
+    """A copy of a compiled model whose rows `rows` (indices) are fixed at
+    the right-hand sides `rhs`."""
+    lower, upper = model.row_lower.copy(), model.row_upper.copy()
+    lower[rows] = upper[rows] = rhs
+    return dataclasses.replace(model, row_lower=lower, row_upper=upper)
 
 
 def random_follower_point(cfg, rng):

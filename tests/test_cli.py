@@ -542,10 +542,11 @@ class TestValidateVerb:
 
     @pytest.mark.parametrize("field", ["theta", "confidence"])
     @pytest.mark.parametrize("value", [None, "missing"])
-    def test_absent_override_falls_back_to_scenario(self, field, value,
-                                                    toy_path, toy_run):
-        # the toy run used the scenario file's values, so falling back to
-        # them re-validates it
+    def test_absent_override_refused(self, field, value, toy_path, toy_run,
+                                     capsys):
+        # every summary a run writes records its theta and confidence; one
+        # without them is refused, even where the scenario file's values
+        # would re-validate the run
         summary_path = toy_run / "summary.json"
         summary = json.loads(summary_path.read_text())
         if value == "missing":
@@ -555,7 +556,8 @@ class TestValidateVerb:
         summary_path.write_text(json.dumps(summary))
         code = run_cli(["validate", "--scenario", str(toy_path),
                         "--run-dir", str(toy_run), "--mc-samples", "20000"])
-        assert code == cli.EXIT_OK
+        assert code == cli.EXIT_SCHEMA
+        assert f"{field}=None is not a finite number" in capsys.readouterr().err
 
     def test_non_finite_cell_flagged(self, toy_path, toy_run, capsys):
         # every p_tp_0 cell NaN: each is flagged, and so is every check it
@@ -724,16 +726,22 @@ class TestValidateVerb:
         assert code == cli.EXIT_SCHEMA
         assert "sha256" in capsys.readouterr().err
 
-    def test_run_dir_without_hash_validates(self, toy_path, toy_run):
+    @pytest.mark.parametrize("value", [None, "missing"])
+    def test_run_dir_without_hash_refused(self, value, toy_path, toy_run,
+                                          capsys):
+        # a summary without the scenario's hash is refused, even with the
+        # scenario file unchanged
         summary_path = toy_run / "summary.json"
         summary = json.loads(summary_path.read_text())
-        for key in ("scenario_sha256", "mc_samples", "versions"):
-            del summary[key]
+        if value == "missing":
+            del summary["scenario_sha256"]
+        else:
+            summary["scenario_sha256"] = value
         summary_path.write_text(json.dumps(summary))
-        toy_path.write_text(toy_path.read_text() + "\n")
         code = run_cli(["validate", "--scenario", str(toy_path),
                         "--run-dir", str(toy_run), "--mc-samples", "20000"])
-        assert code == cli.EXIT_OK
+        assert code == cli.EXIT_SCHEMA
+        assert "scenario_sha256=None" in capsys.readouterr().err
 
 
 class TestDrawsAhead:
@@ -886,7 +894,10 @@ class TestOracleVerb:
 
     @pytest.mark.parametrize("steps, exit_code", [
         (["--step", "7.0"], cli.EXIT_ORACLE_SIZE),
-        (["--step", "0"], cli.EXIT_SCHEMA)])
+        (["--step", "0"], cli.EXIT_SCHEMA),
+        # about 3e13 grid points: refused from their count, at once
+        (["--step", "0.01"], cli.EXIT_ORACLE_SIZE),
+        (["--step", "1e-310"], cli.EXIT_ORACLE_SIZE)])
     def test_failed_rerun_leaves_no_stale_result(self, steps, exit_code,
                                                  toy_path, tmp_path):
         out_dir = tmp_path / "orc"

@@ -386,8 +386,9 @@ class TestReserveRow:
         bundle = build_bundle(toy_cfg, mode)
         assert max(r.min_reserve() for r in toy_cfg.reserve_requirements()) > 0
         backend = se.ScipyMilpBackend()
-        row = backend.solve(bundle.ir, 60.0, 1e-4)
-        reference = backend.solve(with_indicator_reserve(bundle), 60.0, 1e-4)
+        row = backend.solve(bundle.ir.compile(), 60.0, 1e-4)
+        reference = backend.solve(with_indicator_reserve(bundle).compile(), 60.0,
+                                  1e-4)
         assert row.status == reference.status == se.OPTIMAL
         assert row.objective == pytest.approx(
             reference.objective, rel=1e-4, abs=1e-6)
@@ -405,7 +406,7 @@ class TestPriceMonotonicity:
         for t, name in enumerate(names):
             ir.add_obj_linear(name, float(loads[t]))
         ir.add_row_list([("avg", {n: 1.0 for n in names}, "==", 4 * avg)])
-        res = se.ScipyMilpBackend().solve(ir, 10.0, 1e-9)
+        res = se.ScipyMilpBackend().solve(ir.compile(), 10.0, 1e-9)
 
         budget = 4 * avg - 4 * lo
         greedy = np.full(4, lo)

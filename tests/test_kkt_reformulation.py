@@ -93,7 +93,7 @@ class TestBigM:
             ir.add_row_list([("fix_pi", {binary: 1.0}, "==", fixed_pi)])
             ir.add_obj_linear(free_var, 1.0)
             ir.add_obj_linear(forced_var, 1.0)
-            res = backend.solve(ir, 10.0, 1e-9)
+            res = backend.solve(ir.compile(), 10.0, 1e-9)
             # the forced side pins to zero, the free side reaches its cap
             assert res.values[forced_var] == pytest.approx(0.0, abs=1e-9)
             cap = 10.0 if free_var == "x" else 5.0
@@ -277,15 +277,16 @@ class TestAssemble:
         assert gap <= bundle.pwl_error_bound + 1e-6
 
     def test_backend_rejects_quadratic_objective(self):
-        # the PWL pass always runs, so a quadratic term reaching the
-        # backend is a caller error, never a convex-MIQP request
+        # the PWL pass always runs, so a quadratic term left for compiling,
+        # and so for the backend, is a caller error, never a convex-MIQP
+        # request
         ir = ModelIR("quad")
         ir.add_columns(["x"], 0.0, 2.0)
         ir.add_obj_linear("x", 3.0)
         ir.add_obj_quad("x", -1.0)
         ir.add_row_list([("cap", {"x": 1.0}, "<=", 2.0)])
         with pytest.raises(ValueError, match="PWL"):
-            se.ScipyMilpBackend().solve(ir, 10.0, 1e-4)
+            se.ScipyMilpBackend().solve(ir.compile(), 10.0, 1e-4)
 
     def test_bilevel_consistency_at_optimum(self, solved_toy):
         cfg, _, out = solved_toy

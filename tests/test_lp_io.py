@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import model_digest
+from conftest import model_digest, with_rhs
 from iesgame import game_model as gm
 from iesgame import solve_engine as se
 from iesgame.config import load_scenario
@@ -105,5 +105,5 @@ def test_dispatch_fingerprint(case):
                  gm.follower_best_response(mu[::-1].copy(), gamma[::-1].copy(), cfg)]
     program = se._dispatch_program(cfg, bool(cfg.pipelines), 8, responses[0])
     rows, rhs = se._balance_rhs(program, cfg, *zip(*responses))
-    digest = model_digest(*(program.with_rhs(rows, b) for b in rhs))
+    digest = model_digest(*(with_rhs(program, rows, b) for b in rhs))
     assert digest == DISPATCH_SHA256[case]

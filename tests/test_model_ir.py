@@ -216,7 +216,7 @@ class TestPwlLowering:
             ir.add_row_list([("fix", {"x": 1.0}, "==", float(x))])
             ir.add_obj_quad("x", -1.0)
             apply_pwl(ir, 5)
-            res = ScipyMilpBackend().solve(ir, 10.0, 1e-9)
+            res = ScipyMilpBackend().solve(ir.compile(), 10.0, 1e-9)
             assert res.values["x"] == pytest.approx(x, abs=1e-12)
             assert res.objective == pytest.approx(np.interp(x, bps, -bps ** 2),
                                                   abs=1e-9)
@@ -232,7 +232,7 @@ class TestLpRoundTrip:
         ir.add_obj_quad("x", -1.0)
         ir.add_row_list([("pad_row", {"pad": 1.0}, "<=", 1.0)])
         apply_pwl(ir, 8)
-        res = ScipyMilpBackend().solve(ir, 10.0, 1e-9)
+        res = ScipyMilpBackend().solve(ir.compile(), 10.0, 1e-9)
         # chord error bound: w^2/4 with w = 0.5
         assert res.objective == pytest.approx(2.25, abs=0.5 ** 2 / 4 + 1e-9)
 

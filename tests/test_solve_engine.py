@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from conftest import model_digest, random_follower_point, toy_dict
+from conftest import model_digest, random_follower_point, toy_dict, with_rhs
 from iesgame import game_model as gm
 from iesgame import kkt_reformulation as kkt
 from iesgame import prob_sequences as ps
@@ -70,7 +70,7 @@ BAD_INPUTS = {"nan-c": ("c", np.nan), "inf-c": ("c", np.inf),
 
 class TestBackend:
     def test_small_milp(self):
-        res = se.ScipyMilpBackend().solve(small_milp(), 10.0, 1e-9)
+        res = se.ScipyMilpBackend().solve(small_milp().compile(), 10.0, 1e-9)
         assert res.status == se.OPTIMAL
         assert res.objective == pytest.approx(3.5)
         assert res.values["b"] == pytest.approx(1.0)
@@ -80,7 +80,7 @@ class TestBackend:
         ir.add_columns(["x"], 0.0, 1.0)
         ir.add_obj_linear("x", 1.0)
         ir.add_row_list([("lo", {"x": 1.0}, ">=", 2.0)])
-        res = se.ScipyMilpBackend().solve(ir, 10.0, 1e-4)
+        res = se.ScipyMilpBackend().solve(ir.compile(), 10.0, 1e-4)
         assert res.status == se.INFEASIBLE
 
     @pytest.mark.parametrize("bad", BAD_INPUTS)
@@ -102,7 +102,7 @@ class TestBackend:
         ir.add_columns(["x"], 0.0, 2.0)
         ir.add_obj_linear("x", 1.0)
         ir.add_row_list([("cap", {"x": 1.0}, "<=", 1.5)])
-        res = se.ScipyMilpBackend().solve(ir, 10.0, 1e-9)
+        res = se.ScipyMilpBackend().solve(ir.compile(), 10.0, 1e-9)
         assert res.gap <= 1e-9
         assert res.bound == pytest.approx(res.objective, abs=1e-6)
 
@@ -232,7 +232,7 @@ class TestRelaxFirst:
         ir.add_obj_linear("b1", 1.0)
         ir.add_row_list([("lo", {"b1": 1.0, "b2": 1.0}, ">=", 3.0)])
         calls = counting_milp(monkeypatch)
-        res = se.ScipyMilpBackend().solve(ir, 10.0, 1e-4)
+        res = se.ScipyMilpBackend().solve(ir.compile(), 10.0, 1e-4)
         assert calls == [(False, 10.0)]
         assert res.status == se.INFEASIBLE and res.relaxation_exact
 
@@ -268,7 +268,7 @@ class TestHeldProgram:
             before = held.highs.getRunTime()
             got = se.milp(held, 60.0, relaxation)
             assert held.highs.getOptionValue("time_limit")[1] == before + 60.0
-            want = fresh_milp(model.with_rhs(rows, b), 60.0, 1e-4, relaxation)
+            want = fresh_milp(with_rhs(model, rows, b), 60.0, 1e-4, relaxation)
             assert got.status == want.status == se.OPTIMAL
             assert got.x == want.x and got.objective == want.objective
             assert got.row_dual == want.row_dual
@@ -325,6 +325,23 @@ class TestSolvePipeline:
         assert out.result.status == se.INFEASIBLE
         assert out.result.infeasible_stage == "balance_with_relaxed_reserves"
 
+    def test_infeasible_solve_compiles_once(self, monkeypatch):
+        # the solve and its triage share one compiled model
+        data = toy_dict()
+        data["fixed_load_mw"] = [1.45, 2.2, 1.6]
+        bundle = build_bundle(scenario_from_dict(data), 2)
+        compiled = []
+        compile_ir = ModelIR.compile
+
+        def spy(ir):
+            compiled.append(ir)
+            return compile_ir(ir)
+
+        monkeypatch.setattr(ModelIR, "compile", spy)
+        out = se.solve(bundle, se.SolveOptions(time_limit=60))
+        assert out.result.infeasible_stage == "balance_with_relaxed_reserves"
+        assert compiled == [bundle.ir]
+
     def test_reserve_infeasibility_stage(self):
         # flat operation needs no ramping, but the reserve requirement
         # exceeds what the ramp-capped reserves can offer
@@ -343,6 +360,14 @@ class TestSolvePipeline:
         assert out.result.infeasible_stage == "full_model"
 
 
+# (band, periods, step) whose full loop over every level stays small
+GRID_CASES = [(band, periods, step)
+              for band in ((50.0, 87.0, 68.5), (20.0, 39.0, 29.5), (0.3, 1.7, 1.1))
+              for periods in (1, 2, 3, 4)
+              for step in (18.5, 9.25, 4.75, 7.0, 2.5, 0.5, 0.1)
+              if ((band[1] - band[0]) / step + 1) ** periods <= 1e5]
+
+
 class TestEnumerationOracle:
     def two_period_cfg(self):
         data = toy_dict()
@@ -356,6 +381,38 @@ class TestEnumerationOracle:
         grids = se._admissible_grids(50.0, 87.0, 137.0, 2, 18.5)
         assert len(grids) == 3
         assert (68.5, 68.5) in grids
+
+    @pytest.mark.parametrize("band, periods, step", GRID_CASES)
+    def test_grids_match_full_loop(self, band, periods, step):
+        # the same vectors in the same order as looping every slot over
+        # every level, and as many as `_grid_count` counts
+        lo, hi, avg = band
+        grids = se._admissible_grids(lo, hi, periods * avg, periods, step)
+        assert grids == loop_grids(lo, hi, periods * avg, periods, step)
+        assert se._grid_count(lo, hi, periods * avg, periods, step) == len(grids)
+
+    def test_grids_stay_in_band(self):
+        # at step 10 the level 90 lies past the band's 87: no vector takes it
+        grids = se._admissible_grids(50.0, 87.0, 210.0, 3, 10.0)
+        assert grids and max(max(v) for v in grids) == 80.0
+        assert se._grid_count(50.0, 87.0, 210.0, 3, 10.0) == len(grids)
+
+    def test_refused_before_enumerating(self, toy_cfg, monkeypatch):
+        # toy3 at step 0.01 has about 1e7 electricity and 3e6 heat
+        # vectors; the refusal comes from their counts, and no vector is
+        # built
+        p = toy_cfg.prices
+        total = (se._grid_count(p.mu_min, p.mu_max, 3 * p.mu_av, 3, 0.01)
+                 * se._grid_count(p.gamma_min, p.gamma_max, 3 * p.gamma_av,
+                                  3, 0.01))
+        assert total > 1e13
+        enumerated = []
+        monkeypatch.setattr(se, "_admissible_grids",
+                            lambda *args: enumerated.append(args))
+        with pytest.raises(se.OracleSizeError,
+                           match=f"^{total} grid points exceed"):
+            se.enumerate_oracle(toy_cfg, 0.01)
+        assert enumerated == []
 
     def test_counts_and_response(self):
         cfg = self.two_period_cfg()
@@ -408,43 +465,53 @@ class TestEnumerationOracle:
         assert result.n_dispatch_solves <= 10  # 95 distinct responses
 
     def test_builds_dispatch_once(self, toy_cfg, monkeypatch):
-        builds, solves = [], []
+        builds = []
         build_leader = gm.build_leader
-        backend = se.ScipyMilpBackend()
-        solve = backend.solve
 
         def spy_build(*args, **kwargs):
             builds.append(kwargs)
             return build_leader(*args, **kwargs)
 
-        def spy_solve(*args):
-            solves.append(args)
-            return solve(*args)
-
         monkeypatch.setattr(gm, "build_leader", spy_build)
-        monkeypatch.setattr(backend, "solve", spy_solve)
-        se.enumerate_oracle(toy_cfg, 9.25, gamma_grid_step=4.75,
-                            backend=backend)
+        calls = counting_milp(monkeypatch)
+        se.enumerate_oracle(toy_cfg, 9.25, gamma_grid_step=4.75)
         assert len(builds) == 1
-        assert len(solves) > 1  # several responses, one build
+        # several responses solved, each from one relaxation run
+        assert sum(not mip for mip, _ in calls) > 1
 
-    def test_pruned_solves_come_from_backend(self, toy_cfg):
+    @pytest.mark.parametrize("case", ["toy", "toy_storage"])
+    def test_one_held_program(self, toy_cfg, case2_path, monkeypatch, case):
+        # every exact dispatch solve, relaxation and MILP alike, runs on
+        # the one HiGHS instance the search holds
+        cfg = toy_cfg if case == "toy" else toy_storage_cfg(case2_path)
+        programs = []
+
+        class Counted(se.HighsProgram):
+            def __init__(self, model, gap_tolerance):
+                programs.append(model)
+                super().__init__(model, gap_tolerance)
+
+        monkeypatch.setattr(se, "HighsProgram", Counted)
+        calls = counting_milp(monkeypatch)
+        result = se.enumerate_oracle(cfg, 9.25, gamma_grid_step=4.75)
+        assert len(programs) == 1
+        mips = [mip for mip, _ in calls]
+        assert mips.count(False) == result.n_dispatch_solves > 1
+        # toy3's dispatch is an LP; the storage mutex leaves a MILP to run
+        assert any(mips) == (case == "toy_storage")
+
+    def test_pruned_solves_come_from_backend(self, toy_cfg, monkeypatch):
+        # every exact dispatch costs one more: the reported best must move
+        # by exactly that, so it comes from the relax-first solve (the
+        # backend's route) alone
         plain = se.enumerate_oracle(toy_cfg, 9.25, gamma_grid_step=4.75)
-        calls = []
-
-        class Costlier(se.ScipyMilpBackend):
-            # every exact dispatch costs one more: the reported best must
-            # move by exactly that, so it comes from the backend alone
-            def solve(self, *args):
-                calls.append(args)
-                res = super().solve(*args)
-                res.objective -= 1.0
-                return res
-
-        result = se.enumerate_oracle(toy_cfg, 9.25, gamma_grid_step=4.75,
-                                     backend=Costlier())
-        # costs one above the cuts' relaxation prune less, but still prune
-        assert result.n_dispatch_solves == len(calls) < result.n_evaluations
+        calls = shifted_exact_costs(monkeypatch, lambda obj: obj - 1.0)
+        runs = counting_milp(monkeypatch)
+        result = se.enumerate_oracle(toy_cfg, 9.25, gamma_grid_step=4.75)
+        # costs one above the cuts' relaxation prune less, but still prune;
+        # each exact solve is one relaxation run of the held program
+        assert result.n_dispatch_solves == len(calls) == len(runs) \
+            < result.n_evaluations
         np.testing.assert_array_equal(result.best_mu, plain.best_mu)
         np.testing.assert_array_equal(result.best_gamma, plain.best_gamma)
         assert result.profit == pytest.approx(plain.profit - 1.0, abs=1e-9)
@@ -541,10 +608,37 @@ class TestReserveValidation:
         assert totals[0] <= totals[1] + 1e-9
 
 
-def best_posted_price(cfg, backend, relax_binaries, mu, gamma):
-    return se._best_posted_price(cfg, bool(cfg.pipelines), 8, backend,
-                                 relax_binaries, np.asarray(mu),
-                                 np.asarray(gamma))
+def loop_grids(lo, hi, target_sum, periods, step):
+    """Every vector of levels lo, lo + step, ... (up to hi) whose entries
+    sum to target_sum within 1e-6, each slot looping over every level."""
+    levels = [float(v) for v in np.arange(lo, hi + step / 2, step)
+              if v <= hi + 1e-6]
+    out = []
+
+    def recurse(prefix, remaining, slots):
+        if slots == 0:
+            if abs(remaining) < 1e-6:
+                out.append(tuple(prefix))
+            return
+        for v in levels:
+            recurse(prefix + [v], remaining - v, slots - 1)
+
+    recurse([], target_sum, periods)
+    return out
+
+
+def best_posted_price(cfg, relax_binaries, mu, gamma):
+    return se._best_posted_price(cfg, bool(cfg.pipelines), 8, relax_binaries,
+                                 np.asarray(mu), np.asarray(gamma))
+
+
+def toy_storage_cfg(case2_path):
+    """toy3 with case2's storage unit, whose charge/discharge mutex
+    (`u_dh_*`) leaves binaries in the dispatch program; toy3's own
+    dispatch is an LP."""
+    data = toy_dict()
+    data["bess"] = json.loads(Path(case2_path).read_text())["bess"]
+    return scenario_from_dict(data)
 
 
 def random_prices(cfg, n, rng):
@@ -560,20 +654,40 @@ def random_prices(cfg, n, rng):
 def moved(program, cfg, response):
     """A compiled dispatch program moved to another users' response."""
     rows, rhs = se._balance_rhs(program, cfg, *zip(response))
-    return program.with_rhs(rows, rhs[0])
+    return with_rhs(program, rows, rhs[0])
 
 
-def counting(backend):
-    """`backend` with each solved model's row lower bounds recorded."""
+def solved_rhs(monkeypatch):
+    """Patch `se.milp` to record the row lower bounds its program holds
+    at each relaxation run: one per exact dispatch solve."""
     calls = []
-    solve = backend.solve
+    real = se.milp
 
-    def counted(model, *args):
-        calls.append(model.row_lower.tobytes())
-        return solve(model, *args)
+    def counted(program, time_limit, relaxation=False):
+        if relaxation:
+            calls.append(np.asarray(program.highs.getLp().row_lower_).tobytes())
+        return real(program, time_limit, relaxation)
 
-    backend.solve = counted
-    return backend, calls
+    monkeypatch.setattr(se, "milp", counted)
+    return calls
+
+
+def shifted_exact_costs(monkeypatch, shift):
+    """Patch `se._relax_first`, the exact dispatch solve (and the
+    backend's), so that each optimum's objective becomes
+    `shift(objective)`; return the programs it solved."""
+    calls = []
+    real = se._relax_first
+
+    def shifted(program, time_limit):
+        calls.append(program)
+        res, first = real(program, time_limit)
+        if res.status == se.OPTIMAL:
+            res.objective = shift(res.objective)
+        return res, first
+
+    monkeypatch.setattr(se, "_relax_first", shifted)
+    return calls
 
 
 class TestPostedPriceProfit:
@@ -585,36 +699,37 @@ class TestPostedPriceProfit:
         out = se.solve(bundle, se.SolveOptions(time_limit=60))
         mu, gamma = toy_cfg.proportional_prices()
         index, profit, response, n_solves = best_posted_price(
-            toy_cfg, se.ScipyMilpBackend(), relax_binaries, [mu], [gamma])
+            toy_cfg, relax_binaries, [mu], [gamma])
         assert (index, n_solves) == (0, 1)
         assert profit == pytest.approx(out.result.objective, rel=1e-6)
         assert response[0] == pytest.approx(bundle.fixed["p_sl"])
         assert response[1] == pytest.approx(bundle.fixed["h_cl"])
 
-    def test_cache_counts_solves(self, toy_cfg):
+    def test_cache_counts_solves(self, toy_cfg, monkeypatch):
         # within one search each distinct response is solved at most
-        # once, and every solve is a backend call
-        backend, calls = counting(se.ScipyMilpBackend())
+        # once, and every solve is a relax-first run of the held program
+        calls = solved_rhs(monkeypatch)
         mu, gamma = toy_cfg.proportional_prices()
         index, _, _, n_solves = best_posted_price(
-            toy_cfg, backend, False, [mu] * 6, [gamma] * 6)
+            toy_cfg, False, [mu] * 6, [gamma] * 6)
         assert index == 0
         assert n_solves == len(calls) == 1  # the copies are all visited
         flipped = mu[::-1].copy()
-        backend, calls = counting(se.ScipyMilpBackend())
-        n_solves = best_posted_price(toy_cfg, backend, False,
-                                     [mu, flipped, mu, flipped],
+        calls.clear()
+        n_solves = best_posted_price(toy_cfg, False, [mu, flipped, mu, flipped],
                                      [gamma] * 4)[3]
         assert 1 <= n_solves == len(calls) == len(set(calls)) <= 2
 
 
-def exhaustive_profits(cfg, backend, relax_binaries, mu, gamma):
+def exhaustive_profits(cfg, relax_binaries, mu, gamma):
     """Every pair's profit and users' response, from solving the dispatch
-    of every pair, with no cuts."""
+    of every pair through the backend, each on a new HiGHS instance, with
+    no cuts."""
     responses = [gm.follower_best_response(m, g, cfg) for m, g in zip(mu, gamma)]
     program = se._dispatch_program(cfg, bool(cfg.pipelines), 8, responses[0])
     if relax_binaries:
         program = relaxed(program)
+    backend = se.ScipyMilpBackend()
     results = [backend.solve(moved(program, cfg, r), 60.0, 1e-6)
                for r in responses]
     costs = [-res.objective if res.status == se.OPTIMAL else np.inf
@@ -630,14 +745,11 @@ def first_best(profits):
     return best, profits[best]
 
 
-class Undercut(se.ScipyMilpBackend):
-    """HiGHS with every dispatch cost 1e-9 relative below its optimum, as
-    a backend solving to a looser feasibility tolerance may return."""
-
-    def solve(self, *args):
-        res = super().solve(*args)
-        res.objective += 1e-9 * abs(res.objective)
-        return res
+def undercut_exact_costs(monkeypatch):
+    """Patch the exact dispatch solve so that every cost is 1e-9 relative
+    below its optimum, as a solver to a looser feasibility tolerance may
+    return."""
+    shifted_exact_costs(monkeypatch, lambda obj: obj + 1e-9 * abs(obj))
 
 
 def undercut_relaxations(monkeypatch):
@@ -685,36 +797,42 @@ def fresh_cut(model, rows):
     return res.fun - model.obj_const, res.eqlin.marginals[np.cumsum(eq)[rows] - 1]
 
 
-# relaxed searches price through their own held program, the reference
-# through the backend: both are HiGHS at optimality, so the profits agree to
-# rounding (9.1e-13 apart on case2's ~2.1e3 was the largest seen)
-RELAXED_PROFIT_RTOL = 1e-12
+# a search prices on its own held program, from the last basis, and the
+# reference on new instances: both are HiGHS at optimality, so the profits
+# agree to rounding (9.1e-13 apart on case2's ~2.1e3 was the largest seen;
+# with toy3's storage mutex kept, 3e-16 relative, where the held program
+# reached another optimal vertex). toy3's exact dispatch, an LP, agrees
+# bit for bit
+PROFIT_RTOL = 1e-12
 
 
-def assert_same_best(got, want, relax_binaries):
-    """`got` is (index, profit) of `want`: exactly with the binaries kept,
-    within `RELAXED_PROFIT_RTOL` in the profit when they are relaxed."""
+def assert_same_best(got, want, exact):
+    """`got` is (index, profit) of `want`: exactly when `exact`, else
+    within `PROFIT_RTOL` in the profit."""
     assert got[0] == want[0]
-    if relax_binaries:
-        assert got[1] == pytest.approx(want[1], rel=RELAXED_PROFIT_RTOL, abs=0)
-    else:
+    if exact:
         assert got[1] == want[1]
+    else:
+        assert got[1] == pytest.approx(want[1], rel=PROFIT_RTOL, abs=0)
 
 
 class TestPrunedSearch:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("case, relax_binaries, n", [
-        ("toy", False, 60), ("toy", True, 60), ("case2", True, 25)])
+        ("toy", False, 60), ("toy", True, 60), ("case2", True, 25),
+        ("toy_storage", False, 60)])
     def test_equals_exhaustive(self, toy_cfg, case2_path, monkeypatch, case,
                                relax_binaries, n, seed):
         # the pruned search must return what pricing every pair through
         # the backend returns, also with the best pair repeated before or
-        # after itself (earliest index wins)
-        cfg = toy_cfg if case == "toy" else load_scenario(case2_path)
+        # after itself (earliest index wins). With storage the exact
+        # dispatch keeps binaries, and the search's relax-first solves run
+        # on its held program, the backend's on new instances
+        cfg = {"toy": toy_cfg, "case2": load_scenario(case2_path),
+               "toy_storage": toy_storage_cfg(case2_path)}[case]
+        exact = case == "toy" and not relax_binaries
         mu, gamma = random_prices(cfg, n, np.random.default_rng(seed))
-        backend = se.ScipyMilpBackend()
-        profits, responses = exhaustive_profits(cfg, backend, relax_binaries,
-                                                mu, gamma)
+        profits, responses = exhaustive_profits(cfg, relax_binaries, mu, gamma)
         top = first_best(profits)[0]
         # the best pair repeated before or after the list prices as itself
         cases = [((mu, gamma), profits, responses),
@@ -724,9 +842,8 @@ class TestPrunedSearch:
                   profits + [profits[top]], responses + [responses[top]])]
         for prices, want_profits, want_responses in cases:
             index, profit, response, _ = best_posted_price(
-                cfg, backend, relax_binaries, *prices)
-            assert_same_best((index, profit), first_best(want_profits),
-                             relax_binaries)
+                cfg, relax_binaries, *prices)
+            assert_same_best((index, profit), first_best(want_profits), exact)
             for got, exp in zip(response, want_responses[index]):
                 np.testing.assert_array_equal(got, exp)
         assert first_best(cases[1][1])[0] == 0
@@ -736,25 +853,26 @@ class TestPrunedSearch:
         # with the same response and a bill lower in its last bits, solved
         # first, then the best pair, judged only by the cut at its own
         # response; with costs just below the LP optimum that cut alone
-        # would rule it out. The relaxed search takes its costs from its
-        # own relaxation runs, so there those costs are undercut
+        # would rule it out. The exact costs come from relax-first solves,
+        # the relaxed search's from its own relaxation runs, so there
+        # those costs are undercut too
         twin = mu[top] * (1.0 - 1e-15)
         mu_list = np.vstack([twin, mu])
         gamma_list = np.vstack([gamma[top], gamma])
-        want = first_best(exhaustive_profits(cfg, Undercut(), relax_binaries,
-                                             mu_list, gamma_list)[0])
+        undercut_exact_costs(monkeypatch)
+        want = first_best(exhaustive_profits(cfg, relax_binaries, mu_list,
+                                             gamma_list)[0])
         assert want[0] == top + 1
         if relax_binaries:
             undercut_relaxations(monkeypatch)
-        got = best_posted_price(cfg, Undercut(), relax_binaries, mu_list,
-                                gamma_list)
-        assert_same_best(got[:2], want, relax_binaries)
+        got = best_posted_price(cfg, relax_binaries, mu_list, gamma_list)
+        assert_same_best(got[:2], want, exact)
 
     def test_one_cut_per_exact_solve(self, toy_cfg, monkeypatch):
         # every HiGHS run of the relaxed search gives one cut
         calls = counting_milp(monkeypatch)
         mu, gamma = random_prices(toy_cfg, 50, np.random.default_rng(4))
-        n_solves = best_posted_price(toy_cfg, None, True, mu, gamma)[3]
+        n_solves = best_posted_price(toy_cfg, True, mu, gamma)[3]
         assert 1 <= len(calls) == n_solves < 50
 
     @pytest.mark.parametrize("relax_binaries", [False, True])
@@ -767,7 +885,7 @@ class TestPrunedSearch:
         program = se._dispatch_program(cfg, True, 8, responses[0])
         rows, rhs = se._balance_rhs(program, cfg, *zip(*responses))
         exact = relaxed(program) if relax_binaries else program
-        costs = [-backend.solve(exact.with_rhs(rows, b), 60.0, 1e-6).objective
+        costs = [-backend.solve(with_rhs(exact, rows, b), 60.0, 1e-6).objective
                  for b in rhs]
         for b0, (c0, lam) in zip(rhs, held_cuts(program, rows, rhs)):
             for b, cost in zip(rhs, costs):
@@ -786,7 +904,7 @@ class TestPrunedSearch:
         program = se._dispatch_program(cfg, bool(cfg.pipelines), 8, responses[0])
         rows, rhs = se._balance_rhs(program, cfg, *zip(*responses))
         for b, cut in zip(rhs, held_cuts(program, rows, rhs)):
-            want = fresh_cut(program.with_rhs(rows, b), rows)
+            want = fresh_cut(with_rhs(program, rows, b), rows)
             assert (cut is None) == (want is None)
             if cut is None:
                 continue
@@ -946,6 +1064,18 @@ PINNED_ORACLE = {
                       "a4703d0ad7a3c03f111111111111b13f2cf9c5925f2cb93f"),
     "profit": float.fromhex("0x1.4de78702a780ap+7"),
     "grid_step": 9.25, "n_evaluations": 361, "n_dispatch_solves": 2}
+# toy3 with case2's storage unit (`toy_storage_cfg`), on that grid and on
+# one of half its steps: the same best point as toy3's, at another profit
+PINNED_STORAGE_PROFIT = float.fromhex("0x1.50e1aaf2d7c92p+7")
+
+
+def oracle_fields(result):
+    """An oracle result's fields, its arrays as the hex of their bytes."""
+    got = dict(vars(result))
+    got["best_mu"] = result.best_mu.tobytes().hex()
+    got["best_gamma"] = result.best_gamma.tobytes().hex()
+    got["best_response"] = tuple(a.tobytes().hex() for a in result.best_response)
+    return got
 
 
 class TestPinnedSearch:
@@ -958,12 +1088,19 @@ class TestPinnedSearch:
 
     def test_toy_oracle(self, toy_cfg):
         result = se.enumerate_oracle(toy_cfg, 9.25, gamma_grid_step=4.75)
-        got = dict(vars(result))
-        got["best_mu"] = result.best_mu.tobytes().hex()
-        got["best_gamma"] = result.best_gamma.tobytes().hex()
-        got["best_response"] = tuple(a.tobytes().hex()
-                                     for a in result.best_response)
-        assert got == PINNED_ORACLE
+        assert oracle_fields(result) == PINNED_ORACLE
+
+    @pytest.mark.parametrize("step, gamma_step, n_evaluations", [
+        (9.25, 4.75, 361), (4.625, 2.375, 3721)])
+    def test_toy_storage_oracle(self, case2_path, step, gamma_step,
+                                n_evaluations):
+        # the storage mutex keeps binaries in the exact dispatch: of the
+        # two relax-first solves one rounds, one runs the MILP
+        result = se.enumerate_oracle(toy_storage_cfg(case2_path), step,
+                                     gamma_grid_step=gamma_step)
+        assert oracle_fields(result) == {
+            **PINNED_ORACLE, "profit": PINNED_STORAGE_PROFIT,
+            "grid_step": step, "n_evaluations": n_evaluations}
 
 
 class TestDeviationCheck:
@@ -983,6 +1120,7 @@ class TestDeviationCheck:
             return real(program, time_limit, relaxation)
 
         monkeypatch.setattr(se.ScipyMilpBackend, "solve", refuse)
+        monkeypatch.setattr(se, "_relax_first", refuse)
         monkeypatch.setattr(se, "milp", spy)
         check = se.no_deviation_check(bundle, out.solution, n_deviations=40,
                                       seed=3)
